@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import Embedding, classical_mds, isomap, pca, pr_isomap
+from .errors import InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
 from .graph import h_from_percentile, knn_graph, pr_density
 from .linalg import as_matrix, pairwise_dists
@@ -41,6 +42,10 @@ class MethodSpec:
     h_percentile: float | None = None
     component_policy: str = "largest_component"
     name: str | None = None
+
+    def __post_init__(self):
+        if self.method in ("pr-isomap", "isomap") and self.k is None:
+            raise InputError(f"{self.method} needs a neighbor count k")
 
     def resolve_h(self, data) -> float | None:
         if self.method != "pr-isomap":
@@ -77,14 +82,13 @@ class BenchResult:
         return rows
 
 
-def _run_method(spec: MethodSpec, data, h_resolved, threads: int) -> tuple[Embedding, float]:
+def _run_method(spec: MethodSpec, data, h_resolved) -> tuple[Embedding, float]:
     t0 = time.perf_counter()
     if spec.method == "pr-isomap":
         emb = pr_isomap(data, spec.k, h_resolved, spec.p,
-                        component_policy=spec.component_policy, threads=threads)
+                        component_policy=spec.component_policy)
     elif spec.method == "isomap":
-        emb = isomap(data, spec.k, spec.p, component_policy=spec.component_policy,
-                     threads=threads)
+        emb = isomap(data, spec.k, spec.p, component_policy=spec.component_policy)
     elif spec.method == "mds":
         emb = classical_mds(data, spec.p)
     elif spec.method == "pca":
@@ -109,7 +113,6 @@ def run_bench(
     k_clf: int = 5,
     folds: int = 10,
     seed: int = 0,
-    threads: int = 1,
 ) -> BenchResult:
     """Run every method on `data` and score them on a shared basis.
 
@@ -136,7 +139,7 @@ def run_bench(
     resolved: dict[str, float | None] = {}
     for spec in specs:
         h_resolved = spec.resolve_h(x)
-        emb, seconds = _run_method(spec, x, h_resolved, threads)
+        emb, seconds = _run_method(spec, x, h_resolved)
         embeddings[spec.label()] = emb
         timings[spec.label()] = seconds
         resolved[spec.label()] = h_resolved

@@ -41,7 +41,7 @@ from .embed import (
     save_embedding_csv,
     save_embedding_json,
 )
-from .errors import GraphError, InputError, NumericError
+from .errors import BadMagic, GraphError, InputError, NumericError, TruncatedFile
 from .evaluate import evaluate_embedding, save_eval_csv
 from .geodesics import all_pairs, load_geodesics, save_geodesics
 from .graph import h_from_percentile, knn_graph
@@ -53,7 +53,7 @@ GENERATORS = ("swiss-roll",)
 METHODS = ("pr-isomap", "isomap", "mds", "pca")
 POLICIES = {"error": "error", "largest-component": "largest_component"}
 
-SHARED_DEFAULTS = {"seed": 0, "threads": 1, "cache_dir": None}
+SHARED_DEFAULTS = {"seed": 0, "cache_dir": None}
 
 
 def _env_value(name: str):
@@ -91,7 +91,7 @@ def _resolve(args, name: str, default, config: dict, cast=None):
 def add_shared_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker cap for parallel stages (default 1)")
+                     help="accepted for compatibility; has no effect")
     sub.add_argument("--cache-dir", default=None,
                      help="directory for cached geodesic matrices")
     sub.add_argument("--config", default=None, help="JSON config file")
@@ -164,7 +164,7 @@ def _cache_key(dhash: str, k: int, h: float) -> str:
     return hashlib.sha256(f"{dhash}:{k}:{h!r}".encode()).hexdigest()[:32]
 
 
-def _cached_geodesics(data, k: int, h: float, cache_dir, threads: int):
+def _cached_geodesics(data, k: int, h: float, cache_dir):
     """Load or compute the all-pairs matrix; returns (geo, cache_hit, seconds)."""
     dhash = data_hash(data)
     path = None
@@ -173,11 +173,17 @@ def _cached_geodesics(data, k: int, h: float, cache_dir, threads: int):
         cache.mkdir(parents=True, exist_ok=True)
         path = cache / f"{_cache_key(dhash, k, h)}.geo"
         if path.exists():
-            geo = load_geodesics(path)
-            if geo.fingerprint == {"k": k, "h": h, "data_hash": dhash}:
-                return geo, True, 0.0
+            # an unreadable or mismatched entry is a miss and gets rewritten
+            try:
+                geo = load_geodesics(path)
+            except (BadMagic, TruncatedFile) as exc:
+                print(f"cache: {exc}; recomputing", file=sys.stderr)
+            else:
+                if geo.fingerprint == {"k": k, "h": h, "data_hash": dhash}:
+                    return geo, True, 0.0
+                print(f"cache: {path}: fingerprint mismatch; recomputing", file=sys.stderr)
     t0 = time.perf_counter()
-    geo = all_pairs(knn_graph(data, k, h), threads=threads)
+    geo = all_pairs(knn_graph(data, k, h))
     seconds = time.perf_counter() - t0
     if path is not None:
         save_geodesics(geo, path)
@@ -185,7 +191,6 @@ def _cached_geodesics(data, k: int, h: float, cache_dir, threads: int):
 
 
 def cmd_embed(args, config) -> int:
-    threads = _resolve(args, "threads", SHARED_DEFAULTS["threads"], config, int)
     cache_dir = _resolve(args, "cache_dir", SHARED_DEFAULTS["cache_dir"], config)
     method = args.method
     if method not in METHODS:
@@ -213,7 +218,7 @@ def cmd_embed(args, config) -> int:
         elif h is None:
             raise InputError("pr-isomap requires --h or --h-pct")
         params.update({"k": k, "h": h, "h_pct": h_pct})
-        geo, cache_hit, geo_seconds = _cached_geodesics(x, k, h, cache_dir, threads)
+        geo, cache_hit, geo_seconds = _cached_geodesics(x, k, h, cache_dir)
         desc = {"method": method, "k": k, "h": h, "p": p, "component_policy": policy}
         emb = embed_geodesics(geo, p, desc, component_policy=policy, spectrum=spectrum)
     elif method == "mds":
@@ -261,7 +266,6 @@ def _load_labels(labels_path, label_column, indices):
 
 def cmd_eval(args, config) -> int:
     seed = _resolve(args, "seed", SHARED_DEFAULTS["seed"], config, int)
-    threads = _resolve(args, "threads", SHARED_DEFAULTS["threads"], config, int)
     cache_dir = _resolve(args, "cache_dir", SHARED_DEFAULTS["cache_dir"], config)
     m = _resolve(args, "m", 10, config, int)
     k_clf = _resolve(args, "k_clf", 5, config, int)
@@ -288,7 +292,7 @@ def cmd_eval(args, config) -> int:
             h, _ = _resolve_h(args, config, x, k)
             if h is None:
                 h = math.inf
-            geo, _, _ = _cached_geodesics(x, k, h, cache_dir, threads)
+            geo, _, _ = _cached_geodesics(x, k, h, cache_dir)
             ref = geo.values[np.ix_(indices, indices)]
 
     labels = None
@@ -315,7 +319,6 @@ def cmd_eval(args, config) -> int:
 
 def cmd_bench(args, config) -> int:
     seed = _resolve(args, "seed", SHARED_DEFAULTS["seed"], config, int)
-    threads = _resolve(args, "threads", SHARED_DEFAULTS["threads"], config, int)
     m = _resolve(args, "m", 10, config, int)
     k_clf = _resolve(args, "k_clf", 5, config, int)
     folds = _resolve(args, "folds", 10, config, int)
@@ -358,7 +361,6 @@ def cmd_bench(args, config) -> int:
     result = run_bench(
         x, specs, reference=reference, labels=labels,
         baseline=args.baseline, m=m, k_clf=k_clf, folds=folds, seed=seed,
-        threads=threads,
     )
 
     out = Path(args.out)

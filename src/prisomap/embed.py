@@ -94,9 +94,9 @@ def apply_component_policy(geo: GeodesicMatrix, policy: str):
     return restricted, kept
 
 
-def geodesic_matrix(data, k: int, h: float = math.inf, threads: int = 1) -> GeodesicMatrix:
+def geodesic_matrix(data, k: int, h: float = math.inf) -> GeodesicMatrix:
     """Capped k-NN graph plus all-pairs shortest paths in one call."""
-    return all_pairs(knn_graph(data, k, h), threads=threads)
+    return all_pairs(knn_graph(data, k, h))
 
 
 def embed_geodesics(
@@ -147,7 +147,6 @@ def pr_isomap(
     p: int,
     component_policy: str = ERROR_POLICY,
     fragment_threshold: float = DEFAULT_FRAGMENT_THRESHOLD,
-    threads: int = 1,
     spectrum: int = 0,
 ) -> Embedding:
     """Isometric mapping over the h-capped neighbor graph.
@@ -159,7 +158,7 @@ def pr_isomap(
     n = x.shape[0]
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
-    geo = geodesic_matrix(x, k, h, threads=threads)
+    geo = geodesic_matrix(x, k, h)
     method = {"method": "pr-isomap", "k": int(k), "h": float(h), "p": int(p),
               "component_policy": component_policy}
     return embed_geodesics(geo, p, method, component_policy, fragment_threshold, spectrum)
@@ -171,12 +170,10 @@ def isomap(
     p: int,
     component_policy: str = ERROR_POLICY,
     fragment_threshold: float = DEFAULT_FRAGMENT_THRESHOLD,
-    threads: int = 1,
     spectrum: int = 0,
 ) -> Embedding:
     """Standard isometric mapping: the h=+inf case of pr_isomap."""
-    emb = pr_isomap(data, k, math.inf, p, component_policy, fragment_threshold,
-                    threads, spectrum)
+    emb = pr_isomap(data, k, math.inf, p, component_policy, fragment_threshold, spectrum)
     emb.method = {"method": "isomap", "k": int(k), "p": int(p),
                   "component_policy": component_policy}
     return emb
@@ -308,6 +305,8 @@ def load_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:
         idx: list[int] = []
         rows: list[list[float]] = []
         for line in fh:
+            if not line.strip():
+                continue
             cells = line.strip().split(",")
             idx.append(int(cells[0]))
             rows.append([float(c) for c in cells[1:]])

@@ -1,9 +1,10 @@
 """All-pairs shortest-path distances over the capped neighbor graph.
 
-Per-source Dijkstra with a lazy-deletion binary heap provides the production
-path; a cubic Floyd-Warshall relaxation provides the independent oracle used
-in tests. Unreachable pairs carry the UNREACHABLE sentinel (+inf in memory,
-a quiet NaN in the serialized block) so no arithmetic can silently mix them
+scipy's csgraph Dijkstra over the graph's CSR view provides the production
+path. A pure-Python per-source Dijkstra (smallest-predecessor tie rule) and a
+cubic Floyd-Warshall relaxation remain as the independent references used in
+tests. Unreachable pairs carry the UNREACHABLE sentinel (+inf in memory, a
+quiet NaN in the serialized block) so no arithmetic can silently mix them
 with real path lengths.
 """
 
@@ -11,15 +12,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, TooLarge, TruncatedFile
+from .errors import BadMagic, NumericError, TooLarge, TruncatedFile
 from .graph import NeighborGraph
 
 UNREACHABLE = math.inf
@@ -45,26 +46,17 @@ class GeodesicMatrix:
         return self.finite_fraction == 1.0
 
 
-def _adjacency_lists(graph: NeighborGraph) -> list[list[tuple[int, float]]]:
-    return [
-        list(zip((int(j) for j in nbrs), (float(w) for w in wts)))
-        for nbrs, wts in zip(graph.neighbors, graph.weights)
-    ]
-
-
-def dijkstra_from(graph: NeighborGraph, source: int,
-                  adj: list[list[tuple[int, float]]] | None = None):
+def dijkstra_from(graph: NeighborGraph, source: int):
     """Single-source shortest paths; returns (distances, parents).
 
-    Unreached vertices get UNREACHABLE and parent -1. When several shortest
-    paths tie, the parent is the smallest predecessor index; heap ties pop
-    the smaller vertex first, so output is deterministic.
+    The reference implementation for tests. Unreached vertices get
+    UNREACHABLE and parent -1. When several shortest paths tie, the parent is
+    the smallest predecessor index; heap ties pop the smaller vertex first,
+    so output is deterministic.
     """
     n = graph.n
     if not 0 <= source < n:
         raise ValueError(f"source must be in [0, {n}), got {source}")
-    if adj is None:
-        adj = _adjacency_lists(graph)
     dist = [math.inf] * n
     parent = [-1] * n
     done = bytearray(n)
@@ -75,7 +67,7 @@ def dijkstra_from(graph: NeighborGraph, source: int,
         if done[u]:
             continue
         done[u] = 1
-        for v, w in adj[u]:
+        for v, w in zip(graph.neighbors[u].tolist(), graph.weights[u].tolist()):
             if done[v]:
                 continue
             alt = du + w
@@ -90,44 +82,37 @@ def dijkstra_from(graph: NeighborGraph, source: int,
 
 
 def all_pairs(graph: NeighborGraph, threads: int = 1) -> GeodesicMatrix:
-    """All-pairs shortest paths by running Dijkstra from every source.
+    """All-pairs shortest paths: scipy csgraph Dijkstra over the CSR view.
 
-    Rows are independent, so the optional thread pool cannot change results.
-    Asymmetry beyond 1e-12 would indicate a relaxation bug and is asserted
-    away; the returned matrix is exactly symmetric.
+    threads is accepted for configuration compatibility and has no effect.
+    Raises NumericError if an edge exceeds the cap h, if reachability is
+    asymmetric, or if forward and reverse path lengths differ by more than
+    1e-12 of the distance scale; the returned matrix is exactly symmetric.
     """
-    n = graph.n
-    adj = _adjacency_lists(graph)
-    if __debug__ and n:
-        longest = max((float(w.max()) for w in graph.weights if len(w)), default=0.0)
-        assert longest <= graph.h, f"edge weight {longest} exceeds cap h={graph.h}"
+    from scipy.sparse.csgraph import dijkstra
 
-    out = np.full((n, n), math.inf, dtype=np.float64)
-    if threads > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for s, (row, _) in enumerate(
-                pool.map(lambda s: dijkstra_from(graph, s, adj), range(n))
-            ):
-                out[s] = row
-    else:
-        for s in range(n):
-            out[s] = dijkstra_from(graph, s, adj)[0]
+    adjacency = graph.csr()
+    longest = float(adjacency.data.max(initial=0.0))
+    if longest > graph.h:
+        raise NumericError(f"edge weight {longest} exceeds cap h={graph.h}")
+    out = dijkstra(adjacency, directed=False)
 
     finite = np.isfinite(out)
-    if n:
-        both = finite & finite.T
-        if both.any():
-            # forward/reverse path sums differ only by summation order, so any
-            # asymmetry beyond rounding at the distance scale is a bug
-            scale = max(1.0, float(out[both].max()))
-            asym = float(np.max(np.abs(out[both] - out.T[both])))
-            assert asym <= 1e-12 * scale, f"asymmetry {asym} exceeds 1e-12 * {scale}"
-        assert (finite == finite.T).all(), "reachability must be symmetric"
-    out = np.minimum(out, out.T)
+    if not np.array_equal(finite, finite.T):
+        raise NumericError("reachability must be symmetric")
+    # forward/reverse path sums differ only by summation order, so any
+    # asymmetry beyond rounding at the distance scale is a bug
+    scale = max(1.0, float(np.max(out, where=finite, initial=0.0)))
+    with np.errstate(invalid="ignore"):
+        diff = out - out.T
+    asym = float(np.max(np.abs(diff, out=diff), where=finite, initial=0.0))
+    del diff
+    if asym > 1e-12 * scale:
+        raise NumericError(f"asymmetry {asym} exceeds 1e-12 * {scale}")
 
     return GeodesicMatrix(
-        values=out,
-        finite_fraction=float(finite.mean()) if n else 1.0,
+        values=np.minimum(out, out.T),
+        finite_fraction=float(finite.mean()) if graph.n else 1.0,
         fingerprint=graph.fingerprint(),
     )
 
@@ -158,16 +143,24 @@ def floyd_warshall_oracle(graph: NeighborGraph) -> GeodesicMatrix:
 def save_geodesics(gm: GeodesicMatrix, path) -> None:
     """Write the binary block: header, fingerprint JSON, row-major float64.
 
-    Unreachable entries are encoded as quiet NaN.
+    Unreachable entries are encoded as quiet NaN. The block is written to a
+    temporary file in the same directory and renamed into place.
     """
     fp = json.dumps(gm.fingerprint, sort_keys=True).encode("utf-8")
     body = gm.values.copy()
     body[~np.isfinite(body)] = np.nan
-    with Path(path).open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIdI", _VERSION, gm.n, gm.finite_fraction, len(fp)))
-        fh.write(fp)
-        fh.write(body.astype("<f8").tobytes(order="C"))
+    path = Path(path)
+    # a reader never sees a partial block: write aside, then rename over
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<IIdI", _VERSION, gm.n, gm.finite_fraction, len(fp)))
+            fh.write(fp)
+            fh.write(body.astype("<f8").tobytes(order="C"))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_geodesics(path) -> GeodesicMatrix:

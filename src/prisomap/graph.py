@@ -54,6 +54,16 @@ class NeighborGraph:
     def fingerprint(self) -> dict:
         return {"k": self.k, "h": self.h, "data_hash": self.data_hash}
 
+    def csr(self):
+        """The adjacency as an n x n scipy CSR matrix (row i = vertex i's edges)."""
+        from scipy.sparse import csr_matrix
+
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum([len(a) for a in self.neighbors], out=indptr[1:])
+        indices = np.concatenate([np.empty(0, dtype=np.int64), *self.neighbors])
+        data = np.concatenate([np.empty(0), *self.weights])
+        return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+
 
 @dataclass(frozen=True)
 class DensityEstimate:
@@ -112,31 +122,6 @@ def _knn_candidates(data: np.ndarray, k: int) -> tuple[list[np.ndarray], list[np
     return cand_idx, cand_dist, len(zero_pairs)
 
 
-def _label_components(n: int, edges: dict) -> np.ndarray:
-    """Union-find labels; components numbered in order of smallest member."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    labels = np.empty(n, dtype=np.int64)
-    root_to_label: dict[int, int] = {}
-    for v in range(n):
-        r = find(v)
-        if r not in root_to_label:
-            root_to_label[r] = len(root_to_label)
-        labels[v] = root_to_label[r]
-    return labels
-
-
 def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
     """Build the symmetrized k-NN graph with candidate edges capped at length h.
 
@@ -169,28 +154,24 @@ def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
             if key not in edges:
                 edges[key] = float(w)
 
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    weights: list[list[float]] = [[] for _ in range(n)]
-    for (i, j), w in edges.items():
-        neighbors[i].append(j)
-        weights[i].append(w)
-        neighbors[j].append(i)
-        weights[j].append(w)
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    nbr_arrays: list[np.ndarray] = []
-    wt_arrays: list[np.ndarray] = []
-    for i in range(n):
-        order = np.argsort(np.array(neighbors[i], dtype=np.int64), kind="stable")
-        nbr_arrays.append(np.array(neighbors[i], dtype=np.int64)[order])
-        wt_arrays.append(np.array(weights[i], dtype=np.float64)[order])
-
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    both = np.concatenate([pairs, pairs[:, ::-1]])
+    w = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+    adjacency = coo_matrix((np.tile(w, 2), (both[:, 0], both[:, 1])), shape=(n, n)).tocsr()
+    adjacency.sort_indices()
+    # scipy numbers components in order of their smallest member
+    _, labels = connected_components(adjacency, directed=False)
+    cuts = adjacency.indptr[1:-1]
     return NeighborGraph(
         n=n,
         k=k,
         h=float(h),
-        neighbors=nbr_arrays,
-        weights=wt_arrays,
-        component_id=_label_components(n, edges),
+        neighbors=np.split(adjacency.indices.astype(np.int64), cuts),
+        weights=np.split(adjacency.data, cuts),
+        component_id=labels.astype(np.int64),
         candidates=cand_idx,
         candidate_dists=cand_dist,
         data_hash=data_hash(x),

@@ -3,6 +3,7 @@ import pytest
 
 from prisomap.bench import MethodSpec, run_bench
 from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
+from prisomap.errors import InputError
 from prisomap.linalg import pairwise_dists
 
 
@@ -31,6 +32,11 @@ class TestMethodSpec:
 
     def test_other_methods_ignore_h(self):
         assert MethodSpec(method="pca", p=2).resolve_h(np.zeros((10, 2))) is None
+
+    @pytest.mark.parametrize("method", ["pr-isomap", "isomap"])
+    def test_graph_methods_require_k(self, method):
+        with pytest.raises(InputError, match="k"):
+            MethodSpec(method=method, p=2, h=1.0)
 
 
 class TestRunBench:

@@ -87,6 +87,25 @@ class TestEmbed:
         assert "cache_hit=true" in warm
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_truncated_cache_entry_is_recomputed(self, roll_dir, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        out1, out2, out3 = tmp_path / "e1.csv", tmp_path / "e2.csv", tmp_path / "e3.csv"
+        args = ["embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pr-isomap",
+                "--k", "8", "--h-pct", "70", "--p", "2",
+                "--policy", "largest-component", "--cache-dir", str(cache)]
+        assert run_cli(*args, "--out", str(out1)) == 0
+        capsys.readouterr()
+        [entry] = cache.iterdir()
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+        assert run_cli(*args, "--out", str(out2)) == 0
+        err = capsys.readouterr().err
+        assert "recomputing" in err and "cache_hit=false" in err
+        assert out1.read_bytes() == out2.read_bytes()
+        assert run_cli(*args, "--out", str(out3)) == 0
+        assert "cache_hit=true" in capsys.readouterr().err
+        assert out1.read_bytes() == out3.read_bytes()
+        assert [p.name for p in cache.iterdir()] == [entry.name]
+
     def test_disconnected_exit_3(self, tmp_path, capsys):
         data = np.vstack([np.arange(10)[:, None] * 0.1,
                           100.0 + np.arange(10)[:, None] * 0.1])

@@ -241,6 +241,16 @@ class TestHelpers:
         np.testing.assert_array_equal(idx, np.arange(15))
         assert coords.tobytes() == emb.coordinates.tobytes()
 
+    def test_csv_round_trip_skips_blank_lines(self, tmp_path):
+        rng = np.random.default_rng(14)
+        emb = classical_mds(rng.normal(0, 1, (6, 3)), p=2)
+        path = tmp_path / "emb.csv"
+        save_embedding_csv(emb, path)
+        path.write_text(path.read_text() + "\n\n", encoding="utf-8")
+        idx, coords = load_embedding_csv(path)
+        np.testing.assert_array_equal(idx, np.arange(6))
+        assert coords.tobytes() == emb.coordinates.tobytes()
+
     def test_descriptor_spectrum_and_elbow(self):
         rng = np.random.default_rng(13)
         x = rng.normal(0, 1, (25, 6))

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prisomap
 from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
-from prisomap.errors import BadMagic, TooLarge, TruncatedFile
+from prisomap.errors import BadMagic, NumericError, TooLarge, TruncatedFile
 from prisomap.geodesics import (
     UNREACHABLE,
     all_pairs,
@@ -19,25 +25,42 @@ from prisomap.graph import NeighborGraph, h_from_percentile, knn_graph
 from prisomap.linalg import pairwise_dists
 
 LINE3 = np.array([[0.0], [1.0], [3.0]])
+SRC = Path(prisomap.__file__).resolve().parents[1]
+
+
+def edge_graph(n, edges, h=math.inf):
+    """Hand-built graph on n vertices from undirected {(i, j): w} edges."""
+    neighbors = [[] for _ in range(n)]
+    wts = [[] for _ in range(n)]
+    for (i, j), w in sorted(edges.items()):
+        neighbors[i].append(j)
+        wts[i].append(w)
+        neighbors[j].append(i)
+        wts[j].append(w)
+    return NeighborGraph(n=n, k=1, h=h,
+                         neighbors=[np.array(a, dtype=np.int64) for a in neighbors],
+                         weights=[np.array(a, dtype=np.float64) for a in wts],
+                         component_id=np.zeros(n, dtype=np.int64))
 
 
 def path_graph(weights):
     """Chain 0-1-2-... with the given edge weights."""
-    n = len(weights) + 1
-    neighbors = []
-    wts = []
-    for i in range(n):
-        nb, ww = [], []
-        if i > 0:
-            nb.append(i - 1)
-            ww.append(weights[i - 1])
-        if i < n - 1:
-            nb.append(i + 1)
-            ww.append(weights[i])
-        neighbors.append(np.array(nb, dtype=np.int64))
-        wts.append(np.array(ww, dtype=np.float64))
-    return NeighborGraph(n=n, k=1, h=math.inf, neighbors=neighbors, weights=wts,
-                         component_id=np.zeros(n, dtype=np.int64))
+    return edge_graph(len(weights) + 1, {(i, i + 1): w for i, w in enumerate(weights)})
+
+
+def reference_all_pairs(graph):
+    """dijkstra_from rows, symmetrized by the elementwise minimum."""
+    rows = np.stack([dijkstra_from(graph, s)[0] for s in range(graph.n)])
+    return np.minimum(rows, rows.T)
+
+
+def assert_matches_references(graph):
+    got = all_pairs(graph).values
+    assert got.tobytes() == reference_all_pairs(graph).tobytes()
+    want = floyd_warshall_oracle(graph).values
+    assert (np.isfinite(got) == np.isfinite(want)).all()
+    both = np.isfinite(got)
+    assert np.abs(got[both] - want[both]).max() <= 1e-9
 
 
 class TestDijkstra:
@@ -115,6 +138,62 @@ class TestAllPairs:
         assert (np.isfinite(got) == np.isfinite(want)).all()
         both = np.isfinite(got)
         assert np.abs(got[both] - want[both]).max() <= 1e-9
+
+    @pytest.mark.parametrize("h_pct", [60.0, math.inf])
+    def test_bit_identical_to_reference_on_welded_roll(self, h_pct):
+        sample = gen_swiss_roll(400, density_exponent=3.0, seed=0, short_circuit_pairs=0.01)
+        x = sample.ambient
+        h = math.inf if h_pct == math.inf else h_from_percentile(x, 12, h_pct)
+        g = knn_graph(x, 12, h)
+        assert all_pairs(g).values.tobytes() == reference_all_pairs(g).tobytes()
+
+    # integer grid points give duplicates and exact distance ties; h = 0.5 is
+    # below every nonzero edge (an empty graph) and the shift splits the
+    # sample into two far components
+    @pytest.mark.filterwarnings("ignore::prisomap.errors.DegenerateDuplicatesWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=30),
+           st.integers(1, 6), st.sampled_from([0.5, 1.5, 2.5, math.inf]), st.booleans())
+    def test_reference_equivalence_grid_points(self, points, k, h, split):
+        x = np.array(points, dtype=np.float64)
+        if split:
+            x[len(x) // 2 :] += 100.0
+        assert_matches_references(knn_graph(x, min(k, len(x) - 1), h))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_reference_equivalence_hand_built(self, n, data):
+        triples = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)),
+            max_size=3 * n))
+        edges = {(min(i, j), max(i, j)): float(w) for i, j, w in triples if i != j}
+        assert_matches_references(edge_graph(n, edges))
+
+    def test_edge_longer_than_cap_raises(self):
+        with pytest.raises(NumericError, match="exceeds cap"):
+            all_pairs(edge_graph(3, {(0, 1): 1.0, (1, 2): 2.0}, h=1.5))
+
+    def test_edge_longer_than_cap_raises_under_optimize(self):
+        code = textwrap.dedent("""
+            import numpy as np
+            from prisomap.errors import NumericError
+            from prisomap.geodesics import all_pairs
+            from prisomap.graph import NeighborGraph
+            if __debug__:
+                raise SystemExit(2)  # asserts are live: not an optimized run
+            g = NeighborGraph(n=2, k=1, h=1.0, neighbors=[np.array([1]), np.array([0])],
+                              weights=[np.array([2.0]), np.array([2.0])],
+                              component_id=np.zeros(2, dtype=np.int64))
+            try:
+                all_pairs(g)
+            except NumericError:
+                raise SystemExit(0)
+            raise SystemExit(1)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(11)

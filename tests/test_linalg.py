@@ -139,6 +139,49 @@ class TestSymmetricEig:
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
 
+    def test_iterative_path_repeats_bit_for_bit(self):
+        from prisomap.linalg import DENSE_EIG_LIMIT
+
+        rng = np.random.default_rng(1)
+        n = DENSE_EIG_LIMIT + 52
+        u = rng.normal(0, 1, (n, 3))
+        a = u @ np.diag([50.0, 20.0, 5.0]) @ u.T / n
+        a = 0.5 * (a + a.T)
+        r1 = symmetric_eig(a, top=3)
+        r2 = symmetric_eig(a.copy(), top=3)
+        assert r1.eigenvalues.tobytes() == r2.eigenvalues.tobytes()
+        assert r1.eigenvectors.tobytes() == r2.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("block, copies, top", [
+        ([[0.0, 3.0], [3.0, 4.0]], 2, 1),
+        ([[2.0, -1.0], [-1.0, -2.0]], 4, 3),
+    ])
+    def test_tie_across_subset_cut_matches_full_solve(self, block, copies, top):
+        # identical blocks give an eigenvalue tied exactly across the cut;
+        # the tie rule must choose among all of its vectors, as the full
+        # solve does
+        a = np.kron(np.eye(copies), block)
+        part = symmetric_eig(a, top=top)
+        full = symmetric_eig(a, top=a.shape[0])
+        assert part.eigenvalues.tobytes() == full.eigenvalues[:top].tobytes()
+        assert part.eigenvectors.tobytes() == np.ascontiguousarray(
+            full.eigenvectors[:, :top]).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 30), st.data())
+    def test_subset_eigenvalues_match_full_solve(self, seed, n, data):
+        top = data.draw(st.integers(1, n - 1))
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0, 1, (n, n))
+        a = a + a.T
+        res = symmetric_eig(a, top=top)
+        want = np.linalg.eigvalsh(a)[::-1][:top]
+        scale = max(1.0, np.linalg.norm(a))
+        assert np.abs(res.eigenvalues - want).max() <= 1e-10 * scale
+        recon = a @ res.eigenvectors - res.eigenvectors * res.eigenvalues
+        assert np.linalg.norm(recon, axis=0).max() <= 1e-8 * scale
+
+
 class TestMdsCoordinates:
     def test_two_point_kernel(self):
         res = mds_coordinates([[0.25, -0.25], [-0.25, 0.25]], p=1)
