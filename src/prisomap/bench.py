@@ -1,10 +1,14 @@
-"""Paired method comparison on one dataset with shared folds and reference.
+"""The method dispatch, and paired method comparison on one dataset.
 
-All requested methods run on the same sample; metrics are computed on the
-intersection of the methods' kept vertices against one common reference
-distance matrix (ground-truth chart distances when available, ambient
-Euclidean otherwise), and classification reuses a single fold assignment.
-Paired deltas are reported against a named baseline method.
+run_method runs every method, for the CLI and run_bench alike. Neighbors runs
+the k-NN candidate pass at most once per (data, k), and only when h
+selection, a geodesic cache miss or the density needs it.
+
+run_bench runs all requested methods on the same sample; metrics are computed
+on the intersection of the methods' kept vertices against one common
+reference distance matrix (ground-truth chart distances when available,
+ambient Euclidean otherwise), and classification reuses a single fold
+assignment. Paired deltas are reported against a named baseline method.
 """
 
 from __future__ import annotations
@@ -15,13 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import Embedding, classical_mds, isomap, pca, pr_isomap
+from .datasets import data_hash
+from .embed import Embedding, classical_mds, embed_geodesics, pca
 from .errors import InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
-from .graph import h_from_percentile, knn_graph, pr_density
+from .geodesics import GeodesicMatrix, cached_geodesics
+from .graph import NeighborGraph, knn_graph, percentile_h, pr_density
 from .linalg import as_matrix, pairwise_dists
 
-METHOD_NAMES = ("pr-isomap", "isomap", "mds", "pca")
+METHODS = ("pr-isomap", "isomap", "mds", "pca")
+GRAPH_METHODS = ("pr-isomap", "isomap")
 
 DELTA_METRICS = ("stress", "residual_variance", "trustworthiness", "continuity",
                  "knn_accuracy_mean")
@@ -44,20 +51,90 @@ class MethodSpec:
     name: str | None = None
 
     def __post_init__(self):
-        if self.method in ("pr-isomap", "isomap") and self.k is None:
+        if self.method not in METHODS:
+            raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
+        if self.method in GRAPH_METHODS and self.k is None:
             raise InputError(f"{self.method} needs a neighbor count k")
-
-    def resolve_h(self, data) -> float | None:
-        if self.method != "pr-isomap":
-            return None
-        if (self.h is None) == (self.h_percentile is None):
-            raise ValueError("pr-isomap needs exactly one of h or h_percentile")
-        if self.h is not None:
-            return float(self.h)
-        return h_from_percentile(data, self.k, self.h_percentile)
 
     def label(self) -> str:
         return self.name or self.method
+
+
+class Neighbors:
+    """The k-NN graphs of one dataset, each built on first use.
+
+    The first graph asked for at a given k runs the candidate pass; every
+    other cap at that k is derived from its candidate set.
+    """
+
+    def __init__(self, data):
+        self.data = as_matrix(data, "data")
+        self.data_hash = data_hash(self.data)
+        self._graphs: dict[tuple[int, float], NeighborGraph] = {}
+
+    def graph(self, k: int, h: float = math.inf) -> NeighborGraph:
+        graph = self._graphs.get((k, h))
+        if graph is None:
+            base = next((g for (gk, _), g in self._graphs.items() if gk == k), None)
+            graph = knn_graph(self.data, k, h) if base is None else base.capped(h)
+            self._graphs[(k, h)] = graph
+        return graph
+
+    def geodesics(self, k: int, h: float, cache_dir=None) -> tuple[GeodesicMatrix, bool, float]:
+        """All-pairs matrix of the graph at (k, h), through the cache in cache_dir."""
+        fingerprint = {"k": k, "h": h, "data_hash": self.data_hash}
+        return cached_geodesics(fingerprint, lambda: self.graph(k, h), cache_dir)
+
+
+def resolve_h(spec: MethodSpec, neighbors: Neighbors) -> float | None:
+    """The window diameter spec runs with.
+
+    None for mds and pca, +inf for isomap; for pr-isomap exactly one of h and
+    h_percentile must be set, the latter taken over the candidate lengths.
+    """
+    if spec.h is not None and spec.h_percentile is not None:
+        raise ValueError(f"{spec.label()}: h and h_percentile are mutually exclusive")
+    if spec.method == "isomap":
+        return math.inf
+    if spec.method != "pr-isomap":
+        return None
+    if spec.h_percentile is not None:
+        return percentile_h(neighbors.graph(spec.k).candidate_dists, spec.h_percentile)
+    if spec.h is None:
+        raise ValueError("pr-isomap needs h or h_percentile")
+    return float(spec.h)
+
+
+@dataclass
+class MethodRun:
+    embedding: Embedding
+    h: float | None
+    seconds: float
+    cache_hit: bool = False
+    geodesic_seconds: float = 0.0
+
+
+def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
+               cache_dir=None) -> MethodRun:
+    """Run one method on neighbors.data.
+
+    spectrum > 0 records that many leading eigenvalues; graph methods look
+    their geodesic matrix up in cache_dir first.
+    """
+    t0 = time.perf_counter()
+    h = resolve_h(spec, neighbors)
+    x = neighbors.data
+    cache_hit, geo_seconds = False, 0.0
+    if spec.method in GRAPH_METHODS:
+        geo, cache_hit, geo_seconds = neighbors.geodesics(spec.k, h, cache_dir)
+        desc = {"method": spec.method, "k": spec.k, "h": h, "p": spec.p,
+                "component_policy": spec.component_policy}
+        emb = embed_geodesics(geo, spec.p, desc, spec.component_policy, spectrum=spectrum)
+    elif spec.method == "mds":
+        emb = classical_mds(x, spec.p, spectrum=spectrum)
+    else:
+        emb = pca(x, spec.p, spectrum=spectrum)
+    return MethodRun(emb, h, time.perf_counter() - t0, cache_hit, geo_seconds)
 
 
 @dataclass
@@ -82,22 +159,6 @@ class BenchResult:
         return rows
 
 
-def _run_method(spec: MethodSpec, data, h_resolved) -> tuple[Embedding, float]:
-    t0 = time.perf_counter()
-    if spec.method == "pr-isomap":
-        emb = pr_isomap(data, spec.k, h_resolved, spec.p,
-                        component_policy=spec.component_policy)
-    elif spec.method == "isomap":
-        emb = isomap(data, spec.k, spec.p, component_policy=spec.component_policy)
-    elif spec.method == "mds":
-        emb = classical_mds(data, spec.p)
-    elif spec.method == "pca":
-        emb = pca(data, spec.p)
-    else:
-        raise ValueError(f"unknown method {spec.method!r}; choose from {METHOD_NAMES}")
-    return emb, time.perf_counter() - t0
-
-
 def _restrict_to(emb: Embedding, vertices: np.ndarray) -> np.ndarray:
     pos = {int(orig): row for row, orig in enumerate(emb.kept_indices)}
     return emb.coordinates[[pos[int(v)] for v in vertices]]
@@ -113,12 +174,14 @@ def run_bench(
     k_clf: int = 5,
     folds: int = 10,
     seed: int = 0,
+    cache_dir=None,
 ) -> BenchResult:
     """Run every method on `data` and score them on a shared basis.
 
     reference is an n x n ground-truth distance matrix (defaults to ambient
     Euclidean distances). Metrics are computed on the intersection of kept
     vertices so capped and uncapped methods see identical score pairs.
+    Graph methods look their geodesic matrices up in cache_dir.
     """
     x = as_matrix(data, "data")
     n = x.shape[0]
@@ -134,15 +197,9 @@ def run_bench(
         baseline = "isomap" if "isomap" in names else names[0]
     y = None if labels is None else np.asarray(labels, dtype=np.int64)
 
-    embeddings: dict[str, Embedding] = {}
-    timings: dict[str, float] = {}
-    resolved: dict[str, float | None] = {}
-    for spec in specs:
-        h_resolved = spec.resolve_h(x)
-        emb, seconds = _run_method(spec, x, h_resolved)
-        embeddings[spec.label()] = emb
-        timings[spec.label()] = seconds
-        resolved[spec.label()] = h_resolved
+    neighbors = Neighbors(x)
+    runs = {spec.label(): run_method(spec, neighbors, cache_dir=cache_dir) for spec in specs}
+    embeddings = {name: run.embedding for name, run in runs.items()}
 
     common = embeddings[names[0]].kept_indices
     for name in names[1:]:
@@ -157,11 +214,12 @@ def run_bench(
     reports: dict[str, EvalReport] = {}
     for spec in specs:
         name = spec.label()
-        emb = embeddings[name]
+        run = runs[name]
+        emb = run.embedding
         coords = _restrict_to(emb, common)
         run_info = dict(emb.method)
-        if resolved[name] is not None:
-            run_info["h_resolved"] = resolved[name]
+        if spec.method == "pr-isomap":
+            run_info["h_resolved"] = run.h
         report = evaluate_embedding(
             ref[np.ix_(common, common)],
             coords,
@@ -172,12 +230,11 @@ def run_bench(
             seed=seed,
             fold_assignment=assignment,
             run=run_info,
-            timings={"embed_seconds": timings[name]},
+            timings={"embed_seconds": run.seconds},
         )
         report.kept_fraction = emb.kept_indices.size / n
-        if spec.method == "pr-isomap" and math.isfinite(resolved[name] or math.inf):
-            graph = knn_graph(x, spec.k, resolved[name])
-            report.density_cv = uniformity_cv(pr_density(x, graph))
+        if spec.method == "pr-isomap" and math.isfinite(run.h):
+            report.density_cv = uniformity_cv(pr_density(x, neighbors.graph(spec.k, run.h)))
         reports[name] = report
 
     paired: dict[str, dict] = {}

@@ -13,9 +13,7 @@ PRISOMAP_* environment variables > built-in defaults.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -24,33 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import MethodSpec, run_bench
-from .datasets import (
-    data_hash,
-    gen_swiss_roll,
-    load_csv,
-    save_csv,
-    swiss_roll_unrolled,
-)
-from .embed import (
-    classical_mds,
-    embed_geodesics,
-    json_safe,
-    load_embedding_csv,
-    pca,
-    save_embedding_csv,
-    save_embedding_json,
-)
-from .errors import BadMagic, GraphError, InputError, NumericError, TruncatedFile
-from .evaluate import evaluate_embedding, save_eval_csv
-from .geodesics import all_pairs, load_geodesics, save_geodesics
-from .graph import h_from_percentile, knn_graph
+from .bench import GRAPH_METHODS, METHODS, MethodSpec, Neighbors, resolve_h, run_bench, run_method
+from .datasets import gen_swiss_roll, load_csv, save_csv, swiss_roll_unrolled
+from .embed import json_safe, load_embedding_csv, save_embedding_csv, save_embedding_json
+from .errors import GraphError, InputError, NumericError
+from .evaluate import csv_cell, evaluate_embedding, save_eval_csv
 from .linalg import pairwise_dists
 from .plotting import scatter_svg
 
 ENV_PREFIX = "PRISOMAP_"
 GENERATORS = ("swiss-roll",)
-METHODS = ("pr-isomap", "isomap", "mds", "pca")
 POLICIES = {"error": "error", "largest-component": "largest_component"}
 
 SHARED_DEFAULTS = {"seed": 0, "cache_dir": None}
@@ -145,98 +126,43 @@ def cmd_gen(args, config) -> int:
 # -- embed ------------------------------------------------------------------------
 
 
-def _load_features(path, label_column):
-    ds = load_csv(path, label_column=label_column)
-    return ds
-
-
-def _resolve_h(args, config, data, k):
-    h = _resolve(args, "h", None, config, float)
-    h_pct = _resolve(args, "h_pct", None, config, float)
-    if h is not None and h_pct is not None:
-        raise InputError("--h and --h-pct are mutually exclusive")
-    if h_pct is not None:
-        return h_from_percentile(data, k, h_pct), h_pct
-    return (h, None) if h is not None else (None, None)
-
-
-def _cache_key(dhash: str, k: int, h: float) -> str:
-    return hashlib.sha256(f"{dhash}:{k}:{h!r}".encode()).hexdigest()[:32]
-
-
-def _cached_geodesics(data, k: int, h: float, cache_dir):
-    """Load or compute the all-pairs matrix; returns (geo, cache_hit, seconds)."""
-    dhash = data_hash(data)
-    path = None
-    if cache_dir:
-        cache = Path(cache_dir)
-        cache.mkdir(parents=True, exist_ok=True)
-        path = cache / f"{_cache_key(dhash, k, h)}.geo"
-        if path.exists():
-            # an unreadable or mismatched entry is a miss and gets rewritten
-            try:
-                geo = load_geodesics(path)
-            except (BadMagic, TruncatedFile) as exc:
-                print(f"cache: {exc}; recomputing", file=sys.stderr)
-            else:
-                if geo.fingerprint == {"k": k, "h": h, "data_hash": dhash}:
-                    return geo, True, 0.0
-                print(f"cache: {path}: fingerprint mismatch; recomputing", file=sys.stderr)
-    t0 = time.perf_counter()
-    geo = all_pairs(knn_graph(data, k, h))
-    seconds = time.perf_counter() - t0
-    if path is not None:
-        save_geodesics(geo, path)
-    return geo, False, seconds
+def _policy(args, config, default: str) -> str:
+    policy_flag = _resolve(args, "policy", default, config)
+    if policy_flag not in POLICIES:
+        raise InputError(f"unknown policy {policy_flag!r}; choose from {sorted(POLICIES)}")
+    return policy_flag
 
 
 def cmd_embed(args, config) -> int:
     cache_dir = _resolve(args, "cache_dir", SHARED_DEFAULTS["cache_dir"], config)
-    method = args.method
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}; choose from {METHODS}")
     p = _resolve(args, "p", 2, config, int)
     k = _resolve(args, "k", 10, config, int)
-    policy_flag = _resolve(args, "policy", "error", config)
-    if policy_flag not in POLICIES:
-        raise InputError(f"unknown policy {policy_flag!r}; choose from {sorted(POLICIES)}")
-    policy = POLICIES[policy_flag]
+    h = _resolve(args, "h", None, config, float)
+    h_pct = _resolve(args, "h_pct", None, config, float)
+    policy_flag = _policy(args, config, "error")
     spectrum = _resolve(args, "spectrum", 0, config, int)
+    spec = MethodSpec(method=args.method, p=p, k=k, h=h, h_percentile=h_pct,
+                      component_policy=POLICIES[policy_flag])
 
-    ds = _load_features(args.input, args.label_column)
-    x = ds.data
-    params = {"input": str(args.input), "method": method, "p": p, "out": str(args.out),
-              "policy": policy_flag, "label_column": args.label_column}
-
+    ds = load_csv(args.input, label_column=args.label_column)
+    neighbors = Neighbors(ds.data)
     t_start = time.perf_counter()
-    cache_hit = False
-    geo_seconds = 0.0
-    if method in ("pr-isomap", "isomap"):
-        h, h_pct = _resolve_h(args, config, x, k)
-        if method == "isomap":
-            h = math.inf
-        elif h is None:
-            raise InputError("pr-isomap requires --h or --h-pct")
-        params.update({"k": k, "h": h, "h_pct": h_pct})
-        geo, cache_hit, geo_seconds = _cached_geodesics(x, k, h, cache_dir)
-        desc = {"method": method, "k": k, "h": h, "p": p, "component_policy": policy}
-        emb = embed_geodesics(geo, p, desc, component_policy=policy, spectrum=spectrum)
-    elif method == "mds":
-        emb = classical_mds(x, p, spectrum=spectrum)
-    else:
-        emb = pca(x, p, spectrum=spectrum)
+    run = run_method(spec, neighbors, spectrum=spectrum, cache_dir=cache_dir)
     total_seconds = time.perf_counter() - t_start
 
+    params = {"input": str(args.input), "method": spec.method, "p": p, "out": str(args.out),
+              "policy": policy_flag, "label_column": args.label_column}
+    if spec.method in GRAPH_METHODS:
+        params.update({"k": k, "h": run.h, "h_pct": h_pct})
     out = Path(args.out)
-    save_embedding_csv(emb, out)
-    descriptor_path = out.with_suffix(".json")
-    save_embedding_json(emb, descriptor_path,
+    save_embedding_csv(run.embedding, out)
+    save_embedding_json(run.embedding, out.with_suffix(".json"),
                         extra={"run_config": _run_config("embed", params),
-                               "data_hash": data_hash(x),
+                               "data_hash": neighbors.data_hash,
                                "dropped_rows": ds.dropped_rows})
     _log_timing({"total_seconds": f"{total_seconds:.3f}",
-                 "geodesic_seconds": f"{geo_seconds:.3f}",
-                 "cache_hit": str(cache_hit).lower()})
+                 "geodesic_seconds": f"{run.geodesic_seconds:.3f}",
+                 "cache_hit": str(run.cache_hit).lower()})
     return 0
 
 
@@ -281,18 +207,21 @@ def cmd_eval(args, config) -> int:
     else:
         if args.data is None:
             raise InputError(f"--ref {reference_kind} requires --data FILE")
-        ds = _load_features(args.data, args.label_column if args.labels is None else None)
-        x = ds.data
+        label_column = args.label_column if args.labels is None else None
+        x = load_csv(args.data, label_column=label_column).data
         if indices.max() >= x.shape[0]:
             raise InputError("embedding indices exceed data row count")
         if reference_kind == "euclidean":
             ref = pairwise_dists(x[indices])
-        else:  # geodesic
-            k = _resolve(args, "k", 10, config, int)
-            h, _ = _resolve_h(args, config, x, k)
-            if h is None:
-                h = math.inf
-            geo, _, _ = _cached_geodesics(x, k, h, cache_dir)
+        else:  # geodesic: the graph isomap uses, or pr-isomap's when a window is given
+            h = _resolve(args, "h", None, config, float)
+            h_pct = _resolve(args, "h_pct", None, config, float)
+            method = "isomap" if h is None and h_pct is None else "pr-isomap"
+            # p is unused: only the geodesics are needed
+            spec = MethodSpec(method=method, p=1, k=_resolve(args, "k", 10, config, int),
+                              h=h, h_percentile=h_pct)
+            neighbors = Neighbors(x)
+            geo, _, _ = neighbors.geodesics(spec.k, resolve_h(spec, neighbors), cache_dir)
             ref = geo.values[np.ix_(indices, indices)]
 
     labels = None
@@ -319,20 +248,21 @@ def cmd_eval(args, config) -> int:
 
 def cmd_bench(args, config) -> int:
     seed = _resolve(args, "seed", SHARED_DEFAULTS["seed"], config, int)
+    cache_dir = _resolve(args, "cache_dir", SHARED_DEFAULTS["cache_dir"], config)
     m = _resolve(args, "m", 10, config, int)
     k_clf = _resolve(args, "k_clf", 5, config, int)
     folds = _resolve(args, "folds", 10, config, int)
     p = _resolve(args, "p", 2, config, int)
     k = _resolve(args, "k", 10, config, int)
-    policy_flag = _resolve(args, "policy", "largest-component", config)
-    if policy_flag not in POLICIES:
-        raise InputError(f"unknown policy {policy_flag!r}; choose from {sorted(POLICIES)}")
-    policy = POLICIES[policy_flag]
-
+    h = _resolve(args, "h", None, config, float)
+    h_pct = _resolve(args, "h_pct", None, config, float)
+    policy_flag = _policy(args, config, "largest-component")
     methods = [name.strip() for name in args.methods.split(",") if name.strip()]
-    for name in methods:
-        if name not in METHODS:
-            raise InputError(f"unknown method {name!r}; choose from {METHODS}")
+    specs = [
+        MethodSpec(method=name, p=p, k=k, h=h, h_percentile=h_pct,
+                   component_policy=POLICIES[policy_flag])
+        for name in methods
+    ]
 
     ds = load_csv(args.input, label_column=args.label_column if args.labels is None else None)
     x = ds.data
@@ -341,49 +271,25 @@ def cmd_bench(args, config) -> int:
         labels = _load_labels(args.labels, args.label_column,
                               np.arange(x.shape[0], dtype=np.int64))
 
-    h = _resolve(args, "h", None, config, float)
-    h_pct = _resolve(args, "h_pct", None, config, float)
-    if h is not None and h_pct is not None:
-        raise InputError("--h and --h-pct are mutually exclusive")
-    if "pr-isomap" in methods and h is None and h_pct is None:
-        raise InputError("pr-isomap requires --h or --h-pct")
-
     reference = None
     if args.chart:
         indices = np.arange(x.shape[0], dtype=np.int64)
         reference = _chart_reference(args.chart, args.chart_kind, indices)
 
-    specs = [
-        MethodSpec(method=name, p=p, k=k, h=h, h_percentile=h_pct,
-                   component_policy=policy)
-        for name in methods
-    ]
     result = run_bench(
         x, specs, reference=reference, labels=labels,
         baseline=args.baseline, m=m, k_clf=k_clf, folds=folds, seed=seed,
+        cache_dir=cache_dir,
     )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = result.table_rows()
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
+    fields = list(dict.fromkeys(key for row in rows for key in row))
     with (out / "bench.csv").open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(fields) + "\n")
         for row in rows:
-            cells = []
-            for key in fields:
-                v = row.get(key)
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(format(v, ".17g"))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(csv_cell(row.get(key)) for key in fields) + "\n")
 
     params = {"input": str(args.input), "methods": methods, "baseline": result.baseline,
               "k": k, "h": h, "h_pct": h_pct, "p": p, "m": m, "k_clf": k_clf,

@@ -94,11 +94,6 @@ def apply_component_policy(geo: GeodesicMatrix, policy: str):
     return restricted, kept
 
 
-def geodesic_matrix(data, k: int, h: float = math.inf) -> GeodesicMatrix:
-    """Capped k-NN graph plus all-pairs shortest paths in one call."""
-    return all_pairs(knn_graph(data, k, h))
-
-
 def embed_geodesics(
     geo: GeodesicMatrix,
     p: int,
@@ -114,6 +109,8 @@ def embed_geodesics(
     and scaling lets callers cache the expensive matrix.
     """
     n = geo.n
+    if not 1 <= p < n:
+        raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
     if not geo.is_fully_connected():
         sizes = component_sizes(geo)
         if sizes[0] < fragment_threshold * n:
@@ -123,11 +120,7 @@ def embed_geodesics(
                 summary=sizes,
             )
     restricted, kept = apply_component_policy(geo, component_policy)
-    kernel = double_center(restricted.values**2)
-    if spectrum:
-        res, spect = mds_coordinates(kernel, p, extra_spectrum=spectrum)
-    else:
-        res, spect = mds_coordinates(kernel, p), None
+    res = mds_coordinates(double_center(restricted.values**2), p, extra_spectrum=spectrum)
     return Embedding(
         coordinates=res.coordinates,
         eigenvalues=res.eigenvalues,
@@ -136,7 +129,7 @@ def embed_geodesics(
         kept_indices=kept,
         component_policy_applied=bool(kept.size != n),
         n_input=n,
-        spectrum=spect,
+        spectrum=res.spectrum if spectrum else None,
     )
 
 
@@ -154,11 +147,7 @@ def pr_isomap(
     Pipeline: capped k-NN graph -> all-pairs shortest paths -> component
     policy -> squared distances -> double centering -> classical scaling.
     """
-    x = as_matrix(data, "data")
-    n = x.shape[0]
-    if not 1 <= p < n:
-        raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
-    geo = geodesic_matrix(x, k, h)
+    geo = all_pairs(knn_graph(as_matrix(data, "data"), k, h))
     method = {"method": "pr-isomap", "k": int(k), "h": float(h), "p": int(p),
               "component_policy": component_policy}
     return embed_geodesics(geo, p, method, component_policy, fragment_threshold, spectrum)
@@ -185,11 +174,7 @@ def classical_mds(data, p: int, spectrum: int = 0) -> Embedding:
     n = x.shape[0]
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
-    kernel = double_center(pairwise_sq_dists(x))
-    if spectrum:
-        res, spect = mds_coordinates(kernel, p, extra_spectrum=spectrum)
-    else:
-        res, spect = mds_coordinates(kernel, p), None
+    res = mds_coordinates(double_center(pairwise_sq_dists(x)), p, extra_spectrum=spectrum)
     return Embedding(
         coordinates=res.coordinates,
         eigenvalues=res.eigenvalues,
@@ -198,7 +183,7 @@ def classical_mds(data, p: int, spectrum: int = 0) -> Embedding:
         kept_indices=np.arange(n, dtype=np.int64),
         component_policy_applied=False,
         n_input=n,
-        spectrum=spect,
+        spectrum=res.spectrum if spectrum else None,
     )
 
 

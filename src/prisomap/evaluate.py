@@ -9,13 +9,13 @@ comparisons can share folds.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .embed import json_safe
 from .errors import ClassTooSmall, NoFinitePairs, ZeroMeanDensity
 from .graph import DensityEstimate
 from .linalg import as_matrix, pairwise_dists
@@ -225,6 +225,15 @@ def uniformity_cv(density: DensityEstimate) -> float:
 # -- report -----------------------------------------------------------------------
 
 
+def csv_cell(value) -> str:
+    """One CSV cell: None empty, floats round-trip exact (.17g), else str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
 @dataclass
 class EvalReport:
     """Scores for one embedding run, JSON/CSV serializable with provenance."""
@@ -250,8 +259,6 @@ class EvalReport:
     )
 
     def to_dict(self) -> dict:
-        from .embed import json_safe
-
         out = {"schema": EVAL_SCHEMA}
         for name in self.CSV_FIELDS:
             out[name] = getattr(self, name)
@@ -269,16 +276,7 @@ class EvalReport:
         return ",".join(self.CSV_FIELDS)
 
     def to_csv_line(self) -> str:
-        cells = []
-        for name in self.CSV_FIELDS:
-            v = getattr(self, name)
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(format(v, ".17g"))
-            else:
-                cells.append(str(v))
-        return ",".join(cells)
+        return ",".join(csv_cell(getattr(self, name)) for name in self.CSV_FIELDS)
 
 
 def evaluate_embedding(
@@ -332,7 +330,5 @@ def evaluate_embedding(
 
 
 def save_eval_csv(report: EvalReport, path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(report.CSV_FIELDS)
-        writer.writerow(report.to_csv_line().split(","))
+    Path(path).write_text(f"{report.csv_header()}\n{report.to_csv_line()}\n",
+                          encoding="utf-8", newline="")

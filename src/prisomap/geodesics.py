@@ -10,10 +10,14 @@ with real path lengths.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import struct
+import sys
+import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
@@ -81,10 +85,9 @@ def dijkstra_from(graph: NeighborGraph, source: int):
     return np.array(dist, dtype=np.float64), np.array(parent, dtype=np.int64)
 
 
-def all_pairs(graph: NeighborGraph, threads: int = 1) -> GeodesicMatrix:
+def all_pairs(graph: NeighborGraph) -> GeodesicMatrix:
     """All-pairs shortest paths: scipy csgraph Dijkstra over the CSR view.
 
-    threads is accepted for configuration compatibility and has no effect.
     Raises NumericError if an edge exceeds the cap h, if reachability is
     asymmetric, or if forward and reverse path lengths differ by more than
     1e-12 of the distance scale; the returned matrix is exactly symmetric.
@@ -179,8 +182,42 @@ def load_geodesics(path) -> GeodesicMatrix:
     body_end = fp_end + n * n * 8
     if len(raw) < body_end:
         raise TruncatedFile(f"{path}: expected {body_end} bytes, got {len(raw)}")
-    fingerprint = json.loads(raw[header_size:fp_end].decode("utf-8"))
+    try:
+        fingerprint = json.loads(raw[header_size:fp_end].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise BadMagic(f"{path}: unreadable fingerprint ({exc})") from exc
     values = np.frombuffer(raw[fp_end:body_end], dtype="<f8").reshape(n, n).copy()
     values[np.isnan(values)] = math.inf
     return GeodesicMatrix(values=values, finite_fraction=finite_fraction,
                           fingerprint=fingerprint)
+
+
+def cached_geodesics(fingerprint: dict, build_graph: Callable[[], NeighborGraph],
+                     cache_dir=None) -> tuple[GeodesicMatrix, bool, float]:
+    """The all-pairs matrix of the graph with this fingerprint, cached in cache_dir.
+
+    On a miss, all_pairs(build_graph()) is computed and written back; an
+    unreadable or mismatched entry is noted on stderr and counts as a miss.
+    Returns (matrix, cache_hit, seconds spent computing).
+    """
+    path = None
+    if cache_dir:
+        cache = Path(cache_dir)
+        cache.mkdir(parents=True, exist_ok=True)
+        key = f"{fingerprint['data_hash']}:{fingerprint['k']}:{fingerprint['h']!r}"
+        path = cache / f"{hashlib.sha256(key.encode()).hexdigest()[:32]}.geo"
+        if path.exists():
+            try:
+                geo = load_geodesics(path)
+            except (BadMagic, TruncatedFile) as exc:
+                print(f"cache: {exc}; recomputing", file=sys.stderr)
+            else:
+                if geo.fingerprint == fingerprint:
+                    return geo, True, 0.0
+                print(f"cache: {path}: fingerprint mismatch; recomputing", file=sys.stderr)
+    t0 = time.perf_counter()
+    geo = all_pairs(build_graph())
+    seconds = time.perf_counter() - t0
+    if path is not None:
+        save_geodesics(geo, path)
+    return geo, False, seconds

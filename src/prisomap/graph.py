@@ -27,8 +27,9 @@ class NeighborGraph:
     """Symmetrized weighted k-NN graph with a hard cap h on edge lengths.
 
     adjacency is stored as parallel per-vertex arrays (neighbors sorted by
-    index, weights aligned). candidates/candidate_dists keep each vertex's
-    pre-filter k nearest neighbors for density estimation and h selection.
+    index, weights aligned). candidates/candidate_dists hold each vertex's
+    pre-filter k nearest neighbors as (n, k) arrays, nearest first, for
+    density estimation, h selection and other caps (capped).
     """
 
     n: int
@@ -37,8 +38,8 @@ class NeighborGraph:
     neighbors: list[np.ndarray]
     weights: list[np.ndarray]
     component_id: np.ndarray
-    candidates: list[np.ndarray] = field(default_factory=list, repr=False)
-    candidate_dists: list[np.ndarray] = field(default_factory=list, repr=False)
+    candidates: np.ndarray | None = field(default=None, repr=False)
+    candidate_dists: np.ndarray | None = field(default=None, repr=False)
     data_hash: str = ""
 
     def edge_count(self) -> int:
@@ -63,6 +64,10 @@ class NeighborGraph:
         indices = np.concatenate([np.empty(0, dtype=np.int64), *self.neighbors])
         data = np.concatenate([np.empty(0), *self.weights])
         return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+
+    def capped(self, h: float) -> NeighborGraph:
+        """The graph of the same candidate set under cap h; runs no k-NN pass."""
+        return _cap(self.candidates, self.candidate_dists, h, self.data_hash)
 
 
 @dataclass(frozen=True)
@@ -92,75 +97,57 @@ class ComponentSummary:
     labels: np.ndarray
 
 
-def _knn_candidates(data: np.ndarray, k: int) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+def _knn_candidates(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k nearest neighbors per row (self excluded), ties by lower index.
 
-    Returns (candidate indices, candidate distances, zero-distance pair count
-    seen among candidates).
+    Returns (n, k) candidate indices and their distances, nearest first.
     """
     n = data.shape[0]
-    cand_idx: list[np.ndarray] = []
-    cand_dist: list[np.ndarray] = []
-    zero_pairs: set[tuple[int, int]] = set()
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n={n}, got {k}")
+    idx = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         d2 = pairwise_sq_dists(data[start:stop], data)
-        for local, i in enumerate(range(start, stop)):
-            row = d2[local]
-            row[i] = np.inf
-            # pool = everything up to the k-th smallest value, so boundary ties
-            # can be resolved by (distance, index) order
-            kth = np.partition(row, k - 1)[k - 1]
-            pool = np.where(row <= kth)[0]
-            order = pool[np.lexsort((pool, row[pool]))][:k]
-            dists = np.sqrt(row[order])
-            cand_idx.append(order.astype(np.int64))
-            cand_dist.append(dists)
-            for j, dj in zip(order, dists):
-                if dj == 0.0:
-                    zero_pairs.add((min(i, int(j)), max(i, int(j))))
-    return cand_idx, cand_dist, len(zero_pairs)
+        local = np.arange(stop - start)
+        d2[local, local + start] = np.inf
+        # pool = everything up to the k-th smallest value, so boundary ties
+        # can be resolved by (distance, index) order
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        for row, bound in zip(local, kth):
+            pool = np.flatnonzero(d2[row] <= bound)
+            idx[start + row] = pool[np.lexsort((pool, d2[row, pool]))][:k]
+        dist[start:stop] = np.sqrt(np.take_along_axis(d2, idx[start:stop], axis=1))
+    return idx, dist
 
 
-def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
-    """Build the symmetrized k-NN graph with candidate edges capped at length h.
+def _cap(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float, dhash: str) -> NeighborGraph:
+    """Keep the candidate edges of length in (0, h] and symmetrize by union.
 
-    Each vertex proposes its k nearest neighbors (exact ties broken by lower
-    index); candidates longer than h are discarded and the survivors are
-    symmetrized by union. Zero-distance edges are dropped; if more than n/2
-    zero-distance pairs exist a DegenerateDuplicatesWarning is issued.
+    An edge {i, j} with i < j takes row i's distance when row i proposes j
+    within the cap, and row j's otherwise: distances computed in different
+    row blocks can differ in the last bit, and this order fixes the bytes.
     """
-    x = as_matrix(data, "data")
-    n = x.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n={n}, got {k}")
     if not (h > 0):
         raise ValueError(f"h must be positive (or +inf), got {h}")
-
-    cand_idx, cand_dist, zero_count = _knn_candidates(x, k)
-    if zero_count > n / 2:
-        warnings.warn(
-            f"{zero_count} zero-distance pairs detected; their edges were dropped",
-            DegenerateDuplicatesWarning,
-            stacklevel=2,
-        )
-
-    edges: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j, w in zip(cand_idx[i], cand_dist[i]):
-            if w == 0.0 or w > h:
-                continue
-            key = (i, int(j)) if i < j else (int(j), i)
-            if key not in edges:
-                edges[key] = float(w)
-
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-    both = np.concatenate([pairs, pairs[:, ::-1]])
-    w = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
-    adjacency = coo_matrix((np.tile(w, 2), (both[:, 0], both[:, 1])), shape=(n, n)).tocsr()
+    n, k = cand_idx.shape
+    rows = np.repeat(np.arange(n, dtype=np.int64), k)
+    cols = cand_idx.ravel()
+    w = cand_dist.ravel()
+    keep = (w > 0.0) & (w <= h)
+    rows, cols, w = rows[keep], cols[keep], w[keep]
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    # sort by pair, the lower row's proposal first, and keep each pair's first
+    order = np.argsort((lo * n + hi) * 2 + (rows != lo))
+    first = order[np.unique((lo * n + hi)[order], return_index=True)[1]]
+    lo, hi, w = lo[first], hi[first], w[first]
+
+    adjacency = coo_matrix((np.tile(w, 2), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+                           shape=(n, n)).tocsr()
     adjacency.sort_indices()
     # scipy numbers components in order of their smallest member
     _, labels = connected_components(adjacency, directed=False)
@@ -174,8 +161,31 @@ def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
         component_id=labels.astype(np.int64),
         candidates=cand_idx,
         candidate_dists=cand_dist,
-        data_hash=data_hash(x),
+        data_hash=dhash,
     )
+
+
+def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
+    """Build the symmetrized k-NN graph with candidate edges capped at length h.
+
+    Each vertex proposes its k nearest neighbors (exact ties broken by lower
+    index); candidates longer than h are discarded and the survivors are
+    symmetrized by union. Zero-distance edges are dropped; if more than n/2
+    zero-distance pairs exist a DegenerateDuplicatesWarning is issued.
+    """
+    x = as_matrix(data, "data")
+    n = x.shape[0]
+    cand_idx, cand_dist = _knn_candidates(x, k)
+    rows, cols = np.nonzero(cand_dist == 0.0)
+    mates = cand_idx[rows, cols]
+    zero_count = np.unique(np.minimum(rows, mates) * n + np.maximum(rows, mates)).size
+    if zero_count > n / 2:
+        warnings.warn(
+            f"{zero_count} zero-distance pairs detected; their edges were dropped",
+            DegenerateDuplicatesWarning,
+            stacklevel=2,
+        )
+    return _cap(cand_idx, cand_dist, h, data_hash(x))
 
 
 def pr_density(data, graph: NeighborGraph, h_power: int | None = None) -> DensityEstimate:
@@ -201,10 +211,8 @@ def pr_density(data, graph: NeighborGraph, h_power: int | None = None) -> Densit
         norm = math.exp(log_norm)
     except OverflowError:
         norm = math.inf
-    counts = np.empty(graph.n, dtype=np.float64)
-    for i in range(graph.n):
-        others = graph.candidate_dists[i][: graph.k - 1]
-        counts[i] = 1 + int(np.sum(others <= half))
+    others = np.asarray(graph.candidate_dists)[:, : graph.k - 1]
+    counts = 1.0 + np.count_nonzero(others <= half, axis=1)
     return DensityEstimate(values=counts * norm, h=graph.h, k=graph.k,
                            window="rectangular", h_power=power, counts=counts)
 
@@ -229,16 +237,19 @@ def components(graph: NeighborGraph) -> ComponentSummary:
 
 def knn_edge_lengths(data, k: int) -> np.ndarray:
     """All n*k candidate edge lengths, sorted ascending (the h-selection pool)."""
-    x = as_matrix(data, "data")
-    _, cand_dist, _ = _knn_candidates(x, k)
-    return np.sort(np.concatenate(cand_dist))
+    return np.sort(_knn_candidates(as_matrix(data, "data"), k)[1], axis=None)
+
+
+def percentile_h(lengths, percentile: float) -> float:
+    """Window diameter at the given percentile of candidate edge lengths."""
+    if not 0 < percentile <= 100:
+        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+    return float(np.percentile(lengths, percentile))
 
 
 def h_from_percentile(data, k: int, percentile: float) -> float:
     """Window diameter at the given percentile of k-NN candidate edge lengths."""
-    if not 0 < percentile <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    return float(np.percentile(knn_edge_lengths(data, k), percentile))
+    return percentile_h(knn_edge_lengths(data, k), percentile)
 
 
 def save_edge_list(graph: NeighborGraph, path) -> None:

@@ -32,12 +32,18 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_square_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate shape and symmetry (relative to the Frobenius norm)."""
+def require_square_symmetric(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, bool]:
+    """Validate shape and symmetry (relative to the Frobenius norm).
+
+    Returns the float64 matrix and whether it is exactly symmetric; only
+    inexact input pays for the tolerance check's float64 temporaries.
+    """
     a = as_matrix(a, name)
     n, m = a.shape
     if n != m:
         raise ValueError(f"{name} must be square, got {a.shape}")
+    if np.array_equal(a, a.T):
+        return a, True
     scale = float(np.linalg.norm(a[np.isfinite(a)])) if a.size else 0.0
     asym = float(np.max(np.abs(a - a.T))) if n else 0.0
     if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
@@ -45,7 +51,7 @@ def require_square_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
             f"{name} is not symmetric: max|A - A^T| = {asym:.3e} exceeds "
             f"{_SYMMETRY_RTOL:.0e} * ||A||_F = {_SYMMETRY_RTOL * scale:.3e}"
         )
-    return a
+    return a, False
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -84,7 +90,7 @@ def double_center(d_sq) -> np.ndarray:
     d = as_matrix(d_sq, "d_sq")
     if not np.all(np.isfinite(d)):
         raise SentinelPresent("squared-distance matrix contains unreachable entries")
-    d = require_square_symmetric(d, "d_sq")
+    d, _ = require_square_symmetric(d, "d_sq")
     row_mean = d.mean(axis=1, keepdims=True)
     col_mean = d.mean(axis=0, keepdims=True)
     grand = float(d.mean())
@@ -141,12 +147,12 @@ def symmetric_eig(a, top: int) -> EigenResult:
     bytes. Sign convention: the largest-magnitude entry of every eigenvector
     is positive.
     """
-    a = require_square_symmetric(a, "a")
+    a, exact = require_square_symmetric(a, "a")
     n = a.shape[0]
     if not 1 <= top <= n:
         raise ValueError(f"top must be in [1, {n}], got {top}")
     # every double_center kernel is exactly symmetric and needs no copy
-    a_sym = a if np.array_equal(a, a.T) else 0.5 * (a + a.T)
+    a_sym = a if exact else 0.5 * (a + a.T)
 
     if n <= DENSE_EIG_LIMIT or top == n:
         try:
@@ -193,26 +199,26 @@ class MdsCoordinates:
 
     eigenvalues are the raw top-p values (negatives visible); coordinates use
     sqrt(max(eigenvalue, 0)). clamped_count tells how many of the top p were
-    negative; rank_deficient marks zero-padded trailing columns.
+    negative; rank_deficient marks zero-padded trailing columns. spectrum
+    holds the leading min(n, max(p, extra_spectrum)) eigenvalues, for
+    diagnostics such as the elbow report.
     """
 
     coordinates: np.ndarray
     eigenvalues: np.ndarray
     clamped_count: int
     rank_deficient: bool
+    spectrum: np.ndarray
 
 
-def mds_coordinates(kernel, p: int, extra_spectrum: int = 0) -> MdsCoordinates | tuple:
+def mds_coordinates(kernel, p: int, extra_spectrum: int = 0) -> MdsCoordinates:
     """Coordinates y_i = (sqrt(l_1) v_1i, ..., sqrt(l_p) v_pi) from a centered kernel.
 
     Negative eigenvalues (the kernel of a non-Euclidean distance matrix is
     indefinite) are clamped to zero and counted. If fewer than p eigenvalues
     exceed 1e-12 * l_1 the remaining columns are zero and a
-    RankDeficientWarning is issued.
-
-    With extra_spectrum > 0 also returns the leading
-    max(p, extra_spectrum) eigenvalues as a second element, for spectrum
-    diagnostics such as the elbow report.
+    RankDeficientWarning is issued. extra_spectrum widens the eigensolve so
+    that the result's spectrum holds that many leading eigenvalues.
     """
     k = as_matrix(kernel, "kernel")
     n = k.shape[0]
@@ -242,12 +248,10 @@ def mds_coordinates(kernel, p: int, extra_spectrum: int = 0) -> MdsCoordinates |
 
     out_lam = np.zeros(p, dtype=np.float64)
     out_lam[: lam.size] = lam
-    result = MdsCoordinates(
+    return MdsCoordinates(
         coordinates=coords,
         eigenvalues=out_lam,
         clamped_count=clamped_count,
         rank_deficient=rank_deficient,
+        spectrum=eig.eigenvalues,
     )
-    if extra_spectrum:
-        return result, eig.eigenvalues.copy()
-    return result

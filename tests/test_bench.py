@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prisomap.bench import MethodSpec, run_bench
+from prisomap.bench import MethodSpec, Neighbors, resolve_h, run_bench
 from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
 from prisomap.errors import InputError
 from prisomap.linalg import pairwise_dists
@@ -18,20 +18,19 @@ def labeled_roll(n=300, seed=0, **kwargs):
 class TestMethodSpec:
     def test_pr_isomap_requires_one_h_form(self):
         with pytest.raises(ValueError):
-            MethodSpec(method="pr-isomap", p=2, k=5).resolve_h(np.zeros((10, 2)))
+            resolve_h(MethodSpec(method="pr-isomap", p=2, k=5), Neighbors(np.zeros((10, 2))))
         with pytest.raises(ValueError):
-            MethodSpec(method="pr-isomap", p=2, k=5, h=1.0, h_percentile=60.0).resolve_h(
-                np.zeros((10, 2))
-            )
+            resolve_h(MethodSpec(method="pr-isomap", p=2, k=5, h=1.0, h_percentile=60.0),
+                      Neighbors(np.zeros((10, 2))))
 
     def test_percentile_resolution(self):
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (40, 2))
         spec = MethodSpec(method="pr-isomap", p=2, k=4, h_percentile=50.0)
-        assert spec.resolve_h(x) > 0
+        assert resolve_h(spec, Neighbors(x)) > 0
 
     def test_other_methods_ignore_h(self):
-        assert MethodSpec(method="pca", p=2).resolve_h(np.zeros((10, 2))) is None
+        assert resolve_h(MethodSpec(method="pca", p=2), Neighbors(np.zeros((10, 2)))) is None
 
     @pytest.mark.parametrize("method", ["pr-isomap", "isomap"])
     def test_graph_methods_require_k(self, method):

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -87,7 +88,8 @@ class TestEmbed:
         assert "cache_hit=true" in warm
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_truncated_cache_entry_is_recomputed(self, roll_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("damage", ["truncated-body", "corrupt-fingerprint"])
+    def test_truncated_cache_entry_is_recomputed(self, roll_dir, tmp_path, capsys, damage):
         cache = tmp_path / "cache"
         out1, out2, out3 = tmp_path / "e1.csv", tmp_path / "e2.csv", tmp_path / "e3.csv"
         args = ["embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pr-isomap",
@@ -96,7 +98,14 @@ class TestEmbed:
         assert run_cli(*args, "--out", str(out1)) == 0
         capsys.readouterr()
         [entry] = cache.iterdir()
-        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+        raw = bytearray(entry.read_bytes())
+        if damage == "truncated-body":
+            del raw[len(raw) // 2:]
+        else:
+            # magic and lengths intact, fingerprint bytes not UTF-8
+            fp_start = 4 + struct.calcsize("<IIdI")
+            raw[fp_start:fp_start + 2] = b"\xff\xfe"
+        entry.write_bytes(bytes(raw))
         assert run_cli(*args, "--out", str(out2)) == 0
         err = capsys.readouterr().err
         assert "recomputing" in err and "cache_hit=false" in err
@@ -105,6 +114,36 @@ class TestEmbed:
         assert "cache_hit=true" in capsys.readouterr().err
         assert out1.read_bytes() == out3.read_bytes()
         assert [p.name for p in cache.iterdir()] == [entry.name]
+
+    def test_one_candidate_pass_per_command(self, roll_dir, tmp_path, monkeypatch, capsys):
+        from prisomap import graph
+
+        passes = []
+        knn_candidates = graph._knn_candidates
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return knn_candidates(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "_knn_candidates", counting)
+
+        def count(*argv):
+            passes.clear()
+            assert run_cli(*argv) == 0
+            return len(passes)
+
+        data = ["--in", str(roll_dir / "ambient.csv"), "--k", "10", "--p", "2"]
+        assert count("bench", *data, "--methods", "pr-isomap,isomap,pca", "--h-pct", "60",
+                     "--out", str(tmp_path / "bench")) == 1
+        embed = ["embed", *data, "--method", "pr-isomap", "--policy", "largest-component",
+                 "--cache-dir", str(tmp_path / "cache")]
+        out = tmp_path / "e.csv"
+        assert count(*embed, "--h-pct", "70", "--out", str(out)) == 1  # cold
+        assert count(*embed, "--h-pct", "70", "--out", str(out)) == 1  # warm
+        h = json.loads(out.with_suffix(".json").read_text())["method"]["h"]
+        assert count(*embed, "--h", repr(h), "--out", str(out)) == 0
+        assert "cache_hit=true" in capsys.readouterr().err.splitlines()[-1]
+        assert count("embed", *data, "--method", "pca", "--out", str(out)) == 0
 
     def test_disconnected_exit_3(self, tmp_path, capsys):
         data = np.vstack([np.arange(10)[:, None] * 0.1,
@@ -144,13 +183,13 @@ class TestEmbed:
         assert desc["elbow_p"] >= 1
 
     def test_numeric_errors_exit_4(self, monkeypatch, roll_dir, tmp_path):
-        from prisomap import cli
+        from prisomap import bench
         from prisomap.errors import ConvergenceFailure
 
         def boom(*args, **kwargs):
             raise ConvergenceFailure("forced")
 
-        monkeypatch.setattr(cli, "pca", boom)
+        monkeypatch.setattr(bench, "pca", boom)
         rc = run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
                      "--method", "pca", "--out", str(tmp_path / "e.csv"))
         assert rc == 4
@@ -216,6 +255,22 @@ class TestBench:
         payload = json.loads((out / "bench.json").read_text())
         assert set(payload["reports"]) == {"isomap", "pca"}
         assert "pca" in payload["paired_deltas"]
+
+    def test_warm_cache_runs_no_all_pairs(self, roll_dir, tmp_path, monkeypatch):
+        from prisomap import geodesics
+
+        args = ["bench", "--in", str(roll_dir / "ambient.csv"),
+                "--methods", "pr-isomap,isomap", "--k", "10", "--h-pct", "70", "--p", "2",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert run_cli(*args, "--out", str(tmp_path / "cold")) == 0
+        assert len(list((tmp_path / "cache").glob("*.geo"))) == 2
+        monkeypatch.setattr(geodesics, "all_pairs", None)  # a miss would fail
+        assert run_cli(*args, "--out", str(tmp_path / "warm")) == 0
+        cold, warm = (json.loads((tmp_path / d / "bench.json").read_text())["reports"]
+                      for d in ("cold", "warm"))
+        for report in (*cold.values(), *warm.values()):
+            del report["timings"]
+        assert cold == warm
 
     def test_single_method_no_deltas(self, roll_dir, tmp_path):
         out = tmp_path / "bench1"

@@ -213,14 +213,6 @@ class TestAllPairs:
         scale = want[both].max()
         assert np.abs(geo.values[both] - want[both]).max() <= 1e-9 * max(1.0, scale)
 
-    def test_threads_do_not_change_result(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(0, 1, (40, 2))
-        g = knn_graph(x, 4, math.inf)
-        a = all_pairs(g, threads=1)
-        b = all_pairs(g, threads=4)
-        assert a.values.tobytes() == b.values.tobytes()
-
     def test_cap_monotonicity(self):
         rng = np.random.default_rng(13)
         x = rng.normal(0, 1, (50, 2))

@@ -132,6 +132,40 @@ class TestKnnGraph:
         g = knn_graph(x, k=1, h=math.inf)
         assert np.array_equal(g.candidates[0][:1], [1])
 
+    def test_capped_reuses_candidates(self, monkeypatch):
+        from prisomap import graph as graph_mod
+
+        x = np.random.default_rng(8).normal(0, 1, (200, 3))
+        base = knn_graph(x, 6)
+        hs = [float(np.percentile(base.candidate_dists, pct)) for pct in (30, 70, 100)]
+        wants = [knn_graph(x, 6, h).csr() for h in hs]
+        monkeypatch.setattr(graph_mod, "_knn_candidates", None)  # a new pass would fail
+        for h, want in zip(hs, wants):
+            got = base.capped(h).csr()
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    @pytest.mark.parametrize("lower_passes", [True, False])
+    def test_capped_first_seen_weight(self, lower_passes):
+        # rows 0 and 1 propose each other with lengths one ulp apart around
+        # h: the edge takes the lower row's length when that row is within
+        # the cap, and the upper row's otherwise
+        h = 1.0
+        inside, outside = h, np.nextafter(h, np.inf)
+        w01, w10 = (inside, outside) if lower_passes else (outside, inside)
+        base = NeighborGraph(
+            n=2, k=1, h=math.inf, neighbors=[], weights=[],
+            component_id=np.zeros(2, dtype=np.int64),
+            candidates=np.array([[1], [0]]), candidate_dists=np.array([[w01], [w10]]),
+        )
+        g = base.capped(h)
+        assert list(g.iter_edges()) == [(0, 1, inside)]
+        assert g.weights[1][0] == inside
+        # both within the cap: the lower row's length, whichever is smaller
+        g = base.capped(math.inf)
+        assert list(g.iter_edges()) == [(0, 1, w01)]
+        assert g.weights[1][0] == w01
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             knn_graph(LINE3, k=0)

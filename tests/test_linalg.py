@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from prisomap.linalg import (
     mds_coordinates,
     pairwise_dists,
     pairwise_sq_dists,
+    require_square_symmetric,
     symmetric_eig,
 )
 
@@ -42,6 +45,19 @@ class TestDoubleCenter:
     def test_rejects_asymmetric(self):
         with pytest.raises(NonSymmetricInput):
             double_center([[0.0, 1.0], [2.0, 0.0]])
+
+    def test_exact_symmetry_check_allocates_no_float_temporary(self):
+        n = 600
+        b = np.random.default_rng(3).normal(0, 1, (n, n))
+        a = b + b.T
+        tracemalloc.start()
+        try:
+            _, exact = require_square_symmetric(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exact
+        assert peak < 4 * n * n  # half of one n x n float64 matrix
 
     def test_rejects_sentinel(self):
         with pytest.raises(SentinelPresent):
