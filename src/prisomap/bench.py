@@ -2,7 +2,8 @@
 
 run_method runs every method, for the CLI and run_bench alike. Neighbors runs
 the k-NN candidate pass at most once per (data, k), and only when h
-selection, a geodesic cache miss or the density needs it.
+selection, a geodesic cache miss or the density needs it; it caps a graph
+only for a cache miss or the density.
 
 run_bench runs all requested methods on the same sample; metrics are computed
 on the intersection of the methods' kept vertices against one common
@@ -24,7 +25,7 @@ from .embed import Embedding, classical_mds, embed_geodesics, pca
 from .errors import InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
 from .geodesics import GeodesicMatrix, cached_geodesics
-from .graph import NeighborGraph, knn_graph, percentile_h, pr_density
+from .graph import NeighborGraph, cap_candidates, knn_candidates, percentile_h, pr_density
 from .linalg import as_matrix, pairwise_dists
 
 METHODS = ("pr-isomap", "isomap", "mds", "pca")
@@ -61,22 +62,28 @@ class MethodSpec:
 
 
 class Neighbors:
-    """The k-NN graphs of one dataset, each built on first use.
+    """The k-NN candidates and graphs of one dataset, each built on first use.
 
-    The first graph asked for at a given k runs the candidate pass; every
-    other cap at that k is derived from its candidate set.
+    The candidate pass runs once per k; every graph at that k is capped from
+    its candidate arrays, and only when a cache miss or the density needs it.
     """
 
     def __init__(self, data):
         self.data = as_matrix(data, "data")
         self.data_hash = data_hash(self.data)
+        self._candidates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._graphs: dict[tuple[int, float], NeighborGraph] = {}
+
+    def candidates(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(n, k) candidate indices and distances, nearest first."""
+        if k not in self._candidates:
+            self._candidates[k] = knn_candidates(self.data, k)
+        return self._candidates[k]
 
     def graph(self, k: int, h: float = math.inf) -> NeighborGraph:
         graph = self._graphs.get((k, h))
         if graph is None:
-            base = next((g for (gk, _), g in self._graphs.items() if gk == k), None)
-            graph = knn_graph(self.data, k, h) if base is None else base.capped(h)
+            graph = cap_candidates(*self.candidates(k), h, self.data_hash)
             self._graphs[(k, h)] = graph
         return graph
 
@@ -99,7 +106,7 @@ def resolve_h(spec: MethodSpec, neighbors: Neighbors) -> float | None:
     if spec.method != "pr-isomap":
         return None
     if spec.h_percentile is not None:
-        return percentile_h(neighbors.graph(spec.k).candidate_dists, spec.h_percentile)
+        return percentile_h(neighbors.candidates(spec.k)[1], spec.h_percentile)
     if spec.h is None:
         raise ValueError("pr-isomap needs h or h_percentile")
     return float(spec.h)

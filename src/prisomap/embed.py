@@ -63,8 +63,7 @@ def _component_labels(values: np.ndarray) -> np.ndarray:
     return labels
 
 
-def component_sizes(geo: GeodesicMatrix) -> list[int]:
-    labels = _component_labels(geo.values)
+def _sizes(labels: np.ndarray) -> list[int]:
     return sorted((int(c) for c in np.bincount(labels)), reverse=True)
 
 
@@ -75,18 +74,23 @@ def apply_component_policy(geo: GeodesicMatrix, policy: str):
     restricts the matrix to the largest component. Returns
     (restricted GeodesicMatrix, kept vertex indices).
     """
+    labels = None if geo.is_fully_connected() else _component_labels(geo.values)
+    return _restrict(geo, policy, labels)
+
+
+def _restrict(geo: GeodesicMatrix, policy: str, labels: np.ndarray | None):
+    """apply_component_policy given the component labels (None when connected)."""
     if policy not in (ERROR_POLICY, LARGEST_COMPONENT_POLICY):
         raise ValueError(f"unknown component policy {policy!r}")
-    if geo.is_fully_connected():
+    if labels is None:
         return geo, np.arange(geo.n, dtype=np.int64)
-    sizes = component_sizes(geo)
     if policy == ERROR_POLICY:
+        sizes = _sizes(labels)
         raise DisconnectedGraph(
             f"graph has {len(sizes)} components (sizes {sizes[:8]}); "
             "use the largest_component policy or loosen k/h",
             summary=sizes,
         )
-    labels = _component_labels(geo.values)
     counts = np.bincount(labels)
     kept = np.where(labels == int(np.argmax(counts)))[0]
     sub = np.ascontiguousarray(geo.values[np.ix_(kept, kept)])
@@ -111,15 +115,17 @@ def embed_geodesics(
     n = geo.n
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
+    labels = None
     if not geo.is_fully_connected():
-        sizes = component_sizes(geo)
+        labels = _component_labels(geo.values)
+        sizes = _sizes(labels)
         if sizes[0] < fragment_threshold * n:
             raise GraphTooFragmented(
                 f"largest component holds {sizes[0]}/{n} points "
                 f"(< {fragment_threshold:.0%}); lower k/h expectations explicitly",
                 summary=sizes,
             )
-    restricted, kept = apply_component_policy(geo, component_policy)
+    restricted, kept = _restrict(geo, component_policy, labels)
     res = mds_coordinates(double_center(restricted.values**2), p, extra_spectrum=spectrum)
     return Embedding(
         coordinates=res.coordinates,

@@ -21,12 +21,48 @@ from .graph import DensityEstimate
 from .linalg import as_matrix, pairwise_dists
 
 EVAL_SCHEMA = "evalreport/1"
+_BLOCK_ROWS = 128  # rows per block in trustworthiness_continuity
 
 
-def _upper_pairs(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return values[iu]
+def _upper_pairs(*matrices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The i<j entries of each n x n matrix, row-major, from one shared mask."""
+    n = matrices[0].shape[0]
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    return tuple(values[upper] for values in matrices)
+
+
+def _finite_pairs(d_hd, d_ld) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle pairs of both matrices where d_hd is finite."""
+    a = as_matrix(d_hd, "d_hd")
+    b = as_matrix(d_ld, "d_ld")
+    if a.shape != b.shape:
+        raise ValueError("distance matrices must have matching shapes")
+    return _finite_only(*_upper_pairs(a, b))
+
+
+def _finite_only(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs where a is finite; raises NoFinitePairs if there are none."""
+    mask = np.isfinite(a)
+    if not mask.any():
+        raise NoFinitePairs("no finite high-dimensional pairs to score")
+    return a[mask], b[mask]
+
+
+def _stress(a: np.ndarray, b: np.ndarray) -> float:
+    diff = a - b
+    denom = float(np.sum(a**2))
+    num = float(np.sum(diff**2))
+    if denom == 0.0:
+        return 0.0 if num == 0.0 else float("inf")
+    return float(np.sqrt(num / denom))
+
+
+def _residual_variance(a: np.ndarray, b: np.ndarray) -> float:
+    sa, sb = float(np.std(a)), float(np.std(b))
+    if sa == 0.0 or sb == 0.0:
+        return 0.0 if sa == sb else 1.0
+    r = float(np.corrcoef(a, b)[0, 1])
+    return 1.0 - r * r
 
 
 def stress(d_hd, d_ld) -> float:
@@ -35,63 +71,63 @@ def stress(d_hd, d_ld) -> float:
     sqrt(sum((d_hd - d_ld)^2) / sum(d_hd^2)); unreachable pairs in d_hd are
     excluded. Raises NoFinitePairs if no finite pair remains.
     """
-    a = _upper_pairs(as_matrix(d_hd, "d_hd"))
-    b = _upper_pairs(as_matrix(d_ld, "d_ld"))
-    if a.shape != b.shape:
-        raise ValueError("distance matrices must have matching shapes")
-    mask = np.isfinite(a)
-    if not mask.any():
-        raise NoFinitePairs("no finite high-dimensional pairs to score")
-    diff = a[mask] - b[mask]
-    denom = float(np.sum(a[mask] ** 2))
-    num = float(np.sum(diff**2))
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return float(np.sqrt(num / denom))
+    return _stress(*_finite_pairs(d_hd, d_ld))
 
 
 def sentinel_excluded_pairs(d_hd) -> int:
     """Count of i<j pairs carrying the unreachable sentinel."""
-    a = _upper_pairs(as_matrix(d_hd, "d_hd"))
+    (a,) = _upper_pairs(as_matrix(d_hd, "d_hd"))
     return int(np.sum(~np.isfinite(a)))
 
 
 def residual_variance(d_hd, d_ld) -> float:
     """1 - r^2 between high- and low-dimensional distances over finite pairs."""
-    a = _upper_pairs(as_matrix(d_hd, "d_hd"))
-    b = _upper_pairs(as_matrix(d_ld, "d_ld"))
-    mask = np.isfinite(a)
-    if not mask.any():
-        raise NoFinitePairs("no finite high-dimensional pairs to score")
-    a, b = a[mask], b[mask]
-    sa, sb = float(np.std(a)), float(np.std(b))
-    if sa == 0.0 or sb == 0.0:
-        return 0.0 if sa == sb else 1.0
-    r = float(np.corrcoef(a, b)[0, 1])
-    return 1.0 - r * r
+    return _residual_variance(*_finite_pairs(d_hd, d_ld))
 
 
-def _neighbor_order(dists: np.ndarray) -> np.ndarray:
-    """Per-row neighbor orderings by (distance, index), self excluded."""
-    n = dists.shape[0]
-    order = np.empty((n, n - 1), dtype=np.int64)
-    idx = np.arange(n)
-    for i in range(n):
-        row = dists[i].copy()
-        row[i] = np.inf
-        full = np.lexsort((idx, row))
-        order[i] = full[full != i][: n - 1]
-    return order
+def _first_m(rows: np.ndarray, m: int) -> np.ndarray:
+    """Mask of each row's first m entries in (value, index) order.
+
+    np.partition finds the m-th smallest value; when more entries equal it
+    than fit, the ones of lowest index are taken, as a stable sort would.
+    """
+    kth = np.partition(rows, m - 1, axis=1)[:, m - 1, None]
+    chosen = rows <= kth
+    extra = chosen.sum(axis=1) - m
+    over = np.flatnonzero(extra)
+    if over.size:
+        ties = rows[over] == kth[over]
+        from_right = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]
+        chosen[over] &= ~(ties & (from_right <= extra[over, None]))
+    return chosen
 
 
-def _ranks_from_order(order: np.ndarray) -> np.ndarray:
-    """rank[i, j] = 1-based position of j in i's neighbor ordering."""
-    n = order.shape[0]
-    ranks = np.zeros((n, n), dtype=np.int64)
-    pos = np.arange(1, n, dtype=np.int64)
-    for i in range(n):
-        ranks[i, order[i]] = pos
-    return ranks
+def _ranks(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """1-based (value, index) rank of rows[r, j] in row r, for each pair in the mask.
+
+    Rows are finite but for a +inf diagonal, which no pair may name. The
+    entries below each value are counted in the sorted row by a vectorized
+    binary search; equal entries of lower index are counted only where the
+    sorted row shows a tie.
+    """
+    r, j = np.nonzero(pairs)
+    values = rows[r, j]
+    ordered = np.sort(rows, axis=1)
+    n = rows.shape[1]
+    below = np.zeros(values.size, dtype=np.int64)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        probe = below + step
+        below += step * ((probe <= n) & (ordered[r, np.minimum(probe, n) - 1] < values))
+        step >>= 1
+    # each row ends in its +inf diagonal, so below + 1 stays inside the row
+    tied = np.flatnonzero(ordered[r, below + 1] == values)
+    cols = np.arange(n)
+    for start in range(0, tied.size, _BLOCK_ROWS):
+        t = tied[start:start + _BLOCK_ROWS]
+        equal = (rows[r[t]] == values[t, None]) & (cols < j[t, None])
+        below[t] += equal.sum(axis=1)
+    return below + 1
 
 
 def trustworthiness_continuity(d_hd, d_ld, m: int) -> tuple[float, float]:
@@ -99,8 +135,12 @@ def trustworthiness_continuity(d_hd, d_ld, m: int) -> tuple[float, float]:
 
     Trustworthiness penalizes embedded neighbors that are not true
     neighbors; continuity penalizes true neighbors lost by the embedding.
-    Exact O(n^2) ranks; ties break by point index. Requires 1 <= m < n/2 and
-    finite distance matrices.
+    Ranks order each row by (distance, index), self excluded, so ties break
+    by point index. The matrices are walked in blocks of rows: each block
+    takes both first-m sets by partition and ranks only the scored pairs (in
+    one set but not the other) against its sorted rows, so no n x n rank
+    matrix is built. Penalties are summed as integers; the scores are exact.
+    Requires 1 <= m < n/2 and finite distance matrices.
     """
     a = as_matrix(d_hd, "d_hd")
     b = as_matrix(d_ld, "d_ld")
@@ -113,23 +153,19 @@ def trustworthiness_continuity(d_hd, d_ld, m: int) -> tuple[float, float]:
         raise ValueError("trustworthiness/continuity require finite distances; "
                          "resolve sentinels first")
 
-    order_hd = _neighbor_order(a)
-    order_ld = _neighbor_order(b)
-    ranks_hd = _ranks_from_order(order_hd)
-    ranks_ld = _ranks_from_order(order_ld)
-
+    t_penalty = c_penalty = 0
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        local = np.arange(stop - start)
+        hd = a[start:stop].copy()
+        ld = b[start:stop].copy()
+        hd[local, local + start] = np.inf
+        ld[local, local + start] = np.inf
+        near_hd = _first_m(hd, m)
+        near_ld = _first_m(ld, m)
+        t_penalty += int(np.sum(_ranks(hd, near_ld & ~near_hd) - m))
+        c_penalty += int(np.sum(_ranks(ld, near_hd & ~near_ld) - m))
     scale = 2.0 / (n * m * (2.0 * n - 3.0 * m - 1.0))
-    t_penalty = 0.0
-    c_penalty = 0.0
-    for i in range(n):
-        hd_set = set(order_hd[i, :m].tolist())
-        for j in order_ld[i, :m]:
-            if int(j) not in hd_set:
-                t_penalty += ranks_hd[i, j] - m
-        ld_set = set(order_ld[i, :m].tolist())
-        for j in order_hd[i, :m]:
-            if int(j) not in ld_set:
-                c_penalty += ranks_ld[i, j] - m
     return 1.0 - scale * t_penalty, 1.0 - scale * c_penalty
 
 
@@ -159,14 +195,12 @@ def make_stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
 
 def _knn_predict(train_x, train_y, test_x, k_clf: int) -> np.ndarray:
     classes, compact = np.unique(train_y, return_inverse=True)
-    d = pairwise_dists(test_x, train_x)
-    idx = np.arange(train_x.shape[0])
-    preds = np.empty(test_x.shape[0], dtype=np.int64)
-    for i in range(test_x.shape[0]):
-        order = np.lexsort((idx, d[i]))[:k_clf]
-        votes = np.bincount(compact[order], minlength=classes.size)
-        preds[i] = classes[int(np.argmax(votes))]  # vote ties: smallest label
-    return preds
+    near = _first_m(pairwise_dists(test_x, train_x), min(k_clf, train_x.shape[0]))
+    rows, cols = np.nonzero(near)
+    votes = np.bincount(rows * classes.size + compact[cols],
+                        minlength=test_x.shape[0] * classes.size)
+    # vote ties: argmax takes the first, i.e. the smallest label
+    return classes[np.argmax(votes.reshape(-1, classes.size), axis=1)]
 
 
 @dataclass(frozen=True)
@@ -188,6 +222,8 @@ def knn_classify_cv(coords, labels, k_clf: int = 5, folds: int = 10, seed: int =
     y = np.asarray(labels, dtype=np.int64)
     if y.size != x.shape[0]:
         raise ValueError(f"{y.size} labels for {x.shape[0]} observations")
+    if k_clf < 1:
+        raise ValueError(f"k_clf must be >= 1, got {k_clf}")
     if assignment is None:
         assignment = make_stratified_folds(y, folds, seed)
     else:
@@ -308,13 +344,16 @@ def evaluate_embedding(
     else:
         t, c = float("nan"), float("nan")
 
+    ref_pairs, emb_pairs = _upper_pairs(ref, emb_d)
+    sentinels = int(np.sum(~np.isfinite(ref_pairs)))
+    a, b = _finite_only(ref_pairs, emb_pairs)
     report = EvalReport(
-        stress=stress(ref, emb_d),
-        residual_variance=residual_variance(ref, emb_d),
+        stress=_stress(a, b),
+        residual_variance=_residual_variance(a, b),
         trustworthiness=t,
         continuity=c,
         tc_neighborhood=m,
-        sentinel_excluded_pairs=sentinel_excluded_pairs(ref),
+        sentinel_excluded_pairs=sentinels,
         timings=dict(timings or {}),
         run=dict(run or {}),
     )

@@ -29,7 +29,7 @@ class NeighborGraph:
     adjacency is stored as parallel per-vertex arrays (neighbors sorted by
     index, weights aligned). candidates/candidate_dists hold each vertex's
     pre-filter k nearest neighbors as (n, k) arrays, nearest first, for
-    density estimation, h selection and other caps (capped).
+    density estimation.
     """
 
     n: int
@@ -64,10 +64,6 @@ class NeighborGraph:
         indices = np.concatenate([np.empty(0, dtype=np.int64), *self.neighbors])
         data = np.concatenate([np.empty(0), *self.weights])
         return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-
-    def capped(self, h: float) -> NeighborGraph:
-        """The graph of the same candidate set under cap h; runs no k-NN pass."""
-        return _cap(self.candidates, self.candidate_dists, h, self.data_hash)
 
 
 @dataclass(frozen=True)
@@ -122,8 +118,9 @@ def _knn_candidates(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, dist
 
 
-def _cap(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float, dhash: str) -> NeighborGraph:
-    """Keep the candidate edges of length in (0, h] and symmetrize by union.
+def cap_candidates(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float,
+                   dhash: str) -> NeighborGraph:
+    """The graph of a candidate set: edges of length in (0, h], union-symmetrized.
 
     An edge {i, j} with i < j takes row i's distance when row i proposes j
     within the cap, and row j's otherwise: distances computed in different
@@ -165,13 +162,12 @@ def _cap(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float, dhash: str) -> N
     )
 
 
-def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
-    """Build the symmetrized k-NN graph with candidate edges capped at length h.
+def knn_candidates(data, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One exact k-NN candidate pass: (n, k) indices and distances, nearest first.
 
-    Each vertex proposes its k nearest neighbors (exact ties broken by lower
-    index); candidates longer than h are discarded and the survivors are
-    symmetrized by union. Zero-distance edges are dropped; if more than n/2
-    zero-distance pairs exist a DegenerateDuplicatesWarning is issued.
+    Exact ties break by lower index. If more than n/2 zero-distance pairs
+    exist a DegenerateDuplicatesWarning is issued; their edges never enter a
+    graph (cap_candidates drops zero-length edges).
     """
     x = as_matrix(data, "data")
     n = x.shape[0]
@@ -185,7 +181,18 @@ def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
             DegenerateDuplicatesWarning,
             stacklevel=2,
         )
-    return _cap(cand_idx, cand_dist, h, data_hash(x))
+    return cand_idx, cand_dist
+
+
+def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
+    """Build the symmetrized k-NN graph with candidate edges capped at length h.
+
+    Each vertex proposes its k nearest neighbors (knn_candidates); candidates
+    longer than h are discarded and the survivors are symmetrized by union.
+    Zero-distance edges are dropped.
+    """
+    x = as_matrix(data, "data")
+    return cap_candidates(*knn_candidates(x, k), h, data_hash(x))
 
 
 def pr_density(data, graph: NeighborGraph, h_power: int | None = None) -> DensityEstimate:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ class TestMethodSpec:
 
     def test_other_methods_ignore_h(self):
         assert resolve_h(MethodSpec(method="pca", p=2), Neighbors(np.zeros((10, 2)))) is None
+
+    def test_duplicates_warn_once_per_pass(self):
+        from prisomap.errors import DegenerateDuplicatesWarning
+
+        x = np.repeat(np.random.default_rng(1).normal(0, 1, (10, 2)), 3, axis=0)
+        neighbors = Neighbors(x)
+        spec = MethodSpec(method="pr-isomap", p=2, k=3, h_percentile=60.0)
+        with pytest.warns(DegenerateDuplicatesWarning, match="zero-distance pairs"):
+            h = resolve_h(spec, neighbors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = neighbors.graph(3, h)  # same pass: no second warning
+        assert all(w > 0 for _, _, w in graph.iter_edges())
 
     @pytest.mark.parametrize("method", ["pr-isomap", "isomap"])
     def test_graph_methods_require_k(self, method):

@@ -145,6 +145,33 @@ class TestEmbed:
         assert "cache_hit=true" in capsys.readouterr().err.splitlines()[-1]
         assert count("embed", *data, "--method", "pca", "--out", str(out)) == 0
 
+    def test_warm_h_pct_embed_caps_no_graph(self, roll_dir, tmp_path, monkeypatch):
+        from prisomap import bench, graph
+
+        calls = {"pass": 0, "cap": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(graph, "_knn_candidates", counting("pass", graph._knn_candidates))
+        cap = counting("cap", graph.cap_candidates)
+        monkeypatch.setattr(graph, "cap_candidates", cap)
+        monkeypatch.setattr(bench, "cap_candidates", cap)
+        out = tmp_path / "e.csv"
+        embed = ["embed", "--in", str(roll_dir / "ambient.csv"), "--k", "10", "--p", "2",
+                 "--method", "pr-isomap", "--h-pct", "70", "--policy", "largest-component",
+                 "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]
+        assert run_cli(*embed) == 0
+        assert calls == {"pass": 1, "cap": 1}  # cold: the miss needs its graph
+        cold = out.read_bytes()
+        calls.update({"pass": 0, "cap": 0})
+        assert run_cli(*embed) == 0
+        assert calls == {"pass": 1, "cap": 0}  # warm: h from the candidates only
+        assert out.read_bytes() == cold
+
     def test_disconnected_exit_3(self, tmp_path, capsys):
         data = np.vstack([np.arange(10)[:, None] * 0.1,
                           100.0 + np.arange(10)[:, None] * 0.1])

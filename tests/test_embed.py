@@ -220,6 +220,24 @@ class TestComponentPolicy:
             apply_component_policy(geo, "error")
         assert err.value.summary == [8, 2]
 
+    @pytest.mark.parametrize("policy", ["error", "largest_component"])
+    def test_embed_labels_components_once(self, policy, monkeypatch):
+        from prisomap import embed as embed_mod
+
+        scans = []
+        labels = embed_mod._component_labels
+        monkeypatch.setattr(embed_mod, "_component_labels",
+                            lambda values: scans.append(1) or labels(values))
+        geo = self.two_block_geo((8, 3))
+        if policy == "error":
+            with pytest.raises(DisconnectedGraph) as err:
+                embed_mod.embed_geodesics(geo, 1, {}, policy)
+            assert err.value.summary == [8, 3]
+        else:
+            emb = embed_mod.embed_geodesics(geo, 1, {}, policy)
+            np.testing.assert_array_equal(emb.kept_indices, np.arange(8))
+        assert len(scans) == 1
+
     def test_unknown_policy(self):
         geo = self.two_block_geo((8, 2))
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prisomap.datasets import gen_swiss_roll
 from prisomap.embed import classical_mds
@@ -16,6 +20,82 @@ from prisomap.evaluate import (
 )
 from prisomap.graph import DensityEstimate, knn_graph, pr_density
 from prisomap.linalg import pairwise_dists
+
+
+# -- reference oracles: per-row loops over full (distance, index) sorts ------------
+
+
+def _neighbor_order(dists):
+    """Per-row neighbor orderings by (distance, index), self excluded."""
+    n = dists.shape[0]
+    order = np.empty((n, n - 1), dtype=np.int64)
+    idx = np.arange(n)
+    for i in range(n):
+        row = dists[i].copy()
+        row[i] = np.inf
+        full = np.lexsort((idx, row))
+        order[i] = full[full != i][: n - 1]
+    return order
+
+
+def _ranks_from_order(order):
+    """rank[i, j] = 1-based position of j in i's neighbor ordering."""
+    n = order.shape[0]
+    ranks = np.zeros((n, n), dtype=np.int64)
+    pos = np.arange(1, n, dtype=np.int64)
+    for i in range(n):
+        ranks[i, order[i]] = pos
+    return ranks
+
+
+def reference_tc(d_hd, d_ld, m):
+    order_hd = _neighbor_order(d_hd)
+    order_ld = _neighbor_order(d_ld)
+    ranks_hd = _ranks_from_order(order_hd)
+    ranks_ld = _ranks_from_order(order_ld)
+    n = d_hd.shape[0]
+    scale = 2.0 / (n * m * (2.0 * n - 3.0 * m - 1.0))
+    t_penalty = 0.0
+    c_penalty = 0.0
+    for i in range(n):
+        hd_set = set(order_hd[i, :m].tolist())
+        for j in order_ld[i, :m]:
+            if int(j) not in hd_set:
+                t_penalty += ranks_hd[i, j] - m
+        ld_set = set(order_ld[i, :m].tolist())
+        for j in order_hd[i, :m]:
+            if int(j) not in ld_set:
+                c_penalty += ranks_ld[i, j] - m
+    return 1.0 - scale * t_penalty, 1.0 - scale * c_penalty
+
+
+def reference_knn_predict(train_x, train_y, test_x, k_clf):
+    classes, compact = np.unique(train_y, return_inverse=True)
+    d = pairwise_dists(test_x, train_x)
+    idx = np.arange(train_x.shape[0])
+    preds = np.empty(test_x.shape[0], dtype=np.int64)
+    for i in range(test_x.shape[0]):
+        order = np.lexsort((idx, d[i]))[:k_clf]
+        votes = np.bincount(compact[order], minlength=classes.size)
+        preds[i] = classes[int(np.argmax(votes))]  # vote ties: smallest label
+    return preds
+
+
+def reference_fold_accuracies(x, y, assignment, k_clf):
+    accs = []
+    for f in range(int(assignment.max()) + 1):
+        test = assignment == f
+        preds = reference_knn_predict(x[~test], y[~test], x[test], k_clf)
+        accs.append(float(np.mean(preds == y[test])))
+    return np.array(accs)
+
+
+@st.composite
+def grid_points(draw, min_n, max_n, dim, side):
+    """Integer-grid points: small sides force duplicates and exact distance ties."""
+    n = draw(st.integers(min_n, max_n))
+    coords = draw(st.lists(st.integers(0, side), min_size=n * dim, max_size=n * dim))
+    return np.array(coords, dtype=np.float64).reshape(n, dim)
 
 
 def random_rigid_motion(coords, seed):
@@ -109,6 +189,88 @@ class TestTrustworthinessContinuity:
         bad[0, 1] = bad[1, 0] = np.inf
         with pytest.raises(ValueError):
             trustworthiness_continuity(bad, d, m=2)
+
+
+class TestBlockedExactness:
+    """The blocked, sort-free metrics equal the per-row loop references exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_points(5, 40, 3, 3), st.data())
+    def test_tc_equals_reference_on_grid(self, x, data):
+        n = x.shape[0]
+        m_max = (n - 1) // 2
+        m = data.draw(st.sampled_from([1, m_max, data.draw(st.integers(1, m_max))]))
+        low = data.draw(grid_points(n, n, 2, data.draw(st.integers(0, 3))))
+        d_hd, d_ld = pairwise_dists(x), pairwise_dists(low)
+        assert trustworthiness_continuity(d_hd, d_ld, m) == reference_tc(d_hd, d_ld, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_tc_rows_of_equal_distances(self, m):
+        n = 9
+        flat = np.ones((n, n)) - np.eye(n)  # every row one distance
+        d = pairwise_dists(np.arange(n, dtype=float)[:, None])
+        for a, b in ((flat, d), (d, flat), (flat, flat)):
+            assert trustworthiness_continuity(a, b, m) == reference_tc(a, b, m)
+
+    def test_tc_blocks_and_boundary_ties(self):
+        # more rows than one block, duplicates and ties at the m-th entry
+        rng = np.random.default_rng(14)
+        x = rng.integers(0, 6, (300, 3)).astype(float)
+        y = rng.integers(0, 4, (300, 2)).astype(float)
+        d_hd, d_ld = pairwise_dists(x), pairwise_dists(y)
+        for m in (1, 7, 149):
+            assert trustworthiness_continuity(d_hd, d_ld, m) == reference_tc(d_hd, d_ld, m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_points(12, 40, 2, 3), st.integers(1, 7), st.integers(2, 3),
+           st.integers(0, 10**6))
+    def test_knn_cv_equals_reference_on_grid(self, x, k_clf, n_classes, seed):
+        folds = 3
+        n = x.shape[0]
+        rng = np.random.default_rng(seed)
+        y = rng.permutation(np.arange(n) % n_classes) * 7 - 3
+        res = knn_classify_cv(x, y, k_clf=k_clf, folds=folds, seed=seed)
+        want = reference_fold_accuracies(x, y, res.fold_assignment, k_clf)
+        assert np.array_equal(res.fold_accuracies, want)
+
+    def test_knn_tied_votes_go_to_smallest_label(self):
+        # each test point sees one neighbor of each class at the same distance
+        x = np.array([[0.0], [-1.0], [1.0], [10.0], [9.0], [11.0]])
+        y = np.array([5, 2, 5, 5, 2, 5])
+        assignment = np.array([0, 1, 1, 0, 1, 1])
+        res = knn_classify_cv(x, y, k_clf=2, assignment=assignment)
+        want = reference_fold_accuracies(x, y, assignment, 2)
+        assert np.array_equal(res.fold_accuracies, want)
+        assert res.fold_accuracies[0] == 0.0  # both fold-0 points were voted label 2
+
+    def test_knn_rejects_nonpositive_k(self):
+        x, y = TestKnnClassifyCv.blobs(n_per=10)
+        with pytest.raises(ValueError):
+            knn_classify_cv(x, y, k_clf=0, folds=2)
+
+    def test_tc_memory_peak_below_eight_n_squared_bytes(self):
+        n = 1000
+        rng = np.random.default_rng(15)
+        d_hd = pairwise_dists(rng.normal(0, 1, (n, 3)))
+        d_ld = pairwise_dists(rng.normal(0, 1, (n, 2)))
+        tracemalloc.start()
+        try:
+            trustworthiness_continuity(d_hd, d_ld, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n  # one n x n int64 matrix; the loops held four
+
+    def test_report_matches_standalone_metrics(self):
+        rng = np.random.default_rng(16)
+        ref = pairwise_dists(rng.normal(0, 1, (30, 3)))
+        ref[0, 5] = ref[5, 0] = ref[2, 9] = ref[9, 2] = np.inf
+        coords = rng.normal(0, 1, (30, 2))
+        report = evaluate_embedding(ref, coords, m=4)
+        emb_d = pairwise_dists(coords)
+        assert report.stress == stress(ref, emb_d)
+        assert report.residual_variance == residual_variance(ref, emb_d)
+        assert report.sentinel_excluded_pairs == sentinel_excluded_pairs(ref) == 2
 
 
 class TestKnnClassifyCv:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from prisomap.errors import DegenerateDuplicatesWarning, InfiniteWindow
 from prisomap.graph import (
     NeighborGraph,
+    cap_candidates,
     components,
     h_from_percentile,
     knn_edge_lengths,
@@ -141,7 +142,7 @@ class TestKnnGraph:
         wants = [knn_graph(x, 6, h).csr() for h in hs]
         monkeypatch.setattr(graph_mod, "_knn_candidates", None)  # a new pass would fail
         for h, want in zip(hs, wants):
-            got = base.capped(h).csr()
+            got = cap_candidates(base.candidates, base.candidate_dists, h, base.data_hash).csr()
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
 
@@ -153,16 +154,12 @@ class TestKnnGraph:
         h = 1.0
         inside, outside = h, np.nextafter(h, np.inf)
         w01, w10 = (inside, outside) if lower_passes else (outside, inside)
-        base = NeighborGraph(
-            n=2, k=1, h=math.inf, neighbors=[], weights=[],
-            component_id=np.zeros(2, dtype=np.int64),
-            candidates=np.array([[1], [0]]), candidate_dists=np.array([[w01], [w10]]),
-        )
-        g = base.capped(h)
+        cand, dists = np.array([[1], [0]]), np.array([[w01], [w10]])
+        g = cap_candidates(cand, dists, h, "")
         assert list(g.iter_edges()) == [(0, 1, inside)]
         assert g.weights[1][0] == inside
         # both within the cap: the lower row's length, whichever is smaller
-        g = base.capped(math.inf)
+        g = cap_candidates(cand, dists, math.inf, "")
         assert list(g.iter_edges()) == [(0, 1, w01)]
         assert g.weights[1][0] == w01
 
