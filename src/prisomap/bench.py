@@ -217,6 +217,7 @@ def run_bench(
     assignment = None
     if y is not None:
         assignment = make_stratified_folds(y[common], folds, seed)
+    ref_common = ref[np.ix_(common, common)]
 
     reports: dict[str, EvalReport] = {}
     for spec in specs:
@@ -228,7 +229,7 @@ def run_bench(
         if spec.method == "pr-isomap":
             run_info["h_resolved"] = run.h
         report = evaluate_embedding(
-            ref[np.ix_(common, common)],
+            ref_common,
             coords,
             m=m,
             labels=None if y is None else y[common],

@@ -85,20 +85,36 @@ def dijkstra_from(graph: NeighborGraph, source: int):
     return np.array(dist, dtype=np.float64), np.array(parent, dtype=np.int64)
 
 
+def _exactly_symmetric(adjacency) -> bool:
+    """Whether a CSR matrix equals its transpose, stored pattern and weights alike."""
+    adjacency.sort_indices()
+    # the transpose comes back from its CSC form with sorted indices
+    transpose = adjacency.T.tocsr()
+    return all(np.array_equal(getattr(adjacency, part), getattr(transpose, part))
+               for part in ("indptr", "indices", "data"))
+
+
 def all_pairs(graph: NeighborGraph) -> GeodesicMatrix:
     """All-pairs shortest paths: scipy csgraph Dijkstra over the CSR view.
 
-    Raises NumericError if an edge exceeds the cap h, if reachability is
+    The CSR view holds every edge in both directions with one weight, so it
+    is walked as a directed graph, which spares csgraph the transpose and
+    the second neighbor walk of its undirected mode.
+
+    Raises NumericError if the CSR view is not exactly symmetric (pattern
+    and weights), if an edge exceeds the cap h, if reachability is
     asymmetric, or if forward and reverse path lengths differ by more than
     1e-12 of the distance scale; the returned matrix is exactly symmetric.
     """
     from scipy.sparse.csgraph import dijkstra
 
     adjacency = graph.csr()
+    if not _exactly_symmetric(adjacency):
+        raise NumericError("adjacency must hold each edge in both directions with one weight")
     longest = float(adjacency.data.max(initial=0.0))
     if longest > graph.h:
         raise NumericError(f"edge weight {longest} exceeds cap h={graph.h}")
-    out = dijkstra(adjacency, directed=False)
+    out = dijkstra(adjacency, directed=True)
 
     finite = np.isfinite(out)
     if not np.array_equal(finite, finite.T):

@@ -108,13 +108,17 @@ def _knn_candidates(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         d2 = pairwise_sq_dists(data[start:stop], data)
         local = np.arange(stop - start)
         d2[local, local + start] = np.inf
-        # pool = everything up to the k-th smallest value, so boundary ties
-        # can be resolved by (distance, index) order
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        for row, bound in zip(local, kth):
-            pool = np.flatnonzero(d2[row] <= bound)
-            idx[start + row] = pool[np.lexsort((pool, d2[row, pool]))][:k]
-        dist[start:stop] = np.sqrt(np.take_along_axis(d2, idx[start:stop], axis=1))
+        sel = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        kth = d2[local, sel[:, k - 1]]
+        # where the k-th value is tied beyond the selection, the partition
+        # picked arbitrary tied entries: take the lowest indices instead
+        for row in np.flatnonzero(np.count_nonzero(d2 <= kth[:, None], axis=1) > k):
+            pool = np.flatnonzero(d2[row] <= kth[row])
+            sel[row] = pool[np.lexsort((pool, d2[row, pool]))][:k]
+        sel_d2 = np.take_along_axis(d2, sel, axis=1)
+        order = np.lexsort((sel, sel_d2), axis=-1)
+        idx[start:stop] = np.take_along_axis(sel, order, axis=1)
+        dist[start:stop] = np.sqrt(np.take_along_axis(sel_d2, order, axis=1))
     return idx, dist
 
 

@@ -15,9 +15,14 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NonSymmetricInput, RankDeficientWarning, SentinelPresent
 
-# Above this order the full dense decomposition is replaced by iterative
-# extraction of the requested top eigenpairs.
+# Above this order the top eigenpairs always come from ARPACK, and a failure
+# to converge is a ConvergenceFailure. Up to it ARPACK runs only when top is
+# at most n / _ITERATIVE_ROWS_PER_PAIR (where it beats the LAPACK subset
+# solve, which tridiagonalizes the whole matrix), with the dense path as its
+# fallback.
 DENSE_EIG_LIMIT = 2048
+_ITERATIVE_ROWS_PER_PAIR = 100
+_ARPACK_TOL = 1e-10
 
 _EIG_RESIDUAL_TOL = 1e-8
 _SYMMETRY_RTOL = 1e-9
@@ -138,14 +143,44 @@ def _stable_descending_order(eigenvalues: np.ndarray, vectors: np.ndarray) -> li
     return order
 
 
+def _arpack_eig(a_sym: np.ndarray, top: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """ARPACK's top pairs from a fixed start vector, ascending.
+
+    Up to DENSE_EIG_LIMIT one extra pair is requested, and (None, None) is
+    returned when ARPACK does not converge or that pair lies within the
+    solver tolerance of the top-th: the caller then solves densely, where
+    the tie rule sees every tied vector.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    n = a_sym.shape[0]
+    dense_fallback = n <= DENSE_EIG_LIMIT
+    # a fixed start vector makes ARPACK, and so the output bytes, repeat
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    k = top + 1 if dense_fallback else top
+    try:
+        w, v = eigsh(a_sym, k=k, which="LA", tol=_ARPACK_TOL, maxiter=10 * n, v0=v0)
+    except ArpackNoConvergence as exc:
+        if dense_fallback:
+            return None, None
+        raise ConvergenceFailure(f"iterative eigensolver exhausted {10 * n} iterations") from exc
+    if dense_fallback and w[1] - w[0] <= _ARPACK_TOL * max(1.0, abs(float(w[-1]))):
+        return None, None
+    return w, v
+
+
 def symmetric_eig(a, top: int) -> EigenResult:
     """Top eigenpairs of a symmetric matrix, descending, deterministic.
 
-    Up to DENSE_EIG_LIMIT a dense solver computes only the requested pairs
-    (a full decomposition when top == n); beyond it ARPACK extracts the
-    leading pairs from a fixed start vector, so repeated runs give identical
-    bytes. Sign convention: the largest-magnitude entry of every eigenvector
-    is positive.
+    ARPACK extracts the top pairs from a fixed start vector when top < n and
+    either n > DENSE_EIG_LIMIT or top is at most n / _ITERATIVE_ROWS_PER_PAIR.
+    Below the limit it asks for one pair more, and the dense path takes over
+    if ARPACK does not converge or that pair is within the solver tolerance
+    of the top-th (a tie across the cut, or a rank-deficient request). The
+    dense path is a LAPACK subset solve, or the full decomposition when
+    top == n or a tie straddles the cut. Each path is deterministic, so
+    repeated runs give identical bytes. Sign convention: the
+    largest-magnitude entry of every eigenvector is positive.
     """
     a, exact = require_square_symmetric(a, "a")
     n = a.shape[0]
@@ -154,7 +189,10 @@ def symmetric_eig(a, top: int) -> EigenResult:
     # every double_center kernel is exactly symmetric and needs no copy
     a_sym = a if exact else 0.5 * (a + a.T)
 
-    if n <= DENSE_EIG_LIMIT or top == n:
+    w = None
+    if top < n and (n > DENSE_EIG_LIMIT or _ITERATIVE_ROWS_PER_PAIR * top <= n):
+        w, v = _arpack_eig(a_sym, top)
+    if w is None:
         try:
             if top < n:
                 import scipy.linalg
@@ -167,17 +205,6 @@ def symmetric_eig(a, top: int) -> EigenResult:
                 w, v = np.linalg.eigh(a_sym)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"dense symmetric eigensolver failed: {exc}") from exc
-    else:
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-        # a fixed start vector makes ARPACK, and so the output bytes, repeat
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        try:
-            w, v = eigsh(a_sym, k=top, which="LA", tol=1e-10, maxiter=10 * n, v0=v0)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceFailure(
-                f"iterative eigensolver exhausted {10 * n} iterations"
-            ) from exc
 
     v = _normalize_signs(v)
     order = _stable_descending_order(w, v)[:top]

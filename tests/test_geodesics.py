@@ -195,6 +195,50 @@ class TestAllPairs:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("neighbors, weights", [
+        ([[1], []], [[1.0], []]),  # 0 -> 1 without 1 -> 0
+        ([[1], [0]], [[1.0], [np.nextafter(1.0, 2.0)]]),  # one ulp apart
+    ])
+    def test_one_directional_adjacency_raises(self, neighbors, weights):
+        g = NeighborGraph(n=2, k=1, h=math.inf,
+                          neighbors=[np.array(a, dtype=np.int64) for a in neighbors],
+                          weights=[np.array(a, dtype=np.float64) for a in weights],
+                          component_id=np.zeros(2, dtype=np.int64))
+        with pytest.raises(NumericError, match="both directions"):
+            all_pairs(g)
+
+    def test_one_directional_adjacency_raises_under_optimize(self):
+        code = textwrap.dedent("""
+            import numpy as np
+            from prisomap.errors import NumericError
+            from prisomap.geodesics import all_pairs
+            from prisomap.graph import NeighborGraph
+            if __debug__:
+                raise SystemExit(2)  # asserts are live: not an optimized run
+            g = NeighborGraph(n=2, k=1, h=1.0, neighbors=[np.array([1]), np.array([], int)],
+                              weights=[np.array([1.0]), np.array([])],
+                              component_id=np.zeros(2, dtype=np.int64))
+            try:
+                all_pairs(g)
+            except NumericError as exc:
+                raise SystemExit(0 if "both directions" in str(exc) else 3)
+            raise SystemExit(1)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("h_pct", [60.0, math.inf])
+    def test_directed_walk_equals_undirected_csgraph(self, h_pct):
+        from scipy.sparse.csgraph import dijkstra
+
+        x = gen_swiss_roll(600, density_exponent=3.0, seed=0, short_circuit_pairs=0.01).ambient
+        h = math.inf if h_pct == math.inf else h_from_percentile(x, 12, h_pct)
+        g = knn_graph(x, 12, h)
+        undirected = dijkstra(g.csr(), directed=False)
+        assert all_pairs(g).values.tobytes() == np.minimum(undirected, undirected.T).tobytes()
+
     def test_symmetry_exact(self):
         rng = np.random.default_rng(11)
         x = rng.normal(0, 1, (60, 2))

@@ -1,13 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prisomap import graph as graph_mod
+from prisomap.datasets import gen_swiss_roll
 from prisomap.errors import DegenerateDuplicatesWarning, InfiniteWindow
 from prisomap.graph import (
     NeighborGraph,
+    _knn_candidates,
     cap_candidates,
     components,
     h_from_percentile,
@@ -16,6 +20,7 @@ from prisomap.graph import (
     pr_density,
     save_edge_list,
 )
+from prisomap.linalg import pairwise_sq_dists
 
 LINE3 = np.array([[0.0], [1.0], [3.0]])
 
@@ -38,6 +43,33 @@ def brute_force_edges(data, k, h):
             key = (min(i, j), max(i, j))
             edges.setdefault(key, w)
     return {(i, j): w for (i, j), w in edges.items()}
+
+
+def knn_candidates_oracle(data, k, block_rows):
+    """The per-row (distance, index) lexsort selection, over the same row
+    blocks as the production pass so the distances agree bit for bit."""
+    n = data.shape[0]
+    idx = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        d2 = pairwise_sq_dists(data[start:stop], data)
+        local = np.arange(stop - start)
+        d2[local, local + start] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        for row, bound in zip(local, kth):
+            pool = np.flatnonzero(d2[row] <= bound)
+            idx[start + row] = pool[np.lexsort((pool, d2[row, pool]))][:k]
+        dist[start:stop] = np.sqrt(np.take_along_axis(d2, idx[start:stop], axis=1))
+    return idx, dist
+
+
+def assert_same_candidates(data, k, block_rows):
+    with mock.patch.object(graph_mod, "_BLOCK_ROWS", block_rows):
+        got = _knn_candidates(data, k)
+    want = knn_candidates_oracle(data, k, block_rows)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def midgap_h(data, k, pct):
@@ -132,6 +164,23 @@ class TestKnnGraph:
         x = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [9.0, 9.0]])
         g = knn_graph(x, k=1, h=math.inf)
         assert np.array_equal(g.candidates[0][:1], [1])
+
+    # integer grid points give duplicates and exact distance ties at the k-th
+    # neighbor; small row blocks put the ties across block boundaries too
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+                    min_size=2, max_size=60),
+           st.integers(1, 12), st.sampled_from([1, 7, 512]))
+    def test_candidates_match_lexsort_oracle_grid_points(self, points, k, block_rows):
+        x = np.array(points, dtype=np.float64)
+        assert_same_candidates(x, min(k, len(x) - 1), block_rows)
+
+    @pytest.mark.parametrize("block_rows", [64, 512])
+    def test_candidates_match_lexsort_oracle_welded_roll(self, block_rows):
+        sample = gen_swiss_roll(800, density_exponent=3.0, seed=0, short_circuit_pairs=0.01)
+        assert_same_candidates(sample.ambient, 12, block_rows)
+        grid = np.random.default_rng(3).integers(0, 6, (800, 3)).astype(np.float64)
+        assert_same_candidates(grid, 10, block_rows)
 
     def test_capped_reuses_candidates(self, monkeypatch):
         from prisomap import graph as graph_mod

@@ -23,6 +23,14 @@ def centering_oracle(d):
     return -0.5 * h @ d @ h
 
 
+def spiked_matrix(rng, n, spikes):
+    """Symmetric noise of spectral radius about 2 plus rank-one spikes."""
+    g = rng.normal(0, 1, (n, n)) / np.sqrt(2 * n)
+    u, _ = np.linalg.qr(rng.normal(0, 1, (n, max(len(spikes), 1))))
+    a = g + g.T + (u[:, : len(spikes)] * spikes) @ u[:, : len(spikes)].T
+    return 0.5 * (a + a.T)
+
+
 class TestDoubleCenter:
     def test_two_points(self):
         k = double_center([[0.0, 1.0], [1.0, 0.0]])
@@ -183,6 +191,92 @@ class TestSymmetricEig:
         assert part.eigenvectors.tobytes() == np.ascontiguousarray(
             full.eigenvectors[:, :top]).tobytes()
 
+    @pytest.mark.parametrize("block", [[[0.0, 3.0], [3.0, 4.0]], [[2.0, -1.0], [-1.0, -2.0]]])
+    @pytest.mark.parametrize("top", [1, 2])
+    def test_tie_across_iterative_cut_matches_full_solve(self, block, top):
+        # n = 200 puts top = 1 and 2 on the iterative path; the top
+        # eigenvalue has 100 tied vectors, which only the dense fallback
+        # chooses among as the full solve does
+        a = np.kron(np.eye(100), block)
+        part = symmetric_eig(a, top=top)
+        full = symmetric_eig(a, top=a.shape[0])
+        assert part.eigenvalues.tobytes() == full.eigenvalues[:top].tobytes()
+        assert part.eigenvectors.tobytes() == np.ascontiguousarray(
+            full.eigenvectors[:, :top]).tobytes()
+
+    @pytest.mark.parametrize("n, top, iterative", [
+        (1500, 2, True),
+        (1272, 20, False),
+        (1272, 1271, False),
+    ])
+    def test_path_choice_below_dense_limit(self, monkeypatch, n, top, iterative):
+        import scipy.linalg
+        import scipy.sparse.linalg
+
+        calls = {"eigsh": 0, "dense": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            counted(scipy.sparse.linalg.eigsh, "eigsh"))
+        monkeypatch.setattr(scipy.linalg, "eigh", counted(scipy.linalg.eigh, "dense"))
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "dense"))
+        a = spiked_matrix(np.random.default_rng(n), n, [50.0, 30.0, 20.0])
+        res = symmetric_eig(a, top=top)
+        assert res.eigenvalues.size == top
+        assert calls == ({"eigsh": 1, "dense": 0} if iterative else {"eigsh": 0, "dense": 1})
+
+    def test_no_convergence_falls_back_to_dense_below_limit_only(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        from prisomap import linalg
+        from prisomap.errors import ConvergenceFailure
+
+        a = spiked_matrix(np.random.default_rng(6), 300, [40.0, 10.0])
+        monkeypatch.setattr(linalg, "_ITERATIVE_ROWS_PER_PAIR", 10**9)
+        dense = symmetric_eig(a, top=2)
+        monkeypatch.undo()
+
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0),
+                                                          np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        res = symmetric_eig(a, top=2)
+        assert res.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+        assert res.eigenvectors.tobytes() == dense.eigenvectors.tobytes()
+        monkeypatch.setattr(linalg, "DENSE_EIG_LIMIT", 299)
+        with pytest.raises(ConvergenceFailure):
+            symmetric_eig(a, top=2)
+
+    def test_iterative_path_below_limit_repeats_bit_for_bit(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg, "eigh", None)  # a dense solve would fail
+        a = spiked_matrix(np.random.default_rng(4), 400, [40.0, 10.0])
+        r1 = symmetric_eig(a, top=2)
+        r2 = symmetric_eig(a.copy(), top=2)
+        assert r1.eigenvalues.tobytes() == r2.eigenvalues.tobytes()
+        assert r1.eigenvectors.tobytes() == r2.eigenvectors.tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(200, 600), st.data())
+    def test_iterative_path_matches_full_solve(self, seed, n, data):
+        top = data.draw(st.integers(1, n // 100))
+        rng = np.random.default_rng(seed)
+        spikes = data.draw(st.lists(st.floats(-30.0, 60.0), min_size=0, max_size=top + 2))
+        a = spiked_matrix(rng, n, spikes)
+        res = symmetric_eig(a, top=top)
+        want = np.linalg.eigvalsh(a)[::-1][:top]
+        scale = max(1.0, np.linalg.norm(a))
+        assert np.abs(res.eigenvalues - want).max() <= 1e-10 * scale
+        recon = a @ res.eigenvectors - res.eigenvectors * res.eigenvalues
+        assert np.linalg.norm(recon, axis=0).max() <= 1e-8 * scale
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 30), st.data())
     def test_subset_eigenvalues_match_full_solve(self, seed, n, data):
@@ -233,6 +327,18 @@ class TestMdsCoordinates:
             res = mds_coordinates(k, p=4)
         assert res.clamped_count >= 1
         assert np.all(np.isfinite(res.coordinates))
+
+    def test_rank_deficient_iterative_request(self):
+        # flat 2-D data in 3-D: the third and fourth pairs both sit in the
+        # zero cluster, so the iterative request must hand over to the dense
+        # path instead of failing to converge
+        rng = np.random.default_rng(0)
+        x = np.column_stack([rng.normal(0, 1, (600, 2)), np.zeros(600)])
+        with pytest.warns(RankDeficientWarning):
+            res = mds_coordinates(double_center(pairwise_sq_dists(x)), p=3)
+        assert res.rank_deficient
+        got = pairwise_dists(res.coordinates)
+        assert np.abs(got - pairwise_dists(x)).max() <= 1e-8 * got.max()
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 4))
