@@ -35,14 +35,11 @@ from .geodesics import (
     UNREACHABLE,
     GeodesicMatrix,
     all_pairs,
-    dijkstra_from,
-    floyd_warshall_oracle,
 )
 from .graph import (
     DensityEstimate,
     NeighborGraph,
     components,
-    h_from_percentile,
     knn_graph,
     pr_density,
 )
@@ -75,12 +72,9 @@ __all__ = [
     "UNREACHABLE",
     "GeodesicMatrix",
     "all_pairs",
-    "dijkstra_from",
-    "floyd_warshall_oracle",
     "DensityEstimate",
     "NeighborGraph",
     "components",
-    "h_from_percentile",
     "knn_graph",
     "pr_density",
     "EigenResult",

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DisconnectedGraph, GraphTooFragmented
 from .geodesics import GeodesicMatrix, all_pairs
 from .graph import knn_graph
-from .linalg import as_matrix, double_center, mds_coordinates, pairwise_sq_dists, symmetric_eig
+from .linalg import (as_matrix, double_center_in_place, mds_coordinates, pairwise_sq_dists,
+                     symmetric_eig)
 
 ERROR_POLICY = "error"
 LARGEST_COMPONENT_POLICY = "largest_component"
@@ -110,7 +111,8 @@ def embed_geodesics(
 
     Raises GraphTooFragmented when the largest component holds less than
     fragment_threshold of the points. The seam between geodesic computation
-    and scaling lets callers cache the expensive matrix.
+    and scaling lets callers cache the expensive matrix; geo is left
+    unchanged.
     """
     n = geo.n
     if not 1 <= p < n:
@@ -126,7 +128,13 @@ def embed_geodesics(
                 summary=sizes,
             )
     restricted, kept = _restrict(geo, component_policy, labels)
-    res = mds_coordinates(double_center(restricted.values**2), p, extra_spectrum=spectrum)
+    if restricted is geo:
+        # geo.values is shared (the cache writes it, a caller may score
+        # against it), so the squares take the one new n x n buffer
+        d_sq = np.square(geo.values)
+    else:
+        d_sq = np.square(restricted.values, out=restricted.values)
+    res = mds_coordinates(double_center_in_place(d_sq), p, extra_spectrum=spectrum)
     return Embedding(
         coordinates=res.coordinates,
         eigenvalues=res.eigenvalues,
@@ -180,7 +188,8 @@ def classical_mds(data, p: int, spectrum: int = 0) -> Embedding:
     n = x.shape[0]
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
-    res = mds_coordinates(double_center(pairwise_sq_dists(x)), p, extra_spectrum=spectrum)
+    res = mds_coordinates(double_center_in_place(pairwise_sq_dists(x)), p,
+                          extra_spectrum=spectrum)
     return Embedding(
         coordinates=res.coordinates,
         eigenvalues=res.eigenvalues,

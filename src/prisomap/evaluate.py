@@ -41,10 +41,13 @@ def _finite_pairs(d_hd, d_ld) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _finite_only(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs where a is finite; raises NoFinitePairs if there are none."""
+    """The pairs where a is finite (a and b themselves when all are); raises
+    NoFinitePairs if there are none."""
     mask = np.isfinite(a)
     if not mask.any():
         raise NoFinitePairs("no finite high-dimensional pairs to score")
+    if mask.all():
+        return a, b
     return a[mask], b[mask]
 
 
@@ -345,6 +348,7 @@ def evaluate_embedding(
         t, c = float("nan"), float("nan")
 
     ref_pairs, emb_pairs = _upper_pairs(ref, emb_d)
+    del emb_d
     sentinels = int(np.sum(~np.isfinite(ref_pairs)))
     a, b = _finite_only(ref_pairs, emb_pairs)
     report = EvalReport(

@@ -246,21 +246,11 @@ def components(graph: NeighborGraph) -> ComponentSummary:
     )
 
 
-def knn_edge_lengths(data, k: int) -> np.ndarray:
-    """All n*k candidate edge lengths, sorted ascending (the h-selection pool)."""
-    return np.sort(_knn_candidates(as_matrix(data, "data"), k)[1], axis=None)
-
-
 def percentile_h(lengths, percentile: float) -> float:
     """Window diameter at the given percentile of candidate edge lengths."""
     if not 0 < percentile <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     return float(np.percentile(lengths, percentile))
-
-
-def h_from_percentile(data, k: int, percentile: float) -> float:
-    """Window diameter at the given percentile of k-NN candidate edge lengths."""
-    return percentile_h(knn_edge_lengths(data, k), percentile)
 
 
 def save_edge_list(graph: NeighborGraph, path) -> None:

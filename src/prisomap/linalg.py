@@ -28,6 +28,8 @@ _EIG_RESIDUAL_TOL = 1e-8
 _SYMMETRY_RTOL = 1e-9
 _RANK_RTOL = 1e-12
 
+_TILE = 256  # rows per block, and side of the tiles where a matrix meets its transpose
+
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a C-contiguous float64 2-D array."""
@@ -59,39 +61,70 @@ def require_square_symmetric(a: np.ndarray, name: str = "matrix") -> tuple[np.nd
     return a, False
 
 
+def _mirrored_tiles(n: int):
+    """(rows, cols) of the _TILE-wide tiles on and above the diagonal: entry
+    [i, j] of a[rows, cols] mirrors entry [i, j] of a[cols, rows].T."""
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
+def _average_with_transpose(a: np.ndarray) -> None:
+    """a = 0.5 * (a + a.T) in place, one pair of mirrored tiles at a time."""
+    for rows, cols in _mirrored_tiles(a.shape[0]):
+        mean = a[rows, cols] + a[cols, rows].T
+        mean *= 0.5
+        a[rows, cols] = mean
+        a[cols, rows] = mean.T
+
+
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between rows of `a` and rows of `b`.
 
-    With b=None the result is exactly symmetric with a zero diagonal.
+    With b=None the result is exactly symmetric with a zero diagonal. The
+    Gram matrix a @ b.T is the only full-size buffer: each block of its rows
+    is overwritten by aa + bb - 2 * gram.
     """
     a = as_matrix(a, "a")
     self_mode = b is None
     b = a if self_mode else as_matrix(b, "b")
     aa = np.einsum("ij,ij->i", a, a)
     bb = aa if self_mode else np.einsum("ij,ij->i", b, b)
-    d = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    np.maximum(d, 0.0, out=d)
+    d = a @ b.T
+    for start in range(0, d.shape[0], _TILE):
+        rows = slice(start, start + _TILE)
+        block = aa[rows, None] + bb[None, :]
+        block -= 2.0 * d[rows]
+        np.maximum(block, 0.0, out=block)
+        d[rows] = block
     if self_mode:
-        d = 0.5 * (d + d.T)
+        _average_with_transpose(d)
         np.fill_diagonal(d, 0.0)
     return d
 
 
 def pairwise_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Euclidean distances between rows; symmetric with zero diagonal for b=None."""
-    return np.sqrt(pairwise_sq_dists(a, b))
+    d = pairwise_sq_dists(a, b)
+    return np.sqrt(d, out=d)
 
 
 def double_center(d_sq) -> np.ndarray:
     """Turn a squared-distance matrix into the centered kernel -1/2 * H D H.
 
     H = I - (1/n) 11^T. The result is exactly symmetric with row and column
-    sums that vanish up to rounding.
+    sums that vanish up to rounding. The input is left unchanged.
 
     Raises NonSymmetricInput for asymmetric input and SentinelPresent if any
     entry is non-finite (the unreachable sentinel must be resolved by a
     component policy before centering).
     """
+    return double_center_in_place(np.array(d_sq, dtype=np.float64, order="C"))
+
+
+def double_center_in_place(d_sq: np.ndarray) -> np.ndarray:
+    """double_center that overwrites d_sq with the kernel if it is a C-contiguous
+    float64 array (else a converted copy); callers use the returned array."""
     d = as_matrix(d_sq, "d_sq")
     if not np.all(np.isfinite(d)):
         raise SentinelPresent("squared-distance matrix contains unreachable entries")
@@ -99,9 +132,13 @@ def double_center(d_sq) -> np.ndarray:
     row_mean = d.mean(axis=1, keepdims=True)
     col_mean = d.mean(axis=0, keepdims=True)
     grand = float(d.mean())
-    k = -0.5 * (d - row_mean - col_mean + grand)
-    k = 0.5 * (k + k.T)
-    return k
+    # the order of -0.5 * (d - row_mean - col_mean + grand), one pass each
+    d -= row_mean
+    d -= col_mean
+    d += grand
+    d *= -0.5
+    _average_with_transpose(d)
+    return d
 
 
 @dataclass(frozen=True)

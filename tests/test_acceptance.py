@@ -24,9 +24,11 @@ from prisomap.evaluate import (
     trustworthiness_continuity,
     uniformity_cv,
 )
-from prisomap.geodesics import all_pairs, floyd_warshall_oracle
-from prisomap.graph import h_from_percentile, knn_graph, pr_density
+from prisomap.geodesics import all_pairs
+from prisomap.graph import knn_candidates, knn_graph, percentile_h, pr_density
 from prisomap.linalg import pairwise_dists
+
+from helpers import floyd_warshall_oracle
 
 
 def report(criterion, ok, detail):
@@ -44,7 +46,7 @@ def test_criterion_1_oracle_geodesics():
         k = min(k, n - 1)
         x = rng.normal(0, 1, (n, 3))
         pct = rng.choice([40.0, 60.0, 80.0, np.inf])
-        h = math.inf if np.isinf(pct) else h_from_percentile(x, k, float(pct))
+        h = math.inf if np.isinf(pct) else percentile_h(knn_candidates(x, k)[1], float(pct))
         g = knn_graph(x, k, h)
         got = all_pairs(g).values
         want = floyd_warshall_oracle(g).values
@@ -193,7 +195,7 @@ def test_criterion_6_mnist_downstream_pattern():
     ]
     capped_label = None
     for pct in (60.0, 70.0, 80.0, 90.0):
-        cand = h_from_percentile(x, 10, pct)
+        cand = percentile_h(knn_candidates(x, 10)[1], pct)
         sizes = components(knn_graph(x, 10, cand)).sizes
         if sizes[0] >= 0.5 * x.shape[0]:
             capped_label = f"pr-isomap-pct{pct:.0f}"
@@ -255,7 +257,7 @@ def test_criterion_8_metric_invariances():
     acc_b = knn_classify_cv(moved, y, assignment=folds).fold_accuracies
 
     data = rng.normal(0, 1, (80, 3))
-    h = h_from_percentile(data, 5, 60)
+    h = percentile_h(knn_candidates(data, 5)[1], 60)
     c = 7.3
     cv_a = uniformity_cv(pr_density(data, knn_graph(data, 5, h)))
     cv_b = uniformity_cv(pr_density(c * data, knn_graph(c * data, 5, c * h)))

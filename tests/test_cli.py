@@ -88,6 +88,35 @@ class TestEmbed:
         assert "cache_hit=true" in warm
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_repeatable_above_the_dense_eigensolver_limit(self, tmp_path, capsys):
+        from prisomap.linalg import DENSE_EIG_LIMIT
+
+        # the kept component passes the dense limit, so the eigensolve is
+        # iterative, and every n x n stage and the cache body span nine tiles
+        n = 2200
+        roll = tmp_path / "roll"
+        assert run_cli("gen", "swiss-roll", "--n", str(n), "--seed", "0",
+                       "--out", str(roll)) == 0
+
+        def embed(run, cache):
+            (tmp_path / run).mkdir()
+            assert run_cli("embed", "--in", str(roll / "ambient.csv"), "--method", "pr-isomap",
+                           "--k", "12", "--h-pct", "60", "--p", "2",
+                           "--policy", "largest-component", "--cache-dir", str(tmp_path / cache),
+                           "--out", str(tmp_path / run / "emb.csv")) == 0
+            return [_normalized((tmp_path / run / name).read_bytes(), tmp_path / run)
+                    for name in ("emb.csv", "emb.json")]
+
+        cold = embed("cold1", "cache1")
+        assert json.loads(cold[1])["n_kept"] > DENSE_EIG_LIMIT
+        assert embed("cold2", "cache2") == cold
+        assert capsys.readouterr().err.count("cache_hit=false") == 2
+        assert embed("warm", "cache1") == cold
+        assert "cache_hit=true" in capsys.readouterr().err
+        [entry1] = (tmp_path / "cache1").iterdir()
+        [entry2] = (tmp_path / "cache2").iterdir()
+        assert entry1.read_bytes() == entry2.read_bytes()
+
     @pytest.mark.parametrize("damage", ["truncated-body", "corrupt-fingerprint"])
     def test_truncated_cache_entry_is_recomputed(self, roll_dir, tmp_path, capsys, damage):
         cache = tmp_path / "cache"

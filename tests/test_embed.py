@@ -5,9 +5,11 @@ import pytest
 
 from prisomap.datasets import gen_swiss_roll
 from prisomap.embed import (
+    LARGEST_COMPONENT_POLICY,
     apply_component_policy,
     classical_mds,
     elbow,
+    embed_geodesics,
     embedding_descriptor,
     isomap,
     load_embedding_csv,
@@ -20,6 +22,8 @@ from prisomap.evaluate import residual_variance
 from prisomap.geodesics import GeodesicMatrix, all_pairs
 from prisomap.graph import knn_graph
 from prisomap.linalg import pairwise_dists
+
+from helpers import traced_peak, welded_roll_graph
 
 
 def line_in_r3(n=20, spacing=0.7):
@@ -242,6 +246,24 @@ class TestComponentPolicy:
         geo = self.two_block_geo((8, 2))
         with pytest.raises(ValueError):
             apply_component_policy(geo, "whatever")
+
+
+class TestGeodesicBuffer:
+    @pytest.mark.parametrize("h_pct", [60.0, math.inf])
+    def test_geodesics_left_unchanged(self, h_pct):
+        geo = all_pairs(welded_roll_graph(400, h_pct))
+        assert geo.is_fully_connected() == (h_pct == math.inf)
+        before = geo.values.copy()
+        embed_geodesics(geo, 2, {}, LARGEST_COMPONENT_POLICY)
+        assert geo.values.tobytes() == before.tobytes()
+
+    # the squares take one new buffer, which is then centered in place
+    @pytest.mark.parametrize("h_pct", [60.0, math.inf])
+    def test_one_buffer_beyond_the_input(self, h_pct):
+        n = 1500
+        geo = all_pairs(welded_roll_graph(n, h_pct))
+        peak = traced_peak(embed_geodesics, geo, 2, {}, LARGEST_COMPONENT_POLICY)
+        assert peak <= 1.2 * 8 * n * n
 
 
 class TestHelpers:

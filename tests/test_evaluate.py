@@ -21,6 +21,8 @@ from prisomap.evaluate import (
 from prisomap.graph import DensityEstimate, knn_graph, pr_density
 from prisomap.linalg import pairwise_dists
 
+from helpers import traced_peak
+
 
 # -- reference oracles: per-row loops over full (distance, index) sorts ------------
 
@@ -261,6 +263,15 @@ class TestBlockedExactness:
             tracemalloc.stop()
         assert peak < 8 * n * n  # one n x n int64 matrix; the loops held four
 
+    def test_report_memory_beyond_inputs(self):
+        m = 1200
+        rng = np.random.default_rng(17)
+        ref = pairwise_dists(rng.normal(0, 1, (m, 3)))
+        coords = rng.normal(0, 1, (m, 2))
+        # the embedding distances, then the upper-triangle pairs of both
+        # matrices and np.corrcoef's stacked copy of them
+        assert traced_peak(evaluate_embedding, ref, coords) <= 2.6 * 8 * m * m
+
     def test_report_matches_standalone_metrics(self):
         rng = np.random.default_rng(16)
         ref = pairwise_dists(rng.normal(0, 1, (30, 3)))
@@ -368,9 +379,9 @@ class TestUniformityCv:
         # normalization constant cancels, so the cv survives d=784
         rng = np.random.default_rng(12)
         x = rng.uniform(0, 255, (50, 784))
-        from prisomap.graph import h_from_percentile
+        from prisomap.graph import knn_candidates, percentile_h
 
-        h = h_from_percentile(x, 5, 60)
+        h = percentile_h(knn_candidates(x, 5)[1], 60)
         cv = uniformity_cv(pr_density(x, knn_graph(x, 5, h)))
         assert np.isfinite(cv) and cv >= 0.0
 

@@ -15,14 +15,22 @@ from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
 from prisomap.errors import BadMagic, NumericError, TooLarge, TruncatedFile
 from prisomap.geodesics import (
     UNREACHABLE,
+    GeodesicMatrix,
     all_pairs,
-    dijkstra_from,
-    floyd_warshall_oracle,
     load_geodesics,
     save_geodesics,
 )
-from prisomap.graph import NeighborGraph, h_from_percentile, knn_graph
+from prisomap.graph import NeighborGraph, knn_candidates, knn_graph, percentile_h
 from prisomap.linalg import pairwise_dists
+
+from helpers import (
+    TILE_EDGE_SIZES,
+    dijkstra_from,
+    floyd_warshall_oracle,
+    tile_edge_points,
+    traced_peak,
+    welded_roll_graph,
+)
 
 LINE3 = np.array([[0.0], [1.0], [3.0]])
 SRC = Path(prisomap.__file__).resolve().parents[1]
@@ -131,7 +139,7 @@ class TestAllPairs:
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 1, (n, 2))
         k = min(k, n - 1)
-        h = math.inf if h_pct == math.inf else h_from_percentile(x, k, h_pct)
+        h = math.inf if h_pct == math.inf else percentile_h(knn_candidates(x, k)[1], h_pct)
         g = knn_graph(x, k, h)
         got = all_pairs(g).values
         want = floyd_warshall_oracle(g).values
@@ -143,7 +151,7 @@ class TestAllPairs:
     def test_bit_identical_to_reference_on_welded_roll(self, h_pct):
         sample = gen_swiss_roll(400, density_exponent=3.0, seed=0, short_circuit_pairs=0.01)
         x = sample.ambient
-        h = math.inf if h_pct == math.inf else h_from_percentile(x, 12, h_pct)
+        h = math.inf if h_pct == math.inf else percentile_h(knn_candidates(x, 12)[1], h_pct)
         g = knn_graph(x, 12, h)
         assert all_pairs(g).values.tobytes() == reference_all_pairs(g).tobytes()
 
@@ -168,6 +176,61 @@ class TestAllPairs:
             max_size=3 * n))
         edges = {(min(i, j), max(i, j)): float(w) for i, j, w in triples if i != j}
         assert_matches_references(edge_graph(n, edges))
+
+    # sizes at the tile edges, unreachable pairs when h is the median
+    # candidate length, and exact ties and duplicates on grid points
+    @pytest.mark.filterwarnings("ignore::prisomap.errors.DegenerateDuplicatesWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(TILE_EDGE_SIZES), st.integers(0, 2**16), st.booleans(),
+           st.booleans())
+    def test_tiled_checks_equal_full_matrix_expressions(self, n, seed, ties, capped):
+        from scipy.sparse.csgraph import dijkstra
+
+        if n == 1:
+            g = edge_graph(1, {})
+        else:
+            x = tile_edge_points(n, seed, ties)
+            k = min(4, n - 1)
+            g = knn_graph(x, k, percentile_h(knn_candidates(x, k)[1], 50) if capped else math.inf)
+        raw = dijkstra(g.csr(), directed=True)
+        geo = all_pairs(g)
+        assert geo.values.tobytes() == np.minimum(raw, raw.T).tobytes()
+        assert geo.finite_fraction == float(np.isfinite(raw).mean())
+
+    @staticmethod
+    def graph_seeing(monkeypatch, at, entry):
+        """A connected graph whose all_pairs sees Dijkstra's result with
+        entry(raw, at) at position at; returns the graph and that result."""
+        import scipy.sparse.csgraph
+
+        g = knn_graph(gen_swiss_roll(300, seed=1).ambient, 8, math.inf)
+        raw = scipy.sparse.csgraph.dijkstra(g.csr(), directed=True)
+        raw[at] = entry(raw, at)
+        monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", lambda *a, **kw: raw.copy())
+        return g, raw
+
+    # faults on either side of an off-diagonal tile pair, and in a diagonal tile
+    @pytest.mark.parametrize("at", [(10, 280), (280, 10), (260, 270)])
+    @pytest.mark.parametrize("entry, message", [
+        (lambda raw, at: math.inf, "reachability must be symmetric"),
+        (lambda raw, at: raw[at[::-1]] * (1 + 1e-9), "asymmetry"),
+    ])
+    def test_post_dijkstra_checks_raise(self, monkeypatch, at, entry, message):
+        g, _ = self.graph_seeing(monkeypatch, at, entry)
+        with pytest.raises(NumericError, match=message):
+            all_pairs(g)
+
+    def test_rounding_asymmetry_resolves_to_the_minimum(self, monkeypatch):
+        g, raw = self.graph_seeing(monkeypatch, (280, 10),
+                                   lambda raw, at: np.nextafter(raw[at[::-1]], math.inf))
+        geo = all_pairs(g)
+        assert geo.values[280, 10] == geo.values[10, 280] == raw[10, 280]
+
+    @pytest.mark.parametrize("h_pct", [60.0, math.inf])
+    def test_result_is_the_only_dense_buffer(self, h_pct):
+        n = 1500
+        # Dijkstra's n x n float64 result plus tile temporaries
+        assert traced_peak(all_pairs, welded_roll_graph(n, h_pct)) <= 1.3 * 8 * n * n
 
     def test_edge_longer_than_cap_raises(self):
         with pytest.raises(NumericError, match="exceeds cap"):
@@ -234,7 +297,7 @@ class TestAllPairs:
         from scipy.sparse.csgraph import dijkstra
 
         x = gen_swiss_roll(600, density_exponent=3.0, seed=0, short_circuit_pairs=0.01).ambient
-        h = math.inf if h_pct == math.inf else h_from_percentile(x, 12, h_pct)
+        h = math.inf if h_pct == math.inf else percentile_h(knn_candidates(x, 12)[1], h_pct)
         g = knn_graph(x, 12, h)
         undirected = dijkstra(g.csr(), directed=False)
         assert all_pairs(g).values.tobytes() == np.minimum(undirected, undirected.T).tobytes()
@@ -260,8 +323,8 @@ class TestAllPairs:
     def test_cap_monotonicity(self):
         rng = np.random.default_rng(13)
         x = rng.normal(0, 1, (50, 2))
-        h1 = h_from_percentile(x, 5, 50)
-        h2 = h_from_percentile(x, 5, 90)
+        h1 = percentile_h(knn_candidates(x, 5)[1], 50)
+        h2 = percentile_h(knn_candidates(x, 5)[1], 90)
         d1 = all_pairs(knn_graph(x, 5, h1)).values
         d2 = all_pairs(knn_graph(x, 5, h2)).values
         assert np.all(d1 >= d2 - 1e-12)
@@ -355,6 +418,21 @@ class TestSerialization:
         assert back.values.tobytes() == geo.values.tobytes()
         assert back.fingerprint == geo.fingerprint
         assert back.finite_fraction == geo.finite_fraction
+
+    # the body is written in blocks of 256 rows
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+    def test_round_trip_across_row_blocks(self, tmp_path, n):
+        values = np.random.default_rng(n).uniform(0, 9, (n, n))
+        values[::7, ::5] = UNREACHABLE
+        path = tmp_path / "geo.bin"
+        save_geodesics(GeodesicMatrix(values=values, finite_fraction=0.5,
+                                      fingerprint={"n": n}), path)
+        raw = path.read_bytes()
+        body = np.frombuffer(raw[len(raw) - 8 * n * n:], dtype="<f8")
+        assert np.array_equal(np.isnan(body), np.isinf(values).ravel())
+        back = load_geodesics(path)
+        assert back.values.tobytes() == values.tobytes()
+        assert (back.n, back.finite_fraction, back.fingerprint) == (n, 0.5, {"n": n})
 
     def test_sentinel_encoded_as_nan(self, tmp_path):
         g = knn_graph(LINE3, k=1, h=1.5)

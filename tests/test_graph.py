@@ -14,9 +14,9 @@ from prisomap.graph import (
     _knn_candidates,
     cap_candidates,
     components,
-    h_from_percentile,
-    knn_edge_lengths,
+    knn_candidates,
     knn_graph,
+    percentile_h,
     pr_density,
     save_edge_list,
 )
@@ -75,7 +75,7 @@ def assert_same_candidates(data, k, block_rows):
 def midgap_h(data, k, pct):
     """A cap value strictly between two realized edge lengths, so the
     boundary decision cannot flip between distance formulas."""
-    lengths = np.unique(knn_edge_lengths(data, k))
+    lengths = np.unique(knn_candidates(data, k)[1])
     pos = min(max(int(len(lengths) * pct / 100), 0), len(lengths) - 2)
     return 0.5 * (lengths[pos] + lengths[pos + 1])
 
@@ -122,7 +122,7 @@ class TestKnnGraph:
     def test_cap_soundness(self):
         rng = np.random.default_rng(3)
         x = rng.normal(0, 1, (50, 2))
-        h = h_from_percentile(x, 5, 50)
+        h = percentile_h(knn_candidates(x, 5)[1], 50)
         g = knn_graph(x, k=5, h=h)
         for w in g.weights:
             assert np.all(w <= h) and np.all(w > 0)
@@ -130,7 +130,7 @@ class TestKnnGraph:
     def test_monotonic_in_h(self):
         rng = np.random.default_rng(4)
         x = rng.normal(0, 1, (60, 2))
-        lengths = knn_edge_lengths(x, 4)
+        lengths = np.sort(knn_candidates(x, 4)[1], axis=None)
         h1, h2 = np.percentile(lengths, 40), np.percentile(lengths, 80)
         e1 = edge_set(knn_graph(x, 4, h1))
         e2 = edge_set(knn_graph(x, 4, h2))
@@ -246,7 +246,7 @@ class TestPrDensity:
     def test_self_floor(self):
         rng = np.random.default_rng(6)
         x = rng.normal(0, 1, (30, 2))
-        h = h_from_percentile(x, 4, 50)
+        h = percentile_h(knn_candidates(x, 4)[1], 50)
         g = knn_graph(x, k=4, h=h)
         dens = pr_density(x, g)
         assert np.all(dens.values >= 1.0 / (g.k * g.h**2) - 1e-15)
@@ -254,7 +254,7 @@ class TestPrDensity:
     def test_window_growth_bounds(self):
         rng = np.random.default_rng(7)
         x = rng.normal(0, 1, (40, 3))
-        h = h_from_percentile(x, 5, 60)
+        h = percentile_h(knn_candidates(x, 5)[1], 60)
         d = x.shape[1]
         g1 = knn_graph(x, k=5, h=h)
         g2 = knn_graph(x, k=5, h=2 * h)
@@ -269,7 +269,7 @@ class TestPrDensity:
     def test_literal_h2_variant(self):
         rng = np.random.default_rng(8)
         x = rng.normal(0, 1, (25, 4))
-        h = h_from_percentile(x, 3, 70)
+        h = percentile_h(knn_candidates(x, 3)[1], 70)
         g = knn_graph(x, k=3, h=h)
         dd = pr_density(x, g)
         d2 = pr_density(x, g, h_power=2)
@@ -280,7 +280,7 @@ class TestPrDensity:
         # carry the occupancy structure
         rng = np.random.default_rng(10)
         x = rng.uniform(0, 255, (40, 784))
-        h = h_from_percentile(x, 5, 60)
+        h = percentile_h(knn_candidates(x, 5)[1], 60)
         g = knn_graph(x, k=5, h=h)
         dens = pr_density(x, g)
         assert np.all(dens.counts >= 1)
@@ -333,6 +333,6 @@ class TestSerialization:
 
     def test_percentile_validation(self):
         with pytest.raises(ValueError):
-            h_from_percentile(LINE3, 1, 0)
+            percentile_h(knn_candidates(LINE3, 1)[1], 0)
         with pytest.raises(ValueError):
-            h_from_percentile(LINE3, 1, 101)
+            percentile_h(knn_candidates(LINE3, 1)[1], 101)

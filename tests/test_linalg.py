@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from prisomap.errors import NonSymmetricInput, RankDeficientWarning, SentinelPresent
 from prisomap.linalg import (
     double_center,
+    double_center_in_place,
     mds_coordinates,
     pairwise_dists,
     pairwise_sq_dists,
@@ -15,12 +16,37 @@ from prisomap.linalg import (
     symmetric_eig,
 )
 
+from helpers import TILE_EDGE_SIZES, tile_edge_points
+
 
 def centering_oracle(d):
     """Direct -1/2 H D H product, the independent reference."""
     n = d.shape[0]
     h = np.eye(n) - np.ones((n, n)) / n
     return -0.5 * h @ d @ h
+
+
+def full_matrix_centering(d):
+    """The centering as whole-matrix expressions: the bytes the tiled code must give."""
+    r = d.mean(axis=1, keepdims=True)
+    c = d.mean(axis=0, keepdims=True)
+    g = float(d.mean())
+    k = -0.5 * (d - r - c + g)
+    return 0.5 * (k + k.T)
+
+
+def full_matrix_sq_dists(a, b=None):
+    """pairwise_sq_dists as whole-matrix expressions around the same a @ b.T."""
+    self_mode = b is None
+    b = a if self_mode else b
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = aa if self_mode else np.einsum("ij,ij->i", b, b)
+    d = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
+    np.maximum(d, 0.0, out=d)
+    if self_mode:
+        d = 0.5 * (d + d.T)
+        np.fill_diagonal(d, 0.0)
+    return d
 
 
 def spiked_matrix(rng, n, spikes):
@@ -82,6 +108,33 @@ class TestDoubleCenter:
         gram = xc @ xc.T
         scale = max(1.0, np.linalg.norm(gram))
         assert np.abs(k - gram).max() <= 1e-8 * scale
+
+
+
+class TestInPlaceStages:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(TILE_EDGE_SIZES), st.integers(0, 2**16), st.booleans())
+    def test_centering_equals_full_matrix_expressions(self, n, seed, ties):
+        d = pairwise_sq_dists(tile_edge_points(n, seed, ties))
+        before = d.copy()
+        want = full_matrix_centering(d)
+        assert double_center(d).tobytes() == want.tobytes()
+        assert d.tobytes() == before.tobytes()
+        assert double_center_in_place(d).tobytes() == want.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(TILE_EDGE_SIZES), st.sampled_from(TILE_EDGE_SIZES),
+           st.integers(0, 2**16), st.booleans())
+    def test_pairwise_sq_dists_equal_full_matrix_expressions(self, n, m, seed, ties):
+        a = tile_edge_points(n, seed, ties)
+        b = tile_edge_points(m, seed + 1, ties)
+        assert pairwise_sq_dists(a).tobytes() == full_matrix_sq_dists(a).tobytes()
+        assert pairwise_sq_dists(a, b).tobytes() == full_matrix_sq_dists(a, b).tobytes()
+        assert pairwise_dists(a, b).tobytes() == np.sqrt(full_matrix_sq_dists(a, b)).tobytes()
+
+    def test_in_place_centering_reuses_the_buffer(self):
+        d = pairwise_sq_dists(np.random.default_rng(9).normal(0, 1, (300, 3)))
+        assert double_center_in_place(d) is d
 
 
 class TestSymmetricEig:
