@@ -16,7 +16,6 @@ from .datasets import (
 )
 from .embed import (
     Embedding,
-    apply_component_policy,
     classical_mds,
     isomap,
     pca,
@@ -57,7 +56,6 @@ __all__ = [
     "standardize",
     "swiss_roll_unrolled",
     "Embedding",
-    "apply_component_policy",
     "classical_mds",
     "isomap",
     "pca",

@@ -167,8 +167,8 @@ class BenchResult:
 
 
 def _restrict_to(emb: Embedding, vertices: np.ndarray) -> np.ndarray:
-    pos = {int(orig): row for row, orig in enumerate(emb.kept_indices)}
-    return emb.coordinates[[pos[int(v)] for v in vertices]]
+    # kept_indices ascends and holds every vertex of vertices
+    return emb.coordinates[np.searchsorted(emb.kept_indices, vertices)]
 
 
 def run_bench(

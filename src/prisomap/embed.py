@@ -64,39 +64,20 @@ def _component_labels(values: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _sizes(labels: np.ndarray) -> list[int]:
-    return sorted((int(c) for c in np.bincount(labels)), reverse=True)
-
-
-def apply_component_policy(geo: GeodesicMatrix, policy: str):
-    """Resolve unreachable pairs before embedding.
-
-    ERROR_POLICY refuses any disconnection; LARGEST_COMPONENT_POLICY
-    restricts the matrix to the largest component. Returns
-    (restricted GeodesicMatrix, kept vertex indices).
-    """
-    labels = None if geo.is_fully_connected() else _component_labels(geo.values)
-    return _restrict(geo, policy, labels)
-
-
-def _restrict(geo: GeodesicMatrix, policy: str, labels: np.ndarray | None):
-    """apply_component_policy given the component labels (None when connected)."""
-    if policy not in (ERROR_POLICY, LARGEST_COMPONENT_POLICY):
-        raise ValueError(f"unknown component policy {policy!r}")
-    if labels is None:
-        return geo, np.arange(geo.n, dtype=np.int64)
-    if policy == ERROR_POLICY:
-        sizes = _sizes(labels)
-        raise DisconnectedGraph(
-            f"graph has {len(sizes)} components (sizes {sizes[:8]}); "
-            "use the largest_component policy or loosen k/h",
-            summary=sizes,
-        )
-    counts = np.bincount(labels)
-    kept = np.where(labels == int(np.argmax(counts)))[0]
-    sub = np.ascontiguousarray(geo.values[np.ix_(kept, kept)])
-    restricted = GeodesicMatrix(values=sub, finite_fraction=1.0, fingerprint=geo.fingerprint)
-    return restricted, kept
+def _scaled(d_sq: np.ndarray, p: int, method: dict, kept: np.ndarray, n: int,
+            spectrum: int) -> Embedding:
+    """Classical scaling of squared distances, which are centered in place."""
+    res = mds_coordinates(double_center_in_place(d_sq), p, extra_spectrum=spectrum)
+    return Embedding(
+        coordinates=res.coordinates,
+        eigenvalues=res.eigenvalues,
+        clamped_count=res.clamped_count,
+        method=method,
+        kept_indices=kept,
+        component_policy_applied=bool(kept.size != n),
+        n_input=n,
+        spectrum=res.spectrum if spectrum else None,
+    )
 
 
 def embed_geodesics(
@@ -109,7 +90,10 @@ def embed_geodesics(
 ) -> Embedding:
     """Classical scaling of a geodesic matrix after resolving disconnection.
 
-    Raises GraphTooFragmented when the largest component holds less than
+    ERROR_POLICY refuses any disconnection with DisconnectedGraph;
+    LARGEST_COMPONENT_POLICY embeds only the largest component, the one
+    holding the lowest vertex among equal largest ones. Raises
+    GraphTooFragmented when the largest component holds less than
     fragment_threshold of the points. The seam between geodesic computation
     and scaling lets callers cache the expensive matrix; geo is left
     unchanged.
@@ -117,34 +101,34 @@ def embed_geodesics(
     n = geo.n
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
-    labels = None
-    if not geo.is_fully_connected():
+    if component_policy not in (ERROR_POLICY, LARGEST_COMPONENT_POLICY):
+        raise ValueError(f"unknown component policy {component_policy!r}")
+    kept = np.arange(n, dtype=np.int64)
+    if geo.is_fully_connected():
+        # geo.values is shared (the cache writes it, a caller may score
+        # against it), so the squares take the one new n x n buffer
+        d_sq = np.square(geo.values)
+    else:
         labels = _component_labels(geo.values)
-        sizes = _sizes(labels)
+        counts = np.bincount(labels)
+        sizes = sorted(counts.tolist(), reverse=True)
         if sizes[0] < fragment_threshold * n:
             raise GraphTooFragmented(
                 f"largest component holds {sizes[0]}/{n} points "
                 f"(< {fragment_threshold:.0%}); lower k/h expectations explicitly",
                 summary=sizes,
             )
-    restricted, kept = _restrict(geo, component_policy, labels)
-    if restricted is geo:
-        # geo.values is shared (the cache writes it, a caller may score
-        # against it), so the squares take the one new n x n buffer
-        d_sq = np.square(geo.values)
-    else:
-        d_sq = np.square(restricted.values, out=restricted.values)
-    res = mds_coordinates(double_center_in_place(d_sq), p, extra_spectrum=spectrum)
-    return Embedding(
-        coordinates=res.coordinates,
-        eigenvalues=res.eigenvalues,
-        clamped_count=res.clamped_count,
-        method=dict(method),
-        kept_indices=kept,
-        component_policy_applied=bool(kept.size != n),
-        n_input=n,
-        spectrum=res.spectrum if spectrum else None,
-    )
+        if component_policy == ERROR_POLICY:
+            raise DisconnectedGraph(
+                f"graph has {len(sizes)} components (sizes {sizes[:8]}); "
+                "use the largest_component policy or loosen k/h",
+                summary=sizes,
+            )
+        # labels follow the lowest member, so argmax breaks size ties by it
+        kept = np.flatnonzero(labels == np.argmax(counts))
+        d_sq = geo.values[np.ix_(kept, kept)]  # a gathered copy: square it in place
+        np.square(d_sq, out=d_sq)
+    return _scaled(d_sq, p, dict(method), kept, n, spectrum)
 
 
 def pr_isomap(
@@ -188,18 +172,8 @@ def classical_mds(data, p: int, spectrum: int = 0) -> Embedding:
     n = x.shape[0]
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
-    res = mds_coordinates(double_center_in_place(pairwise_sq_dists(x)), p,
-                          extra_spectrum=spectrum)
-    return Embedding(
-        coordinates=res.coordinates,
-        eigenvalues=res.eigenvalues,
-        clamped_count=res.clamped_count,
-        method={"method": "mds", "p": int(p)},
-        kept_indices=np.arange(n, dtype=np.int64),
-        component_policy_applied=False,
-        n_input=n,
-        spectrum=res.spectrum if spectrum else None,
-    )
+    return _scaled(pairwise_sq_dists(x), p, {"method": "mds", "p": int(p)},
+                   np.arange(n, dtype=np.int64), n, spectrum)
 
 
 def pca(data, p: int, spectrum: int = 0) -> Embedding:

@@ -327,7 +327,6 @@ def evaluate_embedding(
     folds: int = 10,
     seed: int = 0,
     fold_assignment: np.ndarray | None = None,
-    density: DensityEstimate | None = None,
     run: dict | None = None,
     timings: dict | None = None,
 ) -> EvalReport:
@@ -367,8 +366,6 @@ def evaluate_embedding(
         report.knn_accuracy_mean = cv.mean
         report.knn_accuracy_sd = cv.sd
         report.knn_folds = int(cv.fold_accuracies.size)
-    if density is not None:
-        report.density_cv = uniformity_cv(density)
     return report
 
 

@@ -1,7 +1,7 @@
 """All-pairs shortest-path distances over the capped neighbor graph.
 
-scipy's csgraph Dijkstra over the graph's CSR view computes them; the tests
-keep independent references. Unreachable pairs carry the UNREACHABLE
+scipy's csgraph Dijkstra over the graph's CSR adjacency computes them; the
+tests keep independent references. Unreachable pairs carry the UNREACHABLE
 sentinel (+inf in memory, a quiet NaN in the serialized block) so no
 arithmetic can silently mix them with real path lengths.
 """
@@ -58,22 +58,22 @@ def _exactly_symmetric(adjacency) -> bool:
 
 
 def all_pairs(graph: NeighborGraph) -> GeodesicMatrix:
-    """All-pairs shortest paths: scipy csgraph Dijkstra over the CSR view.
+    """All-pairs shortest paths: scipy csgraph Dijkstra over the CSR adjacency.
 
-    The CSR view holds every edge in both directions with one weight, so it
+    The adjacency holds every edge in both directions with one weight, so it
     is walked as a directed graph, which spares csgraph the transpose and
     the second neighbor walk of its undirected mode. Dijkstra's result is
     the only n x n buffer: the checks and the symmetric minimum run on it in
     place, one pair of mirrored tiles at a time.
 
-    Raises NumericError if the CSR view is not exactly symmetric (pattern
+    Raises NumericError if the adjacency is not exactly symmetric (pattern
     and weights), if an edge exceeds the cap h, if reachability is
     asymmetric, or if forward and reverse path lengths differ by more than
     1e-12 of the distance scale; the returned matrix is exactly symmetric.
     """
     from scipy.sparse.csgraph import dijkstra
 
-    adjacency = graph.csr()
+    adjacency = graph.adjacency
     if not _exactly_symmetric(adjacency):
         raise NumericError("adjacency must hold each edge in both directions with one weight")
     longest = float(adjacency.data.max(initial=0.0))

@@ -12,12 +12,16 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .datasets import data_hash
 from .errors import DegenerateDuplicatesWarning, InfiniteWindow
 from .linalg import as_matrix, pairwise_sq_dists
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 _BLOCK_ROWS = 512
 
@@ -26,44 +30,35 @@ _BLOCK_ROWS = 512
 class NeighborGraph:
     """Symmetrized weighted k-NN graph with a hard cap h on edge lengths.
 
-    adjacency is stored as parallel per-vertex arrays (neighbors sorted by
-    index, weights aligned). candidates/candidate_dists hold each vertex's
-    pre-filter k nearest neighbors as (n, k) arrays, nearest first, for
-    density estimation.
+    adjacency is the n x n scipy CSR matrix holding each edge in both
+    directions with one weight, column indices sorted within each row.
+    candidates/candidate_dists hold each vertex's pre-filter k nearest
+    neighbors as (n, k) arrays, nearest first, for density estimation.
     """
 
-    n: int
     k: int
     h: float
-    neighbors: list[np.ndarray]
-    weights: list[np.ndarray]
-    component_id: np.ndarray
+    adjacency: csr_matrix
     candidates: np.ndarray | None = field(default=None, repr=False)
     candidate_dists: np.ndarray | None = field(default=None, repr=False)
     data_hash: str = ""
 
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.neighbors) // 2
+        return self.adjacency.nnz // 2
 
     def iter_edges(self):
         """Yield each undirected edge once as (i, j, w) with i < j, sorted."""
-        for i in range(self.n):
-            for j, w in zip(self.neighbors[i], self.weights[i]):
-                if i < j:
-                    yield i, int(j), float(w)
+        a = self.adjacency
+        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
+        upper = a.indices > rows
+        yield from zip(rows[upper].tolist(), a.indices[upper].tolist(), a.data[upper].tolist())
 
     def fingerprint(self) -> dict:
         return {"k": self.k, "h": self.h, "data_hash": self.data_hash}
-
-    def csr(self):
-        """The adjacency as an n x n scipy CSR matrix (row i = vertex i's edges)."""
-        from scipy.sparse import csr_matrix
-
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum([len(a) for a in self.neighbors], out=indptr[1:])
-        indices = np.concatenate([np.empty(0, dtype=np.int64), *self.neighbors])
-        data = np.concatenate([np.empty(0), *self.weights])
-        return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,6 @@ def cap_candidates(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float,
     if not (h > 0):
         raise ValueError(f"h must be positive (or +inf), got {h}")
     from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
 
     n, k = cand_idx.shape
     rows = np.repeat(np.arange(n, dtype=np.int64), k)
@@ -150,20 +144,8 @@ def cap_candidates(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float,
     adjacency = coo_matrix((np.tile(w, 2), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
                            shape=(n, n)).tocsr()
     adjacency.sort_indices()
-    # scipy numbers components in order of their smallest member
-    _, labels = connected_components(adjacency, directed=False)
-    cuts = adjacency.indptr[1:-1]
-    return NeighborGraph(
-        n=n,
-        k=k,
-        h=float(h),
-        neighbors=np.split(adjacency.indices.astype(np.int64), cuts),
-        weights=np.split(adjacency.data, cuts),
-        component_id=labels.astype(np.int64),
-        candidates=cand_idx,
-        candidate_dists=cand_dist,
-        data_hash=dhash,
-    )
+    return NeighborGraph(k=k, h=float(h), adjacency=adjacency, candidates=cand_idx,
+                         candidate_dists=cand_dist, data_hash=dhash)
 
 
 def knn_candidates(data, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,20 +211,25 @@ def pr_density(data, graph: NeighborGraph, h_power: int | None = None) -> Densit
 
 
 def components(graph: NeighborGraph) -> ComponentSummary:
-    """Connected-component summary: count, sizes descending, largest members."""
-    labels = graph.component_id
-    if graph.n == 0:
+    """Connected-component summary: count, sizes descending, largest members.
+
+    Components are numbered by their smallest member, so of equal largest
+    components the one holding the lowest vertex is `largest`.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(graph.adjacency, directed=False)
+    labels = labels.astype(np.int64)
+    if count == 0:
         return ComponentSummary(count=0, sizes=[], largest=np.array([], dtype=np.int64),
-                                labels=labels.copy())
-    count = int(labels.max()) + 1
+                                labels=labels)
     sizes = np.bincount(labels, minlength=count)
     order = np.argsort(-sizes, kind="stable")
-    largest = np.where(labels == order[0])[0]
     return ComponentSummary(
         count=count,
         sizes=[int(s) for s in sizes[order]],
-        largest=largest,
-        labels=labels.copy(),
+        largest=np.where(labels == order[0])[0],
+        labels=labels,
     )
 
 

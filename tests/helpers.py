@@ -3,9 +3,10 @@
 A pure-Python per-source Dijkstra (smallest-predecessor tie rule) and a
 cubic Floyd-Warshall relaxation share no code with the csgraph path of
 prisomap.geodesics.all_pairs. traced_peak measures a call's peak Python
-heap with tracemalloc. tile_edge_points makes inputs whose sizes sit at
-the edges of the 256-wide tiles of the in-place n x n stages, and
-welded_roll_graph the benchmark's kind of input.
+heap with tracemalloc. graph_from_rows builds hand-made graphs,
+tile_edge_points makes inputs whose sizes sit at the edges of the 256-wide
+tiles of the in-place n x n stages, and welded_roll_graph the benchmark's
+kind of input.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import tracemalloc
 from heapq import heappop, heappush
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from prisomap.datasets import gen_swiss_roll
 from prisomap.errors import TooLarge
@@ -25,6 +27,23 @@ _FW_LIMIT = 500
 
 # one tile, the tile edge (256) and its neighbours, two full tiles plus one
 TILE_EDGE_SIZES = (1, 2, 255, 256, 257, 513)
+
+
+def graph_from_rows(neighbors, weights, k=1, h=math.inf, **fields) -> NeighborGraph:
+    """A graph whose adjacency row i holds neighbors[i] with weights[i], as given."""
+    indptr = np.cumsum([0] + [len(row) for row in neighbors])
+    indices = np.array([j for row in neighbors for j in row], dtype=np.int64)
+    data = np.array([w for row in weights for w in row], dtype=np.float64)
+    n = len(neighbors)
+    return NeighborGraph(k=k, h=h, adjacency=csr_matrix((data, indices, indptr), shape=(n, n)),
+                         **fields)
+
+
+def adjacency_row(graph: NeighborGraph, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex i's neighbors and edge weights, read from the CSR arrays."""
+    a = graph.adjacency
+    row = slice(a.indptr[i], a.indptr[i + 1])
+    return a.indices[row], a.data[row]
 
 
 def dijkstra_from(graph: NeighborGraph, source: int):
@@ -47,7 +66,8 @@ def dijkstra_from(graph: NeighborGraph, source: int):
         if done[u]:
             continue
         done[u] = 1
-        for v, w in zip(graph.neighbors[u].tolist(), graph.weights[u].tolist()):
+        nbrs, wts = adjacency_row(graph, u)
+        for v, w in zip(nbrs.tolist(), wts.tolist()):
             if done[v]:
                 continue
             alt = du + w
@@ -72,7 +92,7 @@ def floyd_warshall_oracle(graph: NeighborGraph) -> GeodesicMatrix:
     d = np.full((n, n), math.inf, dtype=np.float64)
     np.fill_diagonal(d, 0.0)
     for i in range(n):
-        for j, w in zip(graph.neighbors[i], graph.weights[i]):
+        for j, w in zip(*adjacency_row(graph, i)):
             d[i, j] = w
     for mid in range(n):
         np.minimum(d, d[:, mid : mid + 1] + d[mid : mid + 1, :], out=d)

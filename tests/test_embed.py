@@ -6,7 +6,6 @@ import pytest
 from prisomap.datasets import gen_swiss_roll
 from prisomap.embed import (
     LARGEST_COMPONENT_POLICY,
-    apply_component_policy,
     classical_mds,
     elbow,
     embed_geodesics,
@@ -20,7 +19,7 @@ from prisomap.embed import (
 from prisomap.errors import DisconnectedGraph, GraphTooFragmented
 from prisomap.evaluate import residual_variance
 from prisomap.geodesics import GeodesicMatrix, all_pairs
-from prisomap.graph import knn_graph
+from prisomap.graph import components, knn_graph
 from prisomap.linalg import pairwise_dists
 
 from helpers import traced_peak, welded_roll_graph
@@ -204,25 +203,34 @@ class TestComponentPolicy:
             sum(s * s for s in sizes)) / n**2, fingerprint={})
 
     def test_identity_when_connected(self):
-        geo = GeodesicMatrix(values=np.zeros((4, 4)), finite_fraction=1.0, fingerprint={})
-        out, kept = apply_component_policy(geo, "error")
-        assert out is geo
-        np.testing.assert_array_equal(kept, np.arange(4))
-        out2, kept2 = apply_component_policy(geo, "largest_component")
-        np.testing.assert_array_equal(kept2, np.arange(4))
+        geo = self.two_block_geo((4,))
+        emb = embed_geodesics(geo, 1, {}, "error")
+        assert not emb.component_policy_applied
+        np.testing.assert_array_equal(emb.kept_indices, np.arange(4))
+        emb2 = embed_geodesics(geo, 1, {}, "largest_component")
+        np.testing.assert_array_equal(emb2.kept_indices, np.arange(4))
 
     def test_largest_component_restriction(self):
         geo = self.two_block_geo((8, 2))
-        out, kept = apply_component_policy(geo, "largest_component")
-        assert out.values.shape == (8, 8)
-        np.testing.assert_array_equal(kept, np.arange(8))
-        assert np.all(np.isfinite(out.values))
+        emb = embed_geodesics(geo, 1, {}, "largest_component")
+        assert emb.component_policy_applied
+        assert emb.coordinates.shape == (8, 1)
+        np.testing.assert_array_equal(emb.kept_indices, np.arange(8))
+        assert np.all(np.isfinite(emb.coordinates))
 
     def test_error_policy_raises(self):
         geo = self.two_block_geo((8, 2))
         with pytest.raises(DisconnectedGraph) as err:
-            apply_component_policy(geo, "error")
+            embed_geodesics(geo, 1, {}, "error")
         assert err.value.summary == [8, 2]
+
+    def test_largest_component_tie_keeps_vertex_0(self):
+        # two interleaved components of three: {0, 2, 4} and {1, 3, 5}
+        x = np.array([[0.0], [100.0], [1.0], [101.0], [2.0], [102.0]])
+        g = knn_graph(x, k=1, h=5.0)
+        emb = embed_geodesics(all_pairs(g), 1, {}, LARGEST_COMPONENT_POLICY)
+        np.testing.assert_array_equal(emb.kept_indices, [0, 2, 4])
+        np.testing.assert_array_equal(components(g).largest, emb.kept_indices)
 
     @pytest.mark.parametrize("policy", ["error", "largest_component"])
     def test_embed_labels_components_once(self, policy, monkeypatch):
@@ -245,7 +253,10 @@ class TestComponentPolicy:
     def test_unknown_policy(self):
         geo = self.two_block_geo((8, 2))
         with pytest.raises(ValueError):
-            apply_component_policy(geo, "whatever")
+            embed_geodesics(geo, 1, {}, "whatever")
+        # rejected before the fragmentation check
+        with pytest.raises(ValueError, match="unknown component policy"):
+            embed_geodesics(self.two_block_geo((2, 2, 2, 2)), 1, {}, "whatever")
 
 
 class TestGeodesicBuffer:

@@ -20,13 +20,14 @@ from prisomap.geodesics import (
     load_geodesics,
     save_geodesics,
 )
-from prisomap.graph import NeighborGraph, knn_candidates, knn_graph, percentile_h
+from prisomap.graph import knn_candidates, knn_graph, percentile_h
 from prisomap.linalg import pairwise_dists
 
 from helpers import (
     TILE_EDGE_SIZES,
     dijkstra_from,
     floyd_warshall_oracle,
+    graph_from_rows,
     tile_edge_points,
     traced_peak,
     welded_roll_graph,
@@ -45,10 +46,7 @@ def edge_graph(n, edges, h=math.inf):
         wts[i].append(w)
         neighbors[j].append(i)
         wts[j].append(w)
-    return NeighborGraph(n=n, k=1, h=h,
-                         neighbors=[np.array(a, dtype=np.int64) for a in neighbors],
-                         weights=[np.array(a, dtype=np.float64) for a in wts],
-                         component_id=np.zeros(n, dtype=np.int64))
+    return graph_from_rows(neighbors, wts, h=h)
 
 
 def path_graph(weights):
@@ -89,8 +87,7 @@ class TestDijkstra:
         neighbors = [np.array([1, 2]), np.array([0, 3]), np.array([0, 3]),
                      np.array([1, 2])]
         wts = [np.ones(2) for _ in range(4)]
-        g = NeighborGraph(n=4, k=2, h=math.inf, neighbors=neighbors, weights=wts,
-                          component_id=np.zeros(4, dtype=np.int64))
+        g = graph_from_rows(neighbors, wts, k=2)
         dist, parent = dijkstra_from(g, 0)
         assert dist[3] == 2.0
         assert parent[3] == 1
@@ -116,8 +113,7 @@ class TestAllPairs:
         assert geo.finite_fraction < 1.0
 
     def test_single_vertex(self):
-        g = NeighborGraph(n=1, k=1, h=math.inf, neighbors=[np.array([], dtype=np.int64)],
-                          weights=[np.array([])], component_id=np.zeros(1, dtype=np.int64))
+        g = graph_from_rows([np.array([], dtype=np.int64)], [np.array([])])
         geo = all_pairs(g)
         np.testing.assert_array_equal(geo.values, [[0.0]])
         assert geo.finite_fraction == 1.0
@@ -192,7 +188,7 @@ class TestAllPairs:
             x = tile_edge_points(n, seed, ties)
             k = min(4, n - 1)
             g = knn_graph(x, k, percentile_h(knn_candidates(x, k)[1], 50) if capped else math.inf)
-        raw = dijkstra(g.csr(), directed=True)
+        raw = dijkstra(g.adjacency, directed=True)
         geo = all_pairs(g)
         assert geo.values.tobytes() == np.minimum(raw, raw.T).tobytes()
         assert geo.finite_fraction == float(np.isfinite(raw).mean())
@@ -204,7 +200,7 @@ class TestAllPairs:
         import scipy.sparse.csgraph
 
         g = knn_graph(gen_swiss_roll(300, seed=1).ambient, 8, math.inf)
-        raw = scipy.sparse.csgraph.dijkstra(g.csr(), directed=True)
+        raw = scipy.sparse.csgraph.dijkstra(g.adjacency, directed=True)
         raw[at] = entry(raw, at)
         monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", lambda *a, **kw: raw.copy())
         return g, raw
@@ -238,15 +234,14 @@ class TestAllPairs:
 
     def test_edge_longer_than_cap_raises_under_optimize(self):
         code = textwrap.dedent("""
-            import numpy as np
+            from scipy.sparse import csr_matrix
             from prisomap.errors import NumericError
             from prisomap.geodesics import all_pairs
             from prisomap.graph import NeighborGraph
             if __debug__:
                 raise SystemExit(2)  # asserts are live: not an optimized run
-            g = NeighborGraph(n=2, k=1, h=1.0, neighbors=[np.array([1]), np.array([0])],
-                              weights=[np.array([2.0]), np.array([2.0])],
-                              component_id=np.zeros(2, dtype=np.int64))
+            g = NeighborGraph(k=1, h=1.0, adjacency=csr_matrix(
+                ([2.0, 2.0], ([0, 1], [1, 0])), shape=(2, 2)))
             try:
                 all_pairs(g)
             except NumericError:
@@ -263,24 +258,20 @@ class TestAllPairs:
         ([[1], [0]], [[1.0], [np.nextafter(1.0, 2.0)]]),  # one ulp apart
     ])
     def test_one_directional_adjacency_raises(self, neighbors, weights):
-        g = NeighborGraph(n=2, k=1, h=math.inf,
-                          neighbors=[np.array(a, dtype=np.int64) for a in neighbors],
-                          weights=[np.array(a, dtype=np.float64) for a in weights],
-                          component_id=np.zeros(2, dtype=np.int64))
+        g = graph_from_rows(neighbors, weights)
         with pytest.raises(NumericError, match="both directions"):
             all_pairs(g)
 
     def test_one_directional_adjacency_raises_under_optimize(self):
         code = textwrap.dedent("""
-            import numpy as np
+            from scipy.sparse import csr_matrix
             from prisomap.errors import NumericError
             from prisomap.geodesics import all_pairs
             from prisomap.graph import NeighborGraph
             if __debug__:
                 raise SystemExit(2)  # asserts are live: not an optimized run
-            g = NeighborGraph(n=2, k=1, h=1.0, neighbors=[np.array([1]), np.array([], int)],
-                              weights=[np.array([1.0]), np.array([])],
-                              component_id=np.zeros(2, dtype=np.int64))
+            g = NeighborGraph(k=1, h=1.0, adjacency=csr_matrix(
+                ([1.0], ([0], [1])), shape=(2, 2)))
             try:
                 all_pairs(g)
             except NumericError as exc:
@@ -299,7 +290,7 @@ class TestAllPairs:
         x = gen_swiss_roll(600, density_exponent=3.0, seed=0, short_circuit_pairs=0.01).ambient
         h = math.inf if h_pct == math.inf else percentile_h(knn_candidates(x, 12)[1], h_pct)
         g = knn_graph(x, 12, h)
-        undirected = dijkstra(g.csr(), directed=False)
+        undirected = dijkstra(g.adjacency, directed=False)
         assert all_pairs(g).values.tobytes() == np.minimum(undirected, undirected.T).tobytes()
 
     def test_symmetry_exact(self):
@@ -351,10 +342,7 @@ class TestAllPairs:
             assert np.all(geo[ok] <= via[ok] + 1e-9)
 
     def test_fw_guard(self):
-        g = NeighborGraph(n=501, k=1, h=math.inf,
-                          neighbors=[np.array([], dtype=np.int64)] * 501,
-                          weights=[np.array([])] * 501,
-                          component_id=np.arange(501))
+        g = graph_from_rows([np.array([], dtype=np.int64)] * 501, [np.array([])] * 501)
         with pytest.raises(TooLarge):
             floyd_warshall_oracle(g)
 
@@ -366,11 +354,9 @@ class TestAllPairs:
         np.testing.assert_array_equal(np.diag(d), 0.0)
 
     def test_fw_single_edge(self):
-        g = NeighborGraph(
-            n=3, k=1, h=math.inf,
-            neighbors=[np.array([1]), np.array([0]), np.array([], dtype=np.int64)],
-            weights=[np.array([2.5]), np.array([2.5]), np.array([])],
-            component_id=np.array([0, 0, 1]),
+        g = graph_from_rows(
+            [np.array([1]), np.array([0]), np.array([], dtype=np.int64)],
+            [np.array([2.5]), np.array([2.5]), np.array([])],
         )
         d = floyd_warshall_oracle(g).values
         assert d[0, 1] == 2.5

@@ -10,7 +10,6 @@ from prisomap import graph as graph_mod
 from prisomap.datasets import gen_swiss_roll
 from prisomap.errors import DegenerateDuplicatesWarning, InfiniteWindow
 from prisomap.graph import (
-    NeighborGraph,
     _knn_candidates,
     cap_candidates,
     components,
@@ -21,6 +20,8 @@ from prisomap.graph import (
     save_edge_list,
 )
 from prisomap.linalg import pairwise_sq_dists
+
+from helpers import adjacency_row, graph_from_rows
 
 LINE3 = np.array([[0.0], [1.0], [3.0]])
 
@@ -108,15 +109,17 @@ class TestKnnGraph:
         x = rng.normal(0, 1, (40, 2))
         g = knn_graph(x, k=4, h=math.inf)
         for i in range(g.n):
-            for j, w in zip(g.neighbors[i], g.weights[i]):
-                pos = np.searchsorted(g.neighbors[j], i)
-                assert g.neighbors[j][pos] == i
-                assert g.weights[j][pos] == w
+            for j, w in zip(*adjacency_row(g, i)):
+                nbrs_j, wts_j = adjacency_row(g, j)
+                pos = np.searchsorted(nbrs_j, i)
+                assert nbrs_j[pos] == i
+                assert wts_j[pos] == w
 
     def test_adjacency_sorted(self):
         rng = np.random.default_rng(2)
         g = knn_graph(rng.normal(0, 1, (30, 3)), k=5)
-        for nbrs in g.neighbors:
+        for i in range(g.n):
+            nbrs, _ = adjacency_row(g, i)
             assert np.all(np.diff(nbrs) > 0)
 
     def test_cap_soundness(self):
@@ -124,7 +127,8 @@ class TestKnnGraph:
         x = rng.normal(0, 1, (50, 2))
         h = percentile_h(knn_candidates(x, 5)[1], 50)
         g = knn_graph(x, k=5, h=h)
-        for w in g.weights:
+        for i in range(g.n):
+            _, w = adjacency_row(g, i)
             assert np.all(w <= h) and np.all(w > 0)
 
     def test_monotonic_in_h(self):
@@ -188,10 +192,11 @@ class TestKnnGraph:
         x = np.random.default_rng(8).normal(0, 1, (200, 3))
         base = knn_graph(x, 6)
         hs = [float(np.percentile(base.candidate_dists, pct)) for pct in (30, 70, 100)]
-        wants = [knn_graph(x, 6, h).csr() for h in hs]
+        wants = [knn_graph(x, 6, h).adjacency for h in hs]
         monkeypatch.setattr(graph_mod, "_knn_candidates", None)  # a new pass would fail
         for h, want in zip(hs, wants):
-            got = cap_candidates(base.candidates, base.candidate_dists, h, base.data_hash).csr()
+            got = cap_candidates(base.candidates, base.candidate_dists, h,
+                                 base.data_hash).adjacency
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
 
@@ -206,11 +211,11 @@ class TestKnnGraph:
         cand, dists = np.array([[1], [0]]), np.array([[w01], [w10]])
         g = cap_candidates(cand, dists, h, "")
         assert list(g.iter_edges()) == [(0, 1, inside)]
-        assert g.weights[1][0] == inside
+        assert g.adjacency[1, 0] == inside
         # both within the cap: the lower row's length, whichever is smaller
         g = cap_candidates(cand, dists, math.inf, "")
         assert list(g.iter_edges()) == [(0, 1, w01)]
-        assert g.weights[1][0] == w01
+        assert g.adjacency[1, 0] == w01
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -224,11 +229,10 @@ class TestKnnGraph:
 class TestPrDensity:
     def test_hand_computed_line(self):
         # candidate set of x=0 is {0, 1, 3}; only the point itself is within h/2
-        g = NeighborGraph(
-            n=3, k=3, h=1.5,
-            neighbors=[np.array([1]), np.array([0, 2]), np.array([1])],
-            weights=[np.array([1.0]), np.array([1.0, 2.0]), np.array([2.0])],
-            component_id=np.zeros(3, dtype=np.int64),
+        g = graph_from_rows(
+            [np.array([1]), np.array([0, 2]), np.array([1])],
+            [np.array([1.0]), np.array([1.0, 2.0]), np.array([2.0])],
+            k=3, h=1.5,
             candidates=[np.array([1, 2]), np.array([0, 2]), np.array([1, 0])],
             candidate_dists=[np.array([1.0, 3.0]), np.array([1.0, 2.0]),
                              np.array([2.0, 3.0])],
@@ -321,7 +325,7 @@ class TestComponents:
         x = np.array([[0.0], [100.0], [1.0], [101.0]])
         g = knn_graph(x, k=1, h=5.0)
         # component 0 contains vertex 0 (and 2); component 1 contains 1 (and 3)
-        np.testing.assert_array_equal(g.component_id, [0, 1, 0, 1])
+        np.testing.assert_array_equal(components(g).labels, [0, 1, 0, 1])
 
 
 class TestSerialization:
