@@ -1,9 +1,10 @@
 """The method dispatch, and paired method comparison on one dataset.
 
-run_method runs every method, for the CLI and run_bench alike. Neighbors runs
-the k-NN candidate pass at most once per (data, k), and only when h
-selection, a geodesic cache miss or the density needs it; it caps a graph
-only for a cache miss or the density.
+run_method runs every method, for the CLI and run_bench alike. A graph
+method looks its kernel's top eigenpairs up in the cache first, then its
+geodesic matrix. Neighbors runs the k-NN candidate pass at most once per
+(data, k), and only when h selection, a geodesic cache miss or the density
+needs it; it caps a graph only for a cache miss or the density.
 
 run_bench runs all requested methods on the same sample; metrics are computed
 on the intersection of the methods' kept vertices against one common
@@ -21,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import data_hash
-from .embed import Embedding, classical_mds, embed_geodesics, pca
+from .embed import Embedding, classical_mds, embed_geodesics, pca, scaled_embedding
 from .errors import InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
-from .geodesics import GeodesicMatrix, cached_geodesics
+from .geodesics import (GeodesicMatrix, SpectralEntry, cache_lookup, cached_geodesics,
+                        load_spectrum, save_spectrum)
 from .graph import NeighborGraph, cap_candidates, knn_candidates, percentile_h, pr_density
 from .linalg import as_matrix, pairwise_dists
 
@@ -89,7 +91,7 @@ class Neighbors:
 
     def geodesics(self, k: int, h: float, cache_dir=None) -> tuple[GeodesicMatrix, bool, float]:
         """All-pairs matrix of the graph at (k, h), through the cache in cache_dir."""
-        fingerprint = {"k": k, "h": h, "data_hash": self.data_hash}
+        fingerprint = {"data_hash": self.data_hash, "k": k, "h": h}
         return cached_geodesics(fingerprint, lambda: self.graph(k, h), cache_dir)
 
 
@@ -114,11 +116,44 @@ def resolve_h(spec: MethodSpec, neighbors: Neighbors) -> float | None:
 
 @dataclass
 class MethodRun:
+    """One method's embedding; cache_entry names the cache entry kind that
+    served it ("spectrum", "geodesics" or "none")."""
+
     embedding: Embedding
     h: float | None
     seconds: float
-    cache_hit: bool = False
+    cache_entry: str = "none"
     geodesic_seconds: float = 0.0
+
+    @property
+    def cache_hit(self) -> bool:
+        return self.cache_entry != "none"
+
+
+def _embed_graph(spec: MethodSpec, h: float, neighbors: Neighbors, spectrum: int,
+                 cache_dir) -> tuple[Embedding, str, float]:
+    """A graph method's embedding, its cache entry kind and its all-pairs seconds.
+
+    The spectral entry holds the kernel's top max(p, spectrum) eigenpairs,
+    keyed by that exact count, since the eigensolver's path depends on it; a
+    hit reads no geodesics and solves nothing. A miss embeds the geodesics,
+    cached or not, and writes the entry back.
+    """
+    desc = {"method": spec.method, "k": spec.k, "h": h, "p": spec.p,
+            "component_policy": spec.component_policy}
+    fingerprint = {"data_hash": neighbors.data_hash, "k": spec.k, "h": h,
+                   "component_policy": spec.component_policy, "top": max(spec.p, spectrum)}
+    path, entry = cache_lookup(cache_dir, fingerprint, ".eig", load_spectrum)
+    if entry is not None:
+        emb = scaled_embedding(entry.eigenpairs, spec.p, desc, entry.kept_indices,
+                               entry.n_input, spectrum)
+        return emb, "spectrum", 0.0
+    geo, geo_hit, geo_seconds = neighbors.geodesics(spec.k, h, cache_dir)
+    emb = embed_geodesics(geo, spec.p, desc, spec.component_policy, spectrum=spectrum)
+    if path is not None:
+        save_spectrum(SpectralEntry(emb.kept_indices, emb.n_input, emb.eigenpairs,
+                                    fingerprint), path)
+    return emb, "geodesics" if geo_hit else "none", geo_seconds
 
 
 def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
@@ -126,22 +161,19 @@ def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
     """Run one method on neighbors.data.
 
     spectrum > 0 records that many leading eigenvalues; graph methods look
-    their geodesic matrix up in cache_dir first.
+    their eigenpairs, then their geodesic matrix, up in cache_dir first.
     """
     t0 = time.perf_counter()
     h = resolve_h(spec, neighbors)
     x = neighbors.data
-    cache_hit, geo_seconds = False, 0.0
+    cache_entry, geo_seconds = "none", 0.0
     if spec.method in GRAPH_METHODS:
-        geo, cache_hit, geo_seconds = neighbors.geodesics(spec.k, h, cache_dir)
-        desc = {"method": spec.method, "k": spec.k, "h": h, "p": spec.p,
-                "component_policy": spec.component_policy}
-        emb = embed_geodesics(geo, spec.p, desc, spec.component_policy, spectrum=spectrum)
+        emb, cache_entry, geo_seconds = _embed_graph(spec, h, neighbors, spectrum, cache_dir)
     elif spec.method == "mds":
         emb = classical_mds(x, spec.p, spectrum=spectrum)
     else:
         emb = pca(x, spec.p, spectrum=spectrum)
-    return MethodRun(emb, h, time.perf_counter() - t0, cache_hit, geo_seconds)
+    return MethodRun(emb, h, time.perf_counter() - t0, cache_entry, geo_seconds)
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 usage/input problems, 3 graph-topology failures
 (component summary printed), 4 numeric failures. Every output file embeds or
-references the RunConfig that produced it; geodesic matrices are cached by
-(data hash, k, h) so repeated sweeps skip the all-pairs stage. Timing is
-reported on stderr only, keeping output files byte-deterministic.
+references the RunConfig that produced it; geodesic matrices, and the top
+eigenpairs of their kernels, are cached so repeated sweeps skip the
+all-pairs stage and the eigensolve. Timing, and the cache entry that served
+an embed, are reported on stderr only, keeping output files
+byte-deterministic.
 
 Configuration precedence: command-line flags > JSON config file (--config) >
 PRISOMAP_* environment variables > built-in defaults.
@@ -74,7 +76,7 @@ def add_shared_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=None,
                      help="accepted for compatibility; has no effect")
     sub.add_argument("--cache-dir", default=None,
-                     help="directory for cached geodesic matrices")
+                     help="directory for cached geodesic matrices and eigenpairs")
     sub.add_argument("--config", default=None, help="JSON config file")
 
 
@@ -162,7 +164,8 @@ def cmd_embed(args, config) -> int:
                                "dropped_rows": ds.dropped_rows})
     _log_timing({"total_seconds": f"{total_seconds:.3f}",
                  "geodesic_seconds": f"{run.geodesic_seconds:.3f}",
-                 "cache_hit": str(run.cache_hit).lower()})
+                 "cache_hit": str(run.cache_hit).lower(),
+                 "cache_entry": run.cache_entry})
     return 0
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import DisconnectedGraph, GraphTooFragmented
 from .geodesics import GeodesicMatrix, all_pairs
 from .graph import knn_graph
-from .linalg import (as_matrix, double_center_in_place, mds_coordinates, pairwise_sq_dists,
-                     symmetric_eig)
+from .linalg import (EigenResult, as_matrix, double_center_in_place, mds_coordinates, mds_eig,
+                     pairwise_sq_dists, symmetric_eig)
 
 ERROR_POLICY = "error"
 LARGEST_COMPONENT_POLICY = "largest_component"
@@ -34,7 +34,8 @@ class Embedding:
     kept_indices maps embedding rows back to input rows; it is the full
     range unless the component policy dropped vertices, in which case
     component_policy_applied is set and kept_indices is exactly the largest
-    connected component.
+    connected component. eigenpairs are the top pairs of the kept vertices'
+    centered kernel that classical scaling solved (None for pca).
     """
 
     coordinates: np.ndarray
@@ -45,6 +46,7 @@ class Embedding:
     component_policy_applied: bool
     n_input: int
     spectrum: np.ndarray | None = None
+    eigenpairs: EigenResult | None = None
 
     @property
     def p(self) -> int:
@@ -64,10 +66,20 @@ def _component_labels(values: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _scaled(d_sq: np.ndarray, p: int, method: dict, kept: np.ndarray, n: int,
-            spectrum: int) -> Embedding:
-    """Classical scaling of squared distances, which are centered in place."""
-    res = mds_coordinates(double_center_in_place(d_sq), p, extra_spectrum=spectrum)
+def _require_p(p: int, n: int) -> None:
+    if not 1 <= p < n:
+        raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
+
+
+def scaled_embedding(eig: EigenResult, p: int, method: dict, kept: np.ndarray, n: int,
+                     spectrum: int) -> Embedding:
+    """The embedding classical scaling gives from the top eigenpairs of the
+    kept vertices' centered kernel, out of n input points.
+
+    It solves nothing, so it alone turns cached eigenpairs into an embedding.
+    """
+    _require_p(p, n)
+    res = mds_coordinates(eig, p)
     return Embedding(
         coordinates=res.coordinates,
         eigenvalues=res.eigenvalues,
@@ -77,7 +89,15 @@ def _scaled(d_sq: np.ndarray, p: int, method: dict, kept: np.ndarray, n: int,
         component_policy_applied=bool(kept.size != n),
         n_input=n,
         spectrum=res.spectrum if spectrum else None,
+        eigenpairs=eig,
     )
+
+
+def _scaled(d_sq: np.ndarray, p: int, method: dict, kept: np.ndarray, n: int,
+            spectrum: int) -> Embedding:
+    """Classical scaling of squared distances, which are centered in place."""
+    eig = mds_eig(double_center_in_place(d_sq), p, extra_spectrum=spectrum)
+    return scaled_embedding(eig, p, method, kept, n, spectrum)
 
 
 def embed_geodesics(
@@ -94,13 +114,13 @@ def embed_geodesics(
     LARGEST_COMPONENT_POLICY embeds only the largest component, the one
     holding the lowest vertex among equal largest ones. Raises
     GraphTooFragmented when the largest component holds less than
-    fragment_threshold of the points. The seam between geodesic computation
-    and scaling lets callers cache the expensive matrix; geo is left
-    unchanged.
+    fragment_threshold of the points. geo is left unchanged. Two seams let
+    callers cache both expensive steps: geo comes in computed, and the
+    Embedding goes out with its kept_indices and eigenpairs, from which
+    scaled_embedding rebuilds it at any p whose max(p, spectrum) is the same.
     """
     n = geo.n
-    if not 1 <= p < n:
-        raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
+    _require_p(p, n)
     if component_policy not in (ERROR_POLICY, LARGEST_COMPONENT_POLICY):
         raise ValueError(f"unknown component policy {component_policy!r}")
     kept = np.arange(n, dtype=np.int64)
@@ -170,8 +190,7 @@ def classical_mds(data, p: int, spectrum: int = 0) -> Embedding:
     """Classical scaling of exact pairwise Euclidean distances."""
     x = as_matrix(data, "data")
     n = x.shape[0]
-    if not 1 <= p < n:
-        raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
+    _require_p(p, n)
     return _scaled(pairwise_sq_dists(x), p, {"method": "mds", "p": int(p)},
                    np.arange(n, dtype=np.int64), n, spectrum)
 

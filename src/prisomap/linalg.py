@@ -275,21 +275,28 @@ class MdsCoordinates:
     spectrum: np.ndarray
 
 
+def mds_eig(kernel, p: int, extra_spectrum: int = 0) -> EigenResult:
+    """The eigensolve of classical scaling: the leading min(n, max(p,
+    extra_spectrum)) eigenpairs of a centered kernel."""
+    k = as_matrix(kernel, "kernel")
+    return symmetric_eig(k, top=min(k.shape[0], max(p, extra_spectrum)))
+
+
 def mds_coordinates(kernel, p: int, extra_spectrum: int = 0) -> MdsCoordinates:
     """Coordinates y_i = (sqrt(l_1) v_1i, ..., sqrt(l_p) v_pi) from a centered kernel.
 
+    kernel may also be the EigenResult mds_eig solved for it, possibly read
+    back from a cache; then nothing is solved and extra_spectrum is unused.
     Negative eigenvalues (the kernel of a non-Euclidean distance matrix is
     indefinite) are clamped to zero and counted. If fewer than p eigenvalues
     exceed 1e-12 * l_1 the remaining columns are zero and a
     RankDeficientWarning is issued. extra_spectrum widens the eigensolve so
     that the result's spectrum holds that many leading eigenvalues.
     """
-    k = as_matrix(kernel, "kernel")
-    n = k.shape[0]
     if p < 1:
         raise ValueError(f"target dimension must be >= 1, got {p}")
-    top = min(n, max(p, extra_spectrum))
-    eig = symmetric_eig(k, top=top)
+    eig = kernel if isinstance(kernel, EigenResult) else mds_eig(kernel, p, extra_spectrum)
+    n = eig.eigenvectors.shape[0]
 
     lam = eig.eigenvalues[: min(p, n)]
     vec = eig.eigenvectors[:, : min(p, n)]

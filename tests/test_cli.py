@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,37 +113,145 @@ class TestEmbed:
         assert embed("cold2", "cache2") == cold
         assert capsys.readouterr().err.count("cache_hit=false") == 2
         assert embed("warm", "cache1") == cold
-        assert "cache_hit=true" in capsys.readouterr().err
-        [entry1] = (tmp_path / "cache1").iterdir()
-        [entry2] = (tmp_path / "cache2").iterdir()
-        assert entry1.read_bytes() == entry2.read_bytes()
+        assert "cache_hit=true cache_entry=spectrum" in capsys.readouterr().err
+        entries = sorted(entry.name for entry in (tmp_path / "cache1").iterdir())
+        assert sorted(Path(name).suffix for name in entries) == [".eig", ".geo"]
+        assert sorted(entry.name for entry in (tmp_path / "cache2").iterdir()) == entries
+        for name in entries:
+            assert (tmp_path / "cache1" / name).read_bytes() == \
+                (tmp_path / "cache2" / name).read_bytes()
 
     @pytest.mark.parametrize("damage", ["truncated-body", "corrupt-fingerprint"])
     def test_truncated_cache_entry_is_recomputed(self, roll_dir, tmp_path, capsys, damage):
         cache = tmp_path / "cache"
-        out1, out2, out3 = tmp_path / "e1.csv", tmp_path / "e2.csv", tmp_path / "e3.csv"
         args = ["embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pr-isomap",
-                "--k", "8", "--h-pct", "70", "--p", "2",
-                "--policy", "largest-component", "--cache-dir", str(cache)]
-        assert run_cli(*args, "--out", str(out1)) == 0
-        capsys.readouterr()
-        [entry] = cache.iterdir()
-        raw = bytearray(entry.read_bytes())
-        if damage == "truncated-body":
-            del raw[len(raw) // 2:]
-        else:
-            # magic and lengths intact, fingerprint bytes not UTF-8
-            fp_start = 4 + struct.calcsize("<IIdI")
-            raw[fp_start:fp_start + 2] = b"\xff\xfe"
-        entry.write_bytes(bytes(raw))
-        assert run_cli(*args, "--out", str(out2)) == 0
-        err = capsys.readouterr().err
-        assert "recomputing" in err and "cache_hit=false" in err
-        assert out1.read_bytes() == out2.read_bytes()
-        assert run_cli(*args, "--out", str(out3)) == 0
-        assert "cache_hit=true" in capsys.readouterr().err
-        assert out1.read_bytes() == out3.read_bytes()
-        assert [p.name for p in cache.iterdir()] == [entry.name]
+                "--k", "8", "--h-pct", "70", "--p", "2", "--policy", "largest-component"]
+
+        def embed(*extra, cached=True):
+            out = tmp_path / "e.csv"
+            argv = [*args, *extra, "--out", str(out)]
+            assert run_cli(*argv, *(["--cache-dir", str(cache)] if cached else [])) == 0
+            return out.read_bytes(), capsys.readouterr().err
+
+        def damage_entry(suffix, header):
+            [entry] = cache.glob(f"*{suffix}")
+            raw = bytearray(entry.read_bytes())
+            if damage == "truncated-body":
+                del raw[len(raw) // 2:]
+            else:
+                # magic and lengths intact, fingerprint bytes not UTF-8
+                fp_start = 4 + struct.calcsize(header)
+                raw[fp_start:fp_start + 2] = b"\xff\xfe"
+            entry.write_bytes(bytes(raw))
+
+        cold, err = embed()
+        assert "cache_hit=false cache_entry=none" in err
+        assert sorted(entry.suffix for entry in cache.iterdir()) == [".eig", ".geo"]
+
+        # a damaged spectral entry: the geodesic block serves, and the entry
+        # is rewritten
+        damage_entry(".eig", "<IIIII")
+        out, err = embed()
+        assert "recomputing" in err and "cache_hit=true cache_entry=geodesics" in err
+        assert out == cold
+        out, err = embed()
+        assert "recomputing" not in err and "cache_hit=true cache_entry=spectrum" in err
+        assert out == cold
+
+        # a damaged geodesic block: the intact spectral entry rightly serves
+        # the same embed, and another eigenpair count reads the block,
+        # recomputes it and rewrites it
+        damage_entry(".geo", "<IIdI")
+        out, err = embed()
+        assert "recomputing" not in err and "cache_entry=spectrum" in err
+        assert out == cold
+        out, err = embed("--spectrum", "5")
+        assert "recomputing" in err and "cache_hit=false cache_entry=none" in err
+        assert out == embed("--spectrum", "5", cached=False)[0]
+        out, err = embed("--spectrum", "6")
+        assert "recomputing" not in err and "cache_hit=true cache_entry=geodesics" in err
+        assert out == embed("--spectrum", "6", cached=False)[0]
+        # no temporary file is left behind: one block, one entry per count
+        assert sorted(entry.suffix for entry in cache.iterdir()) == [".eig"] * 3 + [".geo"]
+
+    def _sweep(self, roll_dir, tmp_path, monkeypatch, capsys):
+        """An embed runner that fills the cache with p=10 --spectrum 20 first;
+        each run returns its normalized outputs, stderr and eigensolve count."""
+        from prisomap import linalg
+
+        solves = []
+        symmetric_eig = linalg.symmetric_eig
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return symmetric_eig(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "symmetric_eig", counting)
+
+        def embed(run, *flags, cached=True):
+            out = tmp_path / run / "e.csv"
+            out.parent.mkdir()
+            solves.clear()
+            assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
+                           "--method", "pr-isomap", "--k", "8", "--h-pct", "70",
+                           "--policy", "largest-component", *flags, "--out", str(out),
+                           *(["--cache-dir", str(tmp_path / "cache")] if cached else [])) == 0
+            files = [_normalized(path.read_bytes(), out.parent)
+                     for path in (out, out.with_suffix(".json"))]
+            return files, capsys.readouterr().err, len(solves)
+
+        assert embed("fill", "--p", "10", "--spectrum", "20")[2] == 1
+        return embed
+
+    def test_warm_spectral_entry_serves_another_p(self, roll_dir, tmp_path, monkeypatch,
+                                                  capsys):
+        from prisomap import geodesics
+
+        embed = self._sweep(roll_dir, tmp_path, monkeypatch, capsys)
+        cold, _, solves = embed("cold", "--p", "2", "--spectrum", "20", cached=False)
+        assert solves == 1
+        monkeypatch.setattr(geodesics, "all_pairs", None)  # a miss would fail
+        warm, err, solves = embed("warm", "--p", "2", "--spectrum", "20")
+        assert "cache_hit=true cache_entry=spectrum" in err
+        assert solves == 0
+        assert warm == cold
+        assert len(json.loads(warm[1])["spectrum"]) == 20
+
+    def test_other_eigenpair_count_reads_the_geodesics(self, roll_dir, tmp_path, monkeypatch,
+                                                       capsys):
+        embed = self._sweep(roll_dir, tmp_path, monkeypatch, capsys)
+        cold, _, _ = embed("cold", "--p", "2", "--spectrum", "0", cached=False)
+        warm, err, solves = embed("warm", "--p", "2", "--spectrum", "0")
+        assert "cache_hit=true cache_entry=geodesics" in err
+        assert solves == 1
+        assert warm == cold
+
+    def test_error_policy_is_not_served_a_largest_component_entry(self, tmp_path, capsys):
+        data = np.vstack([np.arange(10)[:, None] * 0.1,
+                          100.0 + np.arange(10)[:, None] * 0.1])
+        src = tmp_path / "two.csv"
+        save_csv(src, data)
+        args = ["embed", "--in", str(src), "--method", "pr-isomap", "--k", "3", "--h", "5",
+                "--p", "1", "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(tmp_path / "e.csv")]
+        for _ in range(2):
+            assert run_cli(*args, "--policy", "largest-component") == 0
+        assert "cache_entry=spectrum" in capsys.readouterr().err
+        assert run_cli(*args, "--policy", "error") == 3
+        assert "component sizes" in capsys.readouterr().err
+
+    def test_spectral_hit_warns_of_rank_deficiency(self, tmp_path, capsys):
+        from prisomap.errors import RankDeficientWarning
+
+        t = np.arange(30)[:, None] * 0.1
+        src = tmp_path / "line.csv"
+        save_csv(src, np.hstack([t, 2.0 * t]))  # a line: geodesics support one dimension
+        args = ["embed", "--in", str(src), "--method", "isomap", "--k", "3", "--p", "2",
+                "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "e.csv")]
+        for entry in ("none", "spectrum"):
+            with pytest.warns(RankDeficientWarning):
+                assert run_cli(*args) == 0
+            assert f"cache_entry={entry}" in capsys.readouterr().err
 
     def test_one_candidate_pass_per_command(self, roll_dir, tmp_path, monkeypatch, capsys):
         from prisomap import graph
@@ -327,6 +436,45 @@ class TestBench:
         for report in (*cold.values(), *warm.values()):
             del report["timings"]
         assert cold == warm
+
+    def test_warm_cache_runs_no_graph_eigensolve(self, roll_dir, tmp_path, monkeypatch):
+        from prisomap import embed, geodesics, linalg
+
+        solves = {"graph": 0, "pca": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                solves[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # the graph methods solve through linalg, pca through embed's import
+        monkeypatch.setattr(linalg, "symmetric_eig", counting("graph", linalg.symmetric_eig))
+        monkeypatch.setattr(embed, "symmetric_eig", counting("pca", embed.symmetric_eig))
+
+        def bench(run):
+            solves.update(graph=0, pca=0)
+            out = tmp_path / run
+            assert run_cli("bench", "--in", str(roll_dir / "ambient.csv"),
+                           "--methods", "pr-isomap,isomap,pca", "--k", "10", "--h-pct", "70",
+                           "--p", "2", "--chart", str(roll_dir / "intrinsic.csv"),
+                           "--cache-dir", str(tmp_path / "cache"), "--out", str(out)) == 0
+            payload = json.loads((out / "bench.json").read_text())
+            for report in payload["reports"].values():
+                del report["timings"]
+            rows = [line.split(",") for line in (out / "bench.csv").read_text().splitlines()]
+            timed = rows[0].index("embed_seconds")
+            table = [row[:timed] + row[timed + 1:] for row in rows]
+            return payload, table, dict(solves)
+
+        cold = bench("cold")
+        assert cold[2] == {"graph": 2, "pca": 1}
+        assert sorted(entry.suffix for entry in (tmp_path / "cache").iterdir()) == \
+            [".eig", ".eig", ".geo", ".geo"]
+        monkeypatch.setattr(geodesics, "all_pairs", None)  # a miss would fail
+        warm = bench("warm")
+        assert warm[2] == {"graph": 0, "pca": 1}
+        assert warm[:2] == cold[:2]
 
     def test_single_method_no_deltas(self, roll_dir, tmp_path):
         out = tmp_path / "bench1"

@@ -16,12 +16,15 @@ from prisomap.errors import BadMagic, NumericError, TooLarge, TruncatedFile
 from prisomap.geodesics import (
     UNREACHABLE,
     GeodesicMatrix,
+    SpectralEntry,
     all_pairs,
     load_geodesics,
+    load_spectrum,
     save_geodesics,
+    save_spectrum,
 )
 from prisomap.graph import knn_candidates, knn_graph, percentile_h
-from prisomap.linalg import pairwise_dists
+from prisomap.linalg import EigenResult, pairwise_dists
 
 from helpers import (
     TILE_EDGE_SIZES,
@@ -443,3 +446,29 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(TruncatedFile):
             load_geodesics(path)
+
+    def test_spectral_entry_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        fingerprint = {"data_hash": "ab", "k": 5, "h": math.inf,
+                       "component_policy": "largest_component", "top": 4}
+        entry = SpectralEntry(kept_indices=np.array([0, 2, 3, 7, 8], dtype=np.int64),
+                              n_input=9,
+                              eigenpairs=EigenResult(rng.normal(size=4), rng.normal(size=(5, 4))),
+                              fingerprint=fingerprint)
+        path = tmp_path / "entry.eig"
+        save_spectrum(entry, path)
+        back = load_spectrum(path)
+        assert back.kept_indices.tobytes() == entry.kept_indices.tobytes()
+        assert back.n_input == 9 and back.fingerprint == fingerprint
+        for part in ("eigenvalues", "eigenvectors"):
+            assert getattr(back.eigenpairs, part).tobytes() == \
+                getattr(entry.eigenpairs, part).tobytes()
+        # the kinds share a layout but not a magic, so neither reads the other
+        with pytest.raises(BadMagic):
+            load_geodesics(path)
+        save_geodesics(all_pairs(knn_graph(LINE3, k=1, h=math.inf)), tmp_path / "geo.bin")
+        with pytest.raises(BadMagic):
+            load_spectrum(tmp_path / "geo.bin")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(TruncatedFile):
+            load_spectrum(path)
