@@ -4,6 +4,7 @@ Public API re-exports the main operations of each subsystem; see the CLI
 (`prisomap --help`) for the end-to-end pipeline.
 """
 
+from .bench import isomap, pr_isomap
 from .datasets import (
     LabeledDataset,
     ManifoldSample,
@@ -17,9 +18,7 @@ from .datasets import (
 from .embed import (
     Embedding,
     classical_mds,
-    isomap,
     pca,
-    pr_isomap,
 )
 from .evaluate import (
     EvalReport,

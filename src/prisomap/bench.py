@@ -1,6 +1,8 @@
 """The method dispatch, and paired method comparison on one dataset.
 
-run_method runs every method, for the CLI and run_bench alike. A graph
+run_method runs every method, for the CLI, run_bench and the library's
+pr_isomap and isomap alike, so a graph method's descriptor, its h and its
+component policy are handled in one place. A graph
 method looks its kernel's top eigenpairs up in the cache first, then its
 geodesic matrix. Neighbors runs the k-NN candidate pass at most once per
 (data, k), and only when h selection, a geodesic cache miss or the density
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import data_hash
-from .embed import Embedding, classical_mds, embed_geodesics, pca, scaled_embedding
+from .embed import (ERROR_POLICY, Embedding, classical_mds, embed_geodesics, pca,
+                    scaled_embedding)
 from .errors import InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
 from .geodesics import (GeodesicMatrix, SpectralEntry, cache_lookup, cached_geodesics,
@@ -125,10 +128,6 @@ class MethodRun:
     cache_entry: str = "none"
     geodesic_seconds: float = 0.0
 
-    @property
-    def cache_hit(self) -> bool:
-        return self.cache_entry != "none"
-
 
 def _embed_graph(spec: MethodSpec, h: float, neighbors: Neighbors, spectrum: int,
                  cache_dir) -> tuple[Embedding, str, float]:
@@ -176,6 +175,24 @@ def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
     return MethodRun(emb, h, time.perf_counter() - t0, cache_entry, geo_seconds)
 
 
+def pr_isomap(data, k: int, h: float, p: int, component_policy: str = ERROR_POLICY,
+              spectrum: int = 0) -> Embedding:
+    """Isometric mapping over the h-capped neighbor graph.
+
+    Pipeline: capped k-NN graph -> all-pairs shortest paths -> component
+    policy -> squared distances -> double centering -> classical scaling.
+    """
+    spec = MethodSpec("pr-isomap", p, k, h=h, component_policy=component_policy)
+    return run_method(spec, Neighbors(data), spectrum).embedding
+
+
+def isomap(data, k: int, p: int, component_policy: str = ERROR_POLICY,
+           spectrum: int = 0) -> Embedding:
+    """Standard isometric mapping: the h=+inf case of pr_isomap."""
+    spec = MethodSpec("isomap", p, k, component_policy=component_policy)
+    return run_method(spec, Neighbors(data), spectrum).embedding
+
+
 @dataclass
 class BenchResult:
     reports: dict[str, EvalReport]
@@ -220,7 +237,9 @@ def run_bench(
     reference is an n x n ground-truth distance matrix (defaults to ambient
     Euclidean distances). Metrics are computed on the intersection of kept
     vertices so capped and uncapped methods see identical score pairs.
-    Graph methods look their geodesic matrices up in cache_dir.
+    Graph methods look their geodesic matrices up in cache_dir. baseline,
+    when given, must name one of the methods (InputError otherwise); when
+    not, it is isomap if present, else the first method.
     """
     x = as_matrix(data, "data")
     n = x.shape[0]
@@ -232,6 +251,8 @@ def run_bench(
     names = [s.label() for s in specs]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate method names in {names}")
+    if baseline is not None and baseline not in names:
+        raise InputError(f"baseline {baseline!r} is not one of the methods {names}")
     if baseline is None and len(specs) > 1:
         baseline = "isomap" if "isomap" in names else names[0]
     y = None if labels is None else np.asarray(labels, dtype=np.int64)
@@ -278,7 +299,7 @@ def run_bench(
         reports[name] = report
 
     paired: dict[str, dict] = {}
-    if baseline is not None and baseline in reports and len(reports) > 1:
+    if baseline is not None and len(reports) > 1:
         base = reports[baseline]
         for name, report in reports.items():
             if name == baseline:
@@ -292,7 +313,7 @@ def run_bench(
     return BenchResult(
         reports=reports,
         paired_deltas=paired,
-        baseline=baseline if baseline in reports else "",
+        baseline=baseline or "",
         common_vertices=common,
         embeddings=embeddings,
     )

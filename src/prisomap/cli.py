@@ -19,16 +19,19 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .bench import GRAPH_METHODS, METHODS, MethodSpec, Neighbors, resolve_h, run_bench, run_method
-from .datasets import gen_swiss_roll, load_csv, save_csv, swiss_roll_unrolled
-from .embed import json_safe, load_embedding_csv, save_embedding_csv, save_embedding_json
+from .datasets import (csv_cell, gen_swiss_roll, json_safe, load_csv, save_csv,
+                       swiss_roll_unrolled, write_json)
+from .embed import load_embedding_csv, save_embedding_csv, save_embedding_json
 from .errors import GraphError, InputError, NumericError
-from .evaluate import csv_cell, evaluate_embedding, save_eval_csv
+from .evaluate import evaluate_embedding, save_eval_csv
 from .linalg import pairwise_dists
 from .plotting import scatter_svg
 
@@ -36,20 +39,43 @@ ENV_PREFIX = "PRISOMAP_"
 GENERATORS = ("swiss-roll",)
 POLICIES = {"error": "error", "largest-component": "largest_component"}
 
-SHARED_DEFAULTS = {"seed": 0, "cache_dir": None}
+
+class Setting(NamedTuple):
+    type: Callable | None  # None keeps the string
+    default: object
+    help: str | None = None
+    choices: tuple | None = None
 
 
-def _env_value(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper())
+# Every setting that a flag, a config key or PRISOMAP_<DEST> gives, by flag
+# destination; a command resolves the settings it has flags for.
+SETTINGS = {
+    "seed": Setting(int, 0, "RNG seed (default 0)"),
+    "cache_dir": Setting(None, None, "directory for cached geodesic matrices and eigenpairs"),
+    "n": Setting(int, 1000),
+    "noise_sd": Setting(float, 0.0),
+    "exponent": Setting(float, 0.0, "sampling density exponent (0 = uniform)"),
+    "short_circuit_pairs": Setting(float, 0.0, "fraction of n welded as cross-sheet pairs"),
+    "k": Setting(int, 10, "neighbors per point (eval: of the geodesic reference)"),
+    "h": Setting(float, None, "window diameter (absolute; inf allowed)"),
+    "h_pct": Setting(float, None, "window diameter as percentile of k-NN edge lengths"),
+    "p": Setting(int, 2, "target dimension"),
+    "policy": Setting(None, "error", "component policy (bench default: largest-component)",
+                      tuple(sorted(POLICIES))),
+    "spectrum": Setting(int, 0, "extra eigenvalues to record for the elbow report"),
+    "m": Setting(int, 10, "neighborhood size for T/C"),
+    "k_clf": Setting(int, 5, "neighbors of the k-NN classifier"),
+    "folds": Setting(int, 10, "cross-validation folds"),
+}
+COMMAND_DEFAULTS = {"bench": {"policy": "largest-component"}}
+SCORING = ("m", "k_clf", "folds")
 
 
 def _load_config(path_or_none):
-    path = path_or_none or _env_value("config")
+    path = path_or_none or os.environ.get(ENV_PREFIX + "CONFIG")
     if not path:
         return {}
     p = Path(path)
-    if not p.exists():
-        raise InputError(f"config file {p} does not exist")
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -59,25 +85,55 @@ def _load_config(path_or_none):
     return cfg
 
 
-def _resolve(args, name: str, default, config: dict, cast=None):
-    """flags > config > environment > default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        value = config.get(name.replace("-", "_"), config.get(name))
-    if value is None:
-        value = _env_value(name.replace("-", "_"))
-    if value is None:
-        return default
-    return cast(value) if cast is not None else value
+def resolve_settings(args, config: dict) -> None:
+    """Fill each setting of args the flags left unset: flags > config >
+    environment > default, the value cast to the setting's type."""
+    for dest, setting in SETTINGS.items():
+        if dest not in vars(args):
+            continue
+        value = getattr(args, dest)
+        if value is None:
+            value = config.get(dest)
+        if value is None:
+            value = os.environ.get(ENV_PREFIX + dest.upper())
+        if value is None:
+            value = COMMAND_DEFAULTS.get(args.command, {}).get(dest, setting.default)
+        elif setting.type is not None:
+            value = setting.type(value)
+        if setting.choices is not None and value not in setting.choices:
+            raise InputError(f"unknown {dest} {value!r}; choose from {list(setting.choices)}")
+        setattr(args, dest, value)
+
+
+def _add_settings(parser, *dests: str) -> None:
+    """The flag of each setting, unset (None) until resolve_settings fills it."""
+    for dest in dests:
+        setting = SETTINGS[dest]
+        parser.add_argument("--" + dest.replace("_", "-"), type=setting.type, default=None,
+                            help=setting.help, choices=setting.choices)
 
 
 def add_shared_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    _add_settings(sub, "seed", "cache_dir")
     sub.add_argument("--threads", type=int, default=None,
                      help="accepted for compatibility; has no effect")
-    sub.add_argument("--cache-dir", default=None,
-                     help="directory for cached geodesic matrices and eigenpairs")
     sub.add_argument("--config", default=None, help="JSON config file")
+
+
+def _add_graph_flags(sub) -> None:
+    """--k, and the window as either --h or --h-pct."""
+    _add_settings(sub, "k")
+    _add_settings(sub.add_mutually_exclusive_group(), "h", "h_pct")
+
+
+def _add_label_flags(sub) -> None:
+    sub.add_argument("--labels", default=None, help="labels CSV")
+    sub.add_argument("--label-column", default=None, help="column holding the labels")
+
+
+def _add_chart_flags(sub) -> None:
+    sub.add_argument("--chart", default=None, help="ground-truth chart CSV")
+    sub.add_argument("--chart-kind", default="auto", choices=["auto", "swiss-roll", "euclidean"])
 
 
 def _run_config(command: str, params: dict) -> dict:
@@ -89,83 +145,48 @@ def _run_config(command: str, params: dict) -> dict:
     }
 
 
-def _log_timing(fields: dict) -> None:
-    parts = " ".join(f"{k}={v}" for k, v in fields.items())
-    print(f"timing {parts}", file=sys.stderr)
-
-
 # -- gen --------------------------------------------------------------------------
 
 
-def cmd_gen(args, config) -> int:
-    if args.generator not in GENERATORS:
-        print(f"unknown generator {args.generator!r}; available: {', '.join(GENERATORS)}",
-              file=sys.stderr)
-        return 2
-    seed = _resolve(args, "seed", SHARED_DEFAULTS["seed"], config, int)
-    n = _resolve(args, "n", 1000, config, int)
-    noise_sd = _resolve(args, "noise_sd", 0.0, config, float)
-    exponent = _resolve(args, "exponent", 0.0, config, float)
-    sc_pairs = _resolve(args, "short_circuit_pairs", 0.0, config, float)
+def cmd_gen(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    sample = gen_swiss_roll(n, noise_sd=noise_sd, density_exponent=exponent,
-                            seed=seed, short_circuit_pairs=sc_pairs)
+    sample = gen_swiss_roll(args.n, noise_sd=args.noise_sd, density_exponent=args.exponent,
+                            seed=args.seed, short_circuit_pairs=args.short_circuit_pairs)
     save_csv(out / "ambient.csv", sample.ambient, names=["x", "y", "z"])
     save_csv(out / "intrinsic.csv", sample.intrinsic, names=["t", "u"])
-    params = {"generator": args.generator, "n": n, "noise_sd": noise_sd,
-              "exponent": exponent, "short_circuit_pairs": sc_pairs, "seed": seed,
-              "out": str(out)}
-    payload = {"run_config": _run_config("gen", params),
-               "density_profile": json_safe(sample.density_profile),
-               "files": ["ambient.csv", "intrinsic.csv"]}
-    (out / "spec.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                   encoding="utf-8")
+    params = {"generator": args.generator, "n": args.n, "noise_sd": args.noise_sd,
+              "exponent": args.exponent, "short_circuit_pairs": args.short_circuit_pairs,
+              "seed": args.seed, "out": str(out)}
+    write_json({"run_config": _run_config("gen", params),
+                "density_profile": json_safe(sample.density_profile),
+                "files": ["ambient.csv", "intrinsic.csv"]}, out / "spec.json")
     return 0
 
 
 # -- embed ------------------------------------------------------------------------
 
 
-def _policy(args, config, default: str) -> str:
-    policy_flag = _resolve(args, "policy", default, config)
-    if policy_flag not in POLICIES:
-        raise InputError(f"unknown policy {policy_flag!r}; choose from {sorted(POLICIES)}")
-    return policy_flag
-
-
-def cmd_embed(args, config) -> int:
-    cache_dir = _resolve(args, "cache_dir", SHARED_DEFAULTS["cache_dir"], config)
-    p = _resolve(args, "p", 2, config, int)
-    k = _resolve(args, "k", 10, config, int)
-    h = _resolve(args, "h", None, config, float)
-    h_pct = _resolve(args, "h_pct", None, config, float)
-    policy_flag = _policy(args, config, "error")
-    spectrum = _resolve(args, "spectrum", 0, config, int)
-    spec = MethodSpec(method=args.method, p=p, k=k, h=h, h_percentile=h_pct,
-                      component_policy=POLICIES[policy_flag])
-
+def cmd_embed(args) -> int:
+    spec = MethodSpec(method=args.method, p=args.p, k=args.k, h=args.h,
+                      h_percentile=args.h_pct, component_policy=POLICIES[args.policy])
     ds = load_csv(args.input, label_column=args.label_column)
     neighbors = Neighbors(ds.data)
-    t_start = time.perf_counter()
-    run = run_method(spec, neighbors, spectrum=spectrum, cache_dir=cache_dir)
-    total_seconds = time.perf_counter() - t_start
+    run = run_method(spec, neighbors, spectrum=args.spectrum, cache_dir=args.cache_dir)
 
-    params = {"input": str(args.input), "method": spec.method, "p": p, "out": str(args.out),
-              "policy": policy_flag, "label_column": args.label_column}
+    params = {"input": str(args.input), "method": spec.method, "p": args.p,
+              "out": str(args.out), "policy": args.policy, "label_column": args.label_column}
     if spec.method in GRAPH_METHODS:
-        params.update({"k": k, "h": run.h, "h_pct": h_pct})
+        params.update({"k": args.k, "h": run.h, "h_pct": args.h_pct})
     out = Path(args.out)
     save_embedding_csv(run.embedding, out)
     save_embedding_json(run.embedding, out.with_suffix(".json"),
                         extra={"run_config": _run_config("embed", params),
                                "data_hash": neighbors.data_hash,
                                "dropped_rows": ds.dropped_rows})
-    _log_timing({"total_seconds": f"{total_seconds:.3f}",
-                 "geodesic_seconds": f"{run.geodesic_seconds:.3f}",
-                 "cache_hit": str(run.cache_hit).lower(),
-                 "cache_entry": run.cache_entry})
+    print(f"timing total_seconds={run.seconds:.3f} geodesic_seconds={run.geodesic_seconds:.3f} "
+          f"cache_hit={str(run.cache_entry != 'none').lower()} cache_entry={run.cache_entry}",
+          file=sys.stderr)
     return 0
 
 
@@ -179,27 +200,22 @@ def _chart_reference(chart_path, chart_kind, indices):
         chart_kind = "swiss-roll" if ds.names == ["t", "u"] else "euclidean"
     if chart_kind == "swiss-roll":
         coords = swiss_roll_unrolled(coords)
-    elif chart_kind != "euclidean":
-        raise InputError(f"unknown chart kind {chart_kind!r}")
     return pairwise_dists(coords[indices])
 
 
-def _load_labels(labels_path, label_column, indices):
-    ds = load_csv(labels_path, label_column=label_column)
+def _load_labels(args, indices):
+    """The labels of the rows in indices from the --labels file, None without one."""
+    if not args.labels:
+        return None
+    ds = load_csv(args.labels, label_column=args.label_column)
     if ds.labels is None:
-        raise InputError(f"{labels_path}: --label-column required to read labels")
+        raise InputError(f"{args.labels}: --label-column required to read labels")
     if indices.max() >= ds.labels.size:
         raise InputError("embedding indices exceed label file length")
     return ds.labels[indices]
 
 
-def cmd_eval(args, config) -> int:
-    seed = _resolve(args, "seed", SHARED_DEFAULTS["seed"], config, int)
-    cache_dir = _resolve(args, "cache_dir", SHARED_DEFAULTS["cache_dir"], config)
-    m = _resolve(args, "m", 10, config, int)
-    k_clf = _resolve(args, "k_clf", 5, config, int)
-    folds = _resolve(args, "folds", 10, config, int)
-
+def cmd_eval(args) -> int:
     indices, coords = load_embedding_csv(args.emb)
     reference_kind = args.reference
     if reference_kind == "chart" or args.chart:
@@ -217,26 +233,21 @@ def cmd_eval(args, config) -> int:
         if reference_kind == "euclidean":
             ref = pairwise_dists(x[indices])
         else:  # geodesic: the graph isomap uses, or pr-isomap's when a window is given
-            h = _resolve(args, "h", None, config, float)
-            h_pct = _resolve(args, "h_pct", None, config, float)
-            method = "isomap" if h is None and h_pct is None else "pr-isomap"
+            method = "isomap" if args.h is None and args.h_pct is None else "pr-isomap"
             # p is unused: only the geodesics are needed
-            spec = MethodSpec(method=method, p=1, k=_resolve(args, "k", 10, config, int),
-                              h=h, h_percentile=h_pct)
+            spec = MethodSpec(method=method, p=1, k=args.k, h=args.h, h_percentile=args.h_pct)
             neighbors = Neighbors(x)
-            geo, _, _ = neighbors.geodesics(spec.k, resolve_h(spec, neighbors), cache_dir)
+            geo, _, _ = neighbors.geodesics(spec.k, resolve_h(spec, neighbors), args.cache_dir)
             ref = geo.values[np.ix_(indices, indices)]
 
-    labels = None
-    if args.labels:
-        labels = _load_labels(args.labels, args.label_column, indices)
-
+    labels = _load_labels(args, indices)
     t0 = time.perf_counter()
     report = evaluate_embedding(
-        ref, coords, m=m, labels=labels, k_clf=k_clf, folds=folds, seed=seed,
+        ref, coords, m=args.m, labels=labels, k_clf=args.k_clf, folds=args.folds,
+        seed=args.seed,
         run=_run_config("eval", {
-            "emb": str(args.emb), "reference": reference_kind, "m": m,
-            "k_clf": k_clf, "folds": folds, "seed": seed,
+            "emb": str(args.emb), "reference": reference_kind, "m": args.m,
+            "k_clf": args.k_clf, "folds": args.folds, "seed": args.seed,
         }),
     )
     report.timings["metrics_seconds"] = round(time.perf_counter() - t0, 6)
@@ -249,40 +260,21 @@ def cmd_eval(args, config) -> int:
 # -- bench ------------------------------------------------------------------------
 
 
-def cmd_bench(args, config) -> int:
-    seed = _resolve(args, "seed", SHARED_DEFAULTS["seed"], config, int)
-    cache_dir = _resolve(args, "cache_dir", SHARED_DEFAULTS["cache_dir"], config)
-    m = _resolve(args, "m", 10, config, int)
-    k_clf = _resolve(args, "k_clf", 5, config, int)
-    folds = _resolve(args, "folds", 10, config, int)
-    p = _resolve(args, "p", 2, config, int)
-    k = _resolve(args, "k", 10, config, int)
-    h = _resolve(args, "h", None, config, float)
-    h_pct = _resolve(args, "h_pct", None, config, float)
-    policy_flag = _policy(args, config, "largest-component")
+def cmd_bench(args) -> int:
     methods = [name.strip() for name in args.methods.split(",") if name.strip()]
     specs = [
-        MethodSpec(method=name, p=p, k=k, h=h, h_percentile=h_pct,
-                   component_policy=POLICIES[policy_flag])
+        MethodSpec(method=name, p=args.p, k=args.k, h=args.h, h_percentile=args.h_pct,
+                   component_policy=POLICIES[args.policy])
         for name in methods
     ]
 
     ds = load_csv(args.input, label_column=args.label_column if args.labels is None else None)
-    x = ds.data
-    labels = ds.labels
-    if args.labels:
-        labels = _load_labels(args.labels, args.label_column,
-                              np.arange(x.shape[0], dtype=np.int64))
-
-    reference = None
-    if args.chart:
-        indices = np.arange(x.shape[0], dtype=np.int64)
-        reference = _chart_reference(args.chart, args.chart_kind, indices)
-
+    rows = np.arange(ds.n, dtype=np.int64)
     result = run_bench(
-        x, specs, reference=reference, labels=labels,
-        baseline=args.baseline, m=m, k_clf=k_clf, folds=folds, seed=seed,
-        cache_dir=cache_dir,
+        ds.data, specs, baseline=args.baseline, m=args.m, k_clf=args.k_clf, folds=args.folds,
+        seed=args.seed, cache_dir=args.cache_dir,
+        labels=_load_labels(args, rows) if args.labels else ds.labels,
+        reference=_chart_reference(args.chart, args.chart_kind, rows) if args.chart else None,
     )
 
     out = Path(args.out)
@@ -295,35 +287,30 @@ def cmd_bench(args, config) -> int:
             fh.write(",".join(csv_cell(row.get(key)) for key in fields) + "\n")
 
     params = {"input": str(args.input), "methods": methods, "baseline": result.baseline,
-              "k": k, "h": h, "h_pct": h_pct, "p": p, "m": m, "k_clf": k_clf,
-              "folds": folds, "seed": seed, "policy": policy_flag,
-              "chart": str(args.chart) if args.chart else None}
-    payload = {
+              "k": args.k, "h": args.h, "h_pct": args.h_pct, "p": args.p, "m": args.m,
+              "k_clf": args.k_clf, "folds": args.folds, "seed": args.seed,
+              "policy": args.policy, "chart": str(args.chart) if args.chart else None}
+    write_json({
         "run_config": _run_config("bench", params),
         "files": ["bench.csv"],
         "baseline": result.baseline,
         "common_vertex_count": int(result.common_vertices.size),
         "reports": {name: rep.to_dict() for name, rep in result.reports.items()},
         "paired_deltas": json_safe(result.paired_deltas),
-    }
-    (out / "bench.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                    encoding="utf-8")
+    }, out / "bench.json")
     return 0
 
 
 # -- plot -------------------------------------------------------------------------
 
 
-def cmd_plot(args, config) -> int:
+def cmd_plot(args) -> int:
     indices, coords = load_embedding_csv(args.input)
-    labels = None
-    if args.labels:
-        labels = _load_labels(args.labels, args.label_column, indices)
     axes = tuple(args.axes) if args.axes else (0, 1)
     params = {"input": str(args.input), "axes": list(axes), "out": str(args.out),
               "labels": str(args.labels) if args.labels else None}
     comment = "runconfig " + json.dumps(_run_config("plot", params), sort_keys=True)
-    svg = scatter_svg(coords, labels=labels, axes=axes, comment=comment)
+    svg = scatter_svg(coords, labels=_load_labels(args, indices), axes=axes, comment=comment)
     Path(args.out).write_text(svg, encoding="utf-8")
     return 0
 
@@ -340,92 +327,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", help="generate a synthetic manifold dataset")
-    gen.add_argument("generator", help=f"generator name ({', '.join(GENERATORS)})")
-    gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--noise-sd", type=float, default=None)
-    gen.add_argument("--exponent", type=float, default=None,
-                     help="sampling density exponent (0 = uniform)")
-    gen.add_argument("--short-circuit-pairs", type=float, default=None,
-                     help="fraction of n welded as cross-sheet pairs")
-    gen.add_argument("--out", required=True, help="output directory")
-    add_shared_flags(gen)
-    gen.set_defaults(func=cmd_gen)
+    def command(func, help: str, out_help: str) -> argparse.ArgumentParser:
+        sub = subs.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+        sub.set_defaults(func=func)
+        sub.add_argument("--out", required=True, help=out_help)
+        return sub
 
-    embed = subs.add_parser("embed", help="embed a dataset with one method")
+    gen = command(cmd_gen, "generate a synthetic manifold dataset", "output directory")
+    gen.add_argument("generator", choices=GENERATORS,
+                     help=f"generator name ({', '.join(GENERATORS)})")
+    _add_settings(gen, "n", "noise_sd", "exponent", "short_circuit_pairs")
+
+    embed = command(cmd_embed, "embed a dataset with one method", "output embedding CSV")
     embed.add_argument("--in", dest="input", required=True, help="input CSV")
     embed.add_argument("--label-column", default=None,
                        help="column to exclude from features")
     embed.add_argument("--method", required=True, help=f"one of {', '.join(METHODS)}")
-    embed.add_argument("--k", type=int, default=None)
-    hgroup = embed.add_mutually_exclusive_group()
-    hgroup.add_argument("--h", type=float, default=None,
-                        help="window diameter (absolute; inf allowed)")
-    hgroup.add_argument("--h-pct", type=float, default=None,
-                        help="window diameter as percentile of k-NN edge lengths")
-    embed.add_argument("--p", type=int, default=None)
-    embed.add_argument("--policy", default=None, choices=sorted(POLICIES))
-    embed.add_argument("--spectrum", type=int, default=None,
-                       help="extra eigenvalues to record for the elbow report")
-    embed.add_argument("--out", required=True, help="output embedding CSV")
-    add_shared_flags(embed)
-    embed.set_defaults(func=cmd_embed)
+    _add_graph_flags(embed)
+    _add_settings(embed, "p", "policy", "spectrum")
 
-    ev = subs.add_parser("eval", help="score an embedding")
+    ev = command(cmd_eval, "score an embedding", "report JSON path")
     ev.add_argument("--emb", required=True, help="embedding CSV")
     ev.add_argument("--data", default=None, help="original data CSV")
     ev.add_argument("--ref", dest="reference", default="euclidean",
                     choices=["euclidean", "geodesic", "chart"])
-    ev.add_argument("--chart", default=None, help="ground-truth chart CSV")
-    ev.add_argument("--chart-kind", default="auto",
-                    choices=["auto", "swiss-roll", "euclidean"])
-    ev.add_argument("--k", type=int, default=None, help="k for geodesic reference")
-    evh = ev.add_mutually_exclusive_group()
-    evh.add_argument("--h", type=float, default=None)
-    evh.add_argument("--h-pct", type=float, default=None)
-    ev.add_argument("--labels", default=None, help="labels CSV")
-    ev.add_argument("--label-column", default=None)
-    ev.add_argument("--m", type=int, default=None, help="neighborhood size for T/C")
-    ev.add_argument("--k-clf", type=int, default=None)
-    ev.add_argument("--folds", type=int, default=None)
-    ev.add_argument("--out", required=True, help="report JSON path")
+    _add_chart_flags(ev)
+    _add_graph_flags(ev)
+    _add_label_flags(ev)
+    _add_settings(ev, *SCORING)
     ev.add_argument("--csv", default=None, help="also write a one-line CSV")
-    add_shared_flags(ev)
-    ev.set_defaults(func=cmd_eval)
 
-    bench = subs.add_parser("bench", help="compare methods on one dataset")
-    bench.add_argument("--in", dest="input", required=True)
+    bench = command(cmd_bench, "compare methods on one dataset", "output directory")
+    bench.add_argument("--in", dest="input", required=True, help="input CSV")
     bench.add_argument("--methods", required=True,
                        help="comma-separated subset of " + ",".join(METHODS))
-    bench.add_argument("--baseline", default=None)
-    bench.add_argument("--labels", default=None)
-    bench.add_argument("--label-column", default=None)
-    bench.add_argument("--chart", default=None)
-    bench.add_argument("--chart-kind", default="auto",
-                       choices=["auto", "swiss-roll", "euclidean"])
-    bench.add_argument("--k", type=int, default=None)
-    bgroup = bench.add_mutually_exclusive_group()
-    bgroup.add_argument("--h", type=float, default=None)
-    bgroup.add_argument("--h-pct", type=float, default=None)
-    bench.add_argument("--p", type=int, default=None)
-    bench.add_argument("--m", type=int, default=None)
-    bench.add_argument("--k-clf", type=int, default=None)
-    bench.add_argument("--folds", type=int, default=None)
-    bench.add_argument("--policy", default=None, choices=sorted(POLICIES))
-    bench.add_argument("--out", required=True, help="output directory")
-    add_shared_flags(bench)
-    bench.set_defaults(func=cmd_bench)
+    bench.add_argument("--baseline", default=None,
+                       help="method the paired deltas are taken against")
+    _add_label_flags(bench)
+    _add_chart_flags(bench)
+    _add_graph_flags(bench)
+    _add_settings(bench, "p", *SCORING, "policy")
 
-    plot = subs.add_parser("plot", help="render an embedding as SVG")
+    plot = command(cmd_plot, "render an embedding as SVG", "output SVG path")
     plot.add_argument("--in", dest="input", required=True, help="embedding CSV")
-    plot.add_argument("--labels", default=None)
-    plot.add_argument("--label-column", default=None)
+    _add_label_flags(plot)
     plot.add_argument("--axes", type=int, nargs=2, default=None,
                       help="coordinate columns to plot (default 0 1)")
-    plot.add_argument("--out", required=True, help="output SVG path")
-    add_shared_flags(plot)
-    plot.set_defaults(func=cmd_plot)
 
+    for sub in subs.choices.values():
+        add_shared_flags(sub)
     return parser
 
 
@@ -436,17 +386,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _load_config(getattr(args, "config", None))
-        return args.func(args, config)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError) as exc:
+        resolve_settings(args, _load_config(args.config))
+        return args.func(args)
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GraphError as exc:
         print(f"graph error: {exc}", file=sys.stderr)
-        if getattr(exc, "summary", None):
+        if exc.summary:
             print(f"component sizes: {exc.summary}", file=sys.stderr)
         return 3
     except NumericError as exc:

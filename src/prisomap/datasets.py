@@ -1,4 +1,5 @@
-"""Dataset loading, synthetic manifold generation, and standardization.
+"""Dataset loading, synthetic manifold generation, standardization, and the
+cell and JSON formats every output file shares.
 
 CSV tables follow RFC-4180 with a required header row; IDX image files use
 the big-endian layout with magic numbers 0x00000803 (images) and 0x00000801
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import gzip
 import hashlib
+import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -71,6 +73,44 @@ def data_hash(data: np.ndarray) -> str:
     h.update(str(a.shape).encode())
     h.update(a.tobytes())
     return h.hexdigest()
+
+
+# -- output formats -------------------------------------------------------------
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: None empty, floats round-trip exact (.17g), else str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def json_safe(value):
+    """Replace non-finite floats with strings so descriptors stay valid JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [json_safe(float(v)) for v in value]
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        return json_safe(float(value))
+    return value
+
+
+def write_json(payload, path=None) -> str:
+    """The text of payload in the layout of every JSON output file (indent 2,
+    sorted keys, final newline), also written to path when one is given."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -156,24 +196,17 @@ def load_csv(path, label_column: str | int | None = None) -> LabeledDataset:
     )
 
 
-def save_csv(path, data, names: list[str] | None = None, labels=None,
-             label_name: str = "label") -> None:
+def save_csv(path, data, names: list[str] | None = None) -> None:
     """Write a numeric table with 17-significant-digit (round-trip exact) cells."""
     a = as_matrix(data, "data")
-    path = Path(path)
     if names is None:
         names = [f"f{i}" for i in range(a.shape[1])]
     if len(names) != a.shape[1]:
         raise ValueError("names length must match column count")
-    header = list(names) + ([label_name] if labels is not None else [])
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(a.shape[0]):
-            row = [format(v, ".17g") for v in a[i]]
-            if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
+        writer.writerow(names)
+        writer.writerows(map(csv_cell, row) for row in a)
 
 
 # -- IDX ----------------------------------------------------------------------

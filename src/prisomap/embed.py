@@ -1,30 +1,29 @@
 """Dimensionality-reduction methods sharing the dense linear-algebra core.
 
-pr_isomap caps neighbor edges at window diameter h before estimating
-geodesics; isomap is its h=+inf special case. classical_mds and pca give the
-flat baselines. All methods are pure functions of (data bytes, parameters)
-and return an Embedding whose coordinate columns are ordered by descending
+embed_geodesics applies the component policy to a geodesic matrix and embeds
+it by classical scaling; the graph methods pr_isomap and isomap (in bench,
+beside the method dispatch) end in it. classical_mds and pca give the flat
+baselines. All methods are pure functions of (data bytes, parameters) and
+return an Embedding whose coordinate columns are ordered by descending
 eigenvalue.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .datasets import csv_cell, json_safe, write_json
 from .errors import DisconnectedGraph, GraphTooFragmented
-from .geodesics import GeodesicMatrix, all_pairs
-from .graph import knn_graph
+from .geodesics import GeodesicMatrix
 from .linalg import (EigenResult, as_matrix, double_center_in_place, mds_coordinates, mds_eig,
                      pairwise_sq_dists, symmetric_eig)
 
 ERROR_POLICY = "error"
 LARGEST_COMPONENT_POLICY = "largest_component"
-DEFAULT_FRAGMENT_THRESHOLD = 0.5
+FRAGMENT_THRESHOLD = 0.5  # least share of the points the largest component must hold
 
 
 @dataclass
@@ -105,7 +104,6 @@ def embed_geodesics(
     p: int,
     method: dict,
     component_policy: str = ERROR_POLICY,
-    fragment_threshold: float = DEFAULT_FRAGMENT_THRESHOLD,
     spectrum: int = 0,
 ) -> Embedding:
     """Classical scaling of a geodesic matrix after resolving disconnection.
@@ -114,7 +112,7 @@ def embed_geodesics(
     LARGEST_COMPONENT_POLICY embeds only the largest component, the one
     holding the lowest vertex among equal largest ones. Raises
     GraphTooFragmented when the largest component holds less than
-    fragment_threshold of the points. geo is left unchanged. Two seams let
+    FRAGMENT_THRESHOLD of the points. geo is left unchanged. Two seams let
     callers cache both expensive steps: geo comes in computed, and the
     Embedding goes out with its kept_indices and eigenpairs, from which
     scaled_embedding rebuilds it at any p whose max(p, spectrum) is the same.
@@ -132,10 +130,10 @@ def embed_geodesics(
         labels = _component_labels(geo.values)
         counts = np.bincount(labels)
         sizes = sorted(counts.tolist(), reverse=True)
-        if sizes[0] < fragment_threshold * n:
+        if sizes[0] < FRAGMENT_THRESHOLD * n:
             raise GraphTooFragmented(
                 f"largest component holds {sizes[0]}/{n} points "
-                f"(< {fragment_threshold:.0%}); lower k/h expectations explicitly",
+                f"(< {FRAGMENT_THRESHOLD:.0%}); lower k/h expectations explicitly",
                 summary=sizes,
             )
         if component_policy == ERROR_POLICY:
@@ -149,41 +147,6 @@ def embed_geodesics(
         d_sq = geo.values[np.ix_(kept, kept)]  # a gathered copy: square it in place
         np.square(d_sq, out=d_sq)
     return _scaled(d_sq, p, dict(method), kept, n, spectrum)
-
-
-def pr_isomap(
-    data,
-    k: int,
-    h: float,
-    p: int,
-    component_policy: str = ERROR_POLICY,
-    fragment_threshold: float = DEFAULT_FRAGMENT_THRESHOLD,
-    spectrum: int = 0,
-) -> Embedding:
-    """Isometric mapping over the h-capped neighbor graph.
-
-    Pipeline: capped k-NN graph -> all-pairs shortest paths -> component
-    policy -> squared distances -> double centering -> classical scaling.
-    """
-    geo = all_pairs(knn_graph(as_matrix(data, "data"), k, h))
-    method = {"method": "pr-isomap", "k": int(k), "h": float(h), "p": int(p),
-              "component_policy": component_policy}
-    return embed_geodesics(geo, p, method, component_policy, fragment_threshold, spectrum)
-
-
-def isomap(
-    data,
-    k: int,
-    p: int,
-    component_policy: str = ERROR_POLICY,
-    fragment_threshold: float = DEFAULT_FRAGMENT_THRESHOLD,
-    spectrum: int = 0,
-) -> Embedding:
-    """Standard isometric mapping: the h=+inf case of pr_isomap."""
-    emb = pr_isomap(data, k, math.inf, p, component_policy, fragment_threshold, spectrum)
-    emb.method = {"method": "isomap", "k": int(k), "p": int(p),
-                  "component_policy": component_policy}
-    return emb
 
 
 def classical_mds(data, p: int, spectrum: int = 0) -> Embedding:
@@ -236,23 +199,6 @@ def elbow(eigenvalues) -> int:
 # -- serialization -------------------------------------------------------------
 
 
-def json_safe(value):
-    """Replace non-finite floats with strings so descriptors stay valid JSON."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [json_safe(float(v)) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return json_safe(float(value))
-    return value
-
-
 def embedding_descriptor(emb: Embedding, extra: dict | None = None) -> dict:
     desc = {
         "schema": "embedding/1",
@@ -278,14 +224,12 @@ def save_embedding_csv(emb: Embedding, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write("index," + ",".join(f"c{j}" for j in range(emb.p)) + "\n")
         for row, idx in enumerate(emb.kept_indices):
-            cells = ",".join(format(v, ".17g") for v in emb.coordinates[row])
+            cells = ",".join(map(csv_cell, emb.coordinates[row]))
             fh.write(f"{int(idx)},{cells}\n")
 
 
 def save_embedding_json(emb: Embedding, path, extra: dict | None = None) -> None:
-    payload = embedding_descriptor(emb, extra)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_json(embedding_descriptor(emb, extra), path)
 
 
 def load_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:

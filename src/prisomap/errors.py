@@ -61,19 +61,20 @@ class InfiniteWindow(InputError):
 # -- graph topology errors (CLI exit code 3) --------------------------------
 
 class GraphError(PrisomapError):
-    """Neighbor-graph topology prevents the requested operation."""
+    """Neighbor-graph topology prevents the requested operation; summary holds
+    the component sizes, largest first, when they are known."""
+
+    def __init__(self, message: str, summary=None):
+        super().__init__(message)
+        self.summary = summary
 
 
 class DisconnectedGraph(GraphError):
-    def __init__(self, message: str, summary=None):
-        super().__init__(message)
-        self.summary = summary
+    pass
 
 
 class GraphTooFragmented(GraphError):
-    def __init__(self, message: str, summary=None):
-        super().__init__(message)
-        self.summary = summary
+    pass
 
 
 # -- numeric errors (CLI exit code 4) ----------------------------------------

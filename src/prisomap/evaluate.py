@@ -9,13 +9,12 @@ comparisons can share folds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embed import json_safe
+from .datasets import csv_cell, json_safe, write_json
 from .errors import ClassTooSmall, NoFinitePairs, ZeroMeanDensity
 from .graph import DensityEstimate
 from .linalg import as_matrix, pairwise_dists
@@ -264,15 +263,6 @@ def uniformity_cv(density: DensityEstimate) -> float:
 # -- report -----------------------------------------------------------------------
 
 
-def csv_cell(value) -> str:
-    """One CSV cell: None empty, floats round-trip exact (.17g), else str."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 @dataclass
 class EvalReport:
     """Scores for one embedding run, JSON/CSV serializable with provenance."""
@@ -306,13 +296,7 @@ class EvalReport:
         return json_safe(out)
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        if path is not None:
-            Path(path).write_text(text, encoding="utf-8")
-        return text
-
-    def csv_header(self) -> str:
-        return ",".join(self.CSV_FIELDS)
+        return write_json(self.to_dict(), path)
 
     def to_csv_line(self) -> str:
         return ",".join(csv_cell(getattr(self, name)) for name in self.CSV_FIELDS)
@@ -370,5 +354,5 @@ def evaluate_embedding(
 
 
 def save_eval_csv(report: EvalReport, path) -> None:
-    Path(path).write_text(f"{report.csv_header()}\n{report.to_csv_line()}\n",
+    Path(path).write_text(f"{','.join(report.CSV_FIELDS)}\n{report.to_csv_line()}\n",
                           encoding="utf-8", newline="")

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datasets import data_hash
+from .datasets import csv_cell, data_hash
 from .errors import DegenerateDuplicatesWarning, InfiniteWindow
 from .linalg import as_matrix, pairwise_sq_dists
 
@@ -244,4 +244,4 @@ def save_edge_list(graph: NeighborGraph, path) -> None:
     """Write the undirected edge list as sorted 'i j w' lines."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for i, j, w in graph.iter_edges():
-            fh.write(f"{i} {j} {format(w, '.17g')}\n")
+            fh.write(f"{i} {j} {csv_cell(w)}\n")

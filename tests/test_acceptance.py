@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prisomap.bench import MethodSpec, run_bench
+from prisomap.bench import MethodSpec, isomap, pr_isomap, run_bench
 from prisomap.cli import main as cli_main
 from prisomap.datasets import gen_swiss_roll, load_idx, swiss_roll_unrolled
-from prisomap.embed import classical_mds, isomap, pca, pr_isomap
+from prisomap.embed import classical_mds, pca
 from prisomap.evaluate import (
     knn_classify_cv,
     make_stratified_folds,

@@ -78,6 +78,12 @@ class TestRunBench:
                         reference=chart)
         assert res.paired_deltas == {}
 
+    def test_baseline_must_name_a_method(self):
+        sample, _, chart = labeled_roll(n=200, seed=2)
+        specs = [MethodSpec(method="pca", p=2), MethodSpec(method="mds", p=2)]
+        with pytest.raises(InputError, match="baseline"):
+            run_bench(sample.ambient, specs, reference=chart, baseline="isomap")
+
     def test_shared_folds_across_methods(self):
         sample, labels, _ = labeled_roll(n=200, seed=3)
         specs = [MethodSpec(method="pca", p=2), MethodSpec(method="mds", p=2)]

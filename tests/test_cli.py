@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -7,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prisomap.cli import main
-from prisomap.datasets import save_csv
+from prisomap import isomap
+from prisomap.cli import SETTINGS, build_parser, main, resolve_settings
+from prisomap.datasets import json_safe, load_csv, save_csv
 
 
 def run_cli(*argv):
@@ -577,3 +580,245 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "prisomap", "embed"],
                               capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+# Every option of each subcommand as (dest, type, default, required, choices,
+# nargs): the command-line surface the settings table must keep. Settings
+# stay None here; resolve_settings fills them.
+OPTIONS = {
+    "gen": {
+        "generator": ("generator", None, None, True, ["swiss-roll"], None),
+        "--n": ("n", int, None, False, None, None),
+        "--noise-sd": ("noise_sd", float, None, False, None, None),
+        "--exponent": ("exponent", float, None, False, None, None),
+        "--short-circuit-pairs": ("short_circuit_pairs", float, None, False, None, None),
+        "--out": ("out", None, None, True, None, None),
+        "--seed": ("seed", int, None, False, None, None),
+        "--threads": ("threads", int, None, False, None, None),
+        "--cache-dir": ("cache_dir", None, None, False, None, None),
+        "--config": ("config", None, None, False, None, None),
+    },
+    "embed": {
+        "--in": ("input", None, None, True, None, None),
+        "--label-column": ("label_column", None, None, False, None, None),
+        "--method": ("method", None, None, True, None, None),
+        "--k": ("k", int, None, False, None, None),
+        "--h": ("h", float, None, False, None, None),
+        "--h-pct": ("h_pct", float, None, False, None, None),
+        "--p": ("p", int, None, False, None, None),
+        "--policy": ("policy", None, None, False, ["error", "largest-component"], None),
+        "--spectrum": ("spectrum", int, None, False, None, None),
+        "--out": ("out", None, None, True, None, None),
+        "--seed": ("seed", int, None, False, None, None),
+        "--threads": ("threads", int, None, False, None, None),
+        "--cache-dir": ("cache_dir", None, None, False, None, None),
+        "--config": ("config", None, None, False, None, None),
+    },
+    "eval": {
+        "--emb": ("emb", None, None, True, None, None),
+        "--data": ("data", None, None, False, None, None),
+        "--ref": ("reference", None, "euclidean", False, ["euclidean", "geodesic", "chart"], None),
+        "--chart": ("chart", None, None, False, None, None),
+        "--chart-kind": ("chart_kind", None, "auto", False, ["auto", "swiss-roll", "euclidean"], None),
+        "--k": ("k", int, None, False, None, None),
+        "--h": ("h", float, None, False, None, None),
+        "--h-pct": ("h_pct", float, None, False, None, None),
+        "--labels": ("labels", None, None, False, None, None),
+        "--label-column": ("label_column", None, None, False, None, None),
+        "--m": ("m", int, None, False, None, None),
+        "--k-clf": ("k_clf", int, None, False, None, None),
+        "--folds": ("folds", int, None, False, None, None),
+        "--out": ("out", None, None, True, None, None),
+        "--csv": ("csv", None, None, False, None, None),
+        "--seed": ("seed", int, None, False, None, None),
+        "--threads": ("threads", int, None, False, None, None),
+        "--cache-dir": ("cache_dir", None, None, False, None, None),
+        "--config": ("config", None, None, False, None, None),
+    },
+    "bench": {
+        "--in": ("input", None, None, True, None, None),
+        "--methods": ("methods", None, None, True, None, None),
+        "--baseline": ("baseline", None, None, False, None, None),
+        "--labels": ("labels", None, None, False, None, None),
+        "--label-column": ("label_column", None, None, False, None, None),
+        "--chart": ("chart", None, None, False, None, None),
+        "--chart-kind": ("chart_kind", None, "auto", False, ["auto", "swiss-roll", "euclidean"], None),
+        "--k": ("k", int, None, False, None, None),
+        "--h": ("h", float, None, False, None, None),
+        "--h-pct": ("h_pct", float, None, False, None, None),
+        "--p": ("p", int, None, False, None, None),
+        "--m": ("m", int, None, False, None, None),
+        "--k-clf": ("k_clf", int, None, False, None, None),
+        "--folds": ("folds", int, None, False, None, None),
+        "--policy": ("policy", None, None, False, ["error", "largest-component"], None),
+        "--out": ("out", None, None, True, None, None),
+        "--seed": ("seed", int, None, False, None, None),
+        "--threads": ("threads", int, None, False, None, None),
+        "--cache-dir": ("cache_dir", None, None, False, None, None),
+        "--config": ("config", None, None, False, None, None),
+    },
+    "plot": {
+        "--in": ("input", None, None, True, None, None),
+        "--labels": ("labels", None, None, False, None, None),
+        "--label-column": ("label_column", None, None, False, None, None),
+        "--axes": ("axes", int, None, False, None, 2),
+        "--out": ("out", None, None, True, None, None),
+        "--seed": ("seed", int, None, False, None, None),
+        "--threads": ("threads", int, None, False, None, None),
+        "--cache-dir": ("cache_dir", None, None, False, None, None),
+        "--config": ("config", None, None, False, None, None),
+    },
+}
+
+# The built-in default of each setting, per command where they differ.
+DEFAULTS = {
+    "seed": 0, "cache_dir": None, "n": 1000, "noise_sd": 0.0, "exponent": 0.0,
+    "short_circuit_pairs": 0.0, "k": 10, "h": None, "h_pct": None, "p": 2,
+    "policy": "error", "spectrum": 0, "m": 10, "k_clf": 5, "folds": 10,
+}
+REQUIRED = {
+    "gen": ["swiss-roll", "--out", "o"],
+    "embed": ["--in", "i.csv", "--method", "pca", "--out", "o.csv"],
+    "eval": ["--emb", "e.csv", "--out", "o.json"],
+    "bench": ["--in", "i.csv", "--methods", "pca", "--out", "o"],
+    "plot": ["--in", "e.csv", "--out", "o.svg"],
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_options_as_before(self, command):
+        got = {}
+        for a in _subparsers()[command]._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            choices = None if a.choices is None else list(a.choices)
+            got[a.option_strings[0] if a.option_strings else a.dest] = (
+                a.dest, a.type, a.default, a.required, choices, a.nargs)
+        assert got == OPTIONS[command]
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_exits_0(self, command, capsys):
+        assert run_cli(command, "--help") == 0
+        assert "--seed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_flags_beat_config_beat_environment_beat_default(self, command, monkeypatch):
+        for name in list(os.environ):
+            if name.startswith("PRISOMAP_"):
+                monkeypatch.delenv(name)
+        parser = build_parser()
+        declared = vars(parser.parse_args([command, *REQUIRED[command]]))
+        dests = [dest for dest in SETTINGS if dest in declared]
+        assert dests and "threads" not in dests and "config" not in dests
+
+        def resolved(dest, argv, config, env):
+            if env is not None:
+                monkeypatch.setenv("PRISOMAP_" + dest.upper(), env)
+            args = parser.parse_args([command, *REQUIRED[command], *argv])
+            resolve_settings(args, config)
+            monkeypatch.delenv("PRISOMAP_" + dest.upper(), raising=False)
+            return getattr(args, dest)
+
+        for dest in dests:
+            setting = SETTINGS[dest]
+            if setting.choices:
+                values = [setting.choices[0], setting.choices[1], setting.choices[0]]
+            else:
+                values = {int: ["3", "4", "5"], float: ["0.25", "0.5", "0.75"],
+                          None: ["a", "b", "c"]}[setting.type]
+            want = [v if setting.type is None else setting.type(v) for v in values]
+            flag = "--" + dest.replace("_", "-")
+            assert resolved(dest, [flag, values[0]], {dest: values[1]}, values[2]) == want[0]
+            assert resolved(dest, [], {dest: values[1]}, values[2]) == want[1]
+            got = resolved(dest, [], {}, values[2])
+            assert got == want[2] and type(got) is type(want[2])
+            default = "largest-component" if (command, dest) == ("bench", "policy") \
+                else DEFAULTS[dest]
+            assert resolved(dest, [], {}, None) == default
+
+
+class TestPrecedenceCases:
+    def test_int_from_environment(self, roll_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("PRISOMAP_K", "9")
+        out = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "isomap",
+                       "--p", "2", "--out", str(out)) == 0
+        desc = json.loads(out.with_suffix(".json").read_text())
+        assert desc["method"]["k"] == 9
+        assert desc["run_config"]["params"]["k"] == 9
+
+    def test_infinite_h_from_config(self, roll_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": "inf"}))
+        base = ["embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pr-isomap",
+                "--k", "8", "--p", "2"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(*base, "--config", str(cfg), "--out", str(a)) == 0
+        assert run_cli(*base, "--h", "inf", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.with_suffix(".json").read_text())["method"]["h"] == "inf"
+
+    def test_invalid_policy_in_config_exits_2(self, roll_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": "largest_component"}))
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pca",
+                       "--config", str(cfg), "--out", str(tmp_path / "e.csv")) == 2
+        assert "unknown policy" in capsys.readouterr().err
+
+    def test_invalid_policy_in_environment_exits_2(self, roll_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("PRISOMAP_POLICY", "bogus")
+        assert run_cli("bench", "--in", str(roll_dir / "ambient.csv"), "--methods", "pca",
+                       "--out", str(tmp_path / "b")) == 2
+
+    def test_policy_defaults_per_command(self, roll_dir, tmp_path):
+        emb = tmp_path / "e.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pca",
+                       "--out", str(emb)) == 0
+        params = json.loads(emb.with_suffix(".json").read_text())["run_config"]["params"]
+        assert params["policy"] == "error"
+        out = tmp_path / "b"
+        assert run_cli("bench", "--in", str(roll_dir / "ambient.csv"), "--methods", "pca",
+                       "--out", str(out)) == 0
+        params = json.loads((out / "bench.json").read_text())["run_config"]["params"]
+        assert params["policy"] == "largest-component"
+
+
+class TestInputErrors:
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        assert run_cli("embed", "--in", str(tmp_path), "--method", "pca",
+                       "--out", str(tmp_path / "e.csv")) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_input_below_a_file(self, roll_dir, tmp_path):
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv" / "x.csv"),
+                       "--method", "pca", "--out", str(tmp_path / "e.csv")) == 2
+
+    def test_config_is_a_directory(self, roll_dir, tmp_path):
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pca",
+                       "--config", str(tmp_path), "--out", str(tmp_path / "e.csv")) == 2
+
+    def test_baseline_naming_no_method(self, roll_dir, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run_cli("bench", "--in", str(roll_dir / "ambient.csv"),
+                       "--methods", "isomap,pca", "--k", "8", "--baseline", "bogus",
+                       "--out", str(out)) == 2
+        assert "baseline 'bogus'" in capsys.readouterr().err
+        assert not (out / "bench.json").exists()
+
+
+class TestLibraryDescriptor:
+    def test_isomap_matches_cli_descriptor(self, roll_dir, tmp_path):
+        out = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "isomap",
+                       "--k", "8", "--p", "2", "--out", str(out)) == 0
+        desc = json.loads(out.with_suffix(".json").read_text())
+        emb = isomap(load_csv(roll_dir / "ambient.csv").data, 8, 2)
+        assert json_safe(emb.method) == desc["method"]
+        assert desc["method"]["h"] == "inf"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prisomap.bench import isomap, pr_isomap
 from prisomap.datasets import gen_swiss_roll
 from prisomap.embed import (
     LARGEST_COMPONENT_POLICY,
@@ -10,10 +11,8 @@ from prisomap.embed import (
     elbow,
     embed_geodesics,
     embedding_descriptor,
-    isomap,
     load_embedding_csv,
     pca,
-    pr_isomap,
     save_embedding_csv,
 )
 from prisomap.errors import DisconnectedGraph, GraphTooFragmented
