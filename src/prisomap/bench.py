@@ -3,10 +3,10 @@
 run_method runs every method, for the CLI, run_bench and the library's
 pr_isomap and isomap alike, so a graph method's descriptor, its h and its
 component policy are handled in one place. A graph
-method looks its kernel's top eigenpairs up in the cache first, then its
-geodesic matrix. Neighbors runs the k-NN candidate pass at most once per
-(data, k), and only when h selection, a geodesic cache miss or the density
-needs it; it caps a graph only for a cache miss or the density.
+method looks its kernel's top eigenpairs up in the cache first. Neighbors
+runs the k-NN candidate pass at most once per (data, k), and only when h
+selection, a cache miss or the density needs it; it caps a graph only for a
+cache miss or the density.
 
 run_bench runs all requested methods on the same sample; metrics are computed
 on the intersection of the methods' kept vertices against one common
@@ -28,8 +28,7 @@ from .embed import (ERROR_POLICY, Embedding, classical_mds, embed_geodesics, pca
                     scaled_embedding)
 from .errors import InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
-from .geodesics import (GeodesicMatrix, SpectralEntry, cache_lookup, cached_geodesics,
-                        load_spectrum, save_spectrum)
+from .geodesics import SpectralEntry, cache_lookup, save_spectrum
 from .graph import NeighborGraph, cap_candidates, knn_candidates, percentile_h, pr_density
 from .linalg import as_matrix, pairwise_dists
 
@@ -92,11 +91,6 @@ class Neighbors:
             self._graphs[(k, h)] = graph
         return graph
 
-    def geodesics(self, k: int, h: float, cache_dir=None) -> tuple[GeodesicMatrix, bool, float]:
-        """All-pairs matrix of the graph at (k, h), through the cache in cache_dir."""
-        fingerprint = {"data_hash": self.data_hash, "k": k, "h": h}
-        return cached_geodesics(fingerprint, lambda: self.graph(k, h), cache_dir)
-
 
 def resolve_h(spec: MethodSpec, neighbors: Neighbors) -> float | None:
     """The window diameter spec runs with.
@@ -119,40 +113,39 @@ def resolve_h(spec: MethodSpec, neighbors: Neighbors) -> float | None:
 
 @dataclass
 class MethodRun:
-    """One method's embedding; cache_entry names the cache entry kind that
-    served it ("spectrum", "geodesics" or "none")."""
+    """One method's embedding; cache_entry names the cache entry that served
+    it ("spectrum" or "none")."""
 
     embedding: Embedding
     h: float | None
     seconds: float
     cache_entry: str = "none"
-    geodesic_seconds: float = 0.0
 
 
 def _embed_graph(spec: MethodSpec, h: float, neighbors: Neighbors, spectrum: int,
-                 cache_dir) -> tuple[Embedding, str, float]:
-    """A graph method's embedding, its cache entry kind and its all-pairs seconds.
+                 cache_dir) -> tuple[Embedding, str]:
+    """A graph method's embedding and the cache entry that served it.
 
     The spectral entry holds the kernel's top max(p, spectrum) eigenpairs,
     keyed by that exact count, since the eigensolver's path depends on it; a
-    hit reads no geodesics and solves nothing. A miss embeds the geodesics,
-    cached or not, and writes the entry back.
+    hit caps no graph, runs no all-pairs and solves nothing. A miss embeds
+    the graph and writes the entry back.
     """
     desc = {"method": spec.method, "k": spec.k, "h": h, "p": spec.p,
             "component_policy": spec.component_policy}
     fingerprint = {"data_hash": neighbors.data_hash, "k": spec.k, "h": h,
                    "component_policy": spec.component_policy, "top": max(spec.p, spectrum)}
-    path, entry = cache_lookup(cache_dir, fingerprint, ".eig", load_spectrum)
+    path, entry = cache_lookup(cache_dir, fingerprint)
     if entry is not None:
         emb = scaled_embedding(entry.eigenpairs, spec.p, desc, entry.kept_indices,
                                entry.n_input, spectrum)
-        return emb, "spectrum", 0.0
-    geo, geo_hit, geo_seconds = neighbors.geodesics(spec.k, h, cache_dir)
-    emb = embed_geodesics(geo, spec.p, desc, spec.component_policy, spectrum=spectrum)
+        return emb, "spectrum"
+    emb = embed_geodesics(neighbors.graph(spec.k, h), spec.p, desc, spec.component_policy,
+                          spectrum=spectrum)
     if path is not None:
         save_spectrum(SpectralEntry(emb.kept_indices, emb.n_input, emb.eigenpairs,
                                     fingerprint), path)
-    return emb, "geodesics" if geo_hit else "none", geo_seconds
+    return emb, "none"
 
 
 def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
@@ -160,27 +153,27 @@ def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
     """Run one method on neighbors.data.
 
     spectrum > 0 records that many leading eigenvalues; graph methods look
-    their eigenpairs, then their geodesic matrix, up in cache_dir first.
+    their eigenpairs up in cache_dir first.
     """
     t0 = time.perf_counter()
     h = resolve_h(spec, neighbors)
     x = neighbors.data
-    cache_entry, geo_seconds = "none", 0.0
+    cache_entry = "none"
     if spec.method in GRAPH_METHODS:
-        emb, cache_entry, geo_seconds = _embed_graph(spec, h, neighbors, spectrum, cache_dir)
+        emb, cache_entry = _embed_graph(spec, h, neighbors, spectrum, cache_dir)
     elif spec.method == "mds":
         emb = classical_mds(x, spec.p, spectrum=spectrum)
     else:
         emb = pca(x, spec.p, spectrum=spectrum)
-    return MethodRun(emb, h, time.perf_counter() - t0, cache_entry, geo_seconds)
+    return MethodRun(emb, h, time.perf_counter() - t0, cache_entry)
 
 
 def pr_isomap(data, k: int, h: float, p: int, component_policy: str = ERROR_POLICY,
               spectrum: int = 0) -> Embedding:
     """Isometric mapping over the h-capped neighbor graph.
 
-    Pipeline: capped k-NN graph -> all-pairs shortest paths -> component
-    policy -> squared distances -> double centering -> classical scaling.
+    Pipeline: capped k-NN graph -> component policy -> all-pairs shortest
+    paths -> squared distances -> double centering -> classical scaling.
     """
     spec = MethodSpec("pr-isomap", p, k, h=h, component_policy=component_policy)
     return run_method(spec, Neighbors(data), spectrum).embedding
@@ -237,7 +230,7 @@ def run_bench(
     reference is an n x n ground-truth distance matrix (defaults to ambient
     Euclidean distances). Metrics are computed on the intersection of kept
     vertices so capped and uncapped methods see identical score pairs.
-    Graph methods look their geodesic matrices up in cache_dir. baseline,
+    Graph methods look their eigenpairs up in cache_dir. baseline,
     when given, must name one of the methods (InputError otherwise); when
     not, it is isomap if present, else the first method.
     """

@@ -2,11 +2,10 @@
 
 Exit codes: 0 success, 2 usage/input problems, 3 graph-topology failures
 (component summary printed), 4 numeric failures. Every output file embeds or
-references the RunConfig that produced it; geodesic matrices, and the top
-eigenpairs of their kernels, are cached so repeated sweeps skip the
-all-pairs stage and the eigensolve. Timing, and the cache entry that served
-an embed, are reported on stderr only, keeping output files
-byte-deterministic.
+references the RunConfig that produced it; the top eigenpairs of each graph
+method's geodesic kernel are cached so repeated sweeps skip the all-pairs
+stage and the eigensolve. Timing, and the cache entry that served an embed,
+are reported on stderr only, keeping output files byte-deterministic.
 
 Configuration precedence: command-line flags > JSON config file (--config) >
 PRISOMAP_* environment variables > built-in defaults.
@@ -32,6 +31,7 @@ from .datasets import (csv_cell, gen_swiss_roll, json_safe, load_csv, save_csv,
 from .embed import load_embedding_csv, save_embedding_csv, save_embedding_json
 from .errors import GraphError, InputError, NumericError
 from .evaluate import evaluate_embedding, save_eval_csv
+from .geodesics import all_pairs
 from .linalg import pairwise_dists
 from .plotting import scatter_svg
 
@@ -51,7 +51,7 @@ class Setting(NamedTuple):
 # destination; a command resolves the settings it has flags for.
 SETTINGS = {
     "seed": Setting(int, 0, "RNG seed (default 0)"),
-    "cache_dir": Setting(None, None, "directory for cached geodesic matrices and eigenpairs"),
+    "cache_dir": Setting(None, None, "directory for cached eigenpairs"),
     "n": Setting(int, 1000),
     "noise_sd": Setting(float, 0.0),
     "exponent": Setting(float, 0.0, "sampling density exponent (0 = uniform)"),
@@ -98,8 +98,15 @@ def resolve_settings(args, config: dict) -> None:
             value = os.environ.get(ENV_PREFIX + dest.upper())
         if value is None:
             value = COMMAND_DEFAULTS.get(args.command, {}).get(dest, setting.default)
-        elif setting.type is not None:
-            value = setting.type(value)
+        elif setting.type is None:
+            if not isinstance(value, str):
+                raise InputError(f"{dest} must be a string, got {value!r}")
+        else:
+            try:
+                value = setting.type(value)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{dest} must be {setting.type.__name__}, "
+                                 f"got {value!r}") from exc
         if setting.choices is not None and value not in setting.choices:
             raise InputError(f"unknown {dest} {value!r}; choose from {list(setting.choices)}")
         setattr(args, dest, value)
@@ -184,7 +191,7 @@ def cmd_embed(args) -> int:
                         extra={"run_config": _run_config("embed", params),
                                "data_hash": neighbors.data_hash,
                                "dropped_rows": ds.dropped_rows})
-    print(f"timing total_seconds={run.seconds:.3f} geodesic_seconds={run.geodesic_seconds:.3f} "
+    print(f"timing total_seconds={run.seconds:.3f} "
           f"cache_hit={str(run.cache_entry != 'none').lower()} cache_entry={run.cache_entry}",
           file=sys.stderr)
     return 0
@@ -237,7 +244,7 @@ def cmd_eval(args) -> int:
             # p is unused: only the geodesics are needed
             spec = MethodSpec(method=method, p=1, k=args.k, h=args.h, h_percentile=args.h_pct)
             neighbors = Neighbors(x)
-            geo, _, _ = neighbors.geodesics(spec.k, resolve_h(spec, neighbors), args.cache_dir)
+            geo = all_pairs(neighbors.graph(spec.k, resolve_h(spec, neighbors)))
             ref = geo.values[np.ix_(indices, indices)]
 
     labels = _load_labels(args, indices)
@@ -395,7 +402,10 @@ def main(argv=None) -> int:
     except GraphError as exc:
         print(f"graph error: {exc}", file=sys.stderr)
         if exc.summary:
-            print(f"component sizes: {exc.summary}", file=sys.stderr)
+            sizes = exc.summary
+            shown = ", ".join(map(str, sizes[:8])) + (", ..." if len(sizes) > 8 else "")
+            print(f"component sizes: {len(sizes)} components, largest first [{shown}]",
+                  file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Dimensionality-reduction methods sharing the dense linear-algebra core.
 
-embed_geodesics applies the component policy to a geodesic matrix and embeds
-it by classical scaling; the graph methods pr_isomap and isomap (in bench,
-beside the method dispatch) end in it. classical_mds and pca give the flat
-baselines. All methods are pure functions of (data bytes, parameters) and
-return an Embedding whose coordinate columns are ordered by descending
-eigenvalue.
+embed_geodesics applies the component policy to a neighbor graph and embeds
+the kept vertices' geodesics by classical scaling; the graph methods
+pr_isomap and isomap (in bench, beside the method dispatch) end in it.
+classical_mds and pca give the flat baselines. All methods are pure
+functions of (data bytes, parameters) and return an Embedding whose
+coordinate columns are ordered by descending eigenvalue.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import geodesics
 from .datasets import csv_cell, json_safe, write_json
 from .errors import DisconnectedGraph, GraphTooFragmented
-from .geodesics import GeodesicMatrix
+from .graph import NeighborGraph, components
 from .linalg import (EigenResult, as_matrix, double_center_in_place, mds_coordinates, mds_eig,
                      pairwise_sq_dists, symmetric_eig)
 
@@ -50,19 +51,6 @@ class Embedding:
     @property
     def p(self) -> int:
         return self.coordinates.shape[1]
-
-
-def _component_labels(values: np.ndarray) -> np.ndarray:
-    """Component labels from the finite structure of a distance matrix."""
-    n = values.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    next_label = 0
-    for i in range(n):
-        if labels[i] < 0:
-            members = np.isfinite(values[i])
-            labels[members] = next_label
-            next_label += 1
-    return labels
 
 
 def _require_p(p: int, n: int) -> None:
@@ -100,36 +88,33 @@ def _scaled(d_sq: np.ndarray, p: int, method: dict, kept: np.ndarray, n: int,
 
 
 def embed_geodesics(
-    geo: GeodesicMatrix,
+    graph: NeighborGraph,
     p: int,
     method: dict,
     component_policy: str = ERROR_POLICY,
     spectrum: int = 0,
 ) -> Embedding:
-    """Classical scaling of a geodesic matrix after resolving disconnection.
+    """Classical scaling of a graph's geodesics after resolving disconnection.
 
+    The policy runs on the graph's components before any geodesic exists:
     ERROR_POLICY refuses any disconnection with DisconnectedGraph;
     LARGEST_COMPONENT_POLICY embeds only the largest component, the one
     holding the lowest vertex among equal largest ones. Raises
     GraphTooFragmented when the largest component holds less than
-    FRAGMENT_THRESHOLD of the points. geo is left unchanged. Two seams let
-    callers cache both expensive steps: geo comes in computed, and the
-    Embedding goes out with its kept_indices and eigenpairs, from which
-    scaled_embedding rebuilds it at any p whose max(p, spectrum) is the same.
+    FRAGMENT_THRESHOLD of the points. All-pairs then runs over the kept
+    vertices' submatrix; nothing else holds its m x m result, so it is
+    squared and centered in place. The Embedding goes out with its
+    kept_indices and eigenpairs, from which scaled_embedding rebuilds it at
+    any p whose max(p, spectrum) is the same.
     """
-    n = geo.n
+    n = graph.n
     _require_p(p, n)
     if component_policy not in (ERROR_POLICY, LARGEST_COMPONENT_POLICY):
         raise ValueError(f"unknown component policy {component_policy!r}")
     kept = np.arange(n, dtype=np.int64)
-    if geo.is_fully_connected():
-        # geo.values is shared (the cache writes it, a caller may score
-        # against it), so the squares take the one new n x n buffer
-        d_sq = np.square(geo.values)
-    else:
-        labels = _component_labels(geo.values)
-        counts = np.bincount(labels)
-        sizes = sorted(counts.tolist(), reverse=True)
+    summary = components(graph)
+    if summary.count > 1:
+        sizes = summary.sizes
         if sizes[0] < FRAGMENT_THRESHOLD * n:
             raise GraphTooFragmented(
                 f"largest component holds {sizes[0]}/{n} points "
@@ -142,10 +127,10 @@ def embed_geodesics(
                 "use the largest_component policy or loosen k/h",
                 summary=sizes,
             )
-        # labels follow the lowest member, so argmax breaks size ties by it
-        kept = np.flatnonzero(labels == np.argmax(counts))
-        d_sq = geo.values[np.ix_(kept, kept)]  # a gathered copy: square it in place
-        np.square(d_sq, out=d_sq)
+        kept = summary.largest
+        graph = NeighborGraph(k=graph.k, h=graph.h, adjacency=graph.adjacency[kept][:, kept])
+    d_sq = geodesics.all_pairs(graph).values
+    np.square(d_sq, out=d_sq)
     return _scaled(d_sq, p, dict(method), kept, n, spectrum)
 
 

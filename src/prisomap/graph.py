@@ -57,9 +57,6 @@ class NeighborGraph:
         upper = a.indices > rows
         yield from zip(rows[upper].tolist(), a.indices[upper].tolist(), a.data[upper].tolist())
 
-    def fingerprint(self) -> dict:
-        return {"k": self.k, "h": self.h, "data_hash": self.data_hash}
-
 
 @dataclass(frozen=True)
 class DensityEstimate:

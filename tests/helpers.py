@@ -97,8 +97,7 @@ def floyd_warshall_oracle(graph: NeighborGraph) -> GeodesicMatrix:
     for mid in range(n):
         np.minimum(d, d[:, mid : mid + 1] + d[mid : mid + 1, :], out=d)
     finite_fraction = float(np.isfinite(d).mean()) if n else 1.0
-    return GeodesicMatrix(values=d, finite_fraction=finite_fraction,
-                          fingerprint=graph.fingerprint())
+    return GeodesicMatrix(values=d, finite_fraction=finite_fraction)
 
 
 def traced_peak(fn, *args) -> int:

@@ -96,7 +96,7 @@ class TestEmbed:
         from prisomap.linalg import DENSE_EIG_LIMIT
 
         # the kept component passes the dense limit, so the eigensolve is
-        # iterative, and every n x n stage and the cache body span nine tiles
+        # iterative, and every n x n stage spans nine tiles
         n = 2200
         roll = tmp_path / "roll"
         assert run_cli("gen", "swiss-roll", "--n", str(n), "--seed", "0",
@@ -118,7 +118,7 @@ class TestEmbed:
         assert embed("warm", "cache1") == cold
         assert "cache_hit=true cache_entry=spectrum" in capsys.readouterr().err
         entries = sorted(entry.name for entry in (tmp_path / "cache1").iterdir())
-        assert sorted(Path(name).suffix for name in entries) == [".eig", ".geo"]
+        assert [Path(name).suffix for name in entries] == [".eig"]
         assert sorted(entry.name for entry in (tmp_path / "cache2").iterdir()) == entries
         for name in entries:
             assert (tmp_path / "cache1" / name).read_bytes() == \
@@ -136,46 +136,43 @@ class TestEmbed:
             assert run_cli(*argv, *(["--cache-dir", str(cache)] if cached else [])) == 0
             return out.read_bytes(), capsys.readouterr().err
 
-        def damage_entry(suffix, header):
-            [entry] = cache.glob(f"*{suffix}")
+        def damage_entry(entry):
             raw = bytearray(entry.read_bytes())
             if damage == "truncated-body":
                 del raw[len(raw) // 2:]
             else:
                 # magic and lengths intact, fingerprint bytes not UTF-8
-                fp_start = 4 + struct.calcsize(header)
+                fp_start = 4 + struct.calcsize("<IIIII")
                 raw[fp_start:fp_start + 2] = b"\xff\xfe"
             entry.write_bytes(bytes(raw))
 
         cold, err = embed()
         assert "cache_hit=false cache_entry=none" in err
-        assert sorted(entry.suffix for entry in cache.iterdir()) == [".eig", ".geo"]
+        [entry] = cache.iterdir()
+        assert entry.suffix == ".eig"
 
-        # a damaged spectral entry: the geodesic block serves, and the entry
-        # is rewritten
-        damage_entry(".eig", "<IIIII")
+        # a damaged entry is recomputed and rewritten
+        damage_entry(entry)
         out, err = embed()
-        assert "recomputing" in err and "cache_hit=true cache_entry=geodesics" in err
+        assert "recomputing" in err and "cache_hit=false cache_entry=none" in err
         assert out == cold
         out, err = embed()
         assert "recomputing" not in err and "cache_hit=true cache_entry=spectrum" in err
         assert out == cold
 
-        # a damaged geodesic block: the intact spectral entry rightly serves
-        # the same embed, and another eigenpair count reads the block,
-        # recomputes it and rewrites it
-        damage_entry(".geo", "<IIdI")
-        out, err = embed()
-        assert "recomputing" not in err and "cache_entry=spectrum" in err
-        assert out == cold
+        # another eigenpair count has an entry of its own, and damaging one
+        # leaves the other serving
         out, err = embed("--spectrum", "5")
-        assert "recomputing" in err and "cache_hit=false cache_entry=none" in err
+        assert "cache_hit=false cache_entry=none" in err
         assert out == embed("--spectrum", "5", cached=False)[0]
-        out, err = embed("--spectrum", "6")
-        assert "recomputing" not in err and "cache_hit=true cache_entry=geodesics" in err
-        assert out == embed("--spectrum", "6", cached=False)[0]
-        # no temporary file is left behind: one block, one entry per count
-        assert sorted(entry.suffix for entry in cache.iterdir()) == [".eig"] * 3 + [".geo"]
+        damage_entry(entry)
+        out, err = embed("--spectrum", "5")
+        assert "recomputing" not in err and "cache_hit=true cache_entry=spectrum" in err
+        out, err = embed()
+        assert "recomputing" in err and "cache_hit=false cache_entry=none" in err
+        assert out == cold
+        # no temporary file is left behind: one entry per count
+        assert sorted(entry.suffix for entry in cache.iterdir()) == [".eig"] * 2
 
     def _sweep(self, roll_dir, tmp_path, monkeypatch, capsys):
         """An embed runner that fills the cache with p=10 --spectrum 20 first;
@@ -220,12 +217,14 @@ class TestEmbed:
         assert warm == cold
         assert len(json.loads(warm[1])["spectrum"]) == 20
 
+    # an entry serves only its exact eigenpair count: another one reruns
+    # all-pairs and the solve
     def test_other_eigenpair_count_reads_the_geodesics(self, roll_dir, tmp_path, monkeypatch,
                                                        capsys):
         embed = self._sweep(roll_dir, tmp_path, monkeypatch, capsys)
         cold, _, _ = embed("cold", "--p", "2", "--spectrum", "0", cached=False)
         warm, err, solves = embed("warm", "--p", "2", "--spectrum", "0")
-        assert "cache_hit=true cache_entry=geodesics" in err
+        assert "cache_hit=false cache_entry=none" in err
         assert solves == 1
         assert warm == cold
 
@@ -242,6 +241,35 @@ class TestEmbed:
         assert "cache_entry=spectrum" in capsys.readouterr().err
         assert run_cli(*args, "--policy", "error") == 3
         assert "component sizes" in capsys.readouterr().err
+
+    # the policy runs on the graph, so a refused graph never reaches all-pairs
+    def test_error_policy_exits_before_all_pairs(self, tmp_path, monkeypatch, capsys):
+        from prisomap import geodesics
+
+        data = np.vstack([np.arange(10)[:, None] * 0.1,
+                          100.0 + np.arange(10)[:, None] * 0.1])
+        src = tmp_path / "two.csv"
+        save_csv(src, data)
+        monkeypatch.setattr(geodesics, "all_pairs", None)
+        assert run_cli("embed", "--in", str(src), "--method", "pr-isomap", "--k", "3",
+                       "--h", "5", "--p", "1", "--policy", "error",
+                       "--out", str(tmp_path / "e.csv")) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("graph error: graph has 2 components (sizes [10, 10])")
+        assert err[1] == "component sizes: 2 components, largest first [10, 10]"
+
+    def test_component_summary_shows_the_count_and_the_largest_eight(self, tmp_path, capsys):
+        # one cluster of 20 points and nine far pairs: ten components
+        data = np.vstack([np.arange(20)[:, None] * 0.1,
+                          *(100.0 * c + np.array([[0.0], [0.1]]) for c in range(1, 10))])
+        src = tmp_path / "clusters.csv"
+        save_csv(src, data)
+        assert run_cli("embed", "--in", str(src), "--method", "pr-isomap", "--k", "3",
+                       "--h", "1", "--p", "1", "--out", str(tmp_path / "e.csv")) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert "graph has 10 components" in err[0]
+        assert err[1] == "component sizes: 10 components, largest first " \
+            "[20, 2, 2, 2, 2, 2, 2, 2, ...]"
 
     def test_spectral_hit_warns_of_rank_deficiency(self, tmp_path, capsys):
         from prisomap.errors import RankDeficientWarning
@@ -431,7 +459,7 @@ class TestBench:
                 "--methods", "pr-isomap,isomap", "--k", "10", "--h-pct", "70", "--p", "2",
                 "--cache-dir", str(tmp_path / "cache")]
         assert run_cli(*args, "--out", str(tmp_path / "cold")) == 0
-        assert len(list((tmp_path / "cache").glob("*.geo"))) == 2
+        assert len(list((tmp_path / "cache").glob("*.eig"))) == 2
         monkeypatch.setattr(geodesics, "all_pairs", None)  # a miss would fail
         assert run_cli(*args, "--out", str(tmp_path / "warm")) == 0
         cold, warm = (json.loads((tmp_path / d / "bench.json").read_text())["reports"]
@@ -473,7 +501,7 @@ class TestBench:
         cold = bench("cold")
         assert cold[2] == {"graph": 2, "pca": 1}
         assert sorted(entry.suffix for entry in (tmp_path / "cache").iterdir()) == \
-            [".eig", ".eig", ".geo", ".geo"]
+            [".eig", ".eig"]
         monkeypatch.setattr(geodesics, "all_pairs", None)  # a miss would fail
         warm = bench("warm")
         assert warm[2] == {"graph": 0, "pca": 1}
@@ -566,7 +594,7 @@ class TestConfigPrecedence:
         rc = run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
                      "--method", "isomap", "--k", "8", "--p", "2", "--out", str(out))
         assert rc == 0
-        assert list(cache.glob("*.geo"))
+        assert list(cache.glob("*.eig"))
 
 
 class TestEntryPoint:
@@ -771,6 +799,19 @@ class TestPrecedenceCases:
         assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pca",
                        "--config", str(cfg), "--out", str(tmp_path / "e.csv")) == 2
         assert "unknown policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, setting", [
+        ({"k": [8]}, "k"), ({"p": {"n": 2}}, "p"), ({"h": [1.0]}, "h"),
+        ({"cache_dir": 5}, "cache_dir"), ({"cache_dir": ["c"]}, "cache_dir"),
+    ], ids=["k-list", "p-object", "h-list", "cache_dir-number", "cache_dir-list"])
+    def test_config_value_of_the_wrong_type_exits_2(self, roll_dir, tmp_path, capsys,
+                                                     config, setting):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pr-isomap",
+                       "--config", str(cfg), "--out", str(tmp_path / "e.csv")) == 2
+        assert f"error: {setting} must be" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
 
     def test_invalid_policy_in_environment_exits_2(self, roll_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("PRISOMAP_POLICY", "bogus")

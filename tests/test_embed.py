@@ -17,11 +17,11 @@ from prisomap.embed import (
 )
 from prisomap.errors import DisconnectedGraph, GraphTooFragmented
 from prisomap.evaluate import residual_variance
-from prisomap.geodesics import GeodesicMatrix, all_pairs
+from prisomap.geodesics import all_pairs
 from prisomap.graph import components, knn_graph
 from prisomap.linalg import pairwise_dists
 
-from helpers import traced_peak, welded_roll_graph
+from helpers import graph_from_rows, traced_peak, welded_roll_graph
 
 
 def line_in_r3(n=20, spacing=0.7):
@@ -190,90 +190,103 @@ class TestFlatCaseChain:
 
 class TestComponentPolicy:
     @staticmethod
-    def two_block_geo(sizes=(8, 2)):
-        n = sum(sizes)
-        values = np.full((n, n), math.inf)
+    def two_block_graph(sizes=(8, 2)):
+        """One path of unit edges per block, over consecutive vertices."""
+        neighbors, weights = [], []
         start = 0
         for size in sizes:
-            block = np.abs(np.subtract.outer(np.arange(size), np.arange(size))).astype(float)
-            values[start : start + size, start : start + size] = block
+            for i in range(start, start + size):
+                row = [j for j in (i - 1, i + 1) if start <= j < start + size]
+                neighbors.append(row)
+                weights.append([1.0] * len(row))
             start += size
-        return GeodesicMatrix(values=values, finite_fraction=float(
-            sum(s * s for s in sizes)) / n**2, fingerprint={})
+        return graph_from_rows(neighbors, weights)
 
     def test_identity_when_connected(self):
-        geo = self.two_block_geo((4,))
-        emb = embed_geodesics(geo, 1, {}, "error")
+        g = self.two_block_graph((4,))
+        emb = embed_geodesics(g, 1, {}, "error")
         assert not emb.component_policy_applied
         np.testing.assert_array_equal(emb.kept_indices, np.arange(4))
-        emb2 = embed_geodesics(geo, 1, {}, "largest_component")
+        emb2 = embed_geodesics(g, 1, {}, "largest_component")
         np.testing.assert_array_equal(emb2.kept_indices, np.arange(4))
 
     def test_largest_component_restriction(self):
-        geo = self.two_block_geo((8, 2))
-        emb = embed_geodesics(geo, 1, {}, "largest_component")
+        g = self.two_block_graph((8, 2))
+        emb = embed_geodesics(g, 1, {}, "largest_component")
         assert emb.component_policy_applied
         assert emb.coordinates.shape == (8, 1)
         np.testing.assert_array_equal(emb.kept_indices, np.arange(8))
         assert np.all(np.isfinite(emb.coordinates))
 
     def test_error_policy_raises(self):
-        geo = self.two_block_geo((8, 2))
+        g = self.two_block_graph((8, 2))
         with pytest.raises(DisconnectedGraph) as err:
-            embed_geodesics(geo, 1, {}, "error")
+            embed_geodesics(g, 1, {}, "error")
         assert err.value.summary == [8, 2]
 
     def test_largest_component_tie_keeps_vertex_0(self):
         # two interleaved components of three: {0, 2, 4} and {1, 3, 5}
         x = np.array([[0.0], [100.0], [1.0], [101.0], [2.0], [102.0]])
         g = knn_graph(x, k=1, h=5.0)
-        emb = embed_geodesics(all_pairs(g), 1, {}, LARGEST_COMPONENT_POLICY)
+        emb = embed_geodesics(g, 1, {}, LARGEST_COMPONENT_POLICY)
         np.testing.assert_array_equal(emb.kept_indices, [0, 2, 4])
         np.testing.assert_array_equal(components(g).largest, emb.kept_indices)
 
+    # the policy runs on the graph: one labelling, and all-pairs only over
+    # the kept vertices, or not at all when the policy refuses
     @pytest.mark.parametrize("policy", ["error", "largest_component"])
     def test_embed_labels_components_once(self, policy, monkeypatch):
         from prisomap import embed as embed_mod
+        from prisomap import geodesics
 
-        scans = []
-        labels = embed_mod._component_labels
-        monkeypatch.setattr(embed_mod, "_component_labels",
-                            lambda values: scans.append(1) or labels(values))
-        geo = self.two_block_geo((8, 3))
+        scans, sizes = [], []
+        labelled, paths = embed_mod.components, geodesics.all_pairs
+        monkeypatch.setattr(embed_mod, "components", lambda g: scans.append(1) or labelled(g))
+        monkeypatch.setattr(geodesics, "all_pairs", lambda g: sizes.append(g.n) or paths(g))
+        g = self.two_block_graph((8, 3))
         if policy == "error":
             with pytest.raises(DisconnectedGraph) as err:
-                embed_mod.embed_geodesics(geo, 1, {}, policy)
+                embed_mod.embed_geodesics(g, 1, {}, policy)
             assert err.value.summary == [8, 3]
+            assert sizes == []
         else:
-            emb = embed_mod.embed_geodesics(geo, 1, {}, policy)
+            emb = embed_mod.embed_geodesics(g, 1, {}, policy)
             np.testing.assert_array_equal(emb.kept_indices, np.arange(8))
+            assert sizes == [8]
         assert len(scans) == 1
 
     def test_unknown_policy(self):
-        geo = self.two_block_geo((8, 2))
+        g = self.two_block_graph((8, 2))
         with pytest.raises(ValueError):
-            embed_geodesics(geo, 1, {}, "whatever")
+            embed_geodesics(g, 1, {}, "whatever")
         # rejected before the fragmentation check
         with pytest.raises(ValueError, match="unknown component policy"):
-            embed_geodesics(self.two_block_geo((2, 2, 2, 2)), 1, {}, "whatever")
+            embed_geodesics(self.two_block_graph((2, 2, 2, 2)), 1, {}, "whatever")
 
 
 class TestGeodesicBuffer:
+    # all-pairs' result is squared in place: the graph, and so its
+    # geodesics, stay as they were
     @pytest.mark.parametrize("h_pct", [60.0, math.inf])
     def test_geodesics_left_unchanged(self, h_pct):
-        geo = all_pairs(welded_roll_graph(400, h_pct))
-        assert geo.is_fully_connected() == (h_pct == math.inf)
-        before = geo.values.copy()
-        embed_geodesics(geo, 2, {}, LARGEST_COMPONENT_POLICY)
-        assert geo.values.tobytes() == before.tobytes()
+        g = welded_roll_graph(400, h_pct)
+        assert (components(g).count == 1) == (h_pct == math.inf)
+        parts = ("indptr", "indices", "data")
+        adjacency = [getattr(g.adjacency, part).tobytes() for part in parts]
+        before = all_pairs(g).values
+        embed_geodesics(g, 2, {}, LARGEST_COMPONENT_POLICY)
+        assert [getattr(g.adjacency, part).tobytes() for part in parts] == adjacency
+        assert all_pairs(g).values.tobytes() == before.tobytes()
 
-    # the squares take one new buffer, which is then centered in place
+    # all-pairs' m x m result over the kept vertices is the one dense
+    # buffer, squared and centered in place; the h-pct 60 graph keeps
+    # m = 1272 of its 1500 vertices, so its peak stays below one n x n
     @pytest.mark.parametrize("h_pct", [60.0, math.inf])
     def test_one_buffer_beyond_the_input(self, h_pct):
         n = 1500
-        geo = all_pairs(welded_roll_graph(n, h_pct))
-        peak = traced_peak(embed_geodesics, geo, 2, {}, LARGEST_COMPONENT_POLICY)
-        assert peak <= 1.2 * 8 * n * n
+        peak = traced_peak(embed_geodesics, welded_roll_graph(n, h_pct), 2, {},
+                           LARGEST_COMPONENT_POLICY)
+        assert peak <= (1.0 if h_pct == 60.0 else 1.2) * 8 * n * n
 
 
 class TestHelpers:

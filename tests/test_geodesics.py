@@ -7,23 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prisomap
 from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
 from prisomap.errors import BadMagic, NumericError, TooLarge, TruncatedFile
-from prisomap.geodesics import (
-    UNREACHABLE,
-    GeodesicMatrix,
-    SpectralEntry,
-    all_pairs,
-    load_geodesics,
-    load_spectrum,
-    save_geodesics,
-    save_spectrum,
-)
-from prisomap.graph import knn_candidates, knn_graph, percentile_h
+from prisomap.geodesics import UNREACHABLE, SpectralEntry, all_pairs, load_spectrum, save_spectrum
+from prisomap.graph import NeighborGraph, components, knn_candidates, knn_graph, percentile_h
 from prisomap.linalg import EigenResult, pairwise_dists
 
 from helpers import (
@@ -177,11 +168,13 @@ class TestAllPairs:
         assert_matches_references(edge_graph(n, edges))
 
     # sizes at the tile edges, unreachable pairs when h is the median
-    # candidate length, and exact ties and duplicates on grid points
+    # positive candidate length, and exact ties and duplicates on grid
+    # points; the pinned example's two points coincide
     @pytest.mark.filterwarnings("ignore::prisomap.errors.DegenerateDuplicatesWarning")
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(TILE_EDGE_SIZES), st.integers(0, 2**16), st.booleans(),
            st.booleans())
+    @example(n=2, seed=1402, ties=True, capped=True)
     def test_tiled_checks_equal_full_matrix_expressions(self, n, seed, ties, capped):
         from scipy.sparse.csgraph import dijkstra
 
@@ -190,7 +183,14 @@ class TestAllPairs:
         else:
             x = tile_edge_points(n, seed, ties)
             k = min(4, n - 1)
-            g = knn_graph(x, k, percentile_h(knn_candidates(x, k)[1], 50) if capped else math.inf)
+            h = math.inf
+            if capped:
+                # zero-length candidates never become edges; with no positive
+                # one, any positive h gives the empty graph
+                lengths = knn_candidates(x, k)[1]
+                lengths = lengths[lengths > 0]
+                h = percentile_h(lengths, 50) if lengths.size else 1.0
+            g = knn_graph(x, k, h)
         raw = dijkstra(g.adjacency, directed=True)
         geo = all_pairs(g)
         assert geo.values.tobytes() == np.minimum(raw, raw.T).tobytes()
@@ -224,6 +224,15 @@ class TestAllPairs:
                                    lambda raw, at: np.nextafter(raw[at[::-1]], math.inf))
         geo = all_pairs(g)
         assert geo.values[280, 10] == geo.values[10, 280] == raw[10, 280]
+
+    # the embed runs all-pairs over the largest component's submatrix only
+    def test_kept_submatrix_equals_the_full_block(self):
+        g = welded_roll_graph(1500, 60.0)
+        kept = components(g).largest
+        assert kept.size < g.n
+        sub = NeighborGraph(k=g.k, h=g.h, adjacency=g.adjacency[kept][:, kept])
+        full = all_pairs(g).values
+        assert all_pairs(sub).values.tobytes() == full[np.ix_(kept, kept)].tobytes()
 
     @pytest.mark.parametrize("h_pct", [60.0, math.inf])
     def test_result_is_the_only_dense_buffer(self, h_pct):
@@ -398,54 +407,24 @@ class TestDenseSamplingConsistency:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        g = knn_graph(LINE3, k=1, h=1.5)
-        geo = all_pairs(g)
-        path = tmp_path / "geo.bin"
-        save_geodesics(geo, path)
-        back = load_geodesics(path)
-        assert back.values.tobytes() == geo.values.tobytes()
-        assert back.fingerprint == geo.fingerprint
-        assert back.finite_fraction == geo.finite_fraction
-
-    # the body is written in blocks of 256 rows
-    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
-    def test_round_trip_across_row_blocks(self, tmp_path, n):
-        values = np.random.default_rng(n).uniform(0, 9, (n, n))
-        values[::7, ::5] = UNREACHABLE
-        path = tmp_path / "geo.bin"
-        save_geodesics(GeodesicMatrix(values=values, finite_fraction=0.5,
-                                      fingerprint={"n": n}), path)
-        raw = path.read_bytes()
-        body = np.frombuffer(raw[len(raw) - 8 * n * n:], dtype="<f8")
-        assert np.array_equal(np.isnan(body), np.isinf(values).ravel())
-        back = load_geodesics(path)
-        assert back.values.tobytes() == values.tobytes()
-        assert (back.n, back.finite_fraction, back.fingerprint) == (n, 0.5, {"n": n})
-
-    def test_sentinel_encoded_as_nan(self, tmp_path):
-        g = knn_graph(LINE3, k=1, h=1.5)
-        geo = all_pairs(g)
-        path = tmp_path / "geo.bin"
-        save_geodesics(geo, path)
-        raw = np.frombuffer(path.read_bytes()[-9 * 8 :], dtype="<f8")
-        assert np.isnan(raw).sum() == 4  # (0,2), (1,2) and transposes
-        assert not np.isinf(raw).any()
-
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "geo.bin"
+        path = tmp_path / "entry.eig"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(BadMagic):
-            load_geodesics(path)
+            load_spectrum(path)
 
+    # a header cut short, then a body cut short
     def test_truncated(self, tmp_path):
-        g = knn_graph(LINE3, k=1, h=math.inf)
-        geo = all_pairs(g)
-        path = tmp_path / "geo.bin"
-        save_geodesics(geo, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(TruncatedFile):
-            load_geodesics(path)
+        entry = SpectralEntry(kept_indices=np.arange(3, dtype=np.int64), n_input=3,
+                              eigenpairs=EigenResult(np.ones(2), np.ones((3, 2))),
+                              fingerprint={"top": 2})
+        path = tmp_path / "entry.eig"
+        save_spectrum(entry, path)
+        raw = path.read_bytes()
+        for cut in (raw[:10], raw[:-8]):
+            path.write_bytes(cut)
+            with pytest.raises(TruncatedFile):
+                load_spectrum(path)
 
     def test_spectral_entry_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -463,12 +442,6 @@ class TestSerialization:
         for part in ("eigenvalues", "eigenvectors"):
             assert getattr(back.eigenpairs, part).tobytes() == \
                 getattr(entry.eigenpairs, part).tobytes()
-        # the kinds share a layout but not a magic, so neither reads the other
-        with pytest.raises(BadMagic):
-            load_geodesics(path)
-        save_geodesics(all_pairs(knn_graph(LINE3, k=1, h=math.inf)), tmp_path / "geo.bin")
-        with pytest.raises(BadMagic):
-            load_spectrum(tmp_path / "geo.bin")
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(TruncatedFile):
             load_spectrum(path)
