@@ -2,11 +2,12 @@
 
 run_method runs every method, for the CLI, run_bench and the library's
 pr_isomap and isomap alike, so a graph method's descriptor, its h and its
-component policy are handled in one place. A graph
-method looks its kernel's top eigenpairs up in the cache first. Neighbors
-runs the k-NN candidate pass at most once per (data, k), and only when h
-selection, a cache miss or the density needs it; it caps a graph only for a
-cache miss or the density.
+component policy are handled in one place. A graph method looks its
+kernel's top eigenpairs up in the cache first, by the window as given (h or
+a percentile); the entry holds the resolved h, so a hit runs no k-NN pass
+even for a percentile. Neighbors runs the k-NN candidate pass at most once
+per (data, k), and only when a cache miss, h selection for eval or the
+density needs it; it caps a graph only for a cache miss or the density.
 
 run_bench runs all requested methods on the same sample; metrics are computed
 on the intersection of the methods' kept vertices against one common
@@ -92,23 +93,34 @@ class Neighbors:
         return graph
 
 
-def resolve_h(spec: MethodSpec, neighbors: Neighbors) -> float | None:
-    """The window diameter spec runs with.
+def _window(spec: MethodSpec) -> dict | None:
+    """The window as spec gives it, {"h": h} or {"h_percentile": percentile}.
 
-    None for mds and pca, +inf for isomap; for pr-isomap exactly one of h and
-    h_percentile must be set, the latter taken over the candidate lengths.
+    None for mds and pca, h=+inf for isomap; for pr-isomap exactly one of h
+    and h_percentile must be set.
     """
     if spec.h is not None and spec.h_percentile is not None:
         raise ValueError(f"{spec.label()}: h and h_percentile are mutually exclusive")
     if spec.method == "isomap":
-        return math.inf
+        return {"h": math.inf}
     if spec.method != "pr-isomap":
         return None
     if spec.h_percentile is not None:
-        return percentile_h(neighbors.candidates(spec.k)[1], spec.h_percentile)
+        return {"h_percentile": float(spec.h_percentile)}
     if spec.h is None:
         raise ValueError("pr-isomap needs h or h_percentile")
-    return float(spec.h)
+    return {"h": float(spec.h)}
+
+
+def resolve_h(spec: MethodSpec, neighbors: Neighbors) -> float | None:
+    """The window diameter spec runs with: a percentile is taken over the
+    candidate lengths."""
+    window = _window(spec)
+    if window is None:
+        return None
+    if "h" in window:
+        return window["h"]
+    return percentile_h(neighbors.candidates(spec.k)[1], window["h_percentile"])
 
 
 @dataclass
@@ -122,30 +134,32 @@ class MethodRun:
     cache_entry: str = "none"
 
 
-def _embed_graph(spec: MethodSpec, h: float, neighbors: Neighbors, spectrum: int,
-                 cache_dir) -> tuple[Embedding, str]:
-    """A graph method's embedding and the cache entry that served it.
+def _embed_graph(spec: MethodSpec, neighbors: Neighbors, spectrum: int,
+                 cache_dir) -> tuple[Embedding, float, str]:
+    """A graph method's embedding, its h and the cache entry that served it.
 
     The spectral entry holds the kernel's top max(p, spectrum) eigenpairs,
-    keyed by that exact count, since the eigensolver's path depends on it; a
-    hit caps no graph, runs no all-pairs and solves nothing. A miss embeds
-    the graph and writes the entry back.
+    keyed by the window as given and by that exact count, since the
+    eigensolver's path depends on it. It records the resolved h, so a hit
+    runs no candidate pass, caps no graph, runs no all-pairs and solves
+    nothing. A miss resolves h, embeds the graph and writes the entry back.
     """
-    desc = {"method": spec.method, "k": spec.k, "h": h, "p": spec.p,
-            "component_policy": spec.component_policy}
-    fingerprint = {"data_hash": neighbors.data_hash, "k": spec.k, "h": h,
+    fingerprint = {"data_hash": neighbors.data_hash, "k": spec.k, **_window(spec),
                    "component_policy": spec.component_policy, "top": max(spec.p, spectrum)}
     path, entry = cache_lookup(cache_dir, fingerprint)
+    h = entry.h if entry is not None else resolve_h(spec, neighbors)
+    desc = {"method": spec.method, "k": spec.k, "h": h, "p": spec.p,
+            "component_policy": spec.component_policy}
     if entry is not None:
         emb = scaled_embedding(entry.eigenpairs, spec.p, desc, entry.kept_indices,
                                entry.n_input, spectrum)
-        return emb, "spectrum"
+        return emb, h, "spectrum"
     emb = embed_geodesics(neighbors.graph(spec.k, h), spec.p, desc, spec.component_policy,
                           spectrum=spectrum)
     if path is not None:
         save_spectrum(SpectralEntry(emb.kept_indices, emb.n_input, emb.eigenpairs,
-                                    fingerprint), path)
-    return emb, "none"
+                                    fingerprint, h), path)
+    return emb, h, "none"
 
 
 def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
@@ -156,15 +170,14 @@ def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
     their eigenpairs up in cache_dir first.
     """
     t0 = time.perf_counter()
-    h = resolve_h(spec, neighbors)
     x = neighbors.data
     cache_entry = "none"
     if spec.method in GRAPH_METHODS:
-        emb, cache_entry = _embed_graph(spec, h, neighbors, spectrum, cache_dir)
-    elif spec.method == "mds":
-        emb = classical_mds(x, spec.p, spectrum=spectrum)
+        emb, h, cache_entry = _embed_graph(spec, neighbors, spectrum, cache_dir)
     else:
-        emb = pca(x, spec.p, spectrum=spectrum)
+        h = resolve_h(spec, neighbors)
+        flat = classical_mds if spec.method == "mds" else pca
+        emb = flat(x, spec.p, spectrum=spectrum)
     return MethodRun(emb, h, time.perf_counter() - t0, cache_entry)
 
 

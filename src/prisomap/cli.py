@@ -85,6 +85,21 @@ def _load_config(path_or_none):
     return cfg
 
 
+# The value types a typed setting takes; a bool is neither an int nor a float.
+_CAST_FROM = {int: (int, str), float: (int, float, str)}
+
+
+def _cast(dest: str, type_: Callable, value):
+    """value as type_, from a config number that type_ holds exactly or a
+    string that it parses; InputError for anything else."""
+    if isinstance(value, _CAST_FROM[type_]) and not isinstance(value, bool):
+        try:
+            return type_(value)
+        except ValueError:
+            pass
+    raise InputError(f"{dest} must be {type_.__name__}, got {value!r}")
+
+
 def resolve_settings(args, config: dict) -> None:
     """Fill each setting of args the flags left unset: flags > config >
     environment > default, the value cast to the setting's type."""
@@ -102,11 +117,7 @@ def resolve_settings(args, config: dict) -> None:
             if not isinstance(value, str):
                 raise InputError(f"{dest} must be a string, got {value!r}")
         else:
-            try:
-                value = setting.type(value)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"{dest} must be {setting.type.__name__}, "
-                                 f"got {value!r}") from exc
+            value = _cast(dest, setting.type, value)
         if setting.choices is not None and value not in setting.choices:
             raise InputError(f"unknown {dest} {value!r}; choose from {list(setting.choices)}")
         setattr(args, dest, value)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import gzip
 import hashlib
+import io
 import json
 import math
 import struct
@@ -29,6 +30,9 @@ IDX_LABEL_MAGIC = 0x00000801
 
 SWISS_ROLL_T_RANGE = (1.5 * math.pi, 4.5 * math.pi)
 SWISS_ROLL_U_RANGE = (0.0, 21.0)
+
+_INT64_BOUND = 2.0**63  # labels lie in [-bound, bound)
+_WRITE_ROWS = 4096
 
 
 @dataclass
@@ -87,6 +91,18 @@ def csv_cell(value) -> str:
     return str(value)
 
 
+def write_rows(fh, row_format: str, table: np.ndarray) -> None:
+    """Write every row of a 2-D table through one %-template, one formatting
+    call per block of _WRITE_ROWS rows, which bounds the text held at once.
+
+    A %.17g field gives csv_cell's text of its float and a %d field that of
+    an integer, whose float64 form is exact below 2**53.
+    """
+    for start in range(0, table.shape[0], _WRITE_ROWS):
+        block = table[start:start + _WRITE_ROWS]
+        fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def json_safe(value):
     """Replace non-finite floats with strings so descriptors stay valid JSON."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -122,78 +138,126 @@ def load_csv(path, label_column: str | int | None = None) -> LabeledDataset:
     label_column (by name or positional index) is parsed as integer labels;
     all remaining columns are features. Raises ParseError with the offending
     row/column, EmptyDataset if nothing survives NaN filtering.
+
+    numpy parses the table wherever that gives the csv module's result
+    (_numpy_table); the csv module reads every other file.
     """
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{path}: no header row") from None
-        label_idx: int | None = None
-        if label_column is not None:
-            if isinstance(label_column, int):
-                if not 0 <= label_column < len(header):
-                    raise ParseError(f"{path}: label column index {label_column} out of range")
-                label_idx = label_column
-            else:
-                try:
-                    label_idx = header.index(label_column)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: no column named {label_column!r} in header {header}"
-                    ) from None
-        feature_idx = [i for i in range(len(header)) if i != label_idx]
+        text = fh.read()
+    table = _numpy_table(path, text, label_column)
+    return table if table is not None else _csv_table(path, text, label_column)
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        dropped = 0
-        for rownum, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise ParseError(
-                    f"{path}: expected {len(header)} fields, got {len(record)}", row=rownum
-                )
-            values: list[float] = []
-            has_nan = False
-            for i in feature_idx:
-                cell = record[i].strip()
-                if cell == "":
-                    has_nan = True
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric value {record[i]!r}", row=rownum, column=i
-                    ) from None
-                if math.isnan(v):
-                    has_nan = True
-                values.append(v)
-            if has_nan:
-                dropped += 1
-                continue
-            if label_idx is not None:
-                cell = record[label_idx].strip()
-                try:
-                    labels.append(int(float(cell)))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-integer label {record[label_idx]!r}",
-                        row=rownum,
-                        column=label_idx,
-                    ) from None
-            rows.append(values)
 
-    if not rows:
+def _label_index(path: Path, header: list[str], label_column: str | int | None) -> int | None:
+    if label_column is None:
+        return None
+    if isinstance(label_column, int):
+        if not 0 <= label_column < len(header):
+            raise ParseError(f"{path}: label column index {label_column} out of range")
+        return label_column
+    try:
+        return header.index(label_column)
+    except ValueError:
+        raise ParseError(f"{path}: no column named {label_column!r} in header {header}") from None
+
+
+def _dataset(path: Path, data: np.ndarray, labels: np.ndarray | None, names: list[str],
+             dropped: int) -> LabeledDataset:
+    if data.shape[0] == 0:
         raise EmptyDataset(f"{path}: no rows left after NaN filtering (dropped {dropped})")
-    data = np.array(rows, dtype=np.float64)
-    names = [header[i] for i in feature_idx]
-    return LabeledDataset(
-        data=data,
-        labels=np.array(labels, dtype=np.int64) if label_idx is not None else None,
-        names=names,
-        dropped_rows=dropped,
-    )
+    return LabeledDataset(data=data, labels=labels, names=names, dropped_rows=dropped)
+
+
+def _numpy_table(path: Path, text: str, label_column) -> LabeledDataset | None:
+    """The table np.loadtxt reads from text, or None where its result could
+    differ from _csv_table's.
+
+    With no quote, carriage return or NUL in the file, the csv module splits
+    records at newlines and cells at commas, as this does. np.loadtxt parses a
+    cell as float() does, but accepts fewer spellings (no underscores, no
+    non-ASCII digits): any cell it rejects, an empty cell, a ragged row or a
+    blank line sends the file to the csv module, which also raises the
+    errors. So does a kept row's label that is NaN, infinite or beyond int64.
+    """
+    head, _, body = text.partition("\n")
+    if not head or not body or "\n\n" in text or any(c in text for c in "\"\r\0"):
+        return None
+    header = head.split(",")
+    label_idx = _label_index(path, header, label_column)
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != len(header):
+        return None
+    features = table if label_idx is None else np.delete(table, label_idx, axis=1)
+    keep = ~np.isnan(features).any(axis=1)
+    labels = None
+    if label_idx is not None:
+        kept_labels = table[keep, label_idx]
+        if not np.all((-_INT64_BOUND <= kept_labels) & (kept_labels < _INT64_BOUND)):
+            return None
+        labels = kept_labels.astype(np.int64)  # truncates toward zero, as int() does
+    names = header if label_idx is None else header[:label_idx] + header[label_idx + 1:]
+    return _dataset(path, features[keep], labels, names,
+                    table.shape[0] - int(np.count_nonzero(keep)))
+
+
+def _csv_table(path: Path, text: str, label_column) -> LabeledDataset:
+    """The table the csv module reads from text (RFC-4180), cell by cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyDataset(f"{path}: no header row") from None
+    label_idx = _label_index(path, header, label_column)
+    feature_idx = [i for i in range(len(header)) if i != label_idx]
+
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    dropped = 0
+    for rownum, record in enumerate(reader, start=2):
+        if len(record) != len(header):
+            raise ParseError(
+                f"{path}: expected {len(header)} fields, got {len(record)}", row=rownum
+            )
+        values: list[float] = []
+        has_nan = False
+        for i in feature_idx:
+            cell = record[i].strip()
+            if cell == "":
+                has_nan = True
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: non-numeric value {record[i]!r}", row=rownum, column=i
+                ) from None
+            if math.isnan(v):
+                has_nan = True
+            values.append(v)
+        if has_nan:
+            dropped += 1
+            continue
+        if label_idx is not None:
+            try:
+                label = float(record[label_idx].strip())
+            except ValueError:
+                label = math.nan
+            if not -_INT64_BOUND <= label < _INT64_BOUND:
+                raise ParseError(
+                    f"{path}: label {record[label_idx]!r} is not a number in the int64 range",
+                    row=rownum,
+                    column=label_idx,
+                )
+            labels.append(int(label))
+        rows.append(values)
+
+    return _dataset(path, np.array(rows, dtype=np.float64),
+                    np.array(labels, dtype=np.int64) if label_idx is not None else None,
+                    [header[i] for i in feature_idx], dropped)
 
 
 def save_csv(path, data, names: list[str] | None = None) -> None:
@@ -204,9 +268,8 @@ def save_csv(path, data, names: list[str] | None = None) -> None:
     if len(names) != a.shape[1]:
         raise ValueError("names length must match column count")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(map(csv_cell, row) for row in a)
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        write_rows(fh, ",".join(["%.17g"] * a.shape[1]) + "\n", a)
 
 
 # -- IDX ----------------------------------------------------------------------

@@ -10,13 +10,14 @@ coordinate columns are ordered by descending eigenvalue.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import geodesics
-from .datasets import csv_cell, json_safe, write_json
+from .datasets import json_safe, write_json, write_rows
 from .errors import DisconnectedGraph, GraphTooFragmented
 from .graph import NeighborGraph, components
 from .linalg import (EigenResult, as_matrix, double_center_in_place, mds_coordinates, mds_eig,
@@ -206,11 +207,10 @@ def embedding_descriptor(emb: Embedding, extra: dict | None = None) -> dict:
 
 def save_embedding_csv(emb: Embedding, path) -> None:
     """One row per kept vertex: original index then the p coordinates."""
+    table = np.column_stack((emb.kept_indices, emb.coordinates))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write("index," + ",".join(f"c{j}" for j in range(emb.p)) + "\n")
-        for row, idx in enumerate(emb.kept_indices):
-            cells = ",".join(map(csv_cell, emb.coordinates[row]))
-            fh.write(f"{int(idx)},{cells}\n")
+        write_rows(fh, "%d" + ",%.17g" * emb.p + "\n", table)
 
 
 def save_embedding_json(emb: Embedding, path, extra: dict | None = None) -> None:
@@ -221,15 +221,37 @@ def load_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read (kept_indices, coordinates) from a CSV written by save_embedding_csv."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "index":
-            raise ValueError(f"{path}: not an embedding CSV (header {header})")
-        idx: list[int] = []
-        rows: list[list[float]] = []
-        for line in fh:
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            idx.append(int(cells[0]))
-            rows.append([float(c) for c in cells[1:]])
+        text = fh.read()
+    head, _, body = text.partition("\n")
+    header = head.strip().split(",")
+    if not header or header[0] != "index":
+        raise ValueError(f"{path}: not an embedding CSV (header {header})")
+    rows = _numpy_embedding_rows(body)
+    return rows if rows is not None else _embedding_rows(body)
+
+
+def _numpy_embedding_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows np.loadtxt reads when each is an integer then as many floats
+    as the first row holds, else None."""
+    width = body.partition("\n")[0].count(",")
+    if not width:
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                           dtype=[("index", "<i8"), ("coords", "<f8", (width,))])
+    except ValueError:
+        return None
+    return np.ascontiguousarray(table["index"]), np.ascontiguousarray(table["coords"])
+
+
+def _embedding_rows(body: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows read line by line: blank lines skipped, int() then float() cells."""
+    idx: list[int] = []
+    rows: list[list[float]] = []
+    for line in body.split("\n"):
+        if not line.strip():
+            continue
+        cells = line.strip().split(",")
+        idx.append(int(cells[0]))
+        rows.append([float(c) for c in cells[1:]])
     return np.array(idx, dtype=np.int64), np.array(rows, dtype=np.float64)

@@ -112,7 +112,8 @@ def _ranks(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     binary search; equal entries of lower index are counted only where the
     sorted row shows a tie.
     """
-    r, j = np.nonzero(pairs)
+    # np.nonzero's indices in its order, from a 1-D scan, which is several times faster
+    r, j = np.divmod(np.flatnonzero(pairs), pairs.shape[1])
     values = rows[r, j]
     ordered = np.sort(rows, axis=1)
     n = rows.shape[1]
@@ -198,7 +199,7 @@ def make_stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
 def _knn_predict(train_x, train_y, test_x, k_clf: int) -> np.ndarray:
     classes, compact = np.unique(train_y, return_inverse=True)
     near = _first_m(pairwise_dists(test_x, train_x), min(k_clf, train_x.shape[0]))
-    rows, cols = np.nonzero(near)
+    rows, cols = np.divmod(np.flatnonzero(near), near.shape[1])  # as in _ranks
     votes = np.bincount(rows * classes.size + compact[cols],
                         minlength=test_x.shape[0] * classes.size)
     # vote ties: argmax takes the first, i.e. the smallest label

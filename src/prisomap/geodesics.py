@@ -5,7 +5,8 @@ scipy's csgraph Dijkstra over the graph's CSR adjacency computes them; the
 tests keep independent references. Unreachable pairs carry the UNREACHABLE
 sentinel (+inf) so no arithmetic can silently mix them with real path
 lengths. The cache keeps spectral entries: the top eigenpairs of the
-centered kernel of a graph's geodesics after the component policy.
+centered kernel of a graph's geodesics after the component policy, with the
+window h the graph was capped at.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .linalg import EigenResult, _mirrored_tiles
 UNREACHABLE = math.inf
 
 _MAGIC = b"PRGS"
-_HEADER = "<IIIII"  # format version, n_input, kept count, pair count, fingerprint length
-_VERSION = 1
+_HEADER = "<IIIII"  # format version, n_input, kept count, pair count, JSON block length
+_VERSION = 2
 
 
 @dataclass
@@ -104,25 +105,29 @@ def all_pairs(graph: NeighborGraph) -> GeodesicMatrix:
 @dataclass
 class SpectralEntry:
     """The top eigenpairs of one graph's centered geodesic kernel, after the
-    component policy kept kept_indices of its n_input vertices."""
+    component policy kept kept_indices of its n_input vertices; h is the
+    window the graph was capped at, which the fingerprint may give only as
+    a percentile."""
 
     kept_indices: np.ndarray
     n_input: int
     eigenpairs: EigenResult
     fingerprint: dict
+    h: float | None = None
 
 
 def save_spectrum(entry: SpectralEntry, path) -> None:
     """Write a spectral entry: the magic, a little-endian header (_HEADER),
-    the fingerprint JSON, then the kept indices, eigenvalues and row-major
-    eigenvectors as little-endian arrays.
+    a JSON block of the fingerprint and h, then the kept indices, eigenvalues
+    and row-major eigenvectors as little-endian arrays.
 
     The entry is written to a temporary file in the same directory and then
     renamed into place, so a reader never sees a partial entry.
     """
     eig = entry.eigenpairs
     m, top = eig.eigenvectors.shape
-    fp = json.dumps(entry.fingerprint, sort_keys=True).encode("utf-8")
+    fp = json.dumps({"fingerprint": entry.fingerprint, "h": entry.h},
+                    sort_keys=True).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -147,7 +152,7 @@ def _read_array(fh, path, shape, dtype: str) -> np.ndarray:
 def load_spectrum(path) -> SpectralEntry:
     """Read an entry written by save_spectrum.
 
-    Raises BadMagic for another magic or format version or a fingerprint
+    Raises BadMagic for another magic or format version or a JSON block
     that does not decode, and TruncatedFile when the file is shorter than
     its header says.
     """
@@ -167,20 +172,24 @@ def load_spectrum(path) -> SpectralEntry:
         if size < end:
             raise TruncatedFile(f"{path}: expected {end} bytes, got {size}")
         try:
-            fingerprint = json.loads(fh.read(fp_len).decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            block = json.loads(fh.read(fp_len).decode("utf-8"))
+            fingerprint, h = block["fingerprint"], block["h"]
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; the others
+        # come from JSON of another shape
+        except (ValueError, KeyError, TypeError) as exc:
             raise BadMagic(f"{path}: unreadable fingerprint ({exc})") from exc
         kept = _read_array(fh, path, m, "<i8")
         eigenvalues = _read_array(fh, path, top, "<f8")
         eigenvectors = _read_array(fh, path, (m, top), "<f8")
-    return SpectralEntry(kept, n_input, EigenResult(eigenvalues, eigenvectors), fingerprint)
+    return SpectralEntry(kept, n_input, EigenResult(eigenvalues, eigenvectors), fingerprint, h)
 
 
 def cache_lookup(cache_dir, fingerprint: dict) -> tuple[Path | None, SpectralEntry | None]:
     """(path, entry): where the spectral entry with this fingerprint lives in
     cache_dir, and the entry when that file holds it, else None.
 
-    The file name hashes the fingerprint's values in order, floats by repr.
+    The file name hashes the fingerprint's names and values (by repr) in
+    order.
     An unreadable or mismatched entry is noted on stderr and counts as a
     miss. path is None without a cache_dir.
     """
@@ -188,7 +197,7 @@ def cache_lookup(cache_dir, fingerprint: dict) -> tuple[Path | None, SpectralEnt
         return None, None
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
-    key = ":".join(repr(v) if isinstance(v, float) else str(v) for v in fingerprint.values())
+    key = ":".join(f"{name}={v!r}" for name, v in fingerprint.items())
     path = cache / f"{hashlib.sha256(key.encode()).hexdigest()[:32]}.eig"
     if path.exists():
         try:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datasets import csv_cell, data_hash
+from .datasets import data_hash, write_rows
 from .errors import DegenerateDuplicatesWarning, InfiniteWindow
 from .linalg import as_matrix, pairwise_sq_dists
 
@@ -50,12 +50,16 @@ class NeighborGraph:
     def edge_count(self) -> int:
         return self.adjacency.nnz // 2
 
-    def iter_edges(self):
-        """Yield each undirected edge once as (i, j, w) with i < j, sorted."""
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each undirected edge once, sorted, as arrays (i, j, w) with i < j."""
         a = self.adjacency
         rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
         upper = a.indices > rows
-        yield from zip(rows[upper].tolist(), a.indices[upper].tolist(), a.data[upper].tolist())
+        return rows[upper], a.indices[upper], a.data[upper]
+
+    def iter_edges(self):
+        """Yield each undirected edge once as (i, j, w) with i < j, sorted."""
+        yield from zip(*(part.tolist() for part in self.edges()))
 
 
 @dataclass(frozen=True)
@@ -240,5 +244,4 @@ def percentile_h(lengths, percentile: float) -> float:
 def save_edge_list(graph: NeighborGraph, path) -> None:
     """Write the undirected edge list as sorted 'i j w' lines."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for i, j, w in graph.iter_edges():
-            fh.write(f"{i} {j} {csv_cell(w)}\n")
+        write_rows(fh, "%d %d %.17g\n", np.column_stack(graph.edges()))

@@ -308,8 +308,13 @@ class TestEmbed:
                  "--cache-dir", str(tmp_path / "cache")]
         out = tmp_path / "e.csv"
         assert count(*embed, "--h-pct", "70", "--out", str(out)) == 1  # cold
-        assert count(*embed, "--h-pct", "70", "--out", str(out)) == 1  # warm
+        assert count(*embed, "--h-pct", "70", "--out", str(out)) == 0  # warm: h from the entry
+        assert "cache_hit=true" in capsys.readouterr().err.splitlines()[-1]
+        # an entry is keyed by the window as given, so the same h given
+        # absolutely has an entry of its own
         h = json.loads(out.with_suffix(".json").read_text())["method"]["h"]
+        assert count(*embed, "--h", repr(h), "--out", str(out)) == 1
+        assert "cache_hit=false" in capsys.readouterr().err.splitlines()[-1]
         assert count(*embed, "--h", repr(h), "--out", str(out)) == 0
         assert "cache_hit=true" in capsys.readouterr().err.splitlines()[-1]
         assert count("embed", *data, "--method", "pca", "--out", str(out)) == 0
@@ -338,8 +343,58 @@ class TestEmbed:
         cold = out.read_bytes()
         calls.update({"pass": 0, "cap": 0})
         assert run_cli(*embed) == 0
-        assert calls == {"pass": 1, "cap": 0}  # warm: h from the candidates only
+        assert calls == {"pass": 0, "cap": 0}  # warm: h from the cache entry
         assert out.read_bytes() == cold
+
+    # the entry records the resolved h, so a warm --h-pct needs no candidates
+    def test_warm_h_pct_hit_runs_no_candidate_pass(self, roll_dir, tmp_path, monkeypatch,
+                                                   capsys):
+        from prisomap import graph
+
+        embed = ["embed", "--in", str(roll_dir / "ambient.csv"), "--k", "10", "--p", "2",
+                 "--method", "pr-isomap", "--h-pct", "70", "--policy", "largest-component",
+                 "--spectrum", "5", "--cache-dir", str(tmp_path / "cache")]
+        (tmp_path / "cold").mkdir()
+        (tmp_path / "warm").mkdir()
+        assert run_cli(*embed, "--out", str(tmp_path / "cold" / "e.csv")) == 0
+        monkeypatch.setattr(graph, "_knn_candidates", None)  # a pass would fail
+        assert run_cli(*embed, "--out", str(tmp_path / "warm" / "e.csv")) == 0
+        assert "cache_hit=true cache_entry=spectrum" in capsys.readouterr().err
+        for name in ("e.csv", "e.json"):
+            assert _normalized((tmp_path / "warm" / name).read_bytes(), tmp_path / "warm") == \
+                _normalized((tmp_path / "cold" / name).read_bytes(), tmp_path / "cold")
+
+    # an entry of an older format version is noted and rewritten
+    def test_version_1_entry_is_recomputed(self, roll_dir, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        embed = ["embed", "--in", str(roll_dir / "ambient.csv"), "--k", "10", "--p", "2",
+                 "--method", "pr-isomap", "--h-pct", "70", "--policy", "largest-component",
+                 "--cache-dir", str(cache), "--out", str(tmp_path / "e.csv")]
+        assert run_cli(*embed) == 0
+        cold = (tmp_path / "e.csv").read_bytes()
+        [entry] = cache.iterdir()
+        raw = bytearray(entry.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        entry.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run_cli(*embed) == 0
+        err = capsys.readouterr().err
+        assert "unsupported version 1; recomputing" in err and "cache_hit=false" in err
+        assert (tmp_path / "e.csv").read_bytes() == cold
+        assert run_cli(*embed) == 0
+        assert "cache_hit=true" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["inf", "1e20"])
+    def test_label_beyond_int64_exits_2(self, roll_dir, tmp_path, capsys, label):
+        x = load_csv(roll_dir / "ambient.csv").data[:20]
+        src = tmp_path / "labeled.csv"
+        src.write_text("x,y,z,label\n" + "".join(
+            f"{a!r},{b!r},{c!r},{label if i == 4 else 0}\n" for i, (a, b, c) in
+            enumerate(x.tolist())))
+        assert run_cli("embed", "--in", str(src), "--label-column", "label", "--method", "pca",
+                       "--out", str(tmp_path / "e.csv")) == 2
+        assert f"label '{label}' is not a number in the int64 range at row 6, column 3" in \
+            capsys.readouterr().err
 
     def test_disconnected_exit_3(self, tmp_path, capsys):
         data = np.vstack([np.arange(10)[:, None] * 0.1,
@@ -803,7 +858,9 @@ class TestPrecedenceCases:
     @pytest.mark.parametrize("config, setting", [
         ({"k": [8]}, "k"), ({"p": {"n": 2}}, "p"), ({"h": [1.0]}, "h"),
         ({"cache_dir": 5}, "cache_dir"), ({"cache_dir": ["c"]}, "cache_dir"),
-    ], ids=["k-list", "p-object", "h-list", "cache_dir-number", "cache_dir-list"])
+        ({"k": 8.7}, "k"), ({"p": True}, "p"), ({"h": True}, "h"),
+    ], ids=["k-list", "p-object", "h-list", "cache_dir-number", "cache_dir-list",
+            "k-float", "p-bool", "h-bool"])
     def test_config_value_of_the_wrong_type_exits_2(self, roll_dir, tmp_path, capsys,
                                                      config, setting):
         cfg = tmp_path / "cfg.json"

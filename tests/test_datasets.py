@@ -1,14 +1,20 @@
 import gzip
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from prisomap.datasets import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
+    _csv_table,
+    _numpy_table,
+    csv_cell,
     gen_swiss_roll,
     load_csv,
     load_idx,
@@ -18,7 +24,10 @@ from prisomap.datasets import (
     swiss_roll_unrolled,
     unstandardize,
 )
+from prisomap.embed import (Embedding, _embedding_rows, _numpy_embedding_rows,
+                            load_embedding_csv, save_embedding_csv)
 from prisomap.errors import BadMagic, CountMismatch, EmptyDataset, ParseError, TruncatedFile
+from prisomap.graph import NeighborGraph, save_edge_list
 
 
 class TestCsv:
@@ -76,6 +85,183 @@ class TestCsv:
         save_csv(f, x)
         ds = load_csv(f)
         assert ds.data.tobytes() == x.tobytes()
+
+
+    @pytest.mark.parametrize("label", ["inf", "-inf", "1e20", "9.3e18", "nan"])
+    def test_label_beyond_int64_is_parse_error(self, tmp_path, label):
+        f = tmp_path / "t.csv"
+        f.write_text(f"a,label\n1,0\n2,{label}\n3,1\n")
+        text = f.read_text()
+        assert _numpy_table(f, text, "label") is None
+        for parse in (lambda: load_csv(f, label_column="label"),
+                      lambda: _csv_table(f, text, "label")):
+            with pytest.raises(ParseError) as info:
+                parse()
+            assert (info.value.row, info.value.column) == (3, 1)
+
+    # a plain file takes the numpy path
+    def test_numpy_parses_a_plain_file(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("a,y,b\n1,7,2\nnan,8,3\n-0,-9.5,inf\n")
+        text = f.read_text()
+        fast = _numpy_table(f, text, "y")
+        assert fast is not None
+        assert _dataset_outcome(lambda: fast) == _dataset_outcome(lambda: _csv_table(f, text, "y"))
+        np.testing.assert_array_equal(fast.labels, [7, -9])
+        assert fast.dropped_rows == 1 and fast.names == ["a", "b"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_numpy_path_equals_the_csv_module(self, data):
+        text, label_column = data.draw(_csv_files())
+        path = Path("t.csv")
+        slow = _dataset_outcome(lambda: _csv_table(path, text, label_column))
+        fast = _dataset_outcome(lambda: _numpy_table(path, text, label_column))
+        assert fast is None or fast == slow
+        both = _dataset_outcome(lambda: _numpy_table(path, text, label_column)
+                                or _csv_table(path, text, label_column))
+        assert both == slow
+
+
+def _dataset_outcome(parse):
+    """What a parse gives: the dataset's bytes, names and drop count, or the
+    error with its row and column; None for a parse that declined."""
+    try:
+        ds = parse()
+    except ParseError as exc:
+        return "ParseError", exc.row, exc.column
+    except EmptyDataset:
+        return ("EmptyDataset",)
+    if ds is None:
+        return None
+    labels = None if ds.labels is None else (ds.labels.dtype.str, ds.labels.tobytes())
+    return (ds.data.dtype.str, ds.data.shape, ds.data.tobytes(), labels, ds.names,
+            ds.dropped_rows)
+
+
+_ODD_CELLS = ["", " ", "nan", "NaN", "-nan", "inf", "-Infinity", " 1.5 ", "\t4", "1_0", "1e20",
+              "1e400", "2.7", "-0", "+7", "abc", '"2.5"', '"3"', '"1,5"', "\u0661", "0x10",
+              "9.3e18", "-9.3e18"]
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(lambda v: format(v, ".17g")),
+    st.integers(-3, 3).map(str),
+    st.floats(-1e3, 1e3).map(lambda v: f" {v!r} "),
+    st.sampled_from(_ODD_CELLS),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, label_column): a header, then rows of plain and odd cells,
+    a few ragged rows or blank lines, LF or CRLF line ends."""
+    ncols = draw(st.integers(1, 4))
+    header = [f"c{i}" for i in range(ncols)]
+    if draw(st.booleans()):
+        header[draw(st.integers(0, ncols - 1))] = "label"
+    plain = draw(st.booleans())  # half the files hold only well-formed cells
+    cells = st.integers(-3, 3).map(str) | st.floats(allow_nan=True).map(repr) if plain else _CELLS
+    # a plain file's rows may all be one cell wider than the header
+    row_width = ncols + draw(st.sampled_from([0] * 5 + [1])) if plain else ncols
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        width = row_width if plain or draw(st.integers(0, 9)) else draw(st.integers(0, ncols + 1))
+        lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
+    if not plain and len(lines) > 1 and draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " "])))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    label_column = draw(st.sampled_from([None, "label", "nope", 0, ncols - 1, ncols]))
+    return text, label_column
+
+
+class TestEmbeddingCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_numpy_rows_equal_the_line_loop(self, data):
+        width = data.draw(st.integers(1, 3))
+        index = st.integers(-2, 2000).map(str) | st.sampled_from(
+            ["5.0", " 7", "+3", "1_0", "", "x", "99999999999999999999", "\u0665", "1e3"])
+        lines = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            n = width if data.draw(st.integers(0, 5)) else data.draw(st.integers(0, width + 1))
+            lines.append(",".join([data.draw(index), *data.draw(st.lists(
+                _CELLS.filter(lambda c: '"' not in c), min_size=n, max_size=n))]))
+        if lines and data.draw(st.integers(0, 4)) == 0:
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(
+                st.sampled_from(["", "  ", "\t"])))
+        body = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+
+        def outcome(read):
+            try:
+                rows = read(body)
+            except (ValueError, OverflowError) as exc:
+                return type(exc).__name__
+            return None if rows is None else [(a.dtype.str, a.shape, a.tobytes()) for a in rows]
+
+        fast = outcome(_numpy_embedding_rows)
+        assert fast is None or fast == outcome(_embedding_rows)
+
+    def test_round_trip(self, tmp_path):
+        coords = np.random.default_rng(1).normal(size=(7, 3))
+        coords[2, 1] = np.nan
+        emb = Embedding(coordinates=coords, eigenvalues=np.ones(3), clamped_count=0, method={},
+                        kept_indices=np.array([0, 2, 3, 5, 8, 9, 11]),
+                        component_policy_applied=True, n_input=12)
+        path = tmp_path / "e.csv"
+        save_embedding_csv(emb, path)
+        assert _numpy_embedding_rows(path.read_text().partition("\n")[2]) is not None
+        idx, back = load_embedding_csv(path)
+        assert idx.tobytes() == emb.kept_indices.astype(np.int64).tobytes()
+        assert back.tobytes() == coords.tobytes() and back.flags.c_contiguous
+
+
+# every float csv_cell must write as it always has, over more rows than one
+# formatting call takes
+_WRITTEN = np.tile([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1,
+                    3.0, -7.0, 1e16, 2.0**53, 123456789.0], 1100).tolist()
+
+
+def _table():
+    return np.array(_WRITTEN).reshape(-1, 3)
+
+
+def _write_save_csv(path):
+    save_csv(path, _table(), names=["x", "y", "z"])
+    return "x,y,z\n" + "".join(",".join(map(csv_cell, row)) + "\n" for row in _table().tolist())
+
+
+def _write_embedding(path):
+    kept = [3 * i + i % 2 for i in range(len(_WRITTEN) // 3)]
+    save_embedding_csv(Embedding(coordinates=_table(), eigenvalues=np.ones(3), clamped_count=0,
+                                 method={}, kept_indices=np.array(kept),
+                                 component_policy_applied=True, n_input=kept[-1] + 1), path)
+    return "index,c0,c1,c2\n" + "".join(
+        f"{i}," + ",".join(map(csv_cell, row)) + "\n" for i, row in zip(kept, _table().tolist()))
+
+
+def _write_edge_list(path):
+    # a path graph 0-1-...-n whose edge weights are the written values
+    n = len(_WRITTEN) + 1
+    rows, cols, weights = [], [], []
+    for i, w in enumerate(_WRITTEN):
+        rows += [i, i + 1]
+        cols += [i + 1, i]
+        weights += [w, w]
+    order = np.lexsort((cols, rows))
+    adjacency = csr_matrix((np.array(weights)[order],
+                            np.array(cols)[order], np.searchsorted(np.array(rows)[order],
+                                                                    np.arange(n + 1))),
+                           shape=(n, n))
+    save_edge_list(NeighborGraph(k=1, h=math.inf, adjacency=adjacency), path)
+    return "".join(f"{i} {i + 1} {csv_cell(w)}\n" for i, w in enumerate(_WRITTEN))
+
+
+@pytest.mark.parametrize("write", [_write_save_csv, _write_embedding, _write_edge_list],
+                         ids=["save_csv", "save_embedding_csv", "save_edge_list"])
+def test_bulk_writers_match_csv_cell(tmp_path, write):
+    path = tmp_path / "out.txt"
+    expected = write(path)
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestIdx:
