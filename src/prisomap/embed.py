@@ -218,40 +218,20 @@ def save_embedding_json(emb: Embedding, path, extra: dict | None = None) -> None
 
 
 def load_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read (kept_indices, coordinates) from a CSV written by save_embedding_csv."""
+    """Read (kept_indices, coordinates) from a CSV written by save_embedding_csv:
+    an int64 index then one float per header column after it on every row."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         text = fh.read()
     head, _, body = text.partition("\n")
     header = head.strip().split(",")
-    if not header or header[0] != "index":
+    if header[0] != "index" or len(header) < 2:
         raise ValueError(f"{path}: not an embedding CSV (header {header})")
-    rows = _numpy_embedding_rows(body)
-    return rows if rows is not None else _embedding_rows(body)
-
-
-def _numpy_embedding_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows np.loadtxt reads when each is an integer then as many floats
-    as the first row holds, else None."""
-    width = body.partition("\n")[0].count(",")
-    if not width:
-        return None
+    if not body.strip():
+        raise ValueError(f"{path}: embedding CSV holds no rows")
     try:
         table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
-                           dtype=[("index", "<i8"), ("coords", "<f8", (width,))])
-    except ValueError:
-        return None
+                           dtype=[("index", "<i8"), ("coords", "<f8", (len(header) - 1,))])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return np.ascontiguousarray(table["index"]), np.ascontiguousarray(table["coords"])
-
-
-def _embedding_rows(body: str) -> tuple[np.ndarray, np.ndarray]:
-    """The rows read line by line: blank lines skipped, int() then float() cells."""
-    idx: list[int] = []
-    rows: list[list[float]] = []
-    for line in body.split("\n"):
-        if not line.strip():
-            continue
-        cells = line.strip().split(",")
-        idx.append(int(cells[0]))
-        rows.append([float(c) for c in cells[1:]])
-    return np.array(idx, dtype=np.int64), np.array(rows, dtype=np.float64)

@@ -113,7 +113,7 @@ class SpectralEntry:
     n_input: int
     eigenpairs: EigenResult
     fingerprint: dict
-    h: float | None = None
+    h: float
 
 
 def save_spectrum(entry: SpectralEntry, path) -> None:
@@ -153,7 +153,7 @@ def load_spectrum(path) -> SpectralEntry:
     """Read an entry written by save_spectrum.
 
     Raises BadMagic for another magic or format version or a JSON block
-    that does not decode, and TruncatedFile when the file is shorter than
+    that does not decode or holds no numeric h, and TruncatedFile when the file is shorter than
     its header says.
     """
     path = Path(path)
@@ -178,6 +178,8 @@ def load_spectrum(path) -> SpectralEntry:
         # come from JSON of another shape
         except (ValueError, KeyError, TypeError) as exc:
             raise BadMagic(f"{path}: unreadable fingerprint ({exc})") from exc
+        if isinstance(h, bool) or not isinstance(h, (int, float)):
+            raise BadMagic(f"{path}: window h {h!r} is not a number")
         kept = _read_array(fh, path, m, "<i8")
         eigenvalues = _read_array(fh, path, top, "<f8")
         eigenvectors = _read_array(fh, path, (m, top), "<f8")

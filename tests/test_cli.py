@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,25 @@ class TestEmbed:
         for name in ("e.csv", "e.json"):
             assert _normalized((tmp_path / "warm" / name).read_bytes(), tmp_path / "warm") == \
                 _normalized((tmp_path / "cold" / name).read_bytes(), tmp_path / "cold")
+
+    # the duplicate-point warning comes from the candidate pass, which a warm
+    # --h-pct hit does not run
+    def test_warm_h_pct_hit_does_not_repeat_the_duplicate_warning(self, roll_dir, tmp_path):
+        from prisomap.errors import DegenerateDuplicatesWarning
+
+        head, _, body = (roll_dir / "ambient.csv").read_text().partition("\n")
+        (tmp_path / "dup.csv").write_text(head + "\n" + body * 3, encoding="utf-8")
+        embed = ["embed", "--in", str(tmp_path / "dup.csv"), "--k", "24", "--p", "2",
+                 "--method", "pr-isomap", "--h-pct", "70", "--policy", "largest-component",
+                 "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "e.csv")]
+        with pytest.warns(DegenerateDuplicatesWarning):
+            assert run_cli(*embed) == 0
+        cold = (tmp_path / "e.csv").read_bytes()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli(*embed) == 0
+        assert not [w for w in seen if issubclass(w.category, DegenerateDuplicatesWarning)]
+        assert (tmp_path / "e.csv").read_bytes() == cold
 
     # an entry of an older format version is noted and rewritten
     def test_version_1_entry_is_recomputed(self, roll_dir, tmp_path, capsys):

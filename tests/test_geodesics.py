@@ -417,7 +417,7 @@ class TestSerialization:
     def test_truncated(self, tmp_path):
         entry = SpectralEntry(kept_indices=np.arange(3, dtype=np.int64), n_input=3,
                               eigenpairs=EigenResult(np.ones(2), np.ones((3, 2))),
-                              fingerprint={"top": 2})
+                              fingerprint={"top": 2}, h=1.0)
         path = tmp_path / "entry.eig"
         save_spectrum(entry, path)
         raw = path.read_bytes()
@@ -433,15 +433,25 @@ class TestSerialization:
         entry = SpectralEntry(kept_indices=np.array([0, 2, 3, 7, 8], dtype=np.int64),
                               n_input=9,
                               eigenpairs=EigenResult(rng.normal(size=4), rng.normal(size=(5, 4))),
-                              fingerprint=fingerprint)
+                              fingerprint=fingerprint, h=1.75)
         path = tmp_path / "entry.eig"
         save_spectrum(entry, path)
         back = load_spectrum(path)
         assert back.kept_indices.tobytes() == entry.kept_indices.tobytes()
-        assert back.n_input == 9 and back.fingerprint == fingerprint
+        assert back.n_input == 9 and back.fingerprint == fingerprint and back.h == entry.h
         for part in ("eigenvalues", "eigenvectors"):
             assert getattr(back.eigenpairs, part).tobytes() == \
                 getattr(entry.eigenpairs, part).tobytes()
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(TruncatedFile):
+            load_spectrum(path)
+
+    @pytest.mark.parametrize("h", [None, "1.5", True, [1.0]])
+    def test_window_that_is_not_a_number_is_bad_magic(self, tmp_path, h):
+        entry = SpectralEntry(kept_indices=np.arange(3, dtype=np.int64), n_input=3,
+                              eigenpairs=EigenResult(np.ones(2), np.ones((3, 2))),
+                              fingerprint={"top": 2}, h=h)
+        path = tmp_path / "entry.eig"
+        save_spectrum(entry, path)
+        with pytest.raises(BadMagic, match="window h"):
             load_spectrum(path)
