@@ -71,10 +71,14 @@ class Neighbors:
 
     The candidate pass runs once per k; every graph at that k is capped from
     its candidate arrays, and only when a cache miss or the density needs it.
+    Raises InputError for data that is not finite.
     """
 
     def __init__(self, data):
         self.data = as_matrix(data, "data")
+        if not np.isfinite(self.data).all():
+            row, col = np.argwhere(~np.isfinite(self.data))[0]
+            raise InputError(f"data row {row}, column {col} (from 0) is {self.data[row, col]}")
         self.data_hash = data_hash(self.data)
         self._candidates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._graphs: dict[tuple[int, float], NeighborGraph] = {}
@@ -247,7 +251,8 @@ def run_bench(
     when given, must name one of the methods (InputError otherwise); when
     not, it is isomap if present, else the first method.
     """
-    x = as_matrix(data, "data")
+    neighbors = Neighbors(data)
+    x = neighbors.data
     n = x.shape[0]
     ref = pairwise_dists(x) if reference is None else as_matrix(reference, "reference")
     if ref.shape != (n, n):
@@ -263,7 +268,6 @@ def run_bench(
         baseline = "isomap" if "isomap" in names else names[0]
     y = None if labels is None else np.asarray(labels, dtype=np.int64)
 
-    neighbors = Neighbors(x)
     runs = {spec.label(): run_method(spec, neighbors, cache_dir=cache_dir) for spec in specs}
     embeddings = {name: run.embedding for name, run in runs.items()}
 

@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 usage/input problems, 3 graph-topology failures
 (component summary printed), 4 numeric failures. Every output file embeds or
 references the RunConfig that produced it; the top eigenpairs of each graph
 method's geodesic kernel are cached so repeated sweeps skip the all-pairs
-stage and the eigensolve. Timing, and the cache entry that served an embed,
-are reported on stderr only, keeping output files byte-deterministic.
+stage and the eigensolve. Output files are byte-deterministic but for the
+eval and bench reports' timings.* and bench.csv's embed_seconds; every other
+timing, and the cache entry that served an embed, goes to stderr only.
 
 Configuration precedence: command-line flags > JSON config file (--config) >
 PRISOMAP_* environment variables > built-in defaults.
@@ -406,8 +407,8 @@ def main(argv=None) -> int:
     try:
         resolve_settings(args, _load_config(args.config))
         return args.func(args)
-    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError, ValueError) as exc:
+    except (InputError, FileExistsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GraphError as exc:

@@ -112,7 +112,7 @@ def json_safe(value):
     if isinstance(value, (list, tuple)):
         return [json_safe(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [json_safe(float(v)) for v in value]
+        return json_safe(value.tolist())
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):

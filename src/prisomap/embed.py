@@ -219,7 +219,7 @@ def save_embedding_json(emb: Embedding, path, extra: dict | None = None) -> None
 
 def load_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read (kept_indices, coordinates) from a CSV written by save_embedding_csv:
-    an int64 index then one float per header column after it on every row."""
+    an int64 index >= 0 then one float per header column after it on every row."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         text = fh.read()
@@ -234,4 +234,6 @@ def load_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:
                            dtype=[("index", "<i8"), ("coords", "<f8", (len(header) - 1,))])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if table["index"].min() < 0:
+        raise ValueError(f"{path}: negative index {table['index'].min()}")
     return np.ascontiguousarray(table["index"]), np.ascontiguousarray(table["coords"])

@@ -17,7 +17,7 @@ import numpy as np
 from .datasets import csv_cell, json_safe, write_json
 from .errors import ClassTooSmall, NoFinitePairs, ZeroMeanDensity
 from .graph import DensityEstimate
-from .linalg import as_matrix, pairwise_dists
+from .linalg import as_matrix, first_m, pairwise_dists
 
 EVAL_SCHEMA = "evalreport/1"
 _BLOCK_ROWS = 128  # rows per block in trustworthiness_continuity
@@ -87,23 +87,6 @@ def residual_variance(d_hd, d_ld) -> float:
     return _residual_variance(*_finite_pairs(d_hd, d_ld))
 
 
-def _first_m(rows: np.ndarray, m: int) -> np.ndarray:
-    """Mask of each row's first m entries in (value, index) order.
-
-    np.partition finds the m-th smallest value; when more entries equal it
-    than fit, the ones of lowest index are taken, as a stable sort would.
-    """
-    kth = np.partition(rows, m - 1, axis=1)[:, m - 1, None]
-    chosen = rows <= kth
-    extra = chosen.sum(axis=1) - m
-    over = np.flatnonzero(extra)
-    if over.size:
-        ties = rows[over] == kth[over]
-        from_right = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]
-        chosen[over] &= ~(ties & (from_right <= extra[over, None]))
-    return chosen
-
-
 def _ranks(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """1-based (value, index) rank of rows[r, j] in row r, for each pair in the mask.
 
@@ -164,8 +147,8 @@ def trustworthiness_continuity(d_hd, d_ld, m: int) -> tuple[float, float]:
         ld = b[start:stop].copy()
         hd[local, local + start] = np.inf
         ld[local, local + start] = np.inf
-        near_hd = _first_m(hd, m)
-        near_ld = _first_m(ld, m)
+        near_hd = first_m(hd, m)
+        near_ld = first_m(ld, m)
         t_penalty += int(np.sum(_ranks(hd, near_ld & ~near_hd) - m))
         c_penalty += int(np.sum(_ranks(ld, near_hd & ~near_ld) - m))
     scale = 2.0 / (n * m * (2.0 * n - 3.0 * m - 1.0))
@@ -198,7 +181,7 @@ def make_stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
 
 def _knn_predict(train_x, train_y, test_x, k_clf: int) -> np.ndarray:
     classes, compact = np.unique(train_y, return_inverse=True)
-    near = _first_m(pairwise_dists(test_x, train_x), min(k_clf, train_x.shape[0]))
+    near = first_m(pairwise_dists(test_x, train_x), min(k_clf, train_x.shape[0]))
     rows, cols = np.divmod(np.flatnonzero(near), near.shape[1])  # as in _ranks
     votes = np.bincount(rows * classes.size + compact[cols],
                         minlength=test_x.shape[0] * classes.size)

@@ -15,22 +15,20 @@ import hashlib
 import json
 import math
 import os
-import struct
 import sys
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, NumericError, TruncatedFile
+from .errors import BadMagic, NumericError
 from .graph import NeighborGraph
 from .linalg import EigenResult, _mirrored_tiles
 
 UNREACHABLE = math.inf
 
-_MAGIC = b"PRGS"
-_HEADER = "<IIIII"  # format version, n_input, kept count, pair count, JSON block length
-_VERSION = 2
+_VERSION = 3  # of the spectral entry format
 
 
 @dataclass
@@ -117,72 +115,52 @@ class SpectralEntry:
 
 
 def save_spectrum(entry: SpectralEntry, path) -> None:
-    """Write a spectral entry: the magic, a little-endian header (_HEADER),
-    a JSON block of the fingerprint and h, then the kept indices, eigenvalues
-    and row-major eigenvectors as little-endian arrays.
-
-    The entry is written to a temporary file in the same directory and then
-    renamed into place, so a reader never sees a partial entry.
-    """
+    """Write a spectral entry as an uncompressed .npz archive, which keeps a
+    CRC-32 per member: kept, eigenvalues, eigenvectors, and meta, a 0-d string
+    of the JSON of the format version, n_input, fingerprint and h. It goes to
+    a temporary file in the same directory, renamed into place, so a reader
+    never sees a partial entry."""
     eig = entry.eigenpairs
-    m, top = eig.eigenvectors.shape
-    fp = json.dumps({"fingerprint": entry.fingerprint, "h": entry.h},
-                    sort_keys=True).encode("utf-8")
+    meta = json.dumps({"version": _VERSION, "n_input": entry.n_input,
+                       "fingerprint": entry.fingerprint, "h": entry.h}, sort_keys=True)
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            fh.write(_MAGIC + struct.pack(_HEADER, _VERSION, entry.n_input, m, top, len(fp)))
-            fh.write(fp)
-            for array in (entry.kept_indices, eig.eigenvalues, eig.eigenvectors):
-                fh.write(np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<")))
+            np.savez(fh, kept=entry.kept_indices, eigenvalues=eig.eigenvalues,
+                     eigenvectors=eig.eigenvectors, meta=np.array(meta))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _read_array(fh, path, shape, dtype: str) -> np.ndarray:
-    out = np.empty(shape, dtype=dtype)
-    got = fh.readinto(out)
-    if got != out.nbytes:
-        raise TruncatedFile(f"{path}: body ended after {got} of {out.nbytes} bytes")
-    return out
-
-
 def load_spectrum(path) -> SpectralEntry:
-    """Read an entry written by save_spectrum.
-
-    Raises BadMagic for another magic or format version or a JSON block
-    that does not decode or holds no numeric h, and TruncatedFile when the file is shorter than
-    its header says.
-    """
+    """Read an entry written by save_spectrum; raise BadMagic for anything else:
+    no .npz archive, a member missing, cut short or failing its CRC-32, another
+    format version, a non-numeric h, or a member of another dtype or shape."""
     path = Path(path)
-    header_size = len(_MAGIC) + struct.calcsize(_HEADER)
-    with path.open("rb") as fh:
-        head = fh.read(header_size)
-        if head[:4] != _MAGIC:
-            raise BadMagic(f"{path}: magic {head[:4]!r}, expected {_MAGIC!r}")
-        if len(head) < header_size:
-            raise TruncatedFile(f"{path}: header incomplete")
-        version, n_input, m, top, fp_len = struct.unpack(_HEADER, head[4:])
-        if version != _VERSION:
-            raise BadMagic(f"{path}: unsupported version {version}")
-        end = header_size + fp_len + 8 * (m + top + m * top)
-        size = os.fstat(fh.fileno()).st_size
-        if size < end:
-            raise TruncatedFile(f"{path}: expected {end} bytes, got {size}")
-        try:
-            block = json.loads(fh.read(fp_len).decode("utf-8"))
-            fingerprint, h = block["fingerprint"], block["h"]
-        # UnicodeDecodeError and JSONDecodeError are ValueErrors; the others
-        # come from JSON of another shape
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BadMagic(f"{path}: unreadable fingerprint ({exc})") from exc
-        if isinstance(h, bool) or not isinstance(h, (int, float)):
-            raise BadMagic(f"{path}: window h {h!r} is not a number")
-        kept = _read_array(fh, path, m, "<i8")
-        eigenvalues = _read_array(fh, path, top, "<f8")
-        eigenvectors = _read_array(fh, path, (m, top), "<f8")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(archive["meta"].item())
+            kept, eigenvalues, eigenvectors = (archive[name] for name in
+                                               ("kept", "eigenvalues", "eigenvectors"))
+        version, n_input, fingerprint, h = (meta[key] for key in
+                                            ("version", "n_input", "fingerprint", "h"))
+    # np.load: ValueError for a non-archive, EOFError for an empty file; zipfile:
+    # BadZipFile for a cut file or a CRC-32 mismatch, NotImplementedError,
+    # RuntimeError or OSError for other bad fields; TypeError for a bare .npy
+    except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TypeError,
+            ValueError, zipfile.BadZipFile) as exc:
+        raise BadMagic(f"{path}: unreadable spectral entry ({exc})") from exc
+    if version != _VERSION:
+        raise BadMagic(f"{path}: unsupported version {version}")
+    if isinstance(h, bool) or not isinstance(h, (int, float)):
+        raise BadMagic(f"{path}: window h {h!r} is not a number")
+    if (type(n_input) is not int or kept.dtype != np.int64 or kept.ndim != 1
+            or eigenvalues.dtype != np.float64 or eigenvalues.ndim != 1
+            or eigenvectors.dtype != np.float64
+            or eigenvectors.shape != (kept.size, eigenvalues.size)):
+        raise BadMagic(f"{path}: n_input or a member of another type or shape")
     return SpectralEntry(kept, n_input, EigenResult(eigenvalues, eigenvectors), fingerprint, h)
 
 
@@ -204,7 +182,7 @@ def cache_lookup(cache_dir, fingerprint: dict) -> tuple[Path | None, SpectralEnt
     if path.exists():
         try:
             entry = load_spectrum(path)
-        except (BadMagic, TruncatedFile) as exc:
+        except BadMagic as exc:
             print(f"cache: {exc}; recomputing", file=sys.stderr)
         else:
             if entry.fingerprint == fingerprint:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import data_hash, write_rows
 from .errors import DegenerateDuplicatesWarning, InfiniteWindow
-from .linalg import as_matrix, pairwise_sq_dists
+from .linalg import as_matrix, first_m, pairwise_sq_dists
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -104,13 +104,7 @@ def _knn_candidates(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         d2 = pairwise_sq_dists(data[start:stop], data)
         local = np.arange(stop - start)
         d2[local, local + start] = np.inf
-        sel = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        kth = d2[local, sel[:, k - 1]]
-        # where the k-th value is tied beyond the selection, the partition
-        # picked arbitrary tied entries: take the lowest indices instead
-        for row in np.flatnonzero(np.count_nonzero(d2 <= kth[:, None], axis=1) > k):
-            pool = np.flatnonzero(d2[row] <= kth[row])
-            sel[row] = pool[np.lexsort((pool, d2[row, pool]))][:k]
+        sel = np.flatnonzero(first_m(d2, k)).reshape(-1, k) % n
         sel_d2 = np.take_along_axis(d2, sel, axis=1)
         order = np.lexsort((sel, sel_d2), axis=-1)
         idx[start:stop] = np.take_along_axis(sel, order, axis=1)

@@ -109,6 +109,22 @@ def pairwise_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
+def first_m(rows: np.ndarray, m: int) -> np.ndarray:
+    """Mask of each row's first m entries in (value, index) order, for the
+    k-NN candidates, T/C and the k-NN vote. np.partition finds the m-th
+    smallest value; when more entries equal it than fit, the ones of lowest
+    index are taken, as a stable sort would."""
+    kth = np.partition(rows, m - 1, axis=1)[:, m - 1, None]
+    chosen = rows <= kth
+    extra = chosen.sum(axis=1) - m
+    over = np.flatnonzero(extra)
+    if over.size:
+        ties = rows[over] == kth[over]
+        from_right = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]
+        chosen[over] &= ~(ties & (from_right <= extra[over, None]))
+    return chosen
+
+
 def double_center(d_sq) -> np.ndarray:
     """Turn a squared-distance matrix into the centered kernel -1/2 * H D H.
 

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import struct
@@ -125,7 +126,8 @@ class TestEmbed:
             assert (tmp_path / "cache1" / name).read_bytes() == \
                 (tmp_path / "cache2" / name).read_bytes()
 
-    @pytest.mark.parametrize("damage", ["truncated-body", "corrupt-fingerprint"])
+    @pytest.mark.parametrize("damage", ["truncated-body", "corrupt-fingerprint",
+                                        "flipped-eigenvector-byte"])
     def test_truncated_cache_entry_is_recomputed(self, roll_dir, tmp_path, capsys, damage):
         cache = tmp_path / "cache"
         args = ["embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pr-isomap",
@@ -139,12 +141,20 @@ class TestEmbed:
 
         def damage_entry(entry):
             raw = bytearray(entry.read_bytes())
+            with np.load(entry) as archive:
+                members = dict(archive)
             if damage == "truncated-body":
                 del raw[len(raw) // 2:]
+            elif damage == "flipped-eigenvector-byte":
+                # one bit of a sign-and-exponent byte inside the member's body
+                vectors = members["eigenvectors"].tobytes(order="A")
+                raw[raw.index(vectors) + len(vectors) // 2 + 7] ^= 0x01
             else:
-                # magic and lengths intact, fingerprint bytes not UTF-8
-                fp_start = 4 + struct.calcsize("<IIIII")
-                raw[fp_start:fp_start + 2] = b"\xff\xfe"
+                # a sound archive whose meta member is not JSON
+                members["meta"] = np.array('{"fingerprint": ')
+                with io.BytesIO() as fh:
+                    np.savez(fh, **members)
+                    raw = fh.getvalue()
             entry.write_bytes(bytes(raw))
 
         cold, err = embed()
@@ -156,6 +166,8 @@ class TestEmbed:
         damage_entry(entry)
         out, err = embed()
         assert "recomputing" in err and "cache_hit=false cache_entry=none" in err
+        assert ("Bad CRC-32 for file 'eigenvectors.npy'" in err) == \
+            (damage == "flipped-eigenvector-byte")
         assert out == cold
         out, err = embed()
         assert "recomputing" not in err and "cache_hit=true cache_entry=spectrum" in err
@@ -384,8 +396,10 @@ class TestEmbed:
         assert not [w for w in seen if issubclass(w.category, DegenerateDuplicatesWarning)]
         assert (tmp_path / "e.csv").read_bytes() == cold
 
-    # an entry of an older format version is noted and rewritten
-    def test_version_1_entry_is_recomputed(self, roll_dir, tmp_path, capsys):
+    # an entry of an older format version is noted and rewritten: an archive
+    # whose meta gives version 2, and a version 2 entry as that format wrote it
+    # (magic, a little-endian header, the JSON block, then the arrays)
+    def test_older_version_entry_is_recomputed(self, roll_dir, tmp_path, capsys):
         cache = tmp_path / "cache"
         embed = ["embed", "--in", str(roll_dir / "ambient.csv"), "--k", "10", "--p", "2",
                  "--method", "pr-isomap", "--h-pct", "70", "--policy", "largest-component",
@@ -393,16 +407,28 @@ class TestEmbed:
         assert run_cli(*embed) == 0
         cold = (tmp_path / "e.csv").read_bytes()
         [entry] = cache.iterdir()
-        raw = bytearray(entry.read_bytes())
-        raw[4:8] = struct.pack("<I", 1)
-        entry.write_bytes(bytes(raw))
-        capsys.readouterr()
-        assert run_cli(*embed) == 0
-        err = capsys.readouterr().err
-        assert "unsupported version 1; recomputing" in err and "cache_hit=false" in err
-        assert (tmp_path / "e.csv").read_bytes() == cold
-        assert run_cli(*embed) == 0
-        assert "cache_hit=true" in capsys.readouterr().err
+        with np.load(entry) as archive:
+            members = dict(archive)
+        meta = json.loads(members["meta"].item())
+        with io.BytesIO() as fh:
+            np.savez(fh, **{**members, "meta": np.array(json.dumps({**meta, "version": 2}))})
+            archive_v2 = fh.getvalue()
+        kept, vectors = members["kept"], members["eigenvectors"]
+        block = json.dumps({"fingerprint": meta["fingerprint"], "h": meta["h"]}).encode()
+        raw_v2 = b"".join([b"PRGS", struct.pack("<IIIII", 2, meta["n_input"], *vectors.shape,
+                                                 len(block)), block, kept.astype("<i8").tobytes(),
+                           members["eigenvalues"].astype("<f8").tobytes(),
+                           np.ascontiguousarray(vectors, dtype="<f8").tobytes()])
+        for old, note in [(archive_v2, "unsupported version 2; recomputing"),
+                          (raw_v2, "unreadable spectral entry")]:
+            entry.write_bytes(old)
+            capsys.readouterr()
+            assert run_cli(*embed) == 0
+            err = capsys.readouterr().err
+            assert note in err and "recomputing" in err and "cache_hit=false" in err
+            assert (tmp_path / "e.csv").read_bytes() == cold
+            assert run_cli(*embed) == 0
+            assert "cache_hit=true" in capsys.readouterr().err
 
     @pytest.mark.parametrize("label", ["inf", "1e20"])
     def test_label_beyond_int64_exits_2(self, roll_dir, tmp_path, capsys, label):
@@ -929,6 +955,41 @@ class TestInputErrors:
                        "--out", str(out)) == 2
         assert "baseline 'bogus'" in capsys.readouterr().err
         assert not (out / "bench.json").exists()
+
+    @pytest.mark.parametrize("method", ["pr-isomap", "isomap", "mds", "pca", "bench"])
+    def test_non_finite_data_exits_2(self, roll_dir, tmp_path, capsys, method):
+        head, _, body = (roll_dir / "ambient.csv").read_text().partition("\n")
+        rows = body.splitlines()[:60]
+        rows[7] = rows[7].rsplit(",", 1)[0] + ",-inf"
+        src = tmp_path / "inf.csv"
+        src.write_text(head + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        graph = ["--k", "8", "--h-pct", "70"] if method == "pr-isomap" else ["--k", "8"]
+        if method == "bench":
+            argv = ["bench", "--methods", "pr-isomap,isomap,pca", "--h-pct", "70", "--k", "8",
+                    "--out", str(tmp_path / "b")]
+        else:
+            argv = ["embed", "--method", method, *graph, "--out", str(tmp_path / "e.csv")]
+        assert run_cli(*argv, "--in", str(src)) == 2
+        assert "data row 7, column 2 (from 0) is -inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_negative_embedding_index_exits_2(self, roll_dir, tmp_path, capsys, command):
+        emb = tmp_path / "e.csv"
+        emb.write_text("index,c0,c1\n0,1.0,2.0\n-1,3.0,4.0\n2,0.5,0.5\n", encoding="utf-8")
+        if command == "eval":
+            argv = ["eval", "--emb", str(emb), "--data", str(roll_dir / "ambient.csv"),
+                    "--out", str(tmp_path / "r.json")]
+        else:
+            argv = ["plot", "--in", str(emb), "--out", str(tmp_path / "p.svg")]
+        assert run_cli(*argv) == 2
+        assert "e.csv: negative index -1" in capsys.readouterr().err
+
+    def test_cache_dir_naming_a_file_exits_2(self, roll_dir, tmp_path, capsys):
+        (tmp_path / "cache").write_text("", encoding="utf-8")
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "isomap",
+                       "--k", "8", "--cache-dir", str(tmp_path / "cache"),
+                       "--out", str(tmp_path / "e.csv")) == 2
+        assert "File exists" in capsys.readouterr().err
 
 
 class TestLibraryDescriptor:

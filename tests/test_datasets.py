@@ -1,4 +1,5 @@
 import gzip
+import json
 import math
 import struct
 from pathlib import Path
@@ -16,6 +17,7 @@ from prisomap.datasets import (
     _numpy_table,
     csv_cell,
     gen_swiss_roll,
+    json_safe,
     load_csv,
     load_idx,
     save_csv,
@@ -176,7 +178,7 @@ def _csv_files(draw):
 class TestEmbeddingCsv:
     @pytest.mark.parametrize("body", [
         "99999999999999999999,1.5\n", "5.0,1.5\n", "1e3,1.5\n", "0,1.5,2.5\n", "0\n",
-        "0,x\n", "0,1.5\n  \n", "", "\n\n"])
+        "0,x\n", "0,1.5\n  \n", "", "\n\n", "0,1.5\n-1,2.5\n"])
     def test_rejected_row_names_the_file(self, tmp_path, body):
         path = tmp_path / "e.csv"
         path.write_text("index,c0\n" + body, encoding="utf-8")
@@ -243,6 +245,14 @@ def test_bulk_writers_match_csv_cell(tmp_path, write):
     path = tmp_path / "out.txt"
     expected = write(path)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_json_safe_writes_integer_arrays_as_integers():
+    assert json.dumps(json_safe({"kept": np.array([0, 2, 7], dtype=np.int64)})) == \
+        '{"kept": [0, 2, 7]}'
+    # float arrays are written as each element on its own always was
+    floats = np.array(_WRITTEN)
+    assert json.dumps(json_safe(floats)) == json.dumps([json_safe(float(v)) for v in floats])
 
 
 class TestIdx:

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import os
 import subprocess
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import prisomap
 from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
-from prisomap.errors import BadMagic, NumericError, TooLarge, TruncatedFile
+from prisomap.errors import BadMagic, NumericError, TooLarge
 from prisomap.geodesics import UNREACHABLE, SpectralEntry, all_pairs, load_spectrum, save_spectrum
 from prisomap.graph import NeighborGraph, components, knn_candidates, knn_graph, percentile_h
 from prisomap.linalg import EigenResult, pairwise_dists
@@ -406,25 +408,69 @@ class TestDenseSamplingConsistency:
         assert np.median(rel) <= 0.045
 
 
+def _small_entry(h=1.0) -> SpectralEntry:
+    return SpectralEntry(kept_indices=np.arange(3, dtype=np.int64), n_input=3,
+                         eigenpairs=EigenResult(np.ones(2), np.ones((3, 2))),
+                         fingerprint={"top": 2}, h=h)
+
+
 class TestSerialization:
+    # files that are no spectral entry, and archives whose members are
+    # missing or of another dtype or shape
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "entry.eig"
-        path.write_bytes(b"NOPE" + b"\x00" * 40)
+        meta = np.array(json.dumps({"version": 3, "n_input": 3, "fingerprint": {}, "h": 1.0}))
+        members = {"kept": np.arange(3), "eigenvalues": np.ones(2),
+                   "eigenvectors": np.ones((3, 2)), "meta": meta}
+        bad = [{**members, "kept": np.arange(3.0)}, {**members, "eigenvalues": np.float64(1.0)},
+               {**members, "eigenvectors": np.ones((2, 3))},
+               {**members, "meta": np.array(["{}", "{}"])}]
+        bad += [{name: a for name, a in members.items() if name != drop} for drop in members]
+        for contents in [b"NOPE" + b"\x00" * 40, b"", *bad]:
+            with path.open("wb") as fh:
+                if isinstance(contents, bytes):
+                    fh.write(contents)
+                else:
+                    np.savez(fh, **contents)
+            with pytest.raises(BadMagic):
+                load_spectrum(path)
+        # a bare .npy array, and the valid archive itself
+        np.save(path.with_suffix(".npy"), np.ones(3))
         with pytest.raises(BadMagic):
-            load_spectrum(path)
+            load_spectrum(path.with_suffix(".npy"))
+        with path.open("wb") as fh:
+            np.savez(fh, **members)
+        assert load_spectrum(path).n_input == 3
 
-    # a header cut short, then a body cut short
+    # cuts in the first member's header, in the middle of the archive, and
+    # in its end record
     def test_truncated(self, tmp_path):
-        entry = SpectralEntry(kept_indices=np.arange(3, dtype=np.int64), n_input=3,
-                              eigenpairs=EigenResult(np.ones(2), np.ones((3, 2))),
-                              fingerprint={"top": 2}, h=1.0)
         path = tmp_path / "entry.eig"
+        save_spectrum(_small_entry(), path)
+        raw = path.read_bytes()
+        for cut in (raw[:10], raw[:-8], raw[:len(raw) // 2]):
+            path.write_bytes(cut)
+            with pytest.raises(BadMagic):
+                load_spectrum(path)
+
+    # the zip directory, the member headers and the bodies alike: each byte,
+    # flipped in two ways, is refused or leaves the entry as written
+    def test_every_flipped_byte_is_refused_or_harmless(self, tmp_path):
+        path = tmp_path / "entry.eig"
+        entry = _small_entry(h=2.5)
         save_spectrum(entry, path)
         raw = path.read_bytes()
-        for cut in (raw[:10], raw[:-8]):
-            path.write_bytes(cut)
-            with pytest.raises(TruncatedFile):
-                load_spectrum(path)
+        for at, bit in itertools.product(range(len(raw)), (0x01, 0x80)):
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ bit]) + raw[at + 1:])
+            try:
+                back = load_spectrum(path)
+            except BadMagic:
+                continue
+            assert (back.kept_indices.tobytes(), back.n_input, back.fingerprint, back.h) == \
+                (entry.kept_indices.tobytes(), 3, {"top": 2}, 2.5)
+            assert all(getattr(back.eigenpairs, part).tobytes() ==
+                       getattr(entry.eigenpairs, part).tobytes()
+                       for part in ("eigenvalues", "eigenvectors"))
 
     def test_spectral_entry_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -442,16 +488,17 @@ class TestSerialization:
         for part in ("eigenvalues", "eigenvectors"):
             assert getattr(back.eigenpairs, part).tobytes() == \
                 getattr(entry.eigenpairs, part).tobytes()
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(TruncatedFile):
+        # rewriting gives the same bytes, and no temporary file stays behind
+        raw = path.read_bytes()
+        save_spectrum(back, path)
+        assert path.read_bytes() == raw and os.listdir(tmp_path) == ["entry.eig"]
+        path.write_bytes(raw[:-8])
+        with pytest.raises(BadMagic):
             load_spectrum(path)
 
     @pytest.mark.parametrize("h", [None, "1.5", True, [1.0]])
     def test_window_that_is_not_a_number_is_bad_magic(self, tmp_path, h):
-        entry = SpectralEntry(kept_indices=np.arange(3, dtype=np.int64), n_input=3,
-                              eigenpairs=EigenResult(np.ones(2), np.ones((3, 2))),
-                              fingerprint={"top": 2}, h=h)
         path = tmp_path / "entry.eig"
-        save_spectrum(entry, path)
+        save_spectrum(_small_entry(h), path)
         with pytest.raises(BadMagic, match="window h"):
             load_spectrum(path)
