@@ -31,7 +31,7 @@ from .errors import InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
 from .geodesics import SpectralEntry, cache_lookup, save_spectrum
 from .graph import NeighborGraph, cap_candidates, knn_candidates, percentile_h, pr_density
-from .linalg import as_matrix, pairwise_dists
+from .linalg import as_finite_matrix, as_matrix, pairwise_dists
 
 METHODS = ("pr-isomap", "isomap", "mds", "pca")
 GRAPH_METHODS = ("pr-isomap", "isomap")
@@ -42,11 +42,7 @@ DELTA_METRICS = ("stress", "residual_variance", "trustworthiness", "continuity",
 
 @dataclass
 class MethodSpec:
-    """One method invocation: name plus whichever parameters it consumes.
-
-    `name` overrides the row label so one method can appear twice with
-    different parameters.
-    """
+    """One method invocation: name plus whichever parameters it consumes."""
 
     method: str
     p: int
@@ -54,16 +50,12 @@ class MethodSpec:
     h: float | None = None
     h_percentile: float | None = None
     component_policy: str = "largest_component"
-    name: str | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.method in GRAPH_METHODS and self.k is None:
             raise InputError(f"{self.method} needs a neighbor count k")
-
-    def label(self) -> str:
-        return self.name or self.method
 
 
 class Neighbors:
@@ -75,10 +67,7 @@ class Neighbors:
     """
 
     def __init__(self, data):
-        self.data = as_matrix(data, "data")
-        if not np.isfinite(self.data).all():
-            row, col = np.argwhere(~np.isfinite(self.data))[0]
-            raise InputError(f"data row {row}, column {col} (from 0) is {self.data[row, col]}")
+        self.data = as_finite_matrix(data)
         self.data_hash = data_hash(self.data)
         self._candidates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._graphs: dict[tuple[int, float], NeighborGraph] = {}
@@ -104,7 +93,7 @@ def _window(spec: MethodSpec) -> dict | None:
     and h_percentile must be set.
     """
     if spec.h is not None and spec.h_percentile is not None:
-        raise ValueError(f"{spec.label()}: h and h_percentile are mutually exclusive")
+        raise ValueError(f"{spec.method}: h and h_percentile are mutually exclusive")
     if spec.method == "isomap":
         return {"h": math.inf}
     if spec.method != "pr-isomap":
@@ -259,7 +248,7 @@ def run_bench(
         raise ValueError(f"reference must be {n}x{n}, got {ref.shape}")
     if not specs:
         raise ValueError("need at least one method")
-    names = [s.label() for s in specs]
+    names = [s.method for s in specs]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate method names in {names}")
     if baseline is not None and baseline not in names:
@@ -268,7 +257,7 @@ def run_bench(
         baseline = "isomap" if "isomap" in names else names[0]
     y = None if labels is None else np.asarray(labels, dtype=np.int64)
 
-    runs = {spec.label(): run_method(spec, neighbors, cache_dir=cache_dir) for spec in specs}
+    runs = {spec.method: run_method(spec, neighbors, cache_dir=cache_dir) for spec in specs}
     embeddings = {name: run.embedding for name, run in runs.items()}
 
     common = embeddings[names[0]].kept_indices
@@ -284,7 +273,7 @@ def run_bench(
 
     reports: dict[str, EvalReport] = {}
     for spec in specs:
-        name = spec.label()
+        name = spec.method
         run = runs[name]
         emb = run.embedding
         coords = _restrict_to(emb, common)

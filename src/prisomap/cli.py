@@ -33,7 +33,7 @@ from .embed import load_embedding_csv, save_embedding_csv, save_embedding_json
 from .errors import GraphError, InputError, NumericError
 from .evaluate import evaluate_embedding, save_eval_csv
 from .geodesics import all_pairs
-from .linalg import pairwise_dists
+from .linalg import as_finite_matrix, pairwise_dists
 from .plotting import scatter_svg
 
 ENV_PREFIX = "PRISOMAP_"
@@ -246,7 +246,7 @@ def cmd_eval(args) -> int:
         if args.data is None:
             raise InputError(f"--ref {reference_kind} requires --data FILE")
         label_column = args.label_column if args.labels is None else None
-        x = load_csv(args.data, label_column=label_column).data
+        x = as_finite_matrix(load_csv(args.data, label_column=label_column).data)
         if indices.max() >= x.shape[0]:
             raise InputError("embedding indices exceed data row count")
         if reference_kind == "euclidean":

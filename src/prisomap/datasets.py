@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import gzip
 import hashlib
-import io
 import json
 import math
 import struct
@@ -139,125 +138,71 @@ def load_csv(path, label_column: str | int | None = None) -> LabeledDataset:
     all remaining columns are features. Raises ParseError with the offending
     row/column, EmptyDataset if nothing survives NaN filtering.
 
-    numpy parses the table wherever that gives the csv module's result
-    (_numpy_table); the csv module reads every other file.
+    The csv module reads the file (RFC-4180) as it streams, cell by cell.
     """
     path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    table = _numpy_table(path, text, label_column)
-    return table if table is not None else _csv_table(path, text, label_column)
-
-
-def _label_index(path: Path, header: list[str], label_column: str | int | None) -> int | None:
-    if label_column is None:
-        return None
-    if isinstance(label_column, int):
-        if not 0 <= label_column < len(header):
-            raise ParseError(f"{path}: label column index {label_column} out of range")
-        return label_column
-    try:
-        return header.index(label_column)
-    except ValueError:
-        raise ParseError(f"{path}: no column named {label_column!r} in header {header}") from None
-
-
-def _dataset(path: Path, data: np.ndarray, labels: np.ndarray | None, names: list[str],
-             dropped: int) -> LabeledDataset:
-    if data.shape[0] == 0:
-        raise EmptyDataset(f"{path}: no rows left after NaN filtering (dropped {dropped})")
-    return LabeledDataset(data=data, labels=labels, names=names, dropped_rows=dropped)
-
-
-def _numpy_table(path: Path, text: str, label_column) -> LabeledDataset | None:
-    """The table np.loadtxt reads from text, or None where its result could
-    differ from _csv_table's.
-
-    With no quote, carriage return or NUL in the file, the csv module splits
-    records at newlines and cells at commas, as this does. np.loadtxt parses a
-    cell as float() does, but accepts fewer spellings (no underscores, no
-    non-ASCII digits): any cell it rejects, an empty cell, a ragged row or a
-    blank line sends the file to the csv module, which also raises the
-    errors. So does a kept row's label that is NaN, infinite or beyond int64.
-    """
-    head, _, body = text.partition("\n")
-    if not head or not body or "\n\n" in text or any(c in text for c in "\"\r\0"):
-        return None
-    header = head.split(",")
-    label_idx = _label_index(path, header, label_column)
-    try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape[1] != len(header):
-        return None
-    features = table if label_idx is None else np.delete(table, label_idx, axis=1)
-    keep = ~np.isnan(features).any(axis=1)
-    labels = None
-    if label_idx is not None:
-        kept_labels = table[keep, label_idx]
-        if not np.all((-_INT64_BOUND <= kept_labels) & (kept_labels < _INT64_BOUND)):
-            return None
-        labels = kept_labels.astype(np.int64)  # truncates toward zero, as int() does
-    names = header if label_idx is None else header[:label_idx] + header[label_idx + 1:]
-    return _dataset(path, features[keep], labels, names,
-                    table.shape[0] - int(np.count_nonzero(keep)))
-
-
-def _csv_table(path: Path, text: str, label_column) -> LabeledDataset:
-    """The table the csv module reads from text (RFC-4180), cell by cell."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDataset(f"{path}: no header row") from None
-    label_idx = _label_index(path, header, label_column)
-    feature_idx = [i for i in range(len(header)) if i != label_idx]
-
     rows: list[list[float]] = []
     labels: list[int] = []
     dropped = 0
-    for rownum, record in enumerate(reader, start=2):
-        if len(record) != len(header):
-            raise ParseError(
-                f"{path}: expected {len(header)} fields, got {len(record)}", row=rownum
-            )
-        values: list[float] = []
-        has_nan = False
-        for i in feature_idx:
-            cell = record[i].strip()
-            if cell == "":
-                has_nan = True
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
+    with path.open("r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyDataset(f"{path}: no header row") from None
+        label_idx = None
+        if isinstance(label_column, int):
+            if not 0 <= label_column < len(header):
+                raise ParseError(f"{path}: label column index {label_column} out of range")
+            label_idx = label_column
+        elif label_column is not None:
+            if label_column not in header:
+                raise ParseError(f"{path}: no column named {label_column!r} in header {header}")
+            label_idx = header.index(label_column)
+        feature_idx = [i for i in range(len(header)) if i != label_idx]
+        for rownum, record in enumerate(reader, start=2):
+            if len(record) != len(header):
                 raise ParseError(
-                    f"{path}: non-numeric value {record[i]!r}", row=rownum, column=i
-                ) from None
-            if math.isnan(v):
-                has_nan = True
-            values.append(v)
-        if has_nan:
-            dropped += 1
-            continue
-        if label_idx is not None:
-            try:
-                label = float(record[label_idx].strip())
-            except ValueError:
-                label = math.nan
-            if not -_INT64_BOUND <= label < _INT64_BOUND:
-                raise ParseError(
-                    f"{path}: label {record[label_idx]!r} is not a number in the int64 range",
-                    row=rownum,
-                    column=label_idx,
+                    f"{path}: expected {len(header)} fields, got {len(record)}", row=rownum
                 )
-            labels.append(int(label))
-        rows.append(values)
+            values: list[float] = []
+            has_nan = False
+            for i in feature_idx:
+                cell = record[i].strip()
+                if cell == "":
+                    has_nan = True
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-numeric value {record[i]!r}", row=rownum, column=i
+                    ) from None
+                if math.isnan(v):
+                    has_nan = True
+                values.append(v)
+            if has_nan:
+                dropped += 1
+                continue
+            if label_idx is not None:
+                try:
+                    label = float(record[label_idx].strip())
+                except ValueError:
+                    label = math.nan
+                if not -_INT64_BOUND <= label < _INT64_BOUND:
+                    raise ParseError(
+                        f"{path}: label {record[label_idx]!r} is not a number in the int64 range",
+                        row=rownum,
+                        column=label_idx,
+                    )
+                labels.append(int(label))
+            rows.append(values)
 
-    return _dataset(path, np.array(rows, dtype=np.float64),
-                    np.array(labels, dtype=np.int64) if label_idx is not None else None,
-                    [header[i] for i in feature_idx], dropped)
+    if not rows:
+        raise EmptyDataset(f"{path}: no rows left after NaN filtering (dropped {dropped})")
+    return LabeledDataset(np.array(rows, dtype=np.float64),
+                          np.array(labels, dtype=np.int64) if label_idx is not None else None,
+                          [header[i] for i in feature_idx], dropped)
 
 
 def save_csv(path, data, names: list[str] | None = None) -> None:
@@ -437,9 +382,3 @@ def standardize(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nonconst = sd > 0
     out[:, nonconst] = centered[:, nonconst] / sd[None, nonconst]
     return out, mean, sd
-
-
-def unstandardize(standardized, mean, sd) -> np.ndarray:
-    """Invert standardize given the stored per-feature (mean, sd)."""
-    a = as_matrix(standardized, "standardized")
-    return a * np.asarray(sd)[None, :] + np.asarray(mean)[None, :]

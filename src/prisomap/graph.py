@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datasets import data_hash, write_rows
+from .datasets import data_hash
 from .errors import DegenerateDuplicatesWarning, InfiniteWindow
-from .linalg import as_matrix, first_m, pairwise_sq_dists
+from .linalg import as_finite_matrix, as_matrix, first_m, pairwise_sq_dists
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -47,24 +46,10 @@ class NeighborGraph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    def edge_count(self) -> int:
-        return self.adjacency.nnz // 2
-
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each undirected edge once, sorted, as arrays (i, j, w) with i < j."""
-        a = self.adjacency
-        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
-        upper = a.indices > rows
-        return rows[upper], a.indices[upper], a.data[upper]
-
-    def iter_edges(self):
-        """Yield each undirected edge once as (i, j, w) with i < j, sorted."""
-        yield from zip(*(part.tolist() for part in self.edges()))
-
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """Per-vertex window density p_h(x) with the window that produced it.
+    """Per-vertex rectangular-window density p_h(x) with the h that produced it.
 
     counts holds the raw window occupancy (self included); values = counts /
     (k * h**h_power), which can under- or overflow float64 when h_power is a
@@ -76,7 +61,6 @@ class DensityEstimate:
     values: np.ndarray
     h: float
     k: int
-    window: str = "rectangular"
     h_power: int = 0
     counts: np.ndarray | None = None
 
@@ -148,9 +132,10 @@ def knn_candidates(data, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Exact ties break by lower index. If more than n/2 zero-distance pairs
     exist a DegenerateDuplicatesWarning is issued; their edges never enter a
-    graph (cap_candidates drops zero-length edges).
+    graph (cap_candidates drops zero-length edges). Raises InputError for
+    data that is not finite.
     """
-    x = as_matrix(data, "data")
+    x = as_finite_matrix(data)
     n = x.shape[0]
     cand_idx, cand_dist = _knn_candidates(x, k)
     rows, cols = np.nonzero(cand_dist == 0.0)
@@ -202,7 +187,7 @@ def pr_density(data, graph: NeighborGraph, h_power: int | None = None) -> Densit
     others = np.asarray(graph.candidate_dists)[:, : graph.k - 1]
     counts = 1.0 + np.count_nonzero(others <= half, axis=1)
     return DensityEstimate(values=counts * norm, h=graph.h, k=graph.k,
-                           window="rectangular", h_power=power, counts=counts)
+                           h_power=power, counts=counts)
 
 
 def components(graph: NeighborGraph) -> ComponentSummary:
@@ -233,9 +218,3 @@ def percentile_h(lengths, percentile: float) -> float:
     if not 0 < percentile <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     return float(np.percentile(lengths, percentile))
-
-
-def save_edge_list(graph: NeighborGraph, path) -> None:
-    """Write the undirected edge list as sorted 'i j w' lines."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        write_rows(fh, "%d %d %.17g\n", np.column_stack(graph.edges()))

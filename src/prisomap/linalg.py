@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonSymmetricInput, RankDeficientWarning, SentinelPresent
+from .errors import (ConvergenceFailure, InputError, NonSymmetricInput, RankDeficientWarning,
+                     SentinelPresent)
 
 # Above this order the top eigenpairs always come from ARPACK, and a failure
 # to converge is a ConvergenceFailure. Up to it ARPACK runs only when top is
@@ -36,6 +37,15 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     a = np.ascontiguousarray(values, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
+    return a
+
+
+def as_finite_matrix(data) -> np.ndarray:
+    """as_matrix, with an InputError naming the first cell that is not finite."""
+    a = as_matrix(data, "data")
+    if not np.isfinite(a).all():
+        row, col = np.argwhere(~np.isfinite(a))[0]
+        raise InputError(f"data row {row}, column {col} (from 0) is {a[row, col]}")
     return a
 
 
@@ -280,8 +290,8 @@ class MdsCoordinates:
     eigenvalues are the raw top-p values (negatives visible); coordinates use
     sqrt(max(eigenvalue, 0)). clamped_count tells how many of the top p were
     negative; rank_deficient marks zero-padded trailing columns. spectrum
-    holds the leading min(n, max(p, extra_spectrum)) eigenvalues, for
-    diagnostics such as the elbow report.
+    holds every eigenvalue solved, min(n, max(p, extra_spectrum)) of them
+    from mds_eig, for diagnostics such as the elbow report.
     """
 
     coordinates: np.ndarray
@@ -298,20 +308,19 @@ def mds_eig(kernel, p: int, extra_spectrum: int = 0) -> EigenResult:
     return symmetric_eig(k, top=min(k.shape[0], max(p, extra_spectrum)))
 
 
-def mds_coordinates(kernel, p: int, extra_spectrum: int = 0) -> MdsCoordinates:
-    """Coordinates y_i = (sqrt(l_1) v_1i, ..., sqrt(l_p) v_pi) from a centered kernel.
+def mds_coordinates(eig: EigenResult, p: int) -> MdsCoordinates:
+    """Coordinates y_i = (sqrt(l_1) v_1i, ..., sqrt(l_p) v_pi) from the top
+    eigenpairs mds_eig solved for a centered kernel, possibly read back from
+    a cache; nothing is solved here.
 
-    kernel may also be the EigenResult mds_eig solved for it, possibly read
-    back from a cache; then nothing is solved and extra_spectrum is unused.
     Negative eigenvalues (the kernel of a non-Euclidean distance matrix is
     indefinite) are clamped to zero and counted. If fewer than p eigenvalues
     exceed 1e-12 * l_1 the remaining columns are zero and a
-    RankDeficientWarning is issued. extra_spectrum widens the eigensolve so
-    that the result's spectrum holds that many leading eigenvalues.
+    RankDeficientWarning is issued. The result's spectrum holds every
+    eigenvalue of eig.
     """
     if p < 1:
         raise ValueError(f"target dimension must be >= 1, got {p}")
-    eig = kernel if isinstance(kernel, EigenResult) else mds_eig(kernel, p, extra_spectrum)
     n = eig.eigenvectors.shape[0]
 
     lam = eig.eigenvalues[: min(p, n)]

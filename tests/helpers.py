@@ -4,9 +4,9 @@ A pure-Python per-source Dijkstra (smallest-predecessor tie rule) and a
 cubic Floyd-Warshall relaxation share no code with the csgraph path of
 prisomap.geodesics.all_pairs. traced_peak measures a call's peak Python
 heap with tracemalloc. graph_from_rows builds hand-made graphs,
-tile_edge_points makes inputs whose sizes sit at the edges of the 256-wide
-tiles of the in-place n x n stages, and welded_roll_graph the benchmark's
-kind of input.
+upper_edges lists a graph's edges once each, tile_edge_points makes inputs
+whose sizes sit at the edges of the 256-wide tiles of the in-place n x n
+stages, and welded_roll_graph the benchmark's kind of input.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import tracemalloc
 from heapq import heappop, heappush
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, triu
 
 from prisomap.datasets import gen_swiss_roll
 from prisomap.errors import TooLarge
@@ -44,6 +44,15 @@ def adjacency_row(graph: NeighborGraph, i: int) -> tuple[np.ndarray, np.ndarray]
     a = graph.adjacency
     row = slice(a.indptr[i], a.indptr[i + 1])
     return a.indices[row], a.data[row]
+
+
+def upper_edges(graph: NeighborGraph) -> list[tuple[int, int, float]]:
+    """Each undirected edge once as (i, j, w) with i < j, sorted, read from
+    the upper triangle of the CSR adjacency."""
+    upper = triu(graph.adjacency, k=1, format="csr")
+    upper.sort_indices()
+    rows = np.repeat(np.arange(graph.n), np.diff(upper.indptr))
+    return list(zip(rows.tolist(), upper.indices.tolist(), upper.data.tolist()))
 
 
 def dijkstra_from(graph: NeighborGraph, source: int):

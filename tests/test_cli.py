@@ -956,7 +956,7 @@ class TestInputErrors:
         assert "baseline 'bogus'" in capsys.readouterr().err
         assert not (out / "bench.json").exists()
 
-    @pytest.mark.parametrize("method", ["pr-isomap", "isomap", "mds", "pca", "bench"])
+    @pytest.mark.parametrize("method", ["pr-isomap", "isomap", "mds", "pca", "bench", "eval"])
     def test_non_finite_data_exits_2(self, roll_dir, tmp_path, capsys, method):
         head, _, body = (roll_dir / "ambient.csv").read_text().partition("\n")
         rows = body.splitlines()[:60]
@@ -967,9 +967,17 @@ class TestInputErrors:
         if method == "bench":
             argv = ["bench", "--methods", "pr-isomap,isomap,pca", "--h-pct", "70", "--k", "8",
                     "--out", str(tmp_path / "b")]
+        elif method == "eval":
+            emb = tmp_path / "e.csv"
+            emb.write_text("index,c0,c1\n" + "".join(f"{i},{i}.5,{i % 7}\n" for i in range(60)),
+                           encoding="utf-8")
+            argv = ["eval", "--emb", str(emb), "--ref", "euclidean", "--out",
+                    str(tmp_path / "r.json"), "--data", str(src)]
         else:
             argv = ["embed", "--method", method, *graph, "--out", str(tmp_path / "e.csv")]
-        assert run_cli(*argv, "--in", str(src)) == 2
+        if method != "eval":
+            argv += ["--in", str(src)]
+        assert run_cli(*argv) == 2
         assert "data row 7, column 2 (from 0) is -inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "plot"])

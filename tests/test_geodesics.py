@@ -26,6 +26,7 @@ from helpers import (
     graph_from_rows,
     tile_edge_points,
     traced_peak,
+    upper_edges,
     welded_roll_graph,
 )
 
@@ -339,7 +340,7 @@ class TestAllPairs:
         x = rng.normal(0, 1, (40, 3))
         g = knn_graph(x, 5, math.inf)
         geo = all_pairs(g)
-        for i, j, w in g.iter_edges():
+        for i, j, w in upper_edges(g):
             assert geo.values[i, j] == w
 
     def test_triangle_inequality_and_euclidean_floor(self):

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from prisomap import graph as graph_mod
 from prisomap.datasets import gen_swiss_roll
-from prisomap.errors import DegenerateDuplicatesWarning, InfiniteWindow
+from prisomap.errors import DegenerateDuplicatesWarning, InfiniteWindow, InputError
 from prisomap.graph import (
     _knn_candidates,
     cap_candidates,
@@ -17,17 +18,16 @@ from prisomap.graph import (
     knn_graph,
     percentile_h,
     pr_density,
-    save_edge_list,
 )
 from prisomap.linalg import pairwise_sq_dists
 
-from helpers import adjacency_row, graph_from_rows
+from helpers import adjacency_row, graph_from_rows, upper_edges
 
 LINE3 = np.array([[0.0], [1.0], [3.0]])
 
 
 def edge_set(graph):
-    return {(i, j, w) for i, j, w in graph.iter_edges()}
+    return {(i, j, w) for i, j, w in upper_edges(graph)}
 
 
 def brute_force_edges(data, k, h):
@@ -82,7 +82,7 @@ def midgap_h(data, k, pct):
 
 
 def assert_same_edges(graph, oracle, atol=1e-9):
-    got = {(i, j): w for i, j, w in graph.iter_edges()}
+    got = {(i, j): w for i, j, w in upper_edges(graph)}
     assert set(got) == set(oracle)
     for key, w in got.items():
         assert w == pytest.approx(oracle[key], abs=atol)
@@ -102,7 +102,7 @@ class TestKnnGraph:
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (8, 3))
         g = knn_graph(x, k=7, h=math.inf)
-        assert g.edge_count() == 8 * 7 // 2
+        assert len(upper_edges(g)) == 8 * 7 // 2
 
     def test_symmetry_involution(self):
         rng = np.random.default_rng(1)
@@ -160,7 +160,7 @@ class TestKnnGraph:
         x = np.array([[0.0], [0.0], [0.0], [0.0], [5.0], [6.0]])
         with pytest.warns(DegenerateDuplicatesWarning):
             g = knn_graph(x, k=2, h=math.inf)
-        for i, j, w in g.iter_edges():
+        for i, j, w in upper_edges(g):
             assert w > 0
 
     def test_exact_tie_breaks_to_lower_index(self):
@@ -210,12 +210,20 @@ class TestKnnGraph:
         w01, w10 = (inside, outside) if lower_passes else (outside, inside)
         cand, dists = np.array([[1], [0]]), np.array([[w01], [w10]])
         g = cap_candidates(cand, dists, h, "")
-        assert list(g.iter_edges()) == [(0, 1, inside)]
+        assert upper_edges(g) == [(0, 1, inside)]
         assert g.adjacency[1, 0] == inside
         # both within the cap: the lower row's length, whichever is smaller
         g = cap_candidates(cand, dists, math.inf, "")
-        assert list(g.iter_edges()) == [(0, 1, w01)]
+        assert upper_edges(g) == [(0, 1, w01)]
         assert g.adjacency[1, 0] == w01
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_data_is_input_error(self, bad):
+        x = np.array([[0.0], [bad], [1.0], [2.0], [3.0]])
+        for build in (lambda: knn_graph(x, 2), lambda: knn_candidates(x, 2)):
+            message = re.escape(f"data row 1, column 0 (from 0) is {bad}")
+            with pytest.raises(InputError, match=message):
+                build()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -329,12 +337,6 @@ class TestComponents:
 
 
 class TestSerialization:
-    def test_edge_list_format(self, tmp_path):
-        g = knn_graph(LINE3, k=1, h=math.inf)
-        path = tmp_path / "edges.txt"
-        save_edge_list(g, path)
-        assert path.read_text() == "0 1 1\n1 2 2\n"
-
     def test_percentile_validation(self):
         with pytest.raises(ValueError):
             percentile_h(knn_candidates(LINE3, 1)[1], 0)

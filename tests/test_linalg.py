@@ -10,6 +10,7 @@ from prisomap.linalg import (
     double_center,
     double_center_in_place,
     mds_coordinates,
+    mds_eig,
     pairwise_dists,
     pairwise_sq_dists,
     require_square_symmetric,
@@ -347,20 +348,20 @@ class TestSymmetricEig:
 
 class TestMdsCoordinates:
     def test_two_point_kernel(self):
-        res = mds_coordinates([[0.25, -0.25], [-0.25, 0.25]], p=1)
+        res = mds_coordinates(mds_eig([[0.25, -0.25], [-0.25, 0.25]], 1), p=1)
         np.testing.assert_allclose(res.coordinates[:, 0], [0.5, -0.5], atol=1e-12)
         assert res.clamped_count == 0
 
     def test_zero_kernel_rank_deficient(self):
         with pytest.warns(RankDeficientWarning):
-            res = mds_coordinates(np.zeros((3, 3)), p=2)
+            res = mds_coordinates(mds_eig(np.zeros((3, 3)), 2), p=2)
         np.testing.assert_array_equal(res.coordinates, np.zeros((3, 2)))
         assert res.rank_deficient
 
     def test_line_exactness(self):
         x = np.array([[0.0], [1.0], [2.5], [4.0], [7.0]])
         d_sq = pairwise_sq_dists(x)
-        res = mds_coordinates(double_center(d_sq), p=1)
+        res = mds_coordinates(mds_eig(double_center(d_sq), 1), p=1)
         got = pairwise_dists(res.coordinates)
         np.testing.assert_allclose(got, np.sqrt(d_sq), atol=1e-9)
 
@@ -377,7 +378,7 @@ class TestMdsCoordinates:
         k = double_center(d**2)
         assert np.linalg.eigvalsh(k).min() < -1e-9
         with pytest.warns(RankDeficientWarning):
-            res = mds_coordinates(k, p=4)
+            res = mds_coordinates(mds_eig(k, 4), p=4)
         assert res.clamped_count >= 1
         assert np.all(np.isfinite(res.coordinates))
 
@@ -388,7 +389,7 @@ class TestMdsCoordinates:
         rng = np.random.default_rng(0)
         x = np.column_stack([rng.normal(0, 1, (600, 2)), np.zeros(600)])
         with pytest.warns(RankDeficientWarning):
-            res = mds_coordinates(double_center(pairwise_sq_dists(x)), p=3)
+            res = mds_coordinates(mds_eig(double_center(pairwise_sq_dists(x)), 3), p=3)
         assert res.rank_deficient
         got = pairwise_dists(res.coordinates)
         assert np.abs(got - pairwise_dists(x)).max() <= 1e-8 * got.max()
@@ -399,7 +400,7 @@ class TestMdsCoordinates:
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 3, (12, p))
         d_sq = pairwise_sq_dists(x)
-        res = mds_coordinates(double_center(d_sq), p=p)
+        res = mds_coordinates(mds_eig(double_center(d_sq), p), p=p)
         got = pairwise_dists(res.coordinates)
         want = np.sqrt(d_sq)
         assert np.abs(got - want).max() <= 1e-8 * max(1.0, want.max())
