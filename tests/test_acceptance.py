@@ -185,30 +185,33 @@ def test_criterion_6_mnist_downstream_pattern():
 
     # the asserted run uses the reported window for this dataset (70000
     # feature units, far above any raw-pixel distance); a percentile-capped
-    # variant is reported alongside when it keeps >= 50% connectivity
+    # variant is reported alongside when it keeps >= 50% connectivity, from
+    # its own bench run against the same baselines (a bench row is named by
+    # its method, so one run holds one pr-isomap)
     from prisomap.graph import components
 
-    specs = [
-        MethodSpec(method="pr-isomap", p=10, k=10, h=70000.0),
-        MethodSpec(method="isomap", p=10, k=10),
-        MethodSpec(method="pca", p=10),
-    ]
-    capped_label = None
+    def accuracies(pr_h):
+        specs = [
+            MethodSpec(method="pr-isomap", p=10, k=10, h=pr_h),
+            MethodSpec(method="isomap", p=10, k=10),
+            MethodSpec(method="pca", p=10),
+        ]
+        res = run_bench(x, specs, labels=y, baseline="isomap", m=10, k_clf=5,
+                        folds=10, seed=0)
+        return {name: (rep.knn_accuracy_mean, rep.knn_accuracy_sd)
+                for name, rep in res.reports.items()}
+
+    table = accuracies(70000.0)
+    acc = {name: mean for name, (mean, _) in table.items()}
     for pct in (60.0, 70.0, 80.0, 90.0):
         cand = percentile_h(knn_candidates(x, 10)[1], pct)
         sizes = components(knn_graph(x, 10, cand)).sizes
         if sizes[0] >= 0.5 * x.shape[0]:
-            capped_label = f"pr-isomap-pct{pct:.0f}"
-            specs.append(MethodSpec(method="pr-isomap", p=10, k=10, h=cand,
-                                    name=capped_label))
+            table[f"pr-isomap-pct{pct:.0f}"] = accuracies(cand)["pr-isomap"]
             break
-    res = run_bench(x, specs, labels=y, baseline="isomap", m=10, k_clf=5,
-                    folds=10, seed=0)
-    acc = {name: rep.knn_accuracy_mean for name, rep in res.reports.items()}
-    sd = {name: rep.knn_accuracy_sd for name, rep in res.reports.items()}
     print("criterion 6 accuracy table (10-fold kNN(5), p=10):")
-    for name in acc:
-        print(f"  {name:16s} {acc[name]:.4f} +/- {sd[name]:.4f}")
+    for name, (mean, sd) in table.items():
+        print(f"  {name:16s} {mean:.4f} +/- {sd:.4f}")
     elapsed = time.perf_counter() - t0
     ok = (acc["pr-isomap"] >= acc["isomap"] - 0.005
           and acc["pr-isomap"] >= acc["pca"] - 0.005
