@@ -234,7 +234,8 @@ def run_bench(
     """Run every method on `data` and score them on a shared basis.
 
     reference is an n x n ground-truth distance matrix (defaults to ambient
-    Euclidean distances). Metrics are computed on the intersection of kept
+    Euclidean distances), of which only the block on the common vertices is
+    scored and kept. Metrics are computed on the intersection of kept
     vertices so capped and uncapped methods see identical score pairs.
     Graph methods look their eigenpairs up in cache_dir. baseline,
     when given, must name one of the methods (InputError otherwise); when
@@ -244,6 +245,7 @@ def run_bench(
     x = neighbors.data
     n = x.shape[0]
     ref = pairwise_dists(x) if reference is None else as_matrix(reference, "reference")
+    del reference  # so that ref holds it alone, freed once ref_common is cut out
     if ref.shape != (n, n):
         raise ValueError(f"reference must be {n}x{n}, got {ref.shape}")
     if not specs:
@@ -270,6 +272,7 @@ def run_bench(
     if y is not None:
         assignment = make_stratified_folds(y[common], folds, seed)
     ref_common = ref[np.ix_(common, common)]
+    del ref
 
     reports: dict[str, EvalReport] = {}
     for spec in specs:

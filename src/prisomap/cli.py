@@ -256,8 +256,7 @@ def cmd_eval(args) -> int:
             # p is unused: only the geodesics are needed
             spec = MethodSpec(method=method, p=1, k=args.k, h=args.h, h_percentile=args.h_pct)
             neighbors = Neighbors(x)
-            geo = all_pairs(neighbors.graph(spec.k, resolve_h(spec, neighbors)))
-            ref = geo.values[np.ix_(indices, indices)]
+            ref = all_pairs(neighbors.graph(spec.k, resolve_h(spec, neighbors)), indices).values
 
     labels = _load_labels(args, indices)
     t0 = time.perf_counter()

@@ -212,8 +212,10 @@ def save_csv(path, data, names: list[str] | None = None) -> None:
         names = [f"f{i}" for i in range(a.shape[1])]
     if len(names) != a.shape[1]:
         raise ValueError("names length must match column count")
+    # QUOTE_MINIMAL quotes a "\n" but not a bare "\r", which a reader also ends a row at
+    quoting = csv.QUOTE_ALL if any("\r" in str(name) for name in names) else csv.QUOTE_MINIMAL
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(names)
+        csv.writer(fh, lineterminator="\n", quoting=quoting).writerow(names)
         write_rows(fh, ",".join(["%.17g"] * a.shape[1]) + "\n", a)
 
 

@@ -23,31 +23,33 @@ EVAL_SCHEMA = "evalreport/1"
 _BLOCK_ROWS = 128  # rows per block in trustworthiness_continuity
 
 
-def _upper_pairs(*matrices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The i<j entries of each n x n matrix, row-major, from one shared mask."""
+def _upper_rows(*matrices: np.ndarray) -> np.ndarray:
+    """The i<j entries of each n x n matrix, row-major, as the rows of one
+    C-contiguous array, joined row slice by row slice with no n x n mask."""
     n = matrices[0].shape[0]
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    return tuple(values[upper] for values in matrices)
+    out = np.empty((len(matrices), n * (n - 1) // 2))
+    for row, values in zip(out if n else (), matrices):  # n=0 has no slice to join
+        np.concatenate([values[i, i + 1:] for i in range(n)], out=row)
+    return out
 
 
-def _finite_pairs(d_hd, d_ld) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle pairs of both matrices where d_hd is finite."""
+def _finite_columns(pairs: np.ndarray) -> tuple[np.ndarray, int]:
+    """The columns of pairs whose first entry is finite, in C order unlike
+    pairs[:, finite], and the count of the others; NoFinitePairs if none is."""
+    finite = np.isfinite(pairs[0])
+    sentinels = finite.size - int(np.count_nonzero(finite))
+    if sentinels == finite.size:
+        raise NoFinitePairs("no finite high-dimensional pairs to score")
+    return (np.compress(finite, pairs, axis=1) if sentinels else pairs), sentinels
+
+
+def _scored_pairs(d_hd, d_ld) -> np.ndarray:
+    """The (2, P) upper-triangle pairs of both matrices where d_hd is finite."""
     a = as_matrix(d_hd, "d_hd")
     b = as_matrix(d_ld, "d_ld")
     if a.shape != b.shape:
         raise ValueError("distance matrices must have matching shapes")
-    return _finite_only(*_upper_pairs(a, b))
-
-
-def _finite_only(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs where a is finite (a and b themselves when all are); raises
-    NoFinitePairs if there are none."""
-    mask = np.isfinite(a)
-    if not mask.any():
-        raise NoFinitePairs("no finite high-dimensional pairs to score")
-    if mask.all():
-        return a, b
-    return a[mask], b[mask]
+    return _finite_columns(_upper_rows(a, b))[0]
 
 
 def _stress(a: np.ndarray, b: np.ndarray) -> float:
@@ -59,11 +61,16 @@ def _stress(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(num / denom))
 
 
-def _residual_variance(a: np.ndarray, b: np.ndarray) -> float:
-    sa, sb = float(np.std(a)), float(np.std(b))
+def _residual_variance(pairs: np.ndarray) -> float:
+    """1 - r^2 between the rows of a C-contiguous (2, P) array, centered in
+    place: np.corrcoef's steps and bits without its stacked copy of the rows."""
+    sa, sb = float(np.std(pairs[0])), float(np.std(pairs[1]))
     if sa == 0.0 or sb == 0.0:
         return 0.0 if sa == sb else 1.0
-    r = float(np.corrcoef(a, b)[0, 1])
+    pairs -= pairs.mean(axis=1)[:, None]
+    c = np.dot(pairs, pairs.T) * np.true_divide(1, pairs.shape[1] - 1)
+    stddev = np.sqrt(np.diag(c))
+    r = float(np.clip(c[0, 1] / stddev[0] / stddev[1], -1, 1))
     return 1.0 - r * r
 
 
@@ -73,18 +80,17 @@ def stress(d_hd, d_ld) -> float:
     sqrt(sum((d_hd - d_ld)^2) / sum(d_hd^2)); unreachable pairs in d_hd are
     excluded. Raises NoFinitePairs if no finite pair remains.
     """
-    return _stress(*_finite_pairs(d_hd, d_ld))
+    return _stress(*_scored_pairs(d_hd, d_ld))
 
 
 def sentinel_excluded_pairs(d_hd) -> int:
     """Count of i<j pairs carrying the unreachable sentinel."""
-    (a,) = _upper_pairs(as_matrix(d_hd, "d_hd"))
-    return int(np.sum(~np.isfinite(a)))
+    return int(np.sum(~np.isfinite(_upper_rows(as_matrix(d_hd, "d_hd")))))
 
 
 def residual_variance(d_hd, d_ld) -> float:
     """1 - r^2 between high- and low-dimensional distances over finite pairs."""
-    return _residual_variance(*_finite_pairs(d_hd, d_ld))
+    return _residual_variance(_scored_pairs(d_hd, d_ld))
 
 
 def _ranks(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -314,13 +320,12 @@ def evaluate_embedding(
     else:
         t, c = float("nan"), float("nan")
 
-    ref_pairs, emb_pairs = _upper_pairs(ref, emb_d)
+    pairs = _upper_rows(ref, emb_d)
     del emb_d
-    sentinels = int(np.sum(~np.isfinite(ref_pairs)))
-    a, b = _finite_only(ref_pairs, emb_pairs)
+    pairs, sentinels = _finite_columns(pairs)
     report = EvalReport(
-        stress=_stress(a, b),
-        residual_variance=_residual_variance(a, b),
+        stress=_stress(*pairs),
+        residual_variance=_residual_variance(pairs),  # after stress: it centers pairs
         trustworthiness=t,
         continuity=c,
         tc_neighborhood=m,

@@ -48,14 +48,16 @@ def _exactly_symmetric(adjacency) -> bool:
                for part in ("indptr", "indices", "data"))
 
 
-def all_pairs(graph: NeighborGraph) -> GeodesicMatrix:
+def all_pairs(graph: NeighborGraph, indices: np.ndarray | None = None) -> GeodesicMatrix:
     """All-pairs shortest paths: scipy csgraph Dijkstra over the CSR adjacency.
 
     The adjacency holds every edge in both directions with one weight, so it
     is walked as a directed graph, which spares csgraph the transpose and
     the second neighbor walk of its undirected mode. Dijkstra's result is
     the only n x n buffer: the checks and the symmetric minimum run on it in
-    place, one pair of mirrored tiles at a time.
+    place, one pair of mirrored tiles at a time. With indices, Dijkstra runs
+    from those m vertices alone, and the checks and the minimum run on the
+    m x m block among them, which is the result.
 
     Raises NumericError if the adjacency is not exactly symmetric (pattern
     and weights), if an edge exceeds the cap h, if reachability is
@@ -70,11 +72,14 @@ def all_pairs(graph: NeighborGraph) -> GeodesicMatrix:
     longest = float(adjacency.data.max(initial=0.0))
     if longest > graph.h:
         raise NumericError(f"edge weight {longest} exceeds cap h={graph.h}")
-    out = dijkstra(adjacency, directed=True)
+    out = dijkstra(adjacency, directed=True, indices=indices)
+    if indices is not None:
+        out = out[:, indices]
+    n = out.shape[0]
 
     finite_count = 0
     scale = asym = 0.0
-    for rows, cols in _mirrored_tiles(graph.n):
+    for rows, cols in _mirrored_tiles(n):
         block, mirror = out[rows, cols], out[cols, rows].T
         finite = np.isfinite(block)
         if not np.array_equal(finite, np.isfinite(mirror)):
@@ -94,7 +99,7 @@ def all_pairs(graph: NeighborGraph) -> GeodesicMatrix:
         raise NumericError(f"asymmetry {asym} exceeds 1e-12 * {scale}")
 
     return GeodesicMatrix(values=out,
-                          finite_fraction=finite_count / graph.n**2 if graph.n else 1.0)
+                          finite_fraction=finite_count / n**2 if n else 1.0)
 
 
 # -- the spectral cache ---------------------------------------------------------

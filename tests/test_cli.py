@@ -537,6 +537,33 @@ class TestEval:
         assert payload["stress"] < 0.5
         assert payload["run"]["params"]["reference"] == "geodesic"
 
+    # Dijkstra runs from the embedding's rows alone; the report is the one
+    # the slice of the all-pairs matrix gives, unreachable pairs included
+    @pytest.mark.parametrize("method, window", [("mds", ["--h-pct", "30"]),
+                                                ("isomap", [])])
+    def test_geodesic_reference_equals_the_all_pairs_slice(self, roll_dir, tmp_path,
+                                                           method, window):
+        from prisomap.bench import MethodSpec, Neighbors, resolve_h
+        from prisomap.embed import load_embedding_csv
+        from prisomap.evaluate import evaluate_embedding, save_eval_csv
+        from prisomap.geodesics import all_pairs
+
+        emb, data = tmp_path / "emb.csv", roll_dir / "ambient.csv"
+        assert run_cli("embed", "--in", str(data), "--method", method, "--k", "8",
+                       "--p", "2", "--out", str(emb)) == 0
+        assert run_cli("eval", "--emb", str(emb), "--data", str(data), "--ref", "geodesic",
+                       "--k", "8", *window, "--m", "5", "--out", str(tmp_path / "r.json"),
+                       "--csv", str(tmp_path / "r.csv")) == 0
+        indices, coords = load_embedding_csv(emb)
+        neighbors = Neighbors(load_csv(data).data)
+        spec = MethodSpec(method="pr-isomap" if window else "isomap", p=1, k=8,
+                          h_percentile=30.0 if window else None)
+        geo = all_pairs(neighbors.graph(8, resolve_h(spec, neighbors)))
+        want = evaluate_embedding(geo.values[np.ix_(indices, indices)], coords, m=5)
+        save_eval_csv(want, tmp_path / "want.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert (want.sentinel_excluded_pairs > 0) == bool(window)
+
 
 class TestBench:
     def test_two_method_table(self, roll_dir, tmp_path):

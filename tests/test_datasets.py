@@ -83,6 +83,24 @@ class TestCsv:
         assert ds.data.tobytes() == x.tobytes()
 
 
+    def test_name_with_a_bare_carriage_return_round_trips(self, tmp_path):
+        f = tmp_path / "cr.csv"
+        save_csv(f, np.ones((2, 2)), names=["a\rb", "c"])
+        assert f.read_bytes() == b'"a\rb","c"\n1,1\n1,1\n'
+        assert load_csv(f).names == ["a\rb", "c"]
+        save_csv(f, np.ones((1, 2)), names=["x", "y"])  # other headers stay unquoted
+        assert f.read_bytes() == b"x,y\n1,1\n"
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.text(alphabet='ab ,"\r\n', max_size=5), min_size=1, max_size=4))
+    def test_names_round_trip(self, tmp_path, names):
+        f = tmp_path / "names.csv"
+        save_csv(f, np.arange(2.0 * len(names)).reshape(2, -1), names=names)
+        ds = load_csv(f)
+        assert ds.names == names
+        assert ds.data.tolist() == np.arange(2.0 * len(names)).reshape(2, -1).tolist()
+
     @pytest.mark.parametrize("label", ["inf", "-inf", "1e20", "9.3e18", "nan"])
     def test_label_beyond_int64_is_parse_error(self, tmp_path, label):
         f = tmp_path / "t.csv"

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prisomap.datasets import gen_swiss_roll
@@ -153,6 +153,60 @@ class TestResidualVariance:
         assert residual_variance(a, b) > 0.5
 
 
+def corrcoef_rule(d_hd, d_ld):
+    """1 - r^2 by np.corrcoef over the finite upper-triangle pairs, with the
+    zero-variance branch: the rule before the correlation ran in place."""
+    upper = np.triu(np.ones(d_hd.shape, dtype=bool), k=1)
+    finite = np.isfinite(d_hd[upper])
+    a, b = d_hd[upper][finite], d_ld[upper][finite]
+    sa, sb = float(np.std(a)), float(np.std(b))
+    if sa == 0.0 or sb == 0.0:
+        return 0.0 if sa == sb else 1.0
+    return 1 - np.corrcoef(a, b)[0, 1] ** 2
+
+
+class TestResidualVarianceBits:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from(["varied", "constant d_hd", "constant d_ld", "both constant"]),
+           st.sampled_from([0.0, 0.1, 0.6, 0.95]))
+    @example(n=2, seed=0, shape="varied", sentinel_share=0.0)  # P = 1
+    @example(n=3, seed=1, shape="varied", sentinel_share=0.6)
+    def test_equals_corrcoef_bit_for_bit(self, n, seed, shape, sentinel_share):
+        rng = np.random.default_rng(seed)
+        d_hd = rng.gamma(2.0, 1.5, (n, n))
+        d_ld = 3.0 * d_hd + rng.normal(0, 1, (n, n))
+        if shape in ("constant d_hd", "both constant"):
+            d_hd[:] = 2.5
+        if shape in ("constant d_ld", "both constant"):
+            d_ld[:] = 0.5
+        d_hd[rng.random((n, n)) < sentinel_share] = np.inf
+        if not np.isfinite(d_hd[np.triu_indices(n, 1)]).any():
+            with pytest.raises(NoFinitePairs):
+                residual_variance(d_hd, d_ld)
+            return
+        want = corrcoef_rule(d_hd, d_ld)
+        assert repr(residual_variance(d_hd, d_ld)) == repr(float(want))
+
+    def test_pinned_scores_of_a_seeded_input(self):
+        rng = np.random.default_rng(2024)
+        x = rng.normal(0, 1, (240, 4))
+        ref = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+        coords = x[:, :2] + rng.normal(0, 0.3, (240, 2))
+        labels = (x[:, 0] > 0).astype(np.int64) + 2 * (x[:, 1] > 0)
+        report = evaluate_embedding(ref, coords, m=10, labels=labels, folds=5, seed=7)
+        got = [repr(getattr(report, name)) for name in (
+            "stress", "residual_variance", "trustworthiness", "continuity",
+            "knn_accuracy_mean", "knn_accuracy_sd")]
+        assert got == ["0.4099425655704061", "0.6216273571969192", "0.7642279138827023",
+                       "0.8685040831477358", "0.7791415828125885", "0.024331903309173807"]
+        ref[ref > np.percentile(ref, 90)] = np.inf  # the sentinel-column path
+        report = evaluate_embedding(ref, coords, m=10)
+        assert [repr(report.stress), repr(report.residual_variance)] == [
+            "0.3992501173921089", "0.6549666180520275"]
+        assert report.sentinel_excluded_pairs == 2880
+
+
 class TestTrustworthinessContinuity:
     def test_identity_embedding(self):
         rng = np.random.default_rng(5)
@@ -268,9 +322,9 @@ class TestBlockedExactness:
         rng = np.random.default_rng(17)
         ref = pairwise_dists(rng.normal(0, 1, (m, 3)))
         coords = rng.normal(0, 1, (m, 2))
-        # the embedding distances, then the upper-triangle pairs of both
-        # matrices and np.corrcoef's stacked copy of them
-        assert traced_peak(evaluate_embedding, ref, coords) <= 2.6 * 8 * m * m
+        # the embedding distances and the (2, P) upper-triangle pairs gathered
+        # from both matrices; the correlation then runs in place on the pairs
+        assert traced_peak(evaluate_embedding, ref, coords) <= 2.1 * 8 * m * m
 
     def test_report_matches_standalone_metrics(self):
         rng = np.random.default_rng(16)

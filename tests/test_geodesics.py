@@ -207,19 +207,31 @@ class TestAllPairs:
         g = knn_graph(gen_swiss_roll(300, seed=1).ambient, 8, math.inf)
         raw = scipy.sparse.csgraph.dijkstra(g.adjacency, directed=True)
         raw[at] = entry(raw, at)
-        monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", lambda *a, **kw: raw.copy())
+        monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra",
+                            lambda *a, indices=None, **kw: raw[slice(None) if indices is None
+                                                               else indices].copy())
         return g, raw
+
+    FAULTS = [
+        (lambda raw, at: math.inf, "reachability must be symmetric"),
+        (lambda raw, at: raw[at[::-1]] * (1 + 1e-9), "asymmetry"),
+    ]
 
     # faults on either side of an off-diagonal tile pair, and in a diagonal tile
     @pytest.mark.parametrize("at", [(10, 280), (280, 10), (260, 270)])
-    @pytest.mark.parametrize("entry, message", [
-        (lambda raw, at: math.inf, "reachability must be symmetric"),
-        (lambda raw, at: raw[at[::-1]] * (1 + 1e-9), "asymmetry"),
-    ])
+    @pytest.mark.parametrize("entry, message", FAULTS)
     def test_post_dijkstra_checks_raise(self, monkeypatch, at, entry, message):
         g, _ = self.graph_seeing(monkeypatch, at, entry)
         with pytest.raises(NumericError, match=message):
             all_pairs(g)
+
+    # with indices the checks run on the block among them, its tiles shifted by 5
+    @pytest.mark.parametrize("at", [(10, 280), (280, 10), (260, 270)])
+    @pytest.mark.parametrize("entry, message", FAULTS)
+    def test_post_dijkstra_checks_raise_on_the_block(self, monkeypatch, at, entry, message):
+        g, _ = self.graph_seeing(monkeypatch, at, entry)
+        with pytest.raises(NumericError, match=message):
+            all_pairs(g, np.arange(5, 295))
 
     def test_rounding_asymmetry_resolves_to_the_minimum(self, monkeypatch):
         g, raw = self.graph_seeing(monkeypatch, (280, 10),
@@ -235,6 +247,27 @@ class TestAllPairs:
         sub = NeighborGraph(k=g.k, h=g.h, adjacency=g.adjacency[kept][:, kept])
         full = all_pairs(g).values
         assert all_pairs(sub).values.tobytes() == full[np.ix_(kept, kept)].tobytes()
+
+    # eval --ref geodesic runs Dijkstra from the embedding's vertices alone
+    @pytest.mark.parametrize("h_pct", [30.0, math.inf])
+    def test_block_among_indices_equals_the_full_block(self, h_pct):
+        g = welded_roll_graph(900, h_pct)
+        full = all_pairs(g).values
+        rng = np.random.default_rng(4)
+        for indices in (np.arange(g.n), np.sort(rng.choice(g.n, 600, replace=False)),
+                        rng.permutation(g.n)[:300], np.array([7])):
+            block = all_pairs(g, indices)
+            want = full[np.ix_(indices, indices)]
+            assert block.values.tobytes() == want.tobytes()
+            assert block.finite_fraction == float(np.isfinite(want).mean())
+        assert np.isinf(full).any() == (h_pct == 30.0)  # unreachable pairs stay +inf
+
+    def test_block_needs_no_n_by_n_buffer(self):
+        g = welded_roll_graph(1500, 60.0)
+        m = 1200
+        # Dijkstra's m x n rows and the m x m block; all-pairs and a slice of
+        # it took n^2 + m^2
+        assert traced_peak(all_pairs, g, np.arange(m)) <= 1.05 * 8 * (m * g.n + m * m)
 
     @pytest.mark.parametrize("h_pct", [60.0, math.inf])
     def test_result_is_the_only_dense_buffer(self, h_pct):
