@@ -31,7 +31,6 @@ from .evaluate import (
 )
 from .geodesics import (
     UNREACHABLE,
-    GeodesicMatrix,
     all_pairs,
 )
 from .graph import (
@@ -41,7 +40,7 @@ from .graph import (
     knn_graph,
     pr_density,
 )
-from .linalg import EigenResult, double_center, mds_coordinates, symmetric_eig
+from .linalg import EigenResult, symmetric_eig
 
 __version__ = "0.1.0"
 
@@ -67,7 +66,6 @@ __all__ = [
     "trustworthiness_continuity",
     "uniformity_cv",
     "UNREACHABLE",
-    "GeodesicMatrix",
     "all_pairs",
     "DensityEstimate",
     "NeighborGraph",
@@ -75,8 +73,6 @@ __all__ = [
     "knn_graph",
     "pr_density",
     "EigenResult",
-    "double_center",
-    "mds_coordinates",
     "symmetric_eig",
     "__version__",
 ]

@@ -49,7 +49,8 @@ class Setting(NamedTuple):
 
 
 # Every setting that a flag, a config key or PRISOMAP_<DEST> gives, by flag
-# destination; a command resolves the settings it has flags for.
+# destination; a command declares flags for the settings it reads, and
+# resolves those alone.
 SETTINGS = {
     "seed": Setting(int, 0, "RNG seed (default 0)"),
     "cache_dir": Setting(None, None, "directory for cached eigenpairs"),
@@ -132,13 +133,6 @@ def _add_settings(parser, *dests: str) -> None:
                             help=setting.help, choices=setting.choices)
 
 
-def add_shared_flags(sub: argparse.ArgumentParser) -> None:
-    _add_settings(sub, "seed", "cache_dir")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility; has no effect")
-    sub.add_argument("--config", default=None, help="JSON config file")
-
-
 def _add_graph_flags(sub) -> None:
     """--k, and the window as either --h or --h-pct."""
     _add_settings(sub, "k")
@@ -215,6 +209,9 @@ def cmd_embed(args) -> int:
 def _chart_reference(chart_path, chart_kind, indices):
     ds = load_csv(chart_path)
     coords = ds.data
+    if indices.max() >= ds.n:
+        raise InputError(f"{chart_path}: chart has {ds.n} rows, fewer than the "
+                         f"{indices.max() + 1} the input needs")
     if chart_kind == "auto":
         chart_kind = "swiss-roll" if ds.names == ["t", "u"] else "euclidean"
     if chart_kind == "swiss-roll":
@@ -256,7 +253,7 @@ def cmd_eval(args) -> int:
             # p is unused: only the geodesics are needed
             spec = MethodSpec(method=method, p=1, k=args.k, h=args.h, h_percentile=args.h_pct)
             neighbors = Neighbors(x)
-            ref = all_pairs(neighbors.graph(spec.k, resolve_h(spec, neighbors)), indices).values
+            ref = all_pairs(neighbors.graph(spec.k, resolve_h(spec, neighbors)), indices)
 
     labels = _load_labels(args, indices)
     t0 = time.perf_counter()
@@ -349,12 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(func.__name__.removeprefix("cmd_"), help=help)
         sub.set_defaults(func=func)
         sub.add_argument("--out", required=True, help=out_help)
+        sub.add_argument("--config", default=None, help="JSON config file")
         return sub
 
     gen = command(cmd_gen, "generate a synthetic manifold dataset", "output directory")
     gen.add_argument("generator", choices=GENERATORS,
                      help=f"generator name ({', '.join(GENERATORS)})")
-    _add_settings(gen, "n", "noise_sd", "exponent", "short_circuit_pairs")
+    _add_settings(gen, "n", "noise_sd", "exponent", "short_circuit_pairs", "seed")
 
     embed = command(cmd_embed, "embed a dataset with one method", "output embedding CSV")
     embed.add_argument("--in", dest="input", required=True, help="input CSV")
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="column to exclude from features")
     embed.add_argument("--method", required=True, help=f"one of {', '.join(METHODS)}")
     _add_graph_flags(embed)
-    _add_settings(embed, "p", "policy", "spectrum")
+    _add_settings(embed, "p", "policy", "spectrum", "cache_dir")
 
     ev = command(cmd_eval, "score an embedding", "report JSON path")
     ev.add_argument("--emb", required=True, help="embedding CSV")
@@ -372,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chart_flags(ev)
     _add_graph_flags(ev)
     _add_label_flags(ev)
-    _add_settings(ev, *SCORING)
+    _add_settings(ev, *SCORING, "seed")
     ev.add_argument("--csv", default=None, help="also write a one-line CSV")
 
     bench = command(cmd_bench, "compare methods on one dataset", "output directory")
@@ -384,16 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_label_flags(bench)
     _add_chart_flags(bench)
     _add_graph_flags(bench)
-    _add_settings(bench, "p", *SCORING, "policy")
+    _add_settings(bench, "p", *SCORING, "policy", "seed", "cache_dir")
 
     plot = command(cmd_plot, "render an embedding as SVG", "output SVG path")
     plot.add_argument("--in", dest="input", required=True, help="embedding CSV")
     _add_label_flags(plot)
     plot.add_argument("--axes", type=int, nargs=2, default=None,
                       help="coordinate columns to plot (default 0 1)")
-
-    for sub in subs.choices.values():
-        add_shared_flags(sub)
     return parser
 
 

@@ -11,6 +11,7 @@ coordinate columns are ordered by descending eigenvalue.
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,25 +19,30 @@ import numpy as np
 
 from . import geodesics
 from .datasets import json_safe, write_json, write_rows
-from .errors import DisconnectedGraph, GraphTooFragmented
+from .errors import DisconnectedGraph, GraphTooFragmented, RankDeficientWarning
 from .graph import NeighborGraph, components
-from .linalg import (EigenResult, as_matrix, double_center_in_place, mds_coordinates, mds_eig,
-                     pairwise_sq_dists, symmetric_eig)
+from .linalg import (EigenResult, as_matrix, double_center_in_place, pairwise_sq_dists,
+                     symmetric_eig)
 
 ERROR_POLICY = "error"
 LARGEST_COMPONENT_POLICY = "largest_component"
 FRAGMENT_THRESHOLD = 0.5  # least share of the points the largest component must hold
+_RANK_RTOL = 1e-12  # eigenvalues at most this share of the leading one give zero columns
 
 
 @dataclass
 class Embedding:
     """Low-dimensional coordinates plus the spectrum that produced them.
 
-    kept_indices maps embedding rows back to input rows; it is the full
-    range unless the component policy dropped vertices, in which case
+    eigenvalues are the raw top p (negatives visible, zero past the pairs
+    solved); the coordinates scale by sqrt(max(eigenvalue, 0)), and
+    clamped_count tells how many of the top p were negative. kept_indices
+    maps embedding rows back to input rows; it is the full range unless the
+    component policy dropped vertices, in which case
     component_policy_applied is set and kept_indices is exactly the largest
     connected component. eigenpairs are the top pairs of the kept vertices'
-    centered kernel that classical scaling solved (None for pca).
+    centered kernel that classical scaling solved (None for pca); spectrum
+    holds all their eigenvalues when a spectrum was asked for.
     """
 
     coordinates: np.ndarray
@@ -62,21 +68,39 @@ def _require_p(p: int, n: int) -> None:
 def scaled_embedding(eig: EigenResult, p: int, method: dict, kept: np.ndarray, n: int,
                      spectrum: int) -> Embedding:
     """The embedding classical scaling gives from the top eigenpairs of the
-    kept vertices' centered kernel, out of n input points.
+    kept vertices' centered kernel, out of n input points: row i holds
+    (sqrt(l_1) v_1i, ..., sqrt(l_p) v_pi).
 
-    It solves nothing, so it alone turns cached eigenpairs into an embedding.
+    It solves nothing, so it alone turns eigenpairs, solved or cached, into
+    an embedding. Negative eigenvalues (the kernel of a non-Euclidean
+    distance matrix is indefinite) are clamped to zero and counted. If fewer
+    than p eigenvalues exceed 1e-12 * l_1 the remaining columns are zero and
+    a RankDeficientWarning is issued. The spectrum, when asked for, holds
+    every eigenvalue of eig.
     """
     _require_p(p, n)
-    res = mds_coordinates(eig, p)
+    lam = eig.eigenvalues[:p]
+    clamped = np.maximum(lam, 0.0)
+    coords = np.zeros((eig.eigenvectors.shape[0], p), dtype=np.float64)
+    coords[:, : lam.size] = eig.eigenvectors[:, : lam.size] * np.sqrt(clamped)[None, :]
+
+    lead = float(clamped[0]) if lam.size else 0.0
+    usable = int(np.sum(clamped > _RANK_RTOL * lead)) if lead > 0.0 else 0
+    if usable < p:
+        warnings.warn(f"kernel supports only {usable} of {p} requested dimensions; "
+                      "remaining coordinates are zero", RankDeficientWarning)
+
+    eigenvalues = np.zeros(p, dtype=np.float64)
+    eigenvalues[: lam.size] = lam
     return Embedding(
-        coordinates=res.coordinates,
-        eigenvalues=res.eigenvalues,
-        clamped_count=res.clamped_count,
+        coordinates=coords,
+        eigenvalues=eigenvalues,
+        clamped_count=int(np.sum(lam < 0.0)),
         method=method,
         kept_indices=kept,
         component_policy_applied=bool(kept.size != n),
         n_input=n,
-        spectrum=res.spectrum if spectrum else None,
+        spectrum=eig.eigenvalues if spectrum else None,
         eigenpairs=eig,
     )
 
@@ -84,7 +108,7 @@ def scaled_embedding(eig: EigenResult, p: int, method: dict, kept: np.ndarray, n
 def _scaled(d_sq: np.ndarray, p: int, method: dict, kept: np.ndarray, n: int,
             spectrum: int) -> Embedding:
     """Classical scaling of squared distances, which are centered in place."""
-    eig = mds_eig(double_center_in_place(d_sq), p, extra_spectrum=spectrum)
+    eig = symmetric_eig(double_center_in_place(d_sq), top=min(kept.size, max(p, spectrum)))
     return scaled_embedding(eig, p, method, kept, n, spectrum)
 
 
@@ -103,8 +127,9 @@ def embed_geodesics(
     holding the lowest vertex among equal largest ones. Raises
     GraphTooFragmented when the largest component holds less than
     FRAGMENT_THRESHOLD of the points. All-pairs then runs over the kept
-    vertices' submatrix; nothing else holds its m x m result, so it is
-    squared and centered in place. The Embedding goes out with its
+    vertices' submatrix; nothing else holds the m x m matrix it returns, so
+    it is squared and centered in place, and symmetric_eig solves its top
+    min(m, max(p, spectrum)) pairs. The Embedding goes out with its
     kept_indices and eigenpairs, from which scaled_embedding rebuilds it at
     any p whose max(p, spectrum) is the same.
     """
@@ -130,7 +155,7 @@ def embed_geodesics(
             )
         kept = summary.largest
         graph = NeighborGraph(k=graph.k, h=graph.h, adjacency=graph.adjacency[kept][:, kept])
-    d_sq = geodesics.all_pairs(graph).values
+    d_sq = geodesics.all_pairs(graph)
     np.square(d_sq, out=d_sq)
     return _scaled(d_sq, p, dict(method), kept, n, spectrum)
 

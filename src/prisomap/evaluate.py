@@ -83,11 +83,6 @@ def stress(d_hd, d_ld) -> float:
     return _stress(*_scored_pairs(d_hd, d_ld))
 
 
-def sentinel_excluded_pairs(d_hd) -> int:
-    """Count of i<j pairs carrying the unreachable sentinel."""
-    return int(np.sum(~np.isfinite(_upper_rows(as_matrix(d_hd, "d_hd")))))
-
-
 def residual_variance(d_hd, d_ld) -> float:
     """1 - r^2 between high- and low-dimensional distances over finite pairs."""
     return _residual_variance(_scored_pairs(d_hd, d_ld))

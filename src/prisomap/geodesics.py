@@ -31,14 +31,6 @@ UNREACHABLE = math.inf
 _VERSION = 3  # of the spectral entry format
 
 
-@dataclass
-class GeodesicMatrix:
-    """Symmetric matrix of shortest-path lengths with unreachable sentinels."""
-
-    values: np.ndarray
-    finite_fraction: float
-
-
 def _exactly_symmetric(adjacency) -> bool:
     """Whether a CSR matrix equals its transpose, stored pattern and weights alike."""
     adjacency.sort_indices()
@@ -48,8 +40,9 @@ def _exactly_symmetric(adjacency) -> bool:
                for part in ("indptr", "indices", "data"))
 
 
-def all_pairs(graph: NeighborGraph, indices: np.ndarray | None = None) -> GeodesicMatrix:
-    """All-pairs shortest paths: scipy csgraph Dijkstra over the CSR adjacency.
+def all_pairs(graph: NeighborGraph, indices: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs shortest paths, a float64 matrix with the UNREACHABLE
+    sentinel: scipy csgraph Dijkstra over the CSR adjacency.
 
     The adjacency holds every edge in both directions with one weight, so it
     is walked as a directed graph, which spares csgraph the transpose and
@@ -75,16 +68,13 @@ def all_pairs(graph: NeighborGraph, indices: np.ndarray | None = None) -> Geodes
     out = dijkstra(adjacency, directed=True, indices=indices)
     if indices is not None:
         out = out[:, indices]
-    n = out.shape[0]
 
-    finite_count = 0
     scale = asym = 0.0
-    for rows, cols in _mirrored_tiles(n):
+    for rows, cols in _mirrored_tiles(out.shape[0]):
         block, mirror = out[rows, cols], out[cols, rows].T
         finite = np.isfinite(block)
         if not np.array_equal(finite, np.isfinite(mirror)):
             raise NumericError("reachability must be symmetric")
-        finite_count += int(np.count_nonzero(finite)) * (1 if rows == cols else 2)
         scale = max(scale, float(np.max(block, where=finite, initial=0.0)),
                     float(np.max(mirror, where=finite, initial=0.0)))
         with np.errstate(invalid="ignore"):
@@ -97,9 +87,7 @@ def all_pairs(graph: NeighborGraph, indices: np.ndarray | None = None) -> Geodes
     scale = max(1.0, scale)
     if asym > 1e-12 * scale:
         raise NumericError(f"asymmetry {asym} exceeds 1e-12 * {scale}")
-
-    return GeodesicMatrix(values=out,
-                          finite_fraction=finite_count / n**2 if n else 1.0)
+    return out
 
 
 # -- the spectral cache ---------------------------------------------------------

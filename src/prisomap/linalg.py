@@ -1,20 +1,19 @@
 """Dense symmetric matrix kernels shared by every embedding method.
 
-Double centering turns a squared-distance matrix into an inner-product
-kernel; a deterministic symmetric eigensolver and the kernel-to-coordinates
-step complete the classical scaling chain. All functions are pure and
-operate on plain float64 numpy arrays.
+Pairwise distances; double centering, which turns a squared-distance
+matrix into an inner-product kernel in place; and a deterministic symmetric
+eigensolver for its top pairs. embed.scaled_embedding turns those pairs into
+coordinates, the last step of classical scaling. Every function takes and
+returns plain float64 numpy arrays.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, InputError, NonSymmetricInput, RankDeficientWarning,
-                     SentinelPresent)
+from .errors import ConvergenceFailure, InputError, NonSymmetricInput, SentinelPresent
 
 # Above this order the top eigenpairs always come from ARPACK, and a failure
 # to converge is a ConvergenceFailure. Up to it ARPACK runs only when top is
@@ -27,7 +26,6 @@ _ARPACK_TOL = 1e-10
 
 _EIG_RESIDUAL_TOL = 1e-8
 _SYMMETRY_RTOL = 1e-9
-_RANK_RTOL = 1e-12
 
 _TILE = 256  # rows per block, and side of the tiles where a matrix meets its transpose
 
@@ -135,22 +133,16 @@ def first_m(rows: np.ndarray, m: int) -> np.ndarray:
     return chosen
 
 
-def double_center(d_sq) -> np.ndarray:
-    """Turn a squared-distance matrix into the centered kernel -1/2 * H D H.
-
-    H = I - (1/n) 11^T. The result is exactly symmetric with row and column
-    sums that vanish up to rounding. The input is left unchanged.
-
-    Raises NonSymmetricInput for asymmetric input and SentinelPresent if any
-    entry is non-finite (the unreachable sentinel must be resolved by a
-    component policy before centering).
-    """
-    return double_center_in_place(np.array(d_sq, dtype=np.float64, order="C"))
-
-
 def double_center_in_place(d_sq: np.ndarray) -> np.ndarray:
-    """double_center that overwrites d_sq with the kernel if it is a C-contiguous
-    float64 array (else a converted copy); callers use the returned array."""
+    """Turn a squared-distance matrix into the centered kernel -1/2 * H D H,
+    H = I - (1/n) 11^T, overwriting d_sq if it is a C-contiguous float64
+    array (else a converted copy); callers use the returned array.
+
+    The result is exactly symmetric with row and column sums that vanish up
+    to rounding. Raises NonSymmetricInput for asymmetric input and
+    SentinelPresent if any entry is non-finite (the unreachable sentinel
+    must be resolved by a component policy before centering).
+    """
     d = as_matrix(d_sq, "d_sq")
     if not np.all(np.isfinite(d)):
         raise SentinelPresent("squared-distance matrix contains unreachable entries")
@@ -249,7 +241,7 @@ def symmetric_eig(a, top: int) -> EigenResult:
     n = a.shape[0]
     if not 1 <= top <= n:
         raise ValueError(f"top must be in [1, {n}], got {top}")
-    # every double_center kernel is exactly symmetric and needs no copy
+    # every centered kernel is exactly symmetric and needs no copy
     a_sym = a if exact else 0.5 * (a + a.T)
 
     w = None
@@ -281,73 +273,3 @@ def symmetric_eig(a, top: int) -> EigenResult:
             f"eigenpair residual {residual:.3e} exceeds tolerance {_EIG_RESIDUAL_TOL * scale:.3e}"
         )
     return EigenResult(eigenvalues=w, eigenvectors=v)
-
-
-@dataclass(frozen=True)
-class MdsCoordinates:
-    """Coordinates from the eigendecomposition of a centered kernel.
-
-    eigenvalues are the raw top-p values (negatives visible); coordinates use
-    sqrt(max(eigenvalue, 0)). clamped_count tells how many of the top p were
-    negative; rank_deficient marks zero-padded trailing columns. spectrum
-    holds every eigenvalue solved, min(n, max(p, extra_spectrum)) of them
-    from mds_eig, for diagnostics such as the elbow report.
-    """
-
-    coordinates: np.ndarray
-    eigenvalues: np.ndarray
-    clamped_count: int
-    rank_deficient: bool
-    spectrum: np.ndarray
-
-
-def mds_eig(kernel, p: int, extra_spectrum: int = 0) -> EigenResult:
-    """The eigensolve of classical scaling: the leading min(n, max(p,
-    extra_spectrum)) eigenpairs of a centered kernel."""
-    k = as_matrix(kernel, "kernel")
-    return symmetric_eig(k, top=min(k.shape[0], max(p, extra_spectrum)))
-
-
-def mds_coordinates(eig: EigenResult, p: int) -> MdsCoordinates:
-    """Coordinates y_i = (sqrt(l_1) v_1i, ..., sqrt(l_p) v_pi) from the top
-    eigenpairs mds_eig solved for a centered kernel, possibly read back from
-    a cache; nothing is solved here.
-
-    Negative eigenvalues (the kernel of a non-Euclidean distance matrix is
-    indefinite) are clamped to zero and counted. If fewer than p eigenvalues
-    exceed 1e-12 * l_1 the remaining columns are zero and a
-    RankDeficientWarning is issued. The result's spectrum holds every
-    eigenvalue of eig.
-    """
-    if p < 1:
-        raise ValueError(f"target dimension must be >= 1, got {p}")
-    n = eig.eigenvectors.shape[0]
-
-    lam = eig.eigenvalues[: min(p, n)]
-    vec = eig.eigenvectors[:, : min(p, n)]
-    clamped = np.maximum(lam, 0.0)
-    clamped_count = int(np.sum(lam < 0.0))
-
-    coords = np.zeros((n, p), dtype=np.float64)
-    coords[:, : lam.size] = vec * np.sqrt(clamped)[None, :]
-
-    lead = float(clamped[0]) if lam.size else 0.0
-    usable = int(np.sum(clamped > _RANK_RTOL * lead)) if lead > 0.0 else 0
-    rank_deficient = usable < p
-    if rank_deficient:
-        warnings.warn(
-            f"kernel supports only {usable} of {p} requested dimensions; "
-            "remaining coordinates are zero",
-            RankDeficientWarning,
-            stacklevel=2,
-        )
-
-    out_lam = np.zeros(p, dtype=np.float64)
-    out_lam[: lam.size] = lam
-    return MdsCoordinates(
-        coordinates=coords,
-        eigenvalues=out_lam,
-        clamped_count=clamped_count,
-        rank_deficient=rank_deficient,
-        spectrum=eig.eigenvalues,
-    )

@@ -20,7 +20,6 @@ from scipy.sparse import csr_matrix, triu
 
 from prisomap.datasets import gen_swiss_roll
 from prisomap.errors import TooLarge
-from prisomap.geodesics import GeodesicMatrix
 from prisomap.graph import NeighborGraph, knn_candidates, knn_graph, percentile_h
 
 _FW_LIMIT = 500
@@ -90,7 +89,7 @@ def dijkstra_from(graph: NeighborGraph, source: int):
     return np.array(dist, dtype=np.float64), np.array(parent, dtype=np.int64)
 
 
-def floyd_warshall_oracle(graph: NeighborGraph) -> GeodesicMatrix:
+def floyd_warshall_oracle(graph: NeighborGraph) -> np.ndarray:
     """Cubic-time all-pairs oracle, identical contract to all_pairs.
 
     Guarded to n <= 500 because of the O(n^3) cost.
@@ -105,8 +104,7 @@ def floyd_warshall_oracle(graph: NeighborGraph) -> GeodesicMatrix:
             d[i, j] = w
     for mid in range(n):
         np.minimum(d, d[:, mid : mid + 1] + d[mid : mid + 1, :], out=d)
-    finite_fraction = float(np.isfinite(d).mean()) if n else 1.0
-    return GeodesicMatrix(values=d, finite_fraction=finite_fraction)
+    return d
 
 
 def traced_peak(fn, *args) -> int:

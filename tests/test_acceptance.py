@@ -48,8 +48,8 @@ def test_criterion_1_oracle_geodesics():
         pct = rng.choice([40.0, 60.0, 80.0, np.inf])
         h = math.inf if np.isinf(pct) else percentile_h(knn_candidates(x, k)[1], float(pct))
         g = knn_graph(x, k, h)
-        got = all_pairs(g).values
-        want = floyd_warshall_oracle(g).values
+        got = all_pairs(g)
+        want = floyd_warshall_oracle(g)
         assert (np.isfinite(got) == np.isfinite(want)).all()
         both = np.isfinite(got)
         if both.any():

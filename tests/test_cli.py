@@ -199,7 +199,7 @@ class TestEmbed:
             solves.append(1)
             return symmetric_eig(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "symmetric_eig", counting)
+        monkeypatch.setattr("prisomap.embed.symmetric_eig", counting)
 
         def embed(run, *flags, cached=True):
             out = tmp_path / run / "e.csv"
@@ -473,7 +473,7 @@ class TestEmbed:
         out = tmp_path / "emb.csv"
         rc = run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
                      "--method", "isomap", "--k", "8", "--p", "2",
-                     "--spectrum", "8", "--threads", "2", "--out", str(out))
+                     "--spectrum", "8", "--out", str(out))
         assert rc == 0
         desc = json.loads(out.with_suffix(".json").read_text())
         assert len(desc["spectrum"]) == 8
@@ -559,7 +559,7 @@ class TestEval:
         spec = MethodSpec(method="pr-isomap" if window else "isomap", p=1, k=8,
                           h_percentile=30.0 if window else None)
         geo = all_pairs(neighbors.graph(8, resolve_h(spec, neighbors)))
-        want = evaluate_embedding(geo.values[np.ix_(indices, indices)], coords, m=5)
+        want = evaluate_embedding(geo[np.ix_(indices, indices)], coords, m=5)
         save_eval_csv(want, tmp_path / "want.csv")
         assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert (want.sentinel_excluded_pairs > 0) == bool(window)
@@ -597,19 +597,17 @@ class TestBench:
         assert cold == warm
 
     def test_warm_cache_runs_no_graph_eigensolve(self, roll_dir, tmp_path, monkeypatch):
-        from prisomap import embed, geodesics, linalg
+        from prisomap import embed, geodesics
 
         solves = {"graph": 0, "pca": 0}
+        symmetric_eig = embed.symmetric_eig
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                solves[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        # pca solves the 3 x 3 covariance, a graph method its kernel over the kept vertices
+        def counting(a, *args, **kwargs):
+            solves["pca" if a.shape[0] == 3 else "graph"] += 1
+            return symmetric_eig(a, *args, **kwargs)
 
-        # the graph methods solve through linalg, pca through embed's import
-        monkeypatch.setattr(linalg, "symmetric_eig", counting("graph", linalg.symmetric_eig))
-        monkeypatch.setattr(embed, "symmetric_eig", counting("pca", embed.symmetric_eig))
+        monkeypatch.setattr(embed, "symmetric_eig", counting)
 
         def bench(run):
             solves.update(graph=0, pca=0)
@@ -750,8 +748,6 @@ OPTIONS = {
         "--short-circuit-pairs": ("short_circuit_pairs", float, None, False, None, None),
         "--out": ("out", None, None, True, None, None),
         "--seed": ("seed", int, None, False, None, None),
-        "--threads": ("threads", int, None, False, None, None),
-        "--cache-dir": ("cache_dir", None, None, False, None, None),
         "--config": ("config", None, None, False, None, None),
     },
     "embed": {
@@ -765,8 +761,6 @@ OPTIONS = {
         "--policy": ("policy", None, None, False, ["error", "largest-component"], None),
         "--spectrum": ("spectrum", int, None, False, None, None),
         "--out": ("out", None, None, True, None, None),
-        "--seed": ("seed", int, None, False, None, None),
-        "--threads": ("threads", int, None, False, None, None),
         "--cache-dir": ("cache_dir", None, None, False, None, None),
         "--config": ("config", None, None, False, None, None),
     },
@@ -787,8 +781,6 @@ OPTIONS = {
         "--out": ("out", None, None, True, None, None),
         "--csv": ("csv", None, None, False, None, None),
         "--seed": ("seed", int, None, False, None, None),
-        "--threads": ("threads", int, None, False, None, None),
-        "--cache-dir": ("cache_dir", None, None, False, None, None),
         "--config": ("config", None, None, False, None, None),
     },
     "bench": {
@@ -809,7 +801,6 @@ OPTIONS = {
         "--policy": ("policy", None, None, False, ["error", "largest-component"], None),
         "--out": ("out", None, None, True, None, None),
         "--seed": ("seed", int, None, False, None, None),
-        "--threads": ("threads", int, None, False, None, None),
         "--cache-dir": ("cache_dir", None, None, False, None, None),
         "--config": ("config", None, None, False, None, None),
     },
@@ -819,9 +810,6 @@ OPTIONS = {
         "--label-column": ("label_column", None, None, False, None, None),
         "--axes": ("axes", int, None, False, None, 2),
         "--out": ("out", None, None, True, None, None),
-        "--seed": ("seed", int, None, False, None, None),
-        "--threads": ("threads", int, None, False, None, None),
-        "--cache-dir": ("cache_dir", None, None, False, None, None),
         "--config": ("config", None, None, False, None, None),
     },
 }
@@ -847,6 +835,21 @@ def _subparsers():
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
+class RecordedReads:
+    """A command's args that note the name of every attribute read from them."""
+
+    def __init__(self, args):
+        self.values = vars(args)
+        self.reads = set()
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        try:
+            return self.values[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+
 class TestSettingsTable:
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_options_as_before(self, command):
@@ -862,9 +865,40 @@ class TestSettingsTable:
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_help_exits_0(self, command, capsys):
         assert run_cli(command, "--help") == 0
-        assert "--seed" in capsys.readouterr().out
+        assert "--config" in capsys.readouterr().out
+
+    # a command declares only the settings it reads
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--threads", "2"], ["embed", "--seed", "1"], ["plot", "--seed", "1"],
+        ["gen", "--cache-dir", "d"], ["eval", "--cache-dir", "d"], ["plot", "--cache-dir", "d"],
+    ], ids=" ".join)
+    def test_option_the_command_does_not_read_exits_2(self, argv, capsys):
+        command, *option = argv
+        assert run_cli(command, *REQUIRED[command], *option) == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_command_reads_every_setting_it_declares(self, roll_dir, tmp_path, command):
+        ambient = str(roll_dir / "ambient.csv")
+        emb = tmp_path / "e.csv"
+        assert run_cli("embed", "--in", ambient, "--method", "isomap", "--k", "8",
+                       "--out", str(emb)) == 0
+        graph = ["--in", ambient, "--k", "8", "--h-pct", "90"]
+        argv = {
+            "gen": ["swiss-roll", "--n", "100"],
+            "embed": [*graph, "--method", "pr-isomap", "--policy", "largest-component"],
+            "eval": ["--emb", str(emb), "--data", ambient, "--ref", "geodesic", "--k", "8"],
+            "bench": [*graph, "--methods", "pr-isomap,pca"],
+            "plot": ["--in", str(emb)],
+        }[command]
+        args = build_parser().parse_args([command, *argv, "--out", str(tmp_path / "out")])
+        resolve_settings(args, {})
+        recorded = RecordedReads(args)
+        assert args.func(recorded) == 0
+        assert {dest for dest in SETTINGS if dest in vars(args)} <= recorded.reads
+
+    # plot reads no setting
+    @pytest.mark.parametrize("command", sorted(set(OPTIONS) - {"plot"}))
     def test_flags_beat_config_beat_environment_beat_default(self, command, monkeypatch):
         for name in list(os.environ):
             if name.startswith("PRISOMAP_"):
@@ -1018,6 +1052,21 @@ class TestInputErrors:
             argv = ["plot", "--in", str(emb), "--out", str(tmp_path / "p.svg")]
         assert run_cli(*argv) == 2
         assert "e.csv: negative index -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_chart_shorter_than_the_input_exits_2(self, roll_dir, tmp_path, capsys, command):
+        chart = tmp_path / "chart.csv"
+        rows = (roll_dir / "intrinsic.csv").read_text().splitlines()[:51]
+        chart.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        ambient = str(roll_dir / "ambient.csv")
+        if command == "eval":
+            emb = tmp_path / "e.csv"
+            assert run_cli("embed", "--in", ambient, "--method", "pca", "--out", str(emb)) == 0
+            argv = ["eval", "--emb", str(emb), "--ref", "chart"]
+        else:
+            argv = ["bench", "--in", ambient, "--methods", "pca"]
+        assert run_cli(*argv, "--chart", str(chart), "--out", str(tmp_path / "r")) == 2
+        assert "chart has 50 rows, fewer than the 300 the input needs" in capsys.readouterr().err
 
     def test_cache_dir_naming_a_file_exits_2(self, roll_dir, tmp_path, capsys):
         (tmp_path / "cache").write_text("", encoding="utf-8")

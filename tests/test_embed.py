@@ -93,7 +93,7 @@ class TestIsomap:
         sample = gen_swiss_roll(2000, noise_sd=0.0, density_exponent=0.0, seed=11)
         emb = isomap(sample.ambient, k=10, p=2)
         geo = all_pairs(knn_graph(sample.ambient, k=10, h=math.inf))
-        rv = residual_variance(geo.values, pairwise_dists(emb.coordinates))
+        rv = residual_variance(geo, pairwise_dists(emb.coordinates))
         assert rv <= 0.05
 
     def test_flat_data_complete_graph(self):
@@ -273,10 +273,10 @@ class TestGeodesicBuffer:
         assert (components(g).count == 1) == (h_pct == math.inf)
         parts = ("indptr", "indices", "data")
         adjacency = [getattr(g.adjacency, part).tobytes() for part in parts]
-        before = all_pairs(g).values
+        before = all_pairs(g)
         embed_geodesics(g, 2, {}, LARGEST_COMPONENT_POLICY)
         assert [getattr(g.adjacency, part).tobytes() for part in parts] == adjacency
-        assert all_pairs(g).values.tobytes() == before.tobytes()
+        assert all_pairs(g).tobytes() == before.tobytes()
 
     # all-pairs' m x m result over the kept vertices is the one dense
     # buffer, squared and centered in place; the h-pct 60 graph keeps

@@ -13,7 +13,6 @@ from prisomap.evaluate import (
     knn_classify_cv,
     make_stratified_folds,
     residual_variance,
-    sentinel_excluded_pairs,
     stress,
     trustworthiness_continuity,
     uniformity_cv,
@@ -131,7 +130,7 @@ class TestStress:
         d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 2.0], [np.inf, 2.0, 0.0]])
         ld = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 2.0], [9.0, 2.0, 0.0]])
         assert stress(d, ld) == 0.0
-        assert sentinel_excluded_pairs(d) == 1
+        assert evaluate_embedding(d, [[0.0], [1.0], [3.0]]).sentinel_excluded_pairs == 1
 
     def test_no_finite_pairs(self):
         d = np.full((3, 3), np.inf)
@@ -162,7 +161,8 @@ def corrcoef_rule(d_hd, d_ld):
     sa, sb = float(np.std(a)), float(np.std(b))
     if sa == 0.0 or sb == 0.0:
         return 0.0 if sa == sb else 1.0
-    return 1 - np.corrcoef(a, b)[0, 1] ** 2
+    r = float(np.corrcoef(a, b)[0, 1])
+    return 1.0 - r * r
 
 
 class TestResidualVarianceBits:
@@ -335,7 +335,7 @@ class TestBlockedExactness:
         emb_d = pairwise_dists(coords)
         assert report.stress == stress(ref, emb_d)
         assert report.residual_variance == residual_variance(ref, emb_d)
-        assert report.sentinel_excluded_pairs == sentinel_excluded_pairs(ref) == 2
+        assert report.sentinel_excluded_pairs == 2
 
 
 class TestKnnClassifyCv:

@@ -57,9 +57,9 @@ def reference_all_pairs(graph):
 
 
 def assert_matches_references(graph):
-    got = all_pairs(graph).values
+    got = all_pairs(graph)
     assert got.tobytes() == reference_all_pairs(graph).tobytes()
-    want = floyd_warshall_oracle(graph).values
+    want = floyd_warshall_oracle(graph)
     assert (np.isfinite(got) == np.isfinite(want)).all()
     both = np.isfinite(got)
     assert np.abs(got[both] - want[both]).max() <= 1e-9
@@ -98,28 +98,28 @@ class TestAllPairs:
     def test_three_collinear_complete(self):
         g = knn_graph(LINE3, k=2, h=math.inf)
         geo = all_pairs(g)
-        assert geo.values[0, 2] == 3.0
-        assert geo.values[0, 1] == 1.0
-        np.testing.assert_array_equal(np.diag(geo.values), 0.0)
+        assert geo[0, 2] == 3.0
+        assert geo[0, 1] == 1.0
+        np.testing.assert_array_equal(np.diag(geo), 0.0)
 
     def test_capped_sentinel(self):
         g = knn_graph(LINE3, k=2, h=1.5)
         geo = all_pairs(g)
-        assert geo.values[0, 2] == UNREACHABLE
-        assert geo.finite_fraction < 1.0
+        assert geo[0, 2] == UNREACHABLE
+        assert not np.isfinite(geo).all()
 
     def test_single_vertex(self):
         g = graph_from_rows([np.array([], dtype=np.int64)], [np.array([])])
         geo = all_pairs(g)
-        np.testing.assert_array_equal(geo.values, [[0.0]])
-        assert geo.finite_fraction == 1.0
+        np.testing.assert_array_equal(geo, [[0.0]])
+        assert np.isfinite(geo).all()
 
     def test_matches_floyd_warshall_n50(self):
         rng = np.random.default_rng(10)
         x = rng.normal(0, 1, (50, 3))
         g = knn_graph(x, k=4, h=math.inf)
-        got = all_pairs(g).values
-        want = floyd_warshall_oracle(g).values
+        got = all_pairs(g)
+        want = floyd_warshall_oracle(g)
         both = np.isfinite(got) & np.isfinite(want)
         assert (np.isfinite(got) == np.isfinite(want)).all()
         assert np.abs(got[both] - want[both]).max() <= 1e-9
@@ -133,8 +133,8 @@ class TestAllPairs:
         k = min(k, n - 1)
         h = math.inf if h_pct == math.inf else percentile_h(knn_candidates(x, k)[1], h_pct)
         g = knn_graph(x, k, h)
-        got = all_pairs(g).values
-        want = floyd_warshall_oracle(g).values
+        got = all_pairs(g)
+        want = floyd_warshall_oracle(g)
         assert (np.isfinite(got) == np.isfinite(want)).all()
         both = np.isfinite(got)
         assert np.abs(got[both] - want[both]).max() <= 1e-9
@@ -145,7 +145,7 @@ class TestAllPairs:
         x = sample.ambient
         h = math.inf if h_pct == math.inf else percentile_h(knn_candidates(x, 12)[1], h_pct)
         g = knn_graph(x, 12, h)
-        assert all_pairs(g).values.tobytes() == reference_all_pairs(g).tobytes()
+        assert all_pairs(g).tobytes() == reference_all_pairs(g).tobytes()
 
     # integer grid points give duplicates and exact distance ties; h = 0.5 is
     # below every nonzero edge (an empty graph) and the shift splits the
@@ -195,8 +195,8 @@ class TestAllPairs:
             g = knn_graph(x, k, h)
         raw = dijkstra(g.adjacency, directed=True)
         geo = all_pairs(g)
-        assert geo.values.tobytes() == np.minimum(raw, raw.T).tobytes()
-        assert geo.finite_fraction == float(np.isfinite(raw).mean())
+        assert geo.tobytes() == np.minimum(raw, raw.T).tobytes()
+        assert float(np.isfinite(geo).mean()) == float(np.isfinite(raw).mean())
 
     @staticmethod
     def graph_seeing(monkeypatch, at, entry):
@@ -237,7 +237,7 @@ class TestAllPairs:
         g, raw = self.graph_seeing(monkeypatch, (280, 10),
                                    lambda raw, at: np.nextafter(raw[at[::-1]], math.inf))
         geo = all_pairs(g)
-        assert geo.values[280, 10] == geo.values[10, 280] == raw[10, 280]
+        assert geo[280, 10] == geo[10, 280] == raw[10, 280]
 
     # the embed runs all-pairs over the largest component's submatrix only
     def test_kept_submatrix_equals_the_full_block(self):
@@ -245,21 +245,21 @@ class TestAllPairs:
         kept = components(g).largest
         assert kept.size < g.n
         sub = NeighborGraph(k=g.k, h=g.h, adjacency=g.adjacency[kept][:, kept])
-        full = all_pairs(g).values
-        assert all_pairs(sub).values.tobytes() == full[np.ix_(kept, kept)].tobytes()
+        full = all_pairs(g)
+        assert all_pairs(sub).tobytes() == full[np.ix_(kept, kept)].tobytes()
 
     # eval --ref geodesic runs Dijkstra from the embedding's vertices alone
     @pytest.mark.parametrize("h_pct", [30.0, math.inf])
     def test_block_among_indices_equals_the_full_block(self, h_pct):
         g = welded_roll_graph(900, h_pct)
-        full = all_pairs(g).values
+        full = all_pairs(g)
         rng = np.random.default_rng(4)
         for indices in (np.arange(g.n), np.sort(rng.choice(g.n, 600, replace=False)),
                         rng.permutation(g.n)[:300], np.array([7])):
             block = all_pairs(g, indices)
             want = full[np.ix_(indices, indices)]
-            assert block.values.tobytes() == want.tobytes()
-            assert block.finite_fraction == float(np.isfinite(want).mean())
+            assert block.tobytes() == want.tobytes()
+            assert float(np.isfinite(block).mean()) == float(np.isfinite(want).mean())
         assert np.isinf(full).any() == (h_pct == 30.0)  # unreachable pairs stay +inf
 
     def test_block_needs_no_n_by_n_buffer(self):
@@ -338,13 +338,13 @@ class TestAllPairs:
         h = math.inf if h_pct == math.inf else percentile_h(knn_candidates(x, 12)[1], h_pct)
         g = knn_graph(x, 12, h)
         undirected = dijkstra(g.adjacency, directed=False)
-        assert all_pairs(g).values.tobytes() == np.minimum(undirected, undirected.T).tobytes()
+        assert all_pairs(g).tobytes() == np.minimum(undirected, undirected.T).tobytes()
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(11)
         x = rng.normal(0, 1, (60, 2))
         geo = all_pairs(knn_graph(x, 5, math.inf))
-        assert np.array_equal(geo.values, geo.values.T)
+        assert np.array_equal(geo, geo.T)
 
     def test_large_scale_distances(self):
         # forward/reverse path sums differ in the last ulps at pixel-like
@@ -352,19 +352,19 @@ class TestAllPairs:
         rng = np.random.default_rng(16)
         x = rng.uniform(0, 255, (300, 20))
         geo = all_pairs(knn_graph(x, 6, math.inf))
-        assert np.array_equal(geo.values, geo.values.T)
-        want = floyd_warshall_oracle(knn_graph(x, 6, math.inf)).values
-        both = np.isfinite(geo.values) & np.isfinite(want)
+        assert np.array_equal(geo, geo.T)
+        want = floyd_warshall_oracle(knn_graph(x, 6, math.inf))
+        both = np.isfinite(geo) & np.isfinite(want)
         scale = want[both].max()
-        assert np.abs(geo.values[both] - want[both]).max() <= 1e-9 * max(1.0, scale)
+        assert np.abs(geo[both] - want[both]).max() <= 1e-9 * max(1.0, scale)
 
     def test_cap_monotonicity(self):
         rng = np.random.default_rng(13)
         x = rng.normal(0, 1, (50, 2))
         h1 = percentile_h(knn_candidates(x, 5)[1], 50)
         h2 = percentile_h(knn_candidates(x, 5)[1], 90)
-        d1 = all_pairs(knn_graph(x, 5, h1)).values
-        d2 = all_pairs(knn_graph(x, 5, h2)).values
+        d1 = all_pairs(knn_graph(x, 5, h1))
+        d2 = all_pairs(knn_graph(x, 5, h2))
         assert np.all(d1 >= d2 - 1e-12)
 
     def test_local_agreement(self):
@@ -373,12 +373,12 @@ class TestAllPairs:
         g = knn_graph(x, 5, math.inf)
         geo = all_pairs(g)
         a = g.adjacency.tocoo()
-        assert (geo.values[a.row, a.col] == a.data).all()
+        assert (geo[a.row, a.col] == a.data).all()
 
     def test_triangle_inequality_and_euclidean_floor(self):
         rng = np.random.default_rng(15)
         x = rng.normal(0, 1, (30, 2))
-        geo = all_pairs(knn_graph(x, 4, math.inf)).values
+        geo = all_pairs(knn_graph(x, 4, math.inf))
         euc = pairwise_dists(x)
         finite = np.isfinite(geo)
         assert np.all(geo[finite] >= euc[finite] - 1e-9)
@@ -396,7 +396,7 @@ class TestAllPairs:
     def test_fw_no_edges(self):
         x = np.array([[0.0], [10.0], [20.0]])
         g = knn_graph(x, k=1, h=0.5)
-        d = floyd_warshall_oracle(g).values
+        d = floyd_warshall_oracle(g)
         assert np.isinf(d[0, 1]) and np.isinf(d[1, 2])
         np.testing.assert_array_equal(np.diag(d), 0.0)
 
@@ -405,7 +405,7 @@ class TestAllPairs:
             [np.array([1]), np.array([0]), np.array([], dtype=np.int64)],
             [np.array([2.5]), np.array([2.5]), np.array([])],
         )
-        d = floyd_warshall_oracle(g).values
+        d = floyd_warshall_oracle(g)
         assert d[0, 1] == 2.5
         assert np.isinf(d[0, 2]) and np.isinf(d[1, 2])
 

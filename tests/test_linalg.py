@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prisomap.embed import scaled_embedding
 from prisomap.errors import NonSymmetricInput, RankDeficientWarning, SentinelPresent
 from prisomap.linalg import (
-    double_center,
     double_center_in_place,
-    mds_coordinates,
-    mds_eig,
     pairwise_dists,
     pairwise_sq_dists,
     require_square_symmetric,
@@ -60,11 +58,11 @@ def spiked_matrix(rng, n, spikes):
 
 class TestDoubleCenter:
     def test_two_points(self):
-        k = double_center([[0.0, 1.0], [1.0, 0.0]])
+        k = double_center_in_place([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(k, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
     def test_zero_distances(self):
-        k = double_center(np.zeros((2, 2)))
+        k = double_center_in_place(np.zeros((2, 2)))
         np.testing.assert_array_equal(k, np.zeros((2, 2)))
 
     def test_matches_matrix_product_oracle(self):
@@ -72,14 +70,14 @@ class TestDoubleCenter:
         a = rng.uniform(0, 4, (6, 6))
         d = a + a.T
         np.fill_diagonal(d, 0.0)
-        k = double_center(d)
+        k = double_center_in_place(d.copy())
         np.testing.assert_allclose(k, centering_oracle(d), atol=1e-12)
         assert np.abs(k.sum(axis=0)).max() < 1e-10
         assert np.abs(k.sum(axis=1)).max() < 1e-10
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NonSymmetricInput):
-            double_center([[0.0, 1.0], [2.0, 0.0]])
+            double_center_in_place([[0.0, 1.0], [2.0, 0.0]])
 
     def test_exact_symmetry_check_allocates_no_float_temporary(self):
         n = 600
@@ -96,7 +94,7 @@ class TestDoubleCenter:
 
     def test_rejects_sentinel(self):
         with pytest.raises(SentinelPresent):
-            double_center([[0.0, np.inf], [np.inf, 0.0]])
+            double_center_in_place([[0.0, np.inf], [np.inf, 0.0]])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.integers(3, 12), st.integers(1, 4))
@@ -104,7 +102,7 @@ class TestDoubleCenter:
         # kernel of squared Euclidean distances equals the centered Gram matrix
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 2, (n, d))
-        k = double_center(pairwise_sq_dists(x))
+        k = double_center_in_place(pairwise_sq_dists(x))
         xc = x - x.mean(axis=0)
         gram = xc @ xc.T
         scale = max(1.0, np.linalg.norm(gram))
@@ -117,11 +115,10 @@ class TestInPlaceStages:
     @given(st.sampled_from(TILE_EDGE_SIZES), st.integers(0, 2**16), st.booleans())
     def test_centering_equals_full_matrix_expressions(self, n, seed, ties):
         d = pairwise_sq_dists(tile_edge_points(n, seed, ties))
-        before = d.copy()
         want = full_matrix_centering(d)
-        assert double_center(d).tobytes() == want.tobytes()
-        assert d.tobytes() == before.tobytes()
-        assert double_center_in_place(d).tobytes() == want.tobytes()
+        got = double_center_in_place(d)
+        assert got.tobytes() == want.tobytes()
+        assert got is d
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(TILE_EDGE_SIZES), st.sampled_from(TILE_EDGE_SIZES),
@@ -346,39 +343,39 @@ class TestSymmetricEig:
         assert np.linalg.norm(recon, axis=0).max() <= 1e-8 * scale
 
 
-class TestMdsCoordinates:
+def scaled(kernel, p):
+    """scaled_embedding of a kernel's top p eigenpairs, every point kept."""
+    n = kernel.shape[0]
+    return scaled_embedding(symmetric_eig(kernel, top=p), p, {}, np.arange(n), n, 0)
+
+
+class TestScaledEmbedding:
     def test_two_point_kernel(self):
-        res = mds_coordinates(mds_eig([[0.25, -0.25], [-0.25, 0.25]], 1), p=1)
+        res = scaled(np.array([[0.25, -0.25], [-0.25, 0.25]]), p=1)
         np.testing.assert_allclose(res.coordinates[:, 0], [0.5, -0.5], atol=1e-12)
         assert res.clamped_count == 0
 
     def test_zero_kernel_rank_deficient(self):
         with pytest.warns(RankDeficientWarning):
-            res = mds_coordinates(mds_eig(np.zeros((3, 3)), 2), p=2)
+            res = scaled(np.zeros((3, 3)), p=2)
         np.testing.assert_array_equal(res.coordinates, np.zeros((3, 2)))
-        assert res.rank_deficient
 
     def test_line_exactness(self):
         x = np.array([[0.0], [1.0], [2.5], [4.0], [7.0]])
         d_sq = pairwise_sq_dists(x)
-        res = mds_coordinates(mds_eig(double_center(d_sq), 1), p=1)
+        res = scaled(double_center_in_place(d_sq.copy()), p=1)
         got = pairwise_dists(res.coordinates)
         np.testing.assert_allclose(got, np.sqrt(d_sq), atol=1e-9)
 
     def test_clamped_count_indefinite_kernel(self):
-        # a non-Euclidean distance matrix yields an indefinite kernel
-        d = np.array(
-            [
-                [0.0, 1.0, 1.0, 1.0],
-                [1.0, 0.0, 1.0, 1.0],
-                [1.0, 1.0, 0.0, 2.9],
-                [1.0, 1.0, 2.9, 0.0],
-            ]
-        )
-        k = double_center(d**2)
+        # the geodesics of a 5-cycle are not Euclidean, so their kernel is
+        # indefinite: eigenvalues 2.93, 2.93, 0, -0.427, -0.427
+        i = np.arange(5)
+        d = np.minimum(np.abs(i[:, None] - i), 5 - np.abs(i[:, None] - i)).astype(float)
+        k = double_center_in_place(d**2)
         assert np.linalg.eigvalsh(k).min() < -1e-9
         with pytest.warns(RankDeficientWarning):
-            res = mds_coordinates(mds_eig(k, 4), p=4)
+            res = scaled(k, p=4)
         assert res.clamped_count >= 1
         assert np.all(np.isfinite(res.coordinates))
 
@@ -389,8 +386,7 @@ class TestMdsCoordinates:
         rng = np.random.default_rng(0)
         x = np.column_stack([rng.normal(0, 1, (600, 2)), np.zeros(600)])
         with pytest.warns(RankDeficientWarning):
-            res = mds_coordinates(mds_eig(double_center(pairwise_sq_dists(x)), 3), p=3)
-        assert res.rank_deficient
+            res = scaled(double_center_in_place(pairwise_sq_dists(x)), p=3)
         got = pairwise_dists(res.coordinates)
         assert np.abs(got - pairwise_dists(x)).max() <= 1e-8 * got.max()
 
@@ -400,7 +396,7 @@ class TestMdsCoordinates:
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 3, (12, p))
         d_sq = pairwise_sq_dists(x)
-        res = mds_coordinates(mds_eig(double_center(d_sq), p), p=p)
+        res = scaled(double_center_in_place(d_sq.copy()), p=p)
         got = pairwise_dists(res.coordinates)
         want = np.sqrt(d_sq)
         assert np.abs(got - want).max() <= 1e-8 * max(1.0, want.max())
