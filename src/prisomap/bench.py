@@ -7,7 +7,8 @@ kernel's top eigenpairs up in the cache first, by the window as given (h or
 a percentile); the entry holds the resolved h, so a hit runs no k-NN pass
 even for a percentile. Neighbors runs the k-NN candidate pass at most once
 per (data, k), and only when a cache miss, h selection for eval or the
-density needs it; it caps a graph only for a cache miss or the density.
+density needs it; it caps a graph only for a cache miss or eval's geodesic
+reference, never for the density. MethodSpec checks the window at creation.
 
 run_bench runs all requested methods on the same sample; metrics are computed
 on the intersection of the methods' kept vertices against one common
@@ -56,21 +57,34 @@ class MethodSpec:
             raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.method in GRAPH_METHODS and self.k is None:
             raise InputError(f"{self.method} needs a neighbor count k")
+        if self.h is not None and self.h_percentile is not None:
+            raise InputError(f"{self.method}: h and h_percentile are mutually exclusive")
+        if self.method == "pr-isomap" and self.h is None and self.h_percentile is None:
+            raise InputError("pr-isomap needs h or h_percentile")
+
+    @property
+    def window(self) -> dict | None:
+        """The window as given: {"h": h}, {"h_percentile": percentile} or None."""
+        if self.method == "isomap":
+            return {"h": math.inf}
+        if self.method != "pr-isomap":
+            return None
+        if self.h_percentile is not None:
+            return {"h_percentile": float(self.h_percentile)}
+        return {"h": float(self.h)}
 
 
 class Neighbors:
-    """The k-NN candidates and graphs of one dataset, each built on first use.
+    """The k-NN candidates of one dataset, each pass built on first use.
 
-    The candidate pass runs once per k; every graph at that k is capped from
-    its candidate arrays, and only when a cache miss or the density needs it.
-    Raises InputError for data that is not finite.
+    Each graph call caps the candidate arrays anew. Raises InputError for
+    data that is not finite.
     """
 
     def __init__(self, data):
         self.data = as_finite_matrix(data)
         self.data_hash = data_hash(self.data)
         self._candidates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._graphs: dict[tuple[int, float], NeighborGraph] = {}
 
     def candidates(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(n, k) candidate indices and distances, nearest first."""
@@ -78,37 +92,14 @@ class Neighbors:
             self._candidates[k] = knn_candidates(self.data, k)
         return self._candidates[k]
 
-    def graph(self, k: int, h: float = math.inf) -> NeighborGraph:
-        graph = self._graphs.get((k, h))
-        if graph is None:
-            graph = cap_candidates(*self.candidates(k), h, self.data_hash)
-            self._graphs[(k, h)] = graph
-        return graph
-
-
-def _window(spec: MethodSpec) -> dict | None:
-    """The window as spec gives it, {"h": h} or {"h_percentile": percentile}.
-
-    None for mds and pca, h=+inf for isomap; for pr-isomap exactly one of h
-    and h_percentile must be set.
-    """
-    if spec.h is not None and spec.h_percentile is not None:
-        raise ValueError(f"{spec.method}: h and h_percentile are mutually exclusive")
-    if spec.method == "isomap":
-        return {"h": math.inf}
-    if spec.method != "pr-isomap":
-        return None
-    if spec.h_percentile is not None:
-        return {"h_percentile": float(spec.h_percentile)}
-    if spec.h is None:
-        raise ValueError("pr-isomap needs h or h_percentile")
-    return {"h": float(spec.h)}
+    def graph(self, k: int, h: float) -> NeighborGraph:
+        return cap_candidates(*self.candidates(k), h)
 
 
 def resolve_h(spec: MethodSpec, neighbors: Neighbors) -> float | None:
     """The window diameter spec runs with: a percentile is taken over the
     candidate lengths."""
-    window = _window(spec)
+    window = spec.window
     if window is None:
         return None
     if "h" in window:
@@ -137,7 +128,7 @@ def _embed_graph(spec: MethodSpec, neighbors: Neighbors, spectrum: int,
     runs no candidate pass, caps no graph, runs no all-pairs and solves
     nothing. A miss resolves h, embeds the graph and writes the entry back.
     """
-    fingerprint = {"data_hash": neighbors.data_hash, "k": spec.k, **_window(spec),
+    fingerprint = {"data_hash": neighbors.data_hash, "k": spec.k, **spec.window,
                    "component_policy": spec.component_policy, "top": max(spec.p, spectrum)}
     path, entry = cache_lookup(cache_dir, fingerprint)
     h = entry.h if entry is not None else resolve_h(spec, neighbors)
@@ -163,14 +154,13 @@ def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
     their eigenpairs up in cache_dir first.
     """
     t0 = time.perf_counter()
-    x = neighbors.data
     cache_entry = "none"
     if spec.method in GRAPH_METHODS:
         emb, h, cache_entry = _embed_graph(spec, neighbors, spectrum, cache_dir)
     else:
-        h = resolve_h(spec, neighbors)
+        h = None
         flat = classical_mds if spec.method == "mds" else pca
-        emb = flat(x, spec.p, spectrum=spectrum)
+        emb = flat(neighbors.data, spec.p, spectrum=spectrum)
     return MethodRun(emb, h, time.perf_counter() - t0, cache_entry)
 
 
@@ -243,7 +233,7 @@ def run_bench(
     """
     neighbors = Neighbors(data)
     x = neighbors.data
-    n = x.shape[0]
+    n, d = x.shape
     ref = pairwise_dists(x) if reference is None else as_matrix(reference, "reference")
     del reference  # so that ref holds it alone, freed once ref_common is cut out
     if ref.shape != (n, n):
@@ -297,7 +287,8 @@ def run_bench(
         )
         report.kept_fraction = emb.kept_indices.size / n
         if spec.method == "pr-isomap" and math.isfinite(run.h):
-            report.density_cv = uniformity_cv(pr_density(x, neighbors.graph(spec.k, run.h)))
+            cand_dist = neighbors.candidates(spec.k)[1]
+            report.density_cv = uniformity_cv(pr_density(cand_dist, run.h, d))
         reports[name] = report
 
     paired: dict[str, dict] = {}

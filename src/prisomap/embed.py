@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geodesics
 from .datasets import json_safe, write_json, write_rows
-from .errors import DisconnectedGraph, GraphTooFragmented, RankDeficientWarning
+from .errors import DisconnectedGraph, GraphTooFragmented, InputError, RankDeficientWarning
 from .graph import NeighborGraph, components
 from .linalg import (EigenResult, as_matrix, double_center_in_place, pairwise_sq_dists,
                      symmetric_eig)
@@ -60,9 +60,11 @@ class Embedding:
         return self.coordinates.shape[1]
 
 
-def _require_p(p: int, n: int) -> None:
+def _require_p(p: int, n: int, spectrum: int = 0) -> None:
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
+    if spectrum < 0:
+        raise InputError(f"spectrum must be >= 0, got {spectrum}")
 
 
 def scaled_embedding(eig: EigenResult, p: int, method: dict, kept: np.ndarray, n: int,
@@ -78,7 +80,7 @@ def scaled_embedding(eig: EigenResult, p: int, method: dict, kept: np.ndarray, n
     a RankDeficientWarning is issued. The spectrum, when asked for, holds
     every eigenvalue of eig.
     """
-    _require_p(p, n)
+    _require_p(p, n, spectrum)
     lam = eig.eigenvalues[:p]
     clamped = np.maximum(lam, 0.0)
     coords = np.zeros((eig.eigenvectors.shape[0], p), dtype=np.float64)
@@ -134,7 +136,7 @@ def embed_geodesics(
     any p whose max(p, spectrum) is the same.
     """
     n = graph.n
-    _require_p(p, n)
+    _require_p(p, n, spectrum)
     if component_policy not in (ERROR_POLICY, LARGEST_COMPONENT_POLICY):
         raise ValueError(f"unknown component policy {component_policy!r}")
     kept = np.arange(n, dtype=np.int64)
@@ -154,7 +156,7 @@ def embed_geodesics(
                 summary=sizes,
             )
         kept = summary.largest
-        graph = NeighborGraph(k=graph.k, h=graph.h, adjacency=graph.adjacency[kept][:, kept])
+        graph = NeighborGraph(h=graph.h, adjacency=graph.adjacency[kept][:, kept])
     d_sq = geodesics.all_pairs(graph)
     np.square(d_sq, out=d_sq)
     return _scaled(d_sq, p, dict(method), kept, n, spectrum)
@@ -164,7 +166,7 @@ def classical_mds(data, p: int, spectrum: int = 0) -> Embedding:
     """Classical scaling of exact pairwise Euclidean distances."""
     x = as_matrix(data, "data")
     n = x.shape[0]
-    _require_p(p, n)
+    _require_p(p, n, spectrum)
     return _scaled(pairwise_sq_dists(x), p, {"method": "mds", "p": int(p)},
                    np.arange(n, dtype=np.int64), n, spectrum)
 
@@ -176,6 +178,7 @@ def pca(data, p: int, spectrum: int = 0) -> Embedding:
     limit = min(n - 1, d)
     if not 1 <= p <= limit:
         raise ValueError(f"p must satisfy 1 <= p <= min(n-1, d) = {limit}, got {p}")
+    _require_p(p, n, spectrum)
     xc = x - x.mean(axis=0, keepdims=True)
     cov = (xc.T @ xc) / n
     top = min(d, max(p, spectrum)) if spectrum else p

@@ -1,23 +1,22 @@
 """Capped k-nearest-neighbor graph construction and the window density diagnostic.
 
 The graph connects each point to its k nearest neighbors, discards every
-candidate edge longer than the window diameter h, and symmetrizes by union.
-The rectangular-window density estimate over the same candidate sets serves
-as a sampling-uniformity diagnostic.
+candidate edge longer than the window diameter h, and symmetrizes by union
+into a NeighborGraph: h and the CSR adjacency. The rectangular-window density
+over the same candidates' distances serves as a sampling-uniformity diagnostic.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datasets import data_hash
 from .errors import DegenerateDuplicatesWarning, InfiniteWindow
-from .linalg import as_finite_matrix, as_matrix, first_m, pairwise_sq_dists
+from .linalg import as_finite_matrix, first_m, pairwise_sq_dists
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -31,16 +30,10 @@ class NeighborGraph:
 
     adjacency is the n x n scipy CSR matrix holding each edge in both
     directions with one weight, column indices sorted within each row.
-    candidates/candidate_dists hold each vertex's pre-filter k nearest
-    neighbors as (n, k) arrays, nearest first, for density estimation.
     """
 
-    k: int
     h: float
     adjacency: csr_matrix
-    candidates: np.ndarray | None = field(default=None, repr=False)
-    candidate_dists: np.ndarray | None = field(default=None, repr=False)
-    data_hash: str = ""
 
     @property
     def n(self) -> int:
@@ -52,8 +45,8 @@ class DensityEstimate:
     """Per-vertex rectangular-window density p_h(x) with the h that produced it.
 
     counts holds the raw window occupancy (self included); values = counts /
-    (k * h**h_power), which can under- or overflow float64 when h_power is a
-    large ambient dimension. Statistics that are invariant to the constant
+    (k * h**d), which can under- or overflow float64 when d is a large
+    ambient dimension. Statistics that are invariant to the constant
     normalization (like the uniformity coefficient of variation) should use
     counts.
     """
@@ -61,7 +54,6 @@ class DensityEstimate:
     values: np.ndarray
     h: float
     k: int
-    h_power: int = 0
     counts: np.ndarray | None = None
 
 
@@ -96,8 +88,7 @@ def _knn_candidates(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, dist
 
 
-def cap_candidates(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float,
-                   dhash: str) -> NeighborGraph:
+def cap_candidates(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float) -> NeighborGraph:
     """The graph of a candidate set: edges of length in (0, h], union-symmetrized.
 
     An edge {i, j} with i < j takes row i's distance when row i proposes j
@@ -123,8 +114,7 @@ def cap_candidates(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float,
     adjacency = coo_matrix((np.tile(w, 2), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
                            shape=(n, n)).tocsr()
     adjacency.sort_indices()
-    return NeighborGraph(k=k, h=float(h), adjacency=adjacency, candidates=cand_idx,
-                         candidate_dists=cand_dist, data_hash=dhash)
+    return NeighborGraph(h=float(h), adjacency=adjacency)
 
 
 def knn_candidates(data, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,37 +147,32 @@ def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
     longer than h are discarded and the survivors are symmetrized by union.
     Zero-distance edges are dropped.
     """
-    x = as_matrix(data, "data")
-    return cap_candidates(*knn_candidates(x, k), h, data_hash(x))
+    return cap_candidates(*knn_candidates(data, k), h)
 
 
-def pr_density(data, graph: NeighborGraph, h_power: int | None = None) -> DensityEstimate:
+def pr_density(cand_dist: np.ndarray, h: float, d: int) -> DensityEstimate:
     """Rectangular-window density over each point's k nearest neighbors.
 
-    The candidate set is the k nearest dataset points counting the point
-    itself (always its own nearest neighbor), so
+    cand_dist holds the (n, k) candidate distances of a knn_candidates pass,
+    nearest first. The candidate set is the k nearest dataset points counting
+    the point itself (always its own nearest neighbor), so
     p(x) = (1/k) * sum(1/h**d * [||x_i - x|| <= h/2]).
 
-    h_power overrides the window normalization exponent d (pass 2 for the
-    fixed-power variant regardless of dimension).
+    d is the window normalization exponent: the ambient dimension, or 2 for
+    the fixed-power variant regardless of dimension.
     """
-    x = as_matrix(data, "data")
-    if not math.isfinite(graph.h):
+    if not math.isfinite(h):
         raise InfiniteWindow("density requires a finite window diameter h")
-    if graph.data_hash and graph.data_hash != data_hash(x):
-        raise ValueError("graph was not built from this data")
-    d = x.shape[1]
-    power = d if h_power is None else int(h_power)
-    half = graph.h / 2.0
-    log_norm = -(power * math.log(graph.h) + math.log(graph.k))
+    k = cand_dist.shape[1]
+    half = h / 2.0
+    log_norm = -(d * math.log(h) + math.log(k))
     try:
         norm = math.exp(log_norm)
     except OverflowError:
         norm = math.inf
-    others = np.asarray(graph.candidate_dists)[:, : graph.k - 1]
+    others = cand_dist[:, : k - 1]
     counts = 1.0 + np.count_nonzero(others <= half, axis=1)
-    return DensityEstimate(values=counts * norm, h=graph.h, k=graph.k,
-                           h_power=power, counts=counts)
+    return DensityEstimate(values=counts * norm, h=float(h), k=k, counts=counts)
 
 
 def components(graph: NeighborGraph) -> ComponentSummary:

@@ -28,14 +28,13 @@ _FW_LIMIT = 500
 TILE_EDGE_SIZES = (1, 2, 255, 256, 257, 513)
 
 
-def graph_from_rows(neighbors, weights, k=1, h=math.inf, **fields) -> NeighborGraph:
+def graph_from_rows(neighbors, weights, h=math.inf) -> NeighborGraph:
     """A graph whose adjacency row i holds neighbors[i] with weights[i], as given."""
     indptr = np.cumsum([0] + [len(row) for row in neighbors])
     indices = np.array([j for row in neighbors for j in row], dtype=np.int64)
     data = np.array([w for row in weights for w in row], dtype=np.float64)
     n = len(neighbors)
-    return NeighborGraph(k=k, h=h, adjacency=csr_matrix((data, indices, indptr), shape=(n, n)),
-                         **fields)
+    return NeighborGraph(h=h, adjacency=csr_matrix((data, indices, indptr), shape=(n, n)))
 
 
 def adjacency_row(graph: NeighborGraph, i: int) -> tuple[np.ndarray, np.ndarray]:

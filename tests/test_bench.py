@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -20,12 +21,18 @@ def labeled_roll(n=300, seed=0, **kwargs):
 
 
 class TestMethodSpec:
+    # the window is checked when the spec is made, before any method runs
     def test_pr_isomap_requires_one_h_form(self):
-        with pytest.raises(ValueError):
-            resolve_h(MethodSpec(method="pr-isomap", p=2, k=5), Neighbors(np.zeros((10, 2))))
-        with pytest.raises(ValueError):
-            resolve_h(MethodSpec(method="pr-isomap", p=2, k=5, h=1.0, h_percentile=60.0),
-                      Neighbors(np.zeros((10, 2))))
+        with pytest.raises(InputError, match="pr-isomap needs h or h_percentile"):
+            MethodSpec("pr-isomap", 2, k=5)
+        with pytest.raises(InputError, match="h and h_percentile are mutually exclusive"):
+            MethodSpec("pr-isomap", 2, k=5, h=1.0, h_percentile=60.0)
+
+    def test_window_as_given(self):
+        assert MethodSpec("pr-isomap", 2, k=5, h=1).window == {"h": 1.0}
+        assert MethodSpec("pr-isomap", 2, k=5, h_percentile=60).window == {"h_percentile": 60.0}
+        assert MethodSpec("isomap", 2, k=5).window == {"h": math.inf}
+        assert MethodSpec("pca", 2).window is None
 
     def test_percentile_resolution(self):
         rng = np.random.default_rng(0)

@@ -633,6 +633,52 @@ class TestBench:
         assert warm[2] == {"graph": 0, "pca": 1}
         assert warm[:2] == cold[:2]
 
+    # the density reads the candidate distances, so a warm bench caps no graph
+    def test_warm_cache_caps_no_graph_and_keeps_the_density(self, roll_dir, tmp_path,
+                                                           monkeypatch):
+        from prisomap import bench
+
+        caps = {"count": 0}
+        cap_candidates = bench.cap_candidates
+
+        def counting(*args, **kwargs):
+            caps["count"] += 1
+            return cap_candidates(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "cap_candidates", counting)
+        args = ["bench", "--in", str(roll_dir / "ambient.csv"),
+                "--methods", "pr-isomap,isomap,mds,pca", "--k", "10", "--h", "4.0",
+                "--p", "2", "--cache-dir", str(tmp_path / "cache")]
+        cvs = []
+        for run, want_caps in (("cold", 2), ("warm", 0)):
+            caps["count"] = 0
+            assert run_cli(*args, "--out", str(tmp_path / run)) == 0
+            assert caps["count"] == want_caps
+            payload = json.loads((tmp_path / run / "bench.json").read_text())
+            cvs.append(payload["reports"]["pr-isomap"]["density_cv"])
+        assert isinstance(cvs[0], float)
+        assert repr(cvs[1]) == repr(cvs[0])
+
+    # MethodSpec checks the window, so pca (listed first) never runs
+    def test_window_mistake_fails_before_any_method(self, roll_dir, tmp_path, monkeypatch,
+                                                    capsys):
+        from prisomap import bench
+
+        runs = {"pca": 0}
+        pca = bench.pca
+
+        def counting(*args, **kwargs):
+            runs["pca"] += 1
+            return pca(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "pca", counting)
+        out = tmp_path / "b"
+        assert run_cli("bench", "--in", str(roll_dir / "ambient.csv"),
+                       "--methods", "pca,pr-isomap", "--k", "8", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: pr-isomap needs h or h_percentile\n"
+        assert runs["pca"] == 0
+        assert not out.exists()
+
     def test_single_method_no_deltas(self, roll_dir, tmp_path):
         out = tmp_path / "bench1"
         rc = run_cli("bench", "--in", str(roll_dir / "ambient.csv"),
@@ -1040,6 +1086,40 @@ class TestInputErrors:
             argv += ["--in", str(src)]
         assert run_cli(*argv) == 2
         assert "data row 7, column 2 (from 0) is -inf" in capsys.readouterr().err
+
+    # a negative spectrum is refused, on a warm spectral hit too, and by the
+    # library calls
+    @pytest.mark.parametrize("method", ["pr-isomap", "isomap", "mds", "pca"])
+    def test_negative_spectrum_exits_2(self, roll_dir, tmp_path, capsys, method):
+        from prisomap import classical_mds, pca, pr_isomap
+        from prisomap.errors import InputError
+
+        out = tmp_path / "e.csv"
+        graph = {"pr-isomap": ["--k", "8", "--h-pct", "70"], "isomap": ["--k", "8"]}
+        argv = ["embed", "--in", str(roll_dir / "ambient.csv"), "--method", method,
+                *graph.get(method, []), "--p", "2", "--policy", "largest-component",
+                "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]
+        message = "error: spectrum must be >= 0, got -1\n"
+        assert run_cli(*argv, "--spectrum", "-1") == 2  # cold
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        assert run_cli(*argv, "--spectrum", "0") == 0
+        assert "cache_hit=false" in capsys.readouterr().err
+        if method in graph:
+            assert run_cli(*argv, "--spectrum", "0") == 0
+            assert "cache_hit=true" in capsys.readouterr().err
+        out.unlink()
+        assert run_cli(*argv, "--spectrum", "-1") == 2  # warm for a graph method
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+        x = load_csv(roll_dir / "ambient.csv").data
+        library = {"pr-isomap": lambda: pr_isomap(x, 8, 3.0, 2, spectrum=-1),
+                   "isomap": lambda: isomap(x, 8, 2, spectrum=-1),
+                   "mds": lambda: classical_mds(x, 2, spectrum=-1),
+                   "pca": lambda: pca(x, 2, spectrum=-1)}
+        with pytest.raises(InputError, match="spectrum must be >= 0"):
+            library[method]()
 
     @pytest.mark.parametrize("command", ["eval", "plot"])
     def test_negative_embedding_index_exits_2(self, roll_dir, tmp_path, capsys, command):

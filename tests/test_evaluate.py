@@ -17,7 +17,7 @@ from prisomap.evaluate import (
     trustworthiness_continuity,
     uniformity_cv,
 )
-from prisomap.graph import DensityEstimate, knn_graph, pr_density
+from prisomap.graph import DensityEstimate, knn_candidates, pr_density
 from prisomap.linalg import pairwise_dists
 
 from helpers import traced_peak
@@ -416,8 +416,8 @@ class TestUniformityCv:
         grid = np.column_stack([gx.ravel(), gy.ravel()])
         roll = gen_swiss_roll(side * side, density_exponent=3.0, seed=0)
         h = 2.5
-        cv_grid = uniformity_cv(pr_density(grid, knn_graph(grid, 6, h)))
-        cv_roll = uniformity_cv(pr_density(roll.ambient, knn_graph(roll.ambient, 6, h)))
+        cv_grid = uniformity_cv(pr_density(knn_candidates(grid, 6)[1], h, 2))
+        cv_roll = uniformity_cv(pr_density(knn_candidates(roll.ambient, 6)[1], h, 3))
         assert cv_grid < cv_roll
 
     def test_scale_equivariance(self):
@@ -425,18 +425,19 @@ class TestUniformityCv:
         x = rng.normal(0, 1, (60, 3))
         h = 1.7
         c = 3.9
-        cv1 = uniformity_cv(pr_density(x, knn_graph(x, 5, h)))
-        cv2 = uniformity_cv(pr_density(c * x, knn_graph(c * x, 5, c * h)))
+        cv1 = uniformity_cv(pr_density(knn_candidates(x, 5)[1], h, 3))
+        cv2 = uniformity_cv(pr_density(knn_candidates(c * x, 5)[1], c * h, 3))
         assert abs(cv1 - cv2) <= 1e-9
 
     def test_high_dimensional_cv_finite(self):
         # normalization constant cancels, so the cv survives d=784
         rng = np.random.default_rng(12)
         x = rng.uniform(0, 255, (50, 784))
-        from prisomap.graph import knn_candidates, percentile_h
+        from prisomap.graph import percentile_h
 
-        h = percentile_h(knn_candidates(x, 5)[1], 60)
-        cv = uniformity_cv(pr_density(x, knn_graph(x, 5, h)))
+        _, cand_dist = knn_candidates(x, 5)
+        h = percentile_h(cand_dist, 60)
+        cv = uniformity_cv(pr_density(cand_dist, h, x.shape[1]))
         assert np.isfinite(cv) and cv >= 0.0
 
 

@@ -83,7 +83,7 @@ class TestDijkstra:
         neighbors = [np.array([1, 2]), np.array([0, 3]), np.array([0, 3]),
                      np.array([1, 2])]
         wts = [np.ones(2) for _ in range(4)]
-        g = graph_from_rows(neighbors, wts, k=2)
+        g = graph_from_rows(neighbors, wts)
         dist, parent = dijkstra_from(g, 0)
         assert dist[3] == 2.0
         assert parent[3] == 1
@@ -244,7 +244,7 @@ class TestAllPairs:
         g = welded_roll_graph(1500, 60.0)
         kept = components(g).largest
         assert kept.size < g.n
-        sub = NeighborGraph(k=g.k, h=g.h, adjacency=g.adjacency[kept][:, kept])
+        sub = NeighborGraph(h=g.h, adjacency=g.adjacency[kept][:, kept])
         full = all_pairs(g)
         assert all_pairs(sub).tobytes() == full[np.ix_(kept, kept)].tobytes()
 
@@ -287,7 +287,7 @@ class TestAllPairs:
             from prisomap.graph import NeighborGraph
             if __debug__:
                 raise SystemExit(2)  # asserts are live: not an optimized run
-            g = NeighborGraph(k=1, h=1.0, adjacency=csr_matrix(
+            g = NeighborGraph(h=1.0, adjacency=csr_matrix(
                 ([2.0, 2.0], ([0, 1], [1, 0])), shape=(2, 2)))
             try:
                 all_pairs(g)
@@ -317,7 +317,7 @@ class TestAllPairs:
             from prisomap.graph import NeighborGraph
             if __debug__:
                 raise SystemExit(2)  # asserts are live: not an optimized run
-            g = NeighborGraph(k=1, h=1.0, adjacency=csr_matrix(
+            g = NeighborGraph(h=1.0, adjacency=csr_matrix(
                 ([1.0], ([0], [1])), shape=(2, 2)))
             try:
                 all_pairs(g)

@@ -21,7 +21,7 @@ from prisomap.graph import (
 )
 from prisomap.linalg import pairwise_sq_dists
 
-from helpers import adjacency_row, graph_from_rows, upper_edges
+from helpers import adjacency_row, upper_edges
 
 LINE3 = np.array([[0.0], [1.0], [3.0]])
 
@@ -165,8 +165,8 @@ class TestKnnGraph:
     def test_exact_tie_breaks_to_lower_index(self):
         # vertex 0 is equidistant from 1 and 2; k=1 must pick vertex 1
         x = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [9.0, 9.0]])
-        g = knn_graph(x, k=1, h=math.inf)
-        assert np.array_equal(g.candidates[0][:1], [1])
+        cand, _ = knn_candidates(x, 1)
+        assert np.array_equal(cand[0][:1], [1])
 
     # integer grid points give duplicates and exact distance ties at the k-th
     # neighbor; small row blocks put the ties across block boundaries too
@@ -189,13 +189,12 @@ class TestKnnGraph:
         from prisomap import graph as graph_mod
 
         x = np.random.default_rng(8).normal(0, 1, (200, 3))
-        base = knn_graph(x, 6)
-        hs = [float(np.percentile(base.candidate_dists, pct)) for pct in (30, 70, 100)]
+        cand, dists = knn_candidates(x, 6)
+        hs = [float(np.percentile(dists, pct)) for pct in (30, 70, 100)]
         wants = [knn_graph(x, 6, h).adjacency for h in hs]
         monkeypatch.setattr(graph_mod, "_knn_candidates", None)  # a new pass would fail
         for h, want in zip(hs, wants):
-            got = cap_candidates(base.candidates, base.candidate_dists, h,
-                                 base.data_hash).adjacency
+            got = cap_candidates(cand, dists, h).adjacency
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
 
@@ -208,11 +207,11 @@ class TestKnnGraph:
         inside, outside = h, np.nextafter(h, np.inf)
         w01, w10 = (inside, outside) if lower_passes else (outside, inside)
         cand, dists = np.array([[1], [0]]), np.array([[w01], [w10]])
-        g = cap_candidates(cand, dists, h, "")
+        g = cap_candidates(cand, dists, h)
         assert upper_edges(g) == [(0, 1, inside)]
         assert g.adjacency[1, 0] == inside
         # both within the cap: the lower row's length, whichever is smaller
-        g = cap_candidates(cand, dists, math.inf, "")
+        g = cap_candidates(cand, dists, math.inf)
         assert upper_edges(g) == [(0, 1, w01)]
         assert g.adjacency[1, 0] == w01
 
@@ -235,44 +234,40 @@ class TestKnnGraph:
 
 class TestPrDensity:
     def test_hand_computed_line(self):
-        # candidate set of x=0 is {0, 1, 3}; only the point itself is within h/2
-        g = graph_from_rows(
-            [np.array([1]), np.array([0, 2]), np.array([1])],
-            [np.array([1.0]), np.array([1.0, 2.0]), np.array([2.0])],
-            k=3, h=1.5,
-            candidates=[np.array([1, 2]), np.array([0, 2]), np.array([1, 0])],
-            candidate_dists=[np.array([1.0, 3.0]), np.array([1.0, 2.0]),
-                             np.array([2.0, 3.0])],
-        )
-        dens = pr_density(LINE3, g)
+        # candidate set of x=0 is {0, 1, 3}; only the point itself is within
+        # h/2. At k=3 the set counts the point and its first k-1 candidates,
+        # so the k-th column (LINE3 has no third neighbor) is never read.
+        cand_dist = np.array([[1.0, 3.0, np.inf], [1.0, 2.0, np.inf], [2.0, 3.0, np.inf]])
+        dens = pr_density(cand_dist, 1.5, LINE3.shape[1])
         assert dens.values[0] == pytest.approx(1.0 / (3 * 1.5), abs=1e-12)
 
     def test_identical_points(self):
         x = np.zeros((6, 2))
         with pytest.warns(DegenerateDuplicatesWarning):
-            g = knn_graph(x, k=3, h=2.0)
-        dens = pr_density(x, g)
+            _, cand_dist = knn_candidates(x, 3)
+        dens = pr_density(cand_dist, 2.0, x.shape[1])
         np.testing.assert_allclose(dens.values, 1.0 / 2.0**2)
 
     def test_self_floor(self):
         rng = np.random.default_rng(6)
         x = rng.normal(0, 1, (30, 2))
-        h = percentile_h(knn_candidates(x, 4)[1], 50)
-        g = knn_graph(x, k=4, h=h)
-        dens = pr_density(x, g)
-        assert np.all(dens.values >= 1.0 / (g.k * g.h**2) - 1e-15)
+        k = 4
+        _, cand_dist = knn_candidates(x, k)
+        h = percentile_h(cand_dist, 50)
+        dens = pr_density(cand_dist, h, x.shape[1])
+        assert np.all(dens.values >= 1.0 / (k * h**2) - 1e-15)
 
     def test_window_growth_bounds(self):
         rng = np.random.default_rng(7)
         x = rng.normal(0, 1, (40, 3))
-        h = percentile_h(knn_candidates(x, 5)[1], 60)
+        k = 5
+        _, cand_dist = knn_candidates(x, k)
+        h = percentile_h(cand_dist, 60)
         d = x.shape[1]
-        g1 = knn_graph(x, k=5, h=h)
-        g2 = knn_graph(x, k=5, h=2 * h)
-        p1 = pr_density(x, g1).values
-        p2 = pr_density(x, g2).values
-        counts1 = p1 * (g1.k * h**d)
-        counts2 = p2 * (g2.k * (2 * h) ** d)
+        p1 = pr_density(cand_dist, h, d).values
+        p2 = pr_density(cand_dist, 2 * h, d).values
+        counts1 = p1 * (k * h**d)
+        counts2 = p2 * (k * (2 * h) ** d)
         ratio = p2 / p1
         assert np.all(ratio >= 2.0**-d - 1e-12)
         assert np.all(ratio <= (counts2 / counts1) * 2.0**-d + 1e-12)
@@ -280,10 +275,10 @@ class TestPrDensity:
     def test_literal_h2_variant(self):
         rng = np.random.default_rng(8)
         x = rng.normal(0, 1, (25, 4))
-        h = percentile_h(knn_candidates(x, 3)[1], 70)
-        g = knn_graph(x, k=3, h=h)
-        dd = pr_density(x, g)
-        d2 = pr_density(x, g, h_power=2)
+        _, cand_dist = knn_candidates(x, 3)
+        h = percentile_h(cand_dist, 70)
+        dd = pr_density(cand_dist, h, 4)
+        d2 = pr_density(cand_dist, h, 2)
         np.testing.assert_allclose(d2.values, dd.values * h**(4 - 2))
 
     def test_high_dimensional_normalization_overflow(self):
@@ -291,21 +286,16 @@ class TestPrDensity:
         # carry the occupancy structure
         rng = np.random.default_rng(10)
         x = rng.uniform(0, 255, (40, 784))
-        h = percentile_h(knn_candidates(x, 5)[1], 60)
-        g = knn_graph(x, k=5, h=h)
-        dens = pr_density(x, g)
+        _, cand_dist = knn_candidates(x, 5)
+        h = percentile_h(cand_dist, 60)
+        dens = pr_density(cand_dist, h, x.shape[1])
         assert np.all(dens.counts >= 1)
         assert np.all(np.isfinite(dens.counts))
 
     def test_infinite_window_rejected(self):
-        g = knn_graph(LINE3, k=1, h=math.inf)
+        _, cand_dist = knn_candidates(LINE3, 1)
         with pytest.raises(InfiniteWindow):
-            pr_density(LINE3, g)
-
-    def test_wrong_data_rejected(self):
-        g = knn_graph(LINE3, k=1, h=2.0)
-        with pytest.raises(ValueError):
-            pr_density(LINE3 + 1.0, g)
+            pr_density(cand_dist, math.inf, LINE3.shape[1])
 
 
 class TestComponents:
