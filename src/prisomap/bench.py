@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import data_hash
-from .embed import (ERROR_POLICY, Embedding, classical_mds, embed_geodesics, pca,
-                    scaled_embedding)
+from .embed import (ERROR_POLICY, Embedding, _require_p, classical_mds, embed_geodesics,
+                    pca, scaled_embedding)
 from .errors import InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
 from .geodesics import SpectralEntry, cache_lookup, save_spectrum
@@ -156,6 +156,8 @@ def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
     t0 = time.perf_counter()
     cache_entry = "none"
     if spec.method in GRAPH_METHODS:
+        # refused before a k-NN pass, a cap or a cache read
+        _require_p(spec.p, neighbors.data.shape[0], spectrum)
         emb, h, cache_entry = _embed_graph(spec, neighbors, spectrum, cache_dir)
     else:
         h = None

@@ -3,7 +3,8 @@
 A pure-Python per-source Dijkstra (smallest-predecessor tie rule) and a
 cubic Floyd-Warshall relaxation share no code with the csgraph path of
 prisomap.geodesics.all_pairs. traced_peak measures a call's peak Python
-heap with tracemalloc. graph_from_rows builds hand-made graphs,
+heap with tracemalloc, counting the shared Dijkstra buffer as heap.
+graph_from_rows builds hand-made graphs,
 upper_edges lists a graph's edges once each, tile_edge_points makes inputs
 whose sizes sit at the edges of the 256-wide tiles of the in-place n x n
 stages, and welded_roll_graph the benchmark's kind of input.
@@ -11,13 +12,16 @@ stages, and welded_roll_graph the benchmark's kind of input.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import tracemalloc
+import weakref
 from heapq import heappop, heappush
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
 
+from prisomap import geodesics
 from prisomap.datasets import gen_swiss_roll
 from prisomap.errors import TooLarge
 from prisomap.graph import NeighborGraph, knn_candidates, knn_graph, percentile_h
@@ -106,19 +110,43 @@ def floyd_warshall_oracle(graph: NeighborGraph) -> np.ndarray:
     return d
 
 
+# tracemalloc sees no mmap, so traced_peak registers each shared Dijkstra
+# buffer with it as an allocation of this domain for as long as it lives
+_SHARED_DOMAIN = 0x6D6D6170
+_track = ctypes.pythonapi.PyTraceMalloc_Track
+_track.argtypes = (ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)
+_untrack = ctypes.pythonapi.PyTraceMalloc_Untrack
+_untrack.argtypes = (ctypes.c_uint, ctypes.c_size_t)
+_shared_buffer = geodesics._shared_buffer
+
+
+def _traced_shared_buffer(rows: int, n: int) -> np.ndarray:
+    out = _shared_buffer(rows, n)
+    address = out.ctypes.data
+    _track(_SHARED_DOMAIN, address, out.nbytes)
+    owner = out
+    while isinstance(owner, np.ndarray):  # the exporter the mapping lives as long as
+        owner = owner.base
+    weakref.finalize(owner, _untrack, _SHARED_DOMAIN, address)
+    return out
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes that fn(*args) holds above what was live when it was called.
 
     fn runs once untraced first, so lazy imports and caches it fills do not
     count. The result counts while fn holds it, so it is part of the peak.
+    A shared Dijkstra buffer counts from its mapping to its release.
     """
     fn(*args)
     tracemalloc.start()
+    geodesics._shared_buffer = _traced_shared_buffer
     try:
         base = tracemalloc.get_traced_memory()[0]
         fn(*args)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
+        geodesics._shared_buffer = _shared_buffer
         tracemalloc.stop()
 
 

@@ -1121,6 +1121,25 @@ class TestInputErrors:
         with pytest.raises(InputError, match="spectrum must be >= 0"):
             library[method]()
 
+    # a graph method refuses p and spectrum before a candidate pass or a cap
+    @pytest.mark.parametrize("option, message", [
+        (["--p", "2", "--spectrum", "-1"], "error: spectrum must be >= 0, got -1\n"),
+        (["--p", "300"], "error: p must satisfy 1 <= p < n=300, got 300\n"),
+    ], ids=["spectrum", "p"])
+    def test_bad_p_or_spectrum_exits_2_before_any_pass(self, roll_dir, tmp_path, capsys,
+                                                        monkeypatch, option, message):
+        from prisomap import bench, graph
+
+        calls = []
+        monkeypatch.setattr(graph, "_knn_candidates", lambda *a, **kw: calls.append("pass"))
+        monkeypatch.setattr(bench, "cap_candidates", lambda *a, **kw: calls.append("cap"))
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pr-isomap",
+                       "--k", "8", "--h-pct", "60", *option,
+                       "--cache-dir", str(tmp_path / "cache"),
+                       "--out", str(tmp_path / "e.csv")) == 2
+        assert capsys.readouterr().err == message
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["eval", "plot"])
     def test_negative_embedding_index_exits_2(self, roll_dir, tmp_path, capsys, command):
         emb = tmp_path / "e.csv"
@@ -1154,6 +1173,82 @@ class TestInputErrors:
                        "--k", "8", "--cache-dir", str(tmp_path / "cache"),
                        "--out", str(tmp_path / "e.csv")) == 2
         assert "File exists" in capsys.readouterr().err
+
+
+def untimed(path):
+    """An output file without its wall-clock fields: JSON `timings` objects
+    and CSV columns named `*_seconds`."""
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {key: strip(v) for key, v in obj.items() if key != "timings"}
+        return [strip(v) for v in obj] if isinstance(obj, list) else obj
+
+    if path.suffix == ".json":
+        return strip(json.loads(path.read_text()))
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if not name.endswith("_seconds")]
+    return [[row[i] for i in keep] for row in rows]
+
+
+class TestForkedDijkstra:
+    """Dijkstra split over this process and a forked worker writes the files
+    one process writes."""
+
+    @staticmethod
+    def outputs(monkeypatch, workers, argv, out):
+        from prisomap import geodesics
+
+        forks, fork = [], os.fork
+        monkeypatch.setattr(geodesics, "_worker_count", lambda rows, n: workers)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert run_cli(*argv, "--out", str(out)) == 0
+        monkeypatch.setattr(os, "fork", fork)
+        assert (len(forks) > 0) == (workers == 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        files = sorted(out.iterdir()) if out.is_dir() else [out, out.with_suffix(".json")]
+        return {path.name: untimed(path) for path in files}
+
+    @pytest.mark.parametrize("command", [
+        ["embed", "--method", "isomap"],
+        ["embed", "--method", "pr-isomap", "--h-pct", "70", "--policy", "largest-component"],
+        ["bench", "--methods", "pr-isomap,isomap,pca", "--h-pct", "70"],
+    ])
+    def test_embed_and_bench_bytes(self, roll_dir, tmp_path, monkeypatch, command):
+        argv = [*command, "--in", str(roll_dir / "ambient.csv"), "--k", "10", "--p", "2"]
+        if command[0] == "bench":
+            argv += ["--chart", str(roll_dir / "intrinsic.csv")]
+        out = tmp_path / ("bench" if command[0] == "bench" else "e.csv")
+        serial = self.outputs(monkeypatch, 1, argv, out)
+        assert self.outputs(monkeypatch, 2, argv, out) == serial
+
+    @pytest.mark.parametrize("window", [[], ["--h-pct", "30"]])
+    def test_eval_geodesic_bytes(self, roll_dir, tmp_path, monkeypatch, window):
+        emb, data = tmp_path / "emb.csv", str(roll_dir / "ambient.csv")
+        assert run_cli("embed", "--in", data, "--method", "mds", "--p", "2",
+                       "--out", str(emb)) == 0
+        out = tmp_path / "r"
+        out.mkdir()
+        argv = ["eval", "--emb", str(emb), "--data", data, "--ref", "geodesic", "--k", "8",
+                *window, "--m", "5", "--csv", str(out / "r.csv")]
+        serial = self.outputs(monkeypatch, 1, argv, out / "r.json")
+        assert self.outputs(monkeypatch, 2, argv, out / "r.json") == serial
+
+    def test_failing_worker_exits_4(self, roll_dir, tmp_path, monkeypatch, capsys):
+        import scipy.sparse.csgraph
+
+        from prisomap import geodesics
+
+        parent, dijkstra = os.getpid(), scipy.sparse.csgraph.dijkstra
+        monkeypatch.setattr(geodesics, "_worker_count", lambda rows, n: 2)
+        monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra",  # fails in the worker alone
+                            lambda *a, **kw: dijkstra(*a, **kw) if os.getpid() == parent
+                            else 1 / 0)
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "isomap",
+                       "--k", "8", "--out", str(tmp_path / "e.csv")) == 4
+        assert "a Dijkstra worker failed (exit status 1)" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestLibraryDescriptor:

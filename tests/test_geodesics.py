@@ -2,9 +2,11 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prisomap
+from prisomap import geodesics
 from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
 from prisomap.errors import BadMagic, NumericError, TooLarge
 from prisomap.geodesics import UNREACHABLE, SpectralEntry, all_pairs, load_spectrum, save_spectrum
@@ -408,6 +411,141 @@ class TestAllPairs:
         d = floyd_warshall_oracle(g)
         assert d[0, 1] == 2.5
         assert np.isinf(d[0, 2]) and np.isinf(d[1, 2])
+
+
+def forced_workers(monkeypatch, workers):
+    """Run Dijkstra in workers processes (1: in this one), whatever the size
+    and the CPUs."""
+    monkeypatch.setattr(geodesics, "_worker_count", lambda rows, n: workers)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedDijkstra:
+    """Dijkstra split over two processes, this one and a forked worker,
+    gives one process's bytes, and no worker outlives the call."""
+
+    @staticmethod
+    def both_paths(monkeypatch, *args):
+        forced_workers(monkeypatch, 1)
+        serial = all_pairs(*args)
+        forced_workers(monkeypatch, 2)
+        forked = all_pairs(*args)
+        assert_no_child_left()
+        return serial, forked
+
+    # the embed's graphs, whole and as the kept submatrix; a finite window
+    # leaves unreachable pairs
+    @pytest.mark.parametrize("h_pct", [30.0, 60.0, math.inf])
+    def test_forked_bytes_equal_serial_bytes(self, monkeypatch, h_pct):
+        g = welded_roll_graph(900, h_pct)
+        kept = components(g).largest
+        sub = NeighborGraph(h=g.h, adjacency=g.adjacency[kept][:, kept])
+        serial, forked = self.both_paths(monkeypatch, g)
+        assert forked.tobytes() == serial.tobytes()
+        assert np.isinf(serial).any() == (h_pct != math.inf)
+        serial, forked = self.both_paths(monkeypatch, sub)
+        assert forked.tobytes() == serial.tobytes()
+
+    # eval --ref geodesic's rows: sorted, permuted, one vertex, every vertex
+    @pytest.mark.parametrize("h_pct", [30.0, math.inf])
+    def test_forked_block_equals_serial_block(self, monkeypatch, h_pct):
+        g = welded_roll_graph(900, h_pct)
+        rng = np.random.default_rng(4)
+        for indices in (np.sort(rng.choice(g.n, 600, replace=False)),
+                        rng.permutation(g.n), np.array([7]), np.arange(g.n)):
+            serial, forked = self.both_paths(monkeypatch, g, indices)
+            assert forked.tobytes() == serial.tobytes()
+
+    # scipy's Dijkstra, patched before the fork, is the workers' Dijkstra too
+    @pytest.mark.parametrize("at", [(10, 280), (280, 10), (260, 270)])
+    @pytest.mark.parametrize("entry, message", TestAllPairs.FAULTS)
+    def test_post_dijkstra_checks_raise_on_forked_rows(self, monkeypatch, at, entry, message):
+        g, _ = TestAllPairs.graph_seeing(monkeypatch, at, entry)
+        forced_workers(monkeypatch, 2)
+        for indices in (None, np.arange(5, 295)):
+            with pytest.raises(NumericError, match=message):
+                all_pairs(g, indices)
+        assert_no_child_left()
+
+    def test_rounding_asymmetry_resolves_to_the_minimum_on_forked_rows(self, monkeypatch):
+        g, raw = TestAllPairs.graph_seeing(monkeypatch, (280, 10),
+                                           lambda raw, at: np.nextafter(raw[at[::-1]],
+                                                                        math.inf))
+        forced_workers(monkeypatch, 2)
+        geo = all_pairs(g)
+        assert geo[280, 10] == geo[10, 280] == raw[10, 280]
+
+    @staticmethod
+    def patch_worker_dijkstra(monkeypatch, in_worker, in_parent=None):
+        """scipy's Dijkstra, patched before the fork: in_worker() in a
+        forked worker, in_parent() (or the real one) in this process."""
+        import scipy.sparse.csgraph
+
+        parent, real = os.getpid(), scipy.sparse.csgraph.dijkstra
+
+        def dijkstra(*args, **kwargs):
+            if os.getpid() != parent:
+                return in_worker()
+            return in_parent() if in_parent else real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", dijkstra)
+        forced_workers(monkeypatch, 2)
+
+    @pytest.mark.parametrize("fault, how", [
+        (lambda: 1 / 0, r"exit status 1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), r"killed by signal 9"),
+    ])
+    def test_failing_worker_is_a_numeric_error(self, monkeypatch, fault, how):
+        self.patch_worker_dijkstra(monkeypatch, fault)
+        with pytest.raises(NumericError, match=rf"a Dijkstra worker failed \({how}\)"):
+            all_pairs(welded_roll_graph(300, math.inf))
+        assert_no_child_left()
+
+    # an interrupt in the parent's own block kills and reaps the worker,
+    # which would otherwise run on for a minute
+    def test_interrupted_parent_kills_its_workers(self, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.patch_worker_dijkstra(monkeypatch, lambda: time.sleep(60), interrupt)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            all_pairs(welded_roll_graph(300, math.inf))
+        assert time.perf_counter() - t0 < 30
+        assert_no_child_left()
+
+    # the count as arithmetic: no process starts
+    def test_worker_count_is_capped_by_the_mask_and_the_chunks(self, monkeypatch):
+        count, chunk, work = (geodesics._worker_count, geodesics._CHUNK,
+                              geodesics._PARALLEL_WORK)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert count(1500, 1500) == math.ceil(1500 / chunk) == 12
+        assert count(64 * chunk + 1, 4000) == 64
+        assert count(chunk, work) == 1 and count(chunk + 1, work) == 2
+        assert count(1, 10**7) == 1
+        assert count(work // 1000 - 1, 1000) == 1  # below the crossover
+        assert count(work // 1000, 1000) == math.ceil(work // 1000 / chunk)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert count(4000, 4000) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.delattr(os, "fork")
+        assert count(4000, 4000) == 1
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert count(4000, 4000) == 1
+
+    # beyond the shared n x n buffer, which traced_peak counts, the parent
+    # holds one chunk of its own block's rows (128 n floats) and then the
+    # tiles' temporaries; the workers' chunks are not in it
+    def test_parent_holds_little_beyond_the_shared_buffer(self, monkeypatch):
+        n = 1500
+        forced_workers(monkeypatch, 2)
+        peak = traced_peak(all_pairs, welded_roll_graph(n, math.inf))
+        assert 8 * n * n <= peak <= 1.1 * 8 * n * n
 
 
 class TestDenseSamplingConsistency:
