@@ -188,7 +188,8 @@ def cmd_embed(args) -> int:
     run = run_method(spec, neighbors, spectrum=args.spectrum, cache_dir=args.cache_dir)
 
     params = {"input": str(args.input), "method": spec.method, "p": args.p,
-              "out": str(args.out), "policy": args.policy, "label_column": args.label_column}
+              "out": str(args.out), "policy": args.policy, "label_column": args.label_column,
+              "spectrum": args.spectrum}
     if spec.method in GRAPH_METHODS:
         params.update({"k": args.k, "h": run.h, "h_pct": args.h_pct})
     out = Path(args.out)

@@ -53,9 +53,9 @@ def _scored_pairs(d_hd, d_ld) -> np.ndarray:
 
 
 def _stress(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    denom = float(np.sum(a**2))
-    num = float(np.sum(diff**2))
+    squares = np.subtract(a, b)
+    num = float(np.sum(np.square(squares, out=squares)))
+    denom = float(np.sum(np.square(a, out=squares)))
     if denom == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return float(np.sqrt(num / denom))
@@ -88,18 +88,17 @@ def residual_variance(d_hd, d_ld) -> float:
     return _residual_variance(_scored_pairs(d_hd, d_ld))
 
 
-def _ranks(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _ranks(rows: np.ndarray, ordered: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """1-based (value, index) rank of rows[r, j] in row r, for each pair in the mask.
 
-    Rows are finite but for a +inf diagonal, which no pair may name. The
-    entries below each value are counted in the sorted row by a vectorized
-    binary search; equal entries of lower index are counted only where the
-    sorted row shows a tie.
+    ordered is rows sorted along each row. Rows are finite but for a +inf
+    diagonal, which no pair may name. The entries below each value are
+    counted in the sorted row by a vectorized binary search; equal entries
+    of lower index are counted only where the sorted row shows a tie.
     """
     # np.nonzero's indices in its order, from a 1-D scan, which is several times faster
     r, j = np.divmod(np.flatnonzero(pairs), pairs.shape[1])
     values = rows[r, j]
-    ordered = np.sort(rows, axis=1)
     n = rows.shape[1]
     below = np.zeros(values.size, dtype=np.int64)
     step = 1 << (n.bit_length() - 1)
@@ -124,9 +123,9 @@ def trustworthiness_continuity(d_hd, d_ld, m: int) -> tuple[float, float]:
     neighbors; continuity penalizes true neighbors lost by the embedding.
     Ranks order each row by (distance, index), self excluded, so ties break
     by point index. The matrices are walked in blocks of rows: each block
-    takes both first-m sets by partition and ranks only the scored pairs (in
-    one set but not the other) against its sorted rows, so no n x n rank
-    matrix is built. Penalties are summed as integers; the scores are exact.
+    sorts its rows of both matrices once, takes both first-m sets at the m-th
+    sorted values and ranks only the pairs in one set but not the other in
+    the sorted rows. Penalties are summed as integers; the scores are exact.
     Requires 1 <= m < n/2 and finite distance matrices.
     """
     a = as_matrix(d_hd, "d_hd")
@@ -148,10 +147,12 @@ def trustworthiness_continuity(d_hd, d_ld, m: int) -> tuple[float, float]:
         ld = b[start:stop].copy()
         hd[local, local + start] = np.inf
         ld[local, local + start] = np.inf
-        near_hd = first_m(hd, m)
-        near_ld = first_m(ld, m)
-        t_penalty += int(np.sum(_ranks(hd, near_ld & ~near_hd) - m))
-        c_penalty += int(np.sum(_ranks(ld, near_hd & ~near_ld) - m))
+        sorted_hd = np.sort(hd, axis=1)
+        sorted_ld = np.sort(ld, axis=1)
+        near_hd = first_m(hd, m, sorted_hd[:, m - 1, None])
+        near_ld = first_m(ld, m, sorted_ld[:, m - 1, None])
+        t_penalty += int(np.sum(_ranks(hd, sorted_hd, near_ld & ~near_hd) - m))
+        c_penalty += int(np.sum(_ranks(ld, sorted_ld, near_hd & ~near_ld) - m))
     scale = 2.0 / (n * m * (2.0 * n - 3.0 * m - 1.0))
     return 1.0 - scale * t_penalty, 1.0 - scale * c_penalty
 
@@ -180,14 +181,15 @@ def make_stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _knn_predict(train_x, train_y, test_x, k_clf: int) -> np.ndarray:
-    classes, compact = np.unique(train_y, return_inverse=True)
+def _knn_predict(train_x, train_codes, test_x, k_clf: int, n_classes: int) -> np.ndarray:
+    """The class code each test row's k nearest training rows vote for. A
+    class absent from the training rows gets no vote, so it never wins."""
     near = first_m(pairwise_dists(test_x, train_x), min(k_clf, train_x.shape[0]))
     rows, cols = np.divmod(np.flatnonzero(near), near.shape[1])  # as in _ranks
-    votes = np.bincount(rows * classes.size + compact[cols],
-                        minlength=test_x.shape[0] * classes.size)
+    votes = np.bincount(rows * n_classes + train_codes[cols],
+                        minlength=test_x.shape[0] * n_classes)
     # vote ties: argmax takes the first, i.e. the smallest label
-    return classes[np.argmax(votes.reshape(-1, classes.size), axis=1)]
+    return np.argmax(votes.reshape(-1, n_classes), axis=1)
 
 
 @dataclass(frozen=True)
@@ -216,12 +218,13 @@ def knn_classify_cv(coords, labels, k_clf: int = 5, folds: int = 10, seed: int =
     else:
         assignment = np.asarray(assignment, dtype=np.int64)
         folds = int(assignment.max()) + 1
+    classes, codes = np.unique(y, return_inverse=True)
     accs = np.empty(folds, dtype=np.float64)
     for f in range(folds):
         test = assignment == f
         train = ~test
-        preds = _knn_predict(x[train], y[train], x[test], k_clf)
-        accs[f] = float(np.mean(preds == y[test]))
+        preds = _knn_predict(x[train], codes[train], x[test], k_clf, classes.size)
+        accs[f] = float(np.mean(preds == codes[test]))
     return CvResult(
         mean=float(np.mean(accs)),
         sd=float(np.std(accs)),

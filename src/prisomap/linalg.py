@@ -86,43 +86,52 @@ def _average_with_transpose(a: np.ndarray) -> None:
         a[cols, rows] = mean.T
 
 
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Squared Euclidean distances between rows of `a` and rows of `b`.
-
-    With b=None the result is exactly symmetric with a zero diagonal. The
-    Gram matrix a @ b.T is the only full-size buffer: each block of its rows
-    is overwritten by aa + bb - 2 * gram.
-    """
+def _distances(a, b, root: bool) -> np.ndarray:
+    """The one pairwise kernel: one sweep of the Gram matrix a @ b.T, the only
+    full-size buffer, turns each _TILE-row block in cache into aa + bb - 2 *
+    gram, clamped at 0, with a zero self-mode diagonal and, with root, its
+    square root. Self mode needs no symmetric average: numpy forms a @ a.T
+    by syrk and mirrors its triangle, so every entry is exactly symmetric."""
     a = as_matrix(a, "a")
     self_mode = b is None
     b = a if self_mode else as_matrix(b, "b")
     aa = np.einsum("ij,ij->i", a, a)
     bb = aa if self_mode else np.einsum("ij,ij->i", b, b)
     d = a @ b.T
+    sums = np.empty((min(_TILE, d.shape[0]), d.shape[1]))
     for start in range(0, d.shape[0], _TILE):
-        rows = slice(start, start + _TILE)
-        block = aa[rows, None] + bb[None, :]
-        block -= 2.0 * d[rows]
+        block = d[start:start + _TILE]
+        row_sums = np.add(aa[start:start + _TILE, None], bb, out=sums[:block.shape[0]])
+        block *= -2.0
+        block += row_sums
         np.maximum(block, 0.0, out=block)
-        d[rows] = block
-    if self_mode:
-        _average_with_transpose(d)
-        np.fill_diagonal(d, 0.0)
+        if self_mode:
+            local = np.arange(block.shape[0])
+            block[local, local + start] = 0.0
+        if root:
+            np.sqrt(block, out=block)
     return d
+
+
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between rows of `a` and rows of `b`; with
+    b=None exactly symmetric with a zero diagonal."""
+    return _distances(a, b, root=False)
 
 
 def pairwise_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Euclidean distances between rows; symmetric with zero diagonal for b=None."""
-    d = pairwise_sq_dists(a, b)
-    return np.sqrt(d, out=d)
+    return _distances(a, b, root=True)
 
 
-def first_m(rows: np.ndarray, m: int) -> np.ndarray:
+def first_m(rows: np.ndarray, m: int, kth: np.ndarray | None = None) -> np.ndarray:
     """Mask of each row's first m entries in (value, index) order, for the
-    k-NN candidates, T/C and the k-NN vote. np.partition finds the m-th
-    smallest value; when more entries equal it than fit, the ones of lowest
+    k-NN candidates, T/C and the k-NN vote. kth is each row's m-th smallest
+    value as a column, found by np.partition unless the caller has it from
+    sorted rows; when more entries equal it than fit, the ones of lowest
     index are taken, as a stable sort would."""
-    kth = np.partition(rows, m - 1, axis=1)[:, m - 1, None]
+    if kth is None:
+        kth = np.partition(rows, m - 1, axis=1)[:, m - 1, None]
     chosen = rows <= kth
     extra = chosen.sum(axis=1) - m
     over = np.flatnonzero(extra)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from prisomap.bench import MethodSpec, isomap, pr_isomap, run_bench
+from prisomap import geodesics
 from prisomap.cli import main as cli_main
 from prisomap.datasets import gen_swiss_roll, load_idx, swiss_roll_unrolled
 from prisomap.embed import classical_mds, pca
@@ -221,7 +222,10 @@ def test_criterion_6_mnist_downstream_pattern():
                   f"{elapsed:.0f}s (< 600s)")
 
 
-def test_criterion_7_complexity_scaling():
+def test_criterion_7_complexity_scaling(monkeypatch):
+    # one process at every n: the fit then measures the Dijkstra work alone,
+    # not a fork and a worker's exit from the crossover on
+    monkeypatch.setattr(geodesics, "_worker_count", lambda rows, n: 1)
     times = {}
     for n in (500, 1000, 2000):
         sample = gen_swiss_roll(n, seed=1)

@@ -479,6 +479,33 @@ class TestEmbed:
         assert len(desc["spectrum"]) == 8
         assert desc["elbow_p"] >= 1
 
+    def test_rerun_from_recorded_params_gives_the_same_descriptor(self, roll_dir, tmp_path):
+        first = tmp_path / "first.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pr-isomap",
+                       "--k", "8", "--h", "4.5", "--p", "2", "--spectrum", "8",
+                       "--policy", "largest-component", "--out", str(first)) == 0
+        desc = json.loads(first.with_suffix(".json").read_text())
+        params = desc["run_config"]["params"]
+        assert params["spectrum"] == 8
+        # the settings as a config file, the other flags on the command line
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value for key, value in params.items()
+                                   if key in SETTINGS and value is not None}))
+        again = tmp_path / "again.csv"
+        assert run_cli("embed", "--in", params["input"], "--method", params["method"],
+                       "--config", str(cfg), "--out", str(again)) == 0
+        replayed = json.loads(again.with_suffix(".json").read_text())
+        replayed["run_config"]["params"]["out"] = params["out"]
+        assert replayed == desc
+        assert again.read_bytes() == first.read_bytes()
+
+        plain = tmp_path / "plain.csv"
+        assert run_cli("embed", "--in", params["input"], "--method", params["method"],
+                       "--config", str(cfg), "--spectrum", "0", "--out", str(plain)) == 0
+        plain_params = json.loads(plain.with_suffix(".json").read_text())["run_config"]["params"]
+        assert plain_params["spectrum"] == 0
+        assert {key for key in params if params[key] != plain_params[key]} == {"out", "spectrum"}
+
     def test_numeric_errors_exit_4(self, monkeypatch, roll_dir, tmp_path):
         from prisomap import bench
         from prisomap.errors import ConvergenceFailure

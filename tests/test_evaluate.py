@@ -299,6 +299,20 @@ class TestBlockedExactness:
         assert np.array_equal(res.fold_accuracies, want)
         assert res.fold_accuracies[0] == 0.0  # both fold-0 points were voted label 2
 
+    @pytest.mark.parametrize("k_clf", [1, 2, 4, 7])
+    def test_knn_class_absent_from_a_training_fold_gets_no_vote(self, k_clf):
+        # every member of label -4, the smallest, sits in fold 0, so fold 0's
+        # training rows lack it; integer grid points tie votes and distances
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 4, (60, 2)).astype(float)
+        y = rng.permutation(np.arange(60) % 3) * 5
+        y[:6] = -4
+        assignment = np.arange(60) % 3
+        assignment[:6] = 0
+        res = knn_classify_cv(x, y, k_clf=k_clf, assignment=assignment)
+        want = reference_fold_accuracies(x, y, assignment, k_clf)
+        assert np.array_equal(res.fold_accuracies, want)
+
     def test_knn_rejects_nonpositive_k(self):
         x, y = TestKnnClassifyCv.blobs(n_per=10)
         with pytest.raises(ValueError):

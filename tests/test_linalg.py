@@ -130,6 +130,16 @@ class TestInPlaceStages:
         assert pairwise_sq_dists(a, b).tobytes() == full_matrix_sq_dists(a, b).tobytes()
         assert pairwise_dists(a, b).tobytes() == np.sqrt(full_matrix_sq_dists(a, b)).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 64])
+    def test_self_mode_distances_are_exactly_symmetric(self, n, p):
+        # self mode takes no symmetric average: it relies on numpy forming
+        # a @ a.T by syrk, whose mirrored triangle is exactly symmetric
+        x = np.random.default_rng(n * 100 + p).normal(0, 3, (n, p))
+        for d in (pairwise_sq_dists(x), pairwise_dists(x)):
+            assert np.array_equal(d, d.T)
+            assert not np.diagonal(d).any()
+
     def test_in_place_centering_reuses_the_buffer(self):
         d = pairwise_sq_dists(np.random.default_rng(9).normal(0, 1, (300, 3)))
         assert double_center_in_place(d) is d
