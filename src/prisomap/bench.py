@@ -216,6 +216,7 @@ def run_bench(
     specs: list[MethodSpec],
     reference=None,
     labels=None,
+    reference_points=None,
     baseline: str | None = None,
     m: int = 10,
     k_clf: int = 5,
@@ -225,10 +226,11 @@ def run_bench(
 ) -> BenchResult:
     """Run every method on `data` and score them on a shared basis.
 
-    reference is an n x n ground-truth distance matrix (defaults to ambient
-    Euclidean distances), of which only the block on the common vertices is
-    scored and kept. Metrics are computed on the intersection of kept
-    vertices so capped and uncapped methods see identical score pairs.
+    reference is an n x n ground-truth distance matrix. Without one, the
+    Euclidean distances of reference_points (n rows; the data by default)
+    are built once the last method has run; only the block on the common
+    vertices is scored and kept. Metrics are computed on the intersection
+    of kept vertices so capped and uncapped methods see identical score pairs.
     Graph methods look their eigenpairs up in cache_dir. baseline,
     when given, must name one of the methods (InputError otherwise); when
     not, it is isomap if present, else the first method.
@@ -236,10 +238,13 @@ def run_bench(
     neighbors = Neighbors(data)
     x = neighbors.data
     n, d = x.shape
-    ref = pairwise_dists(x) if reference is None else as_matrix(reference, "reference")
+    ref = None if reference is None else as_matrix(reference, "reference")
     del reference  # so that ref holds it alone, freed once ref_common is cut out
-    if ref.shape != (n, n):
+    if ref is not None and ref.shape != (n, n):
         raise ValueError(f"reference must be {n}x{n}, got {ref.shape}")
+    points = x if reference_points is None else as_matrix(reference_points, "reference_points")
+    if points.shape[0] != n:
+        raise ValueError(f"reference_points must have {n} rows, got {points.shape[0]}")
     if not specs:
         raise ValueError("need at least one method")
     names = [s.method for s in specs]
@@ -263,6 +268,9 @@ def run_bench(
     assignment = None
     if y is not None:
         assignment = make_stratified_folds(y[common], folds, seed)
+    if ref is None:
+        ref = pairwise_dists(points)
+    # a slice, not pairwise_dists(points[common]), whose last bits may differ
     ref_common = ref[np.ix_(common, common)]
     del ref
 

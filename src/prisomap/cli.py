@@ -191,7 +191,8 @@ def cmd_embed(args) -> int:
               "out": str(args.out), "policy": args.policy, "label_column": args.label_column,
               "spectrum": args.spectrum}
     if spec.method in GRAPH_METHODS:
-        params.update({"k": args.k, "h": run.h, "h_pct": args.h_pct})
+        h = run.h if args.h_pct is None else None  # the window as given, so params replay
+        params.update({"k": args.k, "h": h, "h_pct": args.h_pct})
     out = Path(args.out)
     save_embedding_csv(run.embedding, out)
     save_embedding_json(run.embedding, out.with_suffix(".json"),
@@ -207,7 +208,8 @@ def cmd_embed(args) -> int:
 # -- eval -------------------------------------------------------------------------
 
 
-def _chart_reference(chart_path, chart_kind, indices):
+def _chart_points(chart_path, chart_kind, indices):
+    """The chart coordinates of the rows in indices, unrolled for a swiss roll."""
     ds = load_csv(chart_path)
     coords = ds.data
     if indices.max() >= ds.n:
@@ -217,7 +219,7 @@ def _chart_reference(chart_path, chart_kind, indices):
         chart_kind = "swiss-roll" if ds.names == ["t", "u"] else "euclidean"
     if chart_kind == "swiss-roll":
         coords = swiss_roll_unrolled(coords)
-    return pairwise_dists(coords[indices])
+    return coords[indices]
 
 
 def _load_labels(args, indices):
@@ -238,7 +240,7 @@ def cmd_eval(args) -> int:
     if reference_kind == "chart" or args.chart:
         if not args.chart:
             raise InputError("--ref chart requires --chart FILE")
-        ref = _chart_reference(args.chart, args.chart_kind, indices)
+        ref = pairwise_dists(_chart_points(args.chart, args.chart_kind, indices))
         reference_kind = "chart"
     else:
         if args.data is None:
@@ -290,7 +292,7 @@ def cmd_bench(args) -> int:
         ds.data, specs, baseline=args.baseline, m=args.m, k_clf=args.k_clf, folds=args.folds,
         seed=args.seed, cache_dir=args.cache_dir,
         labels=_load_labels(args, rows) if args.labels else ds.labels,
-        reference=_chart_reference(args.chart, args.chart_kind, rows) if args.chart else None,
+        reference_points=_chart_points(args.chart, args.chart_kind, rows) if args.chart else None,
     )
 
     out = Path(args.out)

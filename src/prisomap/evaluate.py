@@ -23,13 +23,27 @@ EVAL_SCHEMA = "evalreport/1"
 _BLOCK_ROWS = 128  # rows per block in trustworthiness_continuity
 
 
-def _upper_rows(*matrices: np.ndarray) -> np.ndarray:
-    """The i<j entries of each n x n matrix, row-major, as the rows of one
-    C-contiguous array, joined row slice by row slice with no n x n mask."""
-    n = matrices[0].shape[0]
-    out = np.empty((len(matrices), n * (n - 1) // 2))
-    for row, values in zip(out if n else (), matrices):  # n=0 has no slice to join
-        np.concatenate([values[i, i + 1:] for i in range(n)], out=row)
+def _upper_rows(ref: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """The i<j entries of ref and of own, row-major, as the rows of one
+    C-contiguous (2, P) array written over own's buffer. own's rows move to
+    the second half first, last rows first, in blocks whose source and
+    destination do not meet (one row alone where they do)."""
+    n = own.shape[0]
+    half = n * (n - 1) // 2
+    flat = own.reshape(-1)
+    starts = np.cumsum(np.arange(n, 0, -1)) + (half - n)  # row i's place in flat
+    stop = n - 1  # rows from stop on are in place; the last has no entry
+    while stop > 0:
+        first = min(int(np.searchsorted(starts, stop * n)), stop - 1)
+        dest = flat[starts[first]:starts[stop]]
+        if first == stop - 1:
+            dest[...] = own[first, first + 1:]  # they overlap: assignment copies safely
+        else:
+            np.concatenate([own[i, i + 1:] for i in range(first, stop)], out=dest)
+        stop = first
+    out = flat[:2 * half].reshape(2, half)
+    if n:  # n=0 has no slice to join
+        np.concatenate([ref[i, i + 1:] for i in range(n)], out=out[0])
     return out
 
 
@@ -49,7 +63,7 @@ def _scored_pairs(d_hd, d_ld) -> np.ndarray:
     b = as_matrix(d_ld, "d_ld")
     if a.shape != b.shape:
         raise ValueError("distance matrices must have matching shapes")
-    return _finite_columns(_upper_rows(a, b))[0]
+    return _finite_columns(_upper_rows(a, b.copy()))[0]
 
 
 def _stress(a: np.ndarray, b: np.ndarray) -> float:
@@ -318,9 +332,8 @@ def evaluate_embedding(
     else:
         t, c = float("nan"), float("nan")
 
-    pairs = _upper_rows(ref, emb_d)
+    pairs, sentinels = _finite_columns(_upper_rows(ref, emb_d))
     del emb_d
-    pairs, sentinels = _finite_columns(pairs)
     report = EvalReport(
         stress=_stress(*pairs),
         residual_variance=_residual_variance(pairs),  # after stress: it centers pairs

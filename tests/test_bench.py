@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from prisomap import bench
 from prisomap.bench import MethodSpec, Neighbors, resolve_h, run_bench
 from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
 from prisomap.errors import InputError
+from prisomap.evaluate import evaluate_embedding
 from prisomap.linalg import pairwise_dists
 
 from helpers import traced_peak
@@ -18,6 +21,12 @@ def labeled_roll(n=300, seed=0, **kwargs):
     labels = (sample.intrinsic[:, 1] > 10.5).astype(np.int64)
     chart = pairwise_dists(swiss_roll_unrolled(sample.intrinsic))
     return sample, labels, chart
+
+
+def table_without_timing(result):
+    """bench.csv's rows but for the wall clock, each value as its repr."""
+    return [{key: repr(value) for key, value in row.items() if key != "embed_seconds"}
+            for row in result.table_rows()]
 
 
 class TestMethodSpec:
@@ -146,6 +155,86 @@ class TestRunBench:
         # layer (3.84 n^2 while the reference lived on and np.corrcoef copied
         # the pairs)
         assert traced_peak(bench) <= 3.2 * 8 * n * n
+
+    def test_memory_peak_with_the_reference_built_after_the_runs(self, monkeypatch):
+        n = 800
+        sample = gen_swiss_roll(n, density_exponent=3.0, seed=0, short_circuit_pairs=0.01)
+        labels = np.arange(n) % 4
+        specs = [MethodSpec(method="pr-isomap", p=2, k=12, h_percentile=60.0),
+                 MethodSpec(method="isomap", p=2, k=12), MethodSpec(method="pca", p=2)]
+        chart = swiss_roll_unrolled(sample.intrinsic)
+
+        live_at_run = []
+        run_method = bench.run_method
+
+        def recording(*args, **kwargs):
+            if tracemalloc.is_tracing():
+                live_at_run.append(tracemalloc.get_traced_memory()[0])
+            return run_method(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_method", recording)
+
+        def op():  # as the CLI calls it: the chart's points, no n x n reference
+            return run_bench(sample.ambient, specs, labels=labels, reference_points=chart)
+
+        # no reference lives through a method's run (it held 1.0 n^2 there),
+        # so the op peaks in the metric layer: the common block plus a
+        # report's own 1.56 m^2, 2.37 n^2 here, where 0.96 n of the vertices
+        # are common (2.43 n^2 with the reference built before the runs)
+        assert traced_peak(op) <= 2.5 * 8 * n * n
+        assert len(live_at_run) == 3 and max(live_at_run) < 0.25 * 8 * n * n
+
+    def test_reference_points_give_the_reference_matrix_bytes(self):
+        sample, labels, _ = labeled_roll(n=260, seed=8, density_exponent=3.0)
+        chart = swiss_roll_unrolled(sample.intrinsic)
+        specs = [MethodSpec(method="pr-isomap", p=2, k=8, h_percentile=70.0),
+                 MethodSpec(method="isomap", p=2, k=8)]
+        results = [run_bench(sample.ambient, specs, labels=labels, folds=4, **given)
+                   for given in ({"reference": pairwise_dists(chart)},
+                                 {"reference_points": chart})]
+        assert results[0].common_vertices.size < 260
+        # the common block is sliced from the full matrix in both, so bits agree
+        assert table_without_timing(results[0]) == table_without_timing(results[1])
+
+    def test_methods_scored_together_equal_each_scored_alone(self):
+        sample, labels, _ = labeled_roll(n=300, seed=9, density_exponent=3.0)
+        chart = swiss_roll_unrolled(sample.intrinsic)
+        specs = [MethodSpec(method="pr-isomap", p=2, k=8, h_percentile=70.0),
+                 MethodSpec(method="isomap", p=2, k=8), MethodSpec(method="pca", p=2)]
+        res = run_bench(sample.ambient, specs, labels=labels, folds=4, seed=3,
+                        reference_points=chart)
+        common = res.common_vertices
+        for name, report in res.reports.items():
+            # a fresh common block for each method alone, against the one
+            # ref_common that the three reports were scored on in turn
+            emb = res.embeddings[name]
+            alone = evaluate_embedding(
+                pairwise_dists(chart)[np.ix_(common, common)],
+                emb.coordinates[np.searchsorted(emb.kept_indices, common)],
+                labels=labels[common], folds=4, seed=3)
+            for metric in ("stress", "residual_variance", "trustworthiness", "continuity",
+                           "knn_accuracy_mean", "knn_accuracy_sd",
+                           "sentinel_excluded_pairs"):
+                assert repr(getattr(report, metric)) == repr(getattr(alone, metric))
+
+    def test_a_wrong_reference_fails_before_any_method(self, monkeypatch):
+        sample, _, _ = labeled_roll(n=60, seed=5)
+        calls = {"count": 0}
+        run_method = bench.run_method
+
+        def counting(*args, **kwargs):
+            calls["count"] += 1
+            return run_method(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_method", counting)
+        specs = [MethodSpec(method="pca", p=2)]
+        with pytest.raises(ValueError, match="reference must be 60x60"):
+            run_bench(sample.ambient, specs, reference=np.zeros((59, 60)))
+        with pytest.raises(ValueError, match="reference_points must have 60 rows"):
+            run_bench(sample.ambient, specs, reference_points=np.zeros((59, 2)))
+        assert calls["count"] == 0
+        run_bench(sample.ambient, specs, reference_points=sample.intrinsic)
+        assert calls["count"] == 1
 
     def test_validation(self):
         sample, _, _ = labeled_roll(n=60, seed=5)

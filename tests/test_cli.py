@@ -479,14 +479,22 @@ class TestEmbed:
         assert len(desc["spectrum"]) == 8
         assert desc["elbow_p"] >= 1
 
-    def test_rerun_from_recorded_params_gives_the_same_descriptor(self, roll_dir, tmp_path):
+    # params record the window as given: an --h-pct run's h is null, and the
+    # resolved h is in the descriptor's method block
+    @pytest.mark.parametrize("window, recorded", [(("--h", "4.5"), (4.5, None)),
+                                                  (("--h-pct", "80"), (None, 80.0))],
+                             ids=["h", "h-pct"])
+    def test_rerun_from_recorded_params_gives_the_same_descriptor(self, roll_dir, tmp_path,
+                                                                  window, recorded):
         first = tmp_path / "first.csv"
         assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pr-isomap",
-                       "--k", "8", "--h", "4.5", "--p", "2", "--spectrum", "8",
+                       "--k", "8", *window, "--p", "2", "--spectrum", "8",
                        "--policy", "largest-component", "--out", str(first)) == 0
         desc = json.loads(first.with_suffix(".json").read_text())
         params = desc["run_config"]["params"]
         assert params["spectrum"] == 8
+        assert (params["h"], params["h_pct"]) == recorded
+        assert isinstance(desc["method"]["h"], float)
         # the settings as a config file, the other flags on the command line
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value for key, value in params.items()
@@ -705,6 +713,33 @@ class TestBench:
         assert capsys.readouterr().err == "error: pr-isomap needs h or h_percentile\n"
         assert runs["pca"] == 0
         assert not out.exists()
+
+    # the chart is read and checked before any method runs; the n x n
+    # reference is built from it only after the last
+    @pytest.mark.parametrize("chart", ["missing", "short"])
+    def test_chart_mistake_fails_before_any_method(self, roll_dir, tmp_path, monkeypatch,
+                                                   capsys, chart):
+        from prisomap import bench
+
+        calls = {"count": 0}
+        run_method = bench.run_method
+
+        def counting(*args, **kwargs):
+            calls["count"] += 1
+            return run_method(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_method", counting)
+        path = tmp_path / "chart.csv"
+        if chart == "short":
+            rows = (roll_dir / "intrinsic.csv").read_text().splitlines()[:300]
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "b"
+        assert run_cli("bench", "--in", str(roll_dir / "ambient.csv"),
+                       "--methods", "pca,isomap", "--k", "8", "--chart", str(path),
+                       "--out", str(out)) == 2
+        assert calls["count"] == 0
+        assert not out.exists()
+        assert str(path) in capsys.readouterr().err
 
     def test_single_method_no_deltas(self, roll_dir, tmp_path):
         out = tmp_path / "bench1"

@@ -9,6 +9,10 @@ from prisomap.datasets import gen_swiss_roll
 from prisomap.embed import classical_mds
 from prisomap.errors import ClassTooSmall, NoFinitePairs, ZeroMeanDensity
 from prisomap.evaluate import (
+    _finite_columns,
+    _residual_variance,
+    _stress,
+    _upper_rows,
     evaluate_embedding,
     knn_classify_cv,
     make_stratified_folds,
@@ -350,6 +354,70 @@ class TestBlockedExactness:
         assert report.stress == stress(ref, emb_d)
         assert report.residual_variance == residual_variance(ref, emb_d)
         assert report.sentinel_excluded_pairs == 2
+
+
+def upper_rows_oracle(*matrices):
+    """The i<j entries of each matrix, row-major, as the rows of one new
+    array: the gather before it was written over the embedding's distances."""
+    n = matrices[0].shape[0]
+    out = np.empty((len(matrices), n * (n - 1) // 2))
+    for row, values in zip(out if n else (), matrices):
+        np.concatenate([values[i, i + 1:] for i in range(n)], out=row)
+    return out
+
+
+def oracle_scores(ref, coords):
+    """(sentinels, stress, residual variance) from the oracle's gather."""
+    pairs, sentinels = _finite_columns(upper_rows_oracle(ref, pairwise_dists(coords)))
+    return sentinels, _stress(*pairs), _residual_variance(pairs)
+
+
+class TestPairsInTheEmbeddingBuffer:
+    # rows 1, 2 and 3 cover the one-row moves at the end; 257 and 1433 need
+    # several blocks, the last the size of a bench op's common block
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 257, 1433])
+    def test_equals_the_gather_into_a_new_array(self, m):
+        rng = np.random.default_rng(m)
+        # not symmetric, so a pair taken from the wrong triangle or row shows
+        ref, own = rng.random((m, m)), rng.random((m, m))
+        want = upper_rows_oracle(ref, own)
+        buffer = own.copy()
+        got = _upper_rows(ref, buffer)
+        assert got.flags.c_contiguous and got.shape == (2, m * (m - 1) // 2)
+        assert m == 1 or np.shares_memory(got, buffer)  # m=1 has no pair
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m, share", [(40, 0.0), (40, 0.3), (257, 0.05), (600, 0.5)])
+    def test_scores_equal_the_oracle_with_sentinels(self, m, share):
+        rng = np.random.default_rng(31 + m)
+        ref = pairwise_dists(rng.normal(0, 1, (m, 3)))
+        coords = rng.normal(0, 1, (m, 2))
+        upper = np.triu(rng.random((m, m)) < share, k=1)
+        ref[upper | upper.T] = np.inf
+        report = evaluate_embedding(ref, coords, m=5)
+        sentinels, want_stress, want_rv = oracle_scores(ref, coords)
+        assert report.sentinel_excluded_pairs == sentinels == int(upper.sum())
+        assert repr(report.stress) == repr(want_stress)
+        assert repr(report.residual_variance) == repr(want_rv)
+
+    def test_inputs_are_left_unchanged(self):
+        rng = np.random.default_rng(37)
+        ref = pairwise_dists(rng.normal(0, 1, (300, 3)))
+        ref[3, 7] = ref[7, 3] = np.inf
+        coords = rng.normal(0, 1, (300, 2))
+        for reference in (ref, np.where(np.isfinite(ref), ref, 1e3)):
+            before = reference.tobytes(), coords.tobytes()
+            evaluate_embedding(reference, coords, m=5, labels=np.arange(300) % 3, folds=3)
+            assert (reference.tobytes(), coords.tobytes()) == before
+
+    def test_report_memory_within_one_and_six_tenths_m_squared(self):
+        m = 1200
+        rng = np.random.default_rng(17)
+        ref = pairwise_dists(rng.normal(0, 1, (m, 3)))
+        coords = rng.normal(0, 1, (m, 2))
+        # the embedding's distances, then the pairs in their buffer and the
+        # P-long stress temporary; T/C's row blocks set the peak (1.56 m^2)
+        assert traced_peak(evaluate_embedding, ref, coords) <= 1.6 * 8 * m * m
 
 
 class TestKnnClassifyCv:
