@@ -214,9 +214,9 @@ def _restrict_to(emb: Embedding, vertices: np.ndarray) -> np.ndarray:
 def run_bench(
     data,
     specs: list[MethodSpec],
-    reference=None,
-    labels=None,
+    *,
     reference_points=None,
+    labels=None,
     baseline: str | None = None,
     m: int = 10,
     k_clf: int = 5,
@@ -226,9 +226,9 @@ def run_bench(
 ) -> BenchResult:
     """Run every method on `data` and score them on a shared basis.
 
-    reference is an n x n ground-truth distance matrix. Without one, the
-    Euclidean distances of reference_points (n rows; the data by default)
-    are built once the last method has run; only the block on the common
+    The ground truth is the Euclidean distances of reference_points (n rows;
+    the data by default), built once the last method has run, so no n x n
+    reference lives through a method's run; only the block on the common
     vertices is scored and kept. Metrics are computed on the intersection
     of kept vertices so capped and uncapped methods see identical score pairs.
     Graph methods look their eigenpairs up in cache_dir. baseline,
@@ -238,10 +238,6 @@ def run_bench(
     neighbors = Neighbors(data)
     x = neighbors.data
     n, d = x.shape
-    ref = None if reference is None else as_matrix(reference, "reference")
-    del reference  # so that ref holds it alone, freed once ref_common is cut out
-    if ref is not None and ref.shape != (n, n):
-        raise ValueError(f"reference must be {n}x{n}, got {ref.shape}")
     points = x if reference_points is None else as_matrix(reference_points, "reference_points")
     if points.shape[0] != n:
         raise ValueError(f"reference_points must have {n} rows, got {points.shape[0]}")
@@ -268,11 +264,8 @@ def run_bench(
     assignment = None
     if y is not None:
         assignment = make_stratified_folds(y[common], folds, seed)
-    if ref is None:
-        ref = pairwise_dists(points)
-    # a slice, not pairwise_dists(points[common]), whose last bits may differ
-    ref_common = ref[np.ix_(common, common)]
-    del ref
+    # a slice of the full matrix, not pairwise_dists(points[common]), whose last bits may differ
+    ref_common = pairwise_dists(points)[np.ix_(common, common)]
 
     reports: dict[str, EvalReport] = {}
     for spec in specs:

@@ -128,12 +128,12 @@ def test_criterion_5_non_uniformity_benefit():
     for seed in range(10):
         sample = gen_swiss_roll(1500, noise_sd=0.0, density_exponent=3.0,
                                 seed=seed, short_circuit_pairs=0.01)
-        chart = pairwise_dists(swiss_roll_unrolled(sample.intrinsic))
+        chart = swiss_roll_unrolled(sample.intrinsic)
         specs = [
             MethodSpec(method="pr-isomap", p=2, k=12, h_percentile=60.0),
             MethodSpec(method="isomap", p=2, k=12),
         ]
-        res = run_bench(sample.ambient, specs, reference=chart,
+        res = run_bench(sample.ambient, specs, reference_points=chart,
                         baseline="isomap", m=10, seed=seed)
         pr = res.reports["pr-isomap"]
         iso = res.reports["isomap"]

@@ -19,7 +19,7 @@ def labeled_roll(n=300, seed=0, **kwargs):
     sample = gen_swiss_roll(n, seed=seed, **kwargs)
     # two classes split by height, a structure every method can recover
     labels = (sample.intrinsic[:, 1] > 10.5).astype(np.int64)
-    chart = pairwise_dists(swiss_roll_unrolled(sample.intrinsic))
+    chart = swiss_roll_unrolled(sample.intrinsic)  # points whose distances are the truth
     return sample, labels, chart
 
 
@@ -78,7 +78,7 @@ class TestRunBench:
             MethodSpec(method="isomap", p=2, k=8),
             MethodSpec(method="pca", p=2),
         ]
-        res = run_bench(sample.ambient, specs, reference=chart, labels=labels,
+        res = run_bench(sample.ambient, specs, reference_points=chart, labels=labels,
                         baseline="isomap", folds=4, seed=0)
         assert set(res.reports) == {"isomap", "pca"}
         assert res.baseline == "isomap"
@@ -93,14 +93,14 @@ class TestRunBench:
     def test_single_method_no_deltas(self):
         sample, _, chart = labeled_roll(n=200, seed=2)
         res = run_bench(sample.ambient, [MethodSpec(method="pca", p=2)],
-                        reference=chart)
+                        reference_points=chart)
         assert res.paired_deltas == {}
 
     def test_baseline_must_name_a_method(self):
         sample, _, chart = labeled_roll(n=200, seed=2)
         specs = [MethodSpec(method="pca", p=2), MethodSpec(method="mds", p=2)]
         with pytest.raises(InputError, match="baseline"):
-            run_bench(sample.ambient, specs, reference=chart, baseline="isomap")
+            run_bench(sample.ambient, specs, reference_points=chart, baseline="isomap")
 
     def test_shared_folds_across_methods(self):
         sample, labels, _ = labeled_roll(n=200, seed=3)
@@ -117,7 +117,7 @@ class TestRunBench:
             MethodSpec(method="pr-isomap", p=2, k=8, h_percentile=70.0),
             MethodSpec(method="isomap", p=2, k=8),
         ]
-        res = run_bench(sample.ambient, specs, reference=chart, labels=labels,
+        res = run_bench(sample.ambient, specs, reference_points=chart, labels=labels,
                         baseline="isomap", folds=4)
         pr_kept = res.embeddings["pr-isomap"].kept_indices
         np.testing.assert_array_equal(res.common_vertices, pr_kept)
@@ -129,12 +129,12 @@ class TestRunBench:
         # single-seed version of the paired acceptance comparison
         sample = gen_swiss_roll(800, density_exponent=3.0, seed=0,
                                 short_circuit_pairs=0.01)
-        chart = pairwise_dists(swiss_roll_unrolled(sample.intrinsic))
+        chart = swiss_roll_unrolled(sample.intrinsic)
         specs = [
             MethodSpec(method="pr-isomap", p=2, k=12, h_percentile=70.0),
             MethodSpec(method="isomap", p=2, k=12),
         ]
-        res = run_bench(sample.ambient, specs, reference=chart, baseline="isomap")
+        res = run_bench(sample.ambient, specs, reference_points=chart, baseline="isomap")
         assert res.reports["pr-isomap"].stress < res.reports["isomap"].stress
         assert (res.reports["pr-isomap"].trustworthiness
                 > res.reports["isomap"].trustworthiness)
@@ -146,14 +146,12 @@ class TestRunBench:
         specs = [MethodSpec(method="pr-isomap", p=2, k=12, h_percentile=60.0),
                  MethodSpec(method="isomap", p=2, k=12), MethodSpec(method="pca", p=2)]
 
-        def bench():  # as the CLI calls it: no caller holds the n x n reference
-            return run_bench(sample.ambient, specs, labels=labels,
-                             reference=pairwise_dists(swiss_roll_unrolled(sample.intrinsic)))
+        def bench():  # bench without --chart: the ambient distances are the reference
+            return run_bench(sample.ambient, specs, labels=labels)
 
-        # run_bench frees the reference once it has sliced the common block, so
-        # the op peaks in a graph method's run (2.70 n^2), not in the metric
-        # layer (3.84 n^2 while the reference lived on and np.corrcoef copied
-        # the pairs)
+        # run_bench builds the reference after the runs and frees it once it
+        # has sliced the common block, so the op peaks in the metric layer
+        # (2.37 n^2)
         assert traced_peak(bench) <= 3.2 * 8 * n * n
 
     def test_memory_peak_with_the_reference_built_after_the_runs(self, monkeypatch):
@@ -184,21 +182,8 @@ class TestRunBench:
         assert traced_peak(op) <= 2.5 * 8 * n * n
         assert len(live_at_run) == 3 and max(live_at_run) < 0.25 * 8 * n * n
 
-    def test_reference_points_give_the_reference_matrix_bytes(self):
-        sample, labels, _ = labeled_roll(n=260, seed=8, density_exponent=3.0)
-        chart = swiss_roll_unrolled(sample.intrinsic)
-        specs = [MethodSpec(method="pr-isomap", p=2, k=8, h_percentile=70.0),
-                 MethodSpec(method="isomap", p=2, k=8)]
-        results = [run_bench(sample.ambient, specs, labels=labels, folds=4, **given)
-                   for given in ({"reference": pairwise_dists(chart)},
-                                 {"reference_points": chart})]
-        assert results[0].common_vertices.size < 260
-        # the common block is sliced from the full matrix in both, so bits agree
-        assert table_without_timing(results[0]) == table_without_timing(results[1])
-
     def test_methods_scored_together_equal_each_scored_alone(self):
-        sample, labels, _ = labeled_roll(n=300, seed=9, density_exponent=3.0)
-        chart = swiss_roll_unrolled(sample.intrinsic)
+        sample, labels, chart = labeled_roll(n=300, seed=9, density_exponent=3.0)
         specs = [MethodSpec(method="pr-isomap", p=2, k=8, h_percentile=70.0),
                  MethodSpec(method="isomap", p=2, k=8), MethodSpec(method="pca", p=2)]
         res = run_bench(sample.ambient, specs, labels=labels, folds=4, seed=3,
@@ -228,8 +213,6 @@ class TestRunBench:
 
         monkeypatch.setattr(bench, "run_method", counting)
         specs = [MethodSpec(method="pca", p=2)]
-        with pytest.raises(ValueError, match="reference must be 60x60"):
-            run_bench(sample.ambient, specs, reference=np.zeros((59, 60)))
         with pytest.raises(ValueError, match="reference_points must have 60 rows"):
             run_bench(sample.ambient, specs, reference_points=np.zeros((59, 2)))
         assert calls["count"] == 0
@@ -242,7 +225,9 @@ class TestRunBench:
             run_bench(sample.ambient, [])
         with pytest.raises(ValueError):
             run_bench(sample.ambient, [MethodSpec(method="pca", p=2)],
-                      reference=np.zeros((3, 3)))
+                      reference_points=np.zeros((3, 2)))
+        with pytest.raises(TypeError):  # all but the data and the methods are keywords
+            run_bench(sample.ambient, [MethodSpec(method="pca", p=2)], sample.intrinsic)
         with pytest.raises(ValueError):
             run_bench(sample.ambient,
                       [MethodSpec(method="pca", p=2), MethodSpec(method="pca", p=3)])
