@@ -109,18 +109,17 @@ def resolve_h(spec: MethodSpec, neighbors: Neighbors) -> float | None:
 
 @dataclass
 class MethodRun:
-    """One method's embedding; cache_entry names the cache entry that served
-    it ("spectrum" or "none")."""
+    """One method's embedding, whose method["h"] is a graph method's resolved
+    h; cache_entry names the cache entry that served it ("spectrum" or "none")."""
 
     embedding: Embedding
-    h: float | None
     seconds: float
     cache_entry: str = "none"
 
 
 def _embed_graph(spec: MethodSpec, neighbors: Neighbors, spectrum: int,
-                 cache_dir) -> tuple[Embedding, float, str]:
-    """A graph method's embedding, its h and the cache entry that served it.
+                 cache_dir) -> tuple[Embedding, str]:
+    """A graph method's embedding and the cache entry that served it.
 
     The spectral entry holds the kernel's top max(p, spectrum) eigenpairs,
     keyed by the window as given and by that exact count, since the
@@ -137,13 +136,13 @@ def _embed_graph(spec: MethodSpec, neighbors: Neighbors, spectrum: int,
     if entry is not None:
         emb = scaled_embedding(entry.eigenpairs, spec.p, desc, entry.kept_indices,
                                entry.n_input, spectrum)
-        return emb, h, "spectrum"
+        return emb, "spectrum"
     emb = embed_geodesics(neighbors.graph(spec.k, h), spec.p, desc, spec.component_policy,
                           spectrum=spectrum)
     if path is not None:
         save_spectrum(SpectralEntry(emb.kept_indices, emb.n_input, emb.eigenpairs,
                                     fingerprint, h), path)
-    return emb, h, "none"
+    return emb, "none"
 
 
 def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
@@ -158,12 +157,11 @@ def run_method(spec: MethodSpec, neighbors: Neighbors, spectrum: int = 0,
     if spec.method in GRAPH_METHODS:
         # refused before a k-NN pass, a cap or a cache read
         _require_p(spec.p, neighbors.data.shape[0], spectrum)
-        emb, h, cache_entry = _embed_graph(spec, neighbors, spectrum, cache_dir)
+        emb, cache_entry = _embed_graph(spec, neighbors, spectrum, cache_dir)
     else:
-        h = None
         flat = classical_mds if spec.method == "mds" else pca
         emb = flat(neighbors.data, spec.p, spectrum=spectrum)
-    return MethodRun(emb, h, time.perf_counter() - t0, cache_entry)
+    return MethodRun(emb, time.perf_counter() - t0, cache_entry)
 
 
 def pr_isomap(data, k: int, h: float, p: int, component_policy: str = ERROR_POLICY,
@@ -195,10 +193,8 @@ class BenchResult:
     def table_rows(self) -> list[dict]:
         rows = []
         for name, report in self.reports.items():
-            row = {"method": name}
-            for metric in report.CSV_FIELDS:
-                row[metric] = getattr(report, metric)
-            row["embed_seconds"] = report.timings.get("embed_seconds")
+            row = {"method": name, **report.row(),
+                   "embed_seconds": report.timings.get("embed_seconds")}
             if name in self.paired_deltas:
                 for metric, delta in self.paired_deltas[name].items():
                     row[f"delta_{metric}"] = delta
@@ -275,7 +271,7 @@ def run_bench(
         coords = _restrict_to(emb, common)
         run_info = dict(emb.method)
         if spec.method == "pr-isomap":
-            run_info["h_resolved"] = run.h
+            run_info["h_resolved"] = emb.method["h"]
         report = evaluate_embedding(
             ref_common,
             coords,
@@ -289,9 +285,9 @@ def run_bench(
             timings={"embed_seconds": run.seconds},
         )
         report.kept_fraction = emb.kept_indices.size / n
-        if spec.method == "pr-isomap" and math.isfinite(run.h):
+        if spec.method == "pr-isomap" and math.isfinite(emb.method["h"]):
             cand_dist = neighbors.candidates(spec.k)[1]
-            report.density_cv = uniformity_cv(pr_density(cand_dist, run.h, d))
+            report.density_cv = uniformity_cv(pr_density(cand_dist, emb.method["h"], d))
         reports[name] = report
 
     paired: dict[str, dict] = {}

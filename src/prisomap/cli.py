@@ -27,11 +27,11 @@ import numpy as np
 
 from . import __version__
 from .bench import GRAPH_METHODS, METHODS, MethodSpec, Neighbors, resolve_h, run_bench, run_method
-from .datasets import (csv_cell, gen_swiss_roll, json_safe, load_csv, save_csv,
+from .datasets import (gen_swiss_roll, json_safe, load_csv, save_csv, save_table,
                        swiss_roll_unrolled, write_json)
-from .embed import load_embedding_csv, save_embedding_csv, save_embedding_json
+from .embed import embedding_descriptor, load_embedding_csv, save_embedding_csv
 from .errors import GraphError, InputError, NumericError
-from .evaluate import evaluate_embedding, save_eval_csv
+from .evaluate import evaluate_embedding
 from .geodesics import all_pairs
 from .linalg import as_finite_matrix, pairwise_dists
 from .plotting import scatter_svg
@@ -144,11 +144,6 @@ def _add_label_flags(sub) -> None:
     sub.add_argument("--label-column", default=None, help="column holding the labels")
 
 
-def _add_chart_flags(sub) -> None:
-    sub.add_argument("--chart", default=None, help="ground-truth chart CSV")
-    sub.add_argument("--chart-kind", default="auto", choices=["auto", "swiss-roll", "euclidean"])
-
-
 def _run_config(command: str, params: dict) -> dict:
     return {
         "command": command,
@@ -191,14 +186,14 @@ def cmd_embed(args) -> int:
               "out": str(args.out), "policy": args.policy, "label_column": args.label_column,
               "spectrum": args.spectrum}
     if spec.method in GRAPH_METHODS:
-        h = run.h if args.h_pct is None else None  # the window as given, so params replay
+        # the window as given, so params replay
+        h = run.embedding.method["h"] if args.h_pct is None else None
         params.update({"k": args.k, "h": h, "h_pct": args.h_pct})
     out = Path(args.out)
     save_embedding_csv(run.embedding, out)
-    save_embedding_json(run.embedding, out.with_suffix(".json"),
-                        extra={"run_config": _run_config("embed", params),
-                               "data_hash": neighbors.data_hash,
-                               "dropped_rows": ds.dropped_rows})
+    extra = {"run_config": _run_config("embed", params), "data_hash": neighbors.data_hash,
+             "dropped_rows": ds.dropped_rows}
+    write_json(embedding_descriptor(run.embedding, extra), out.with_suffix(".json"))
     print(f"timing total_seconds={run.seconds:.3f} "
           f"cache_hit={str(run.cache_entry != 'none').lower()} cache_entry={run.cache_entry}",
           file=sys.stderr)
@@ -208,18 +203,14 @@ def cmd_embed(args) -> int:
 # -- eval -------------------------------------------------------------------------
 
 
-def _chart_points(chart_path, chart_kind, indices):
-    """The chart coordinates of the rows in indices, unrolled for a swiss roll."""
+def _chart_points(chart_path, indices):
+    """The chart coordinates of the rows in indices, unrolled for a swiss
+    roll's (t, u) chart."""
     ds = load_csv(chart_path)
-    coords = ds.data
     if indices.max() >= ds.n:
         raise InputError(f"{chart_path}: chart has {ds.n} rows, fewer than the "
                          f"{indices.max() + 1} the input needs")
-    if chart_kind == "auto":
-        chart_kind = "swiss-roll" if ds.names == ["t", "u"] else "euclidean"
-    if chart_kind == "swiss-roll":
-        coords = swiss_roll_unrolled(coords)
-    return coords[indices]
+    return (swiss_roll_unrolled(ds.data) if ds.names == ["t", "u"] else ds.data)[indices]
 
 
 def _load_labels(args, indices):
@@ -240,7 +231,7 @@ def cmd_eval(args) -> int:
     if reference_kind == "chart" or args.chart:
         if not args.chart:
             raise InputError("--ref chart requires --chart FILE")
-        ref = pairwise_dists(_chart_points(args.chart, args.chart_kind, indices))
+        ref = pairwise_dists(_chart_points(args.chart, indices))
         reference_kind = "chart"
     else:
         if args.data is None:
@@ -271,7 +262,7 @@ def cmd_eval(args) -> int:
     report.timings["metrics_seconds"] = round(time.perf_counter() - t0, 6)
     report.to_json(args.out)
     if args.csv:
-        save_eval_csv(report, args.csv)
+        save_table(args.csv, [report.row()])
     return 0
 
 
@@ -292,17 +283,12 @@ def cmd_bench(args) -> int:
         ds.data, specs, baseline=args.baseline, m=args.m, k_clf=args.k_clf, folds=args.folds,
         seed=args.seed, cache_dir=args.cache_dir,
         labels=_load_labels(args, rows) if args.labels else ds.labels,
-        reference_points=_chart_points(args.chart, args.chart_kind, rows) if args.chart else None,
+        reference_points=_chart_points(args.chart, rows) if args.chart else None,
     )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = result.table_rows()
-    fields = list(dict.fromkeys(key for row in rows for key in row))
-    with (out / "bench.csv").open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(csv_cell(row.get(key)) for key in fields) + "\n")
+    save_table(out / "bench.csv", result.table_rows())
 
     params = {"input": str(args.input), "methods": methods, "baseline": result.baseline,
               "k": args.k, "h": args.h, "h_pct": args.h_pct, "p": args.p, "m": args.m,
@@ -370,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", default=None, help="original data CSV")
     ev.add_argument("--ref", dest="reference", default="euclidean",
                     choices=["euclidean", "geodesic", "chart"])
-    _add_chart_flags(ev)
+    ev.add_argument("--chart", default=None, help="ground-truth chart CSV")
     _add_graph_flags(ev)
     _add_label_flags(ev)
     _add_settings(ev, *SCORING, "seed")
@@ -383,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--baseline", default=None,
                        help="method the paired deltas are taken against")
     _add_label_flags(bench)
-    _add_chart_flags(bench)
+    bench.add_argument("--chart", default=None, help="ground-truth chart CSV")
     _add_graph_flags(bench)
     _add_settings(bench, "p", *SCORING, "policy", "seed", "cache_dir")
 

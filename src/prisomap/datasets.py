@@ -64,10 +64,6 @@ class ManifoldSample:
     intrinsic: np.ndarray
     density_profile: dict = field(default_factory=dict)
 
-    @property
-    def n(self) -> int:
-        return self.ambient.shape[0]
-
 
 def data_hash(data: np.ndarray) -> str:
     """Stable identity of a float64 matrix: shape plus content bytes."""
@@ -90,18 +86,6 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def write_rows(fh, row_format: str, table: np.ndarray) -> None:
-    """Write every row of a 2-D table through one %-template, one formatting
-    call per block of _WRITE_ROWS rows, which bounds the text held at once.
-
-    A %.17g field gives csv_cell's text of its float and a %d field that of
-    an integer, whose float64 form is exact below 2**53.
-    """
-    for start in range(0, table.shape[0], _WRITE_ROWS):
-        block = table[start:start + _WRITE_ROWS]
-        fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
-
-
 def json_safe(value):
     """Replace non-finite floats with strings so descriptors stay valid JSON."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -112,10 +96,6 @@ def json_safe(value):
         return [json_safe(v) for v in value]
     if isinstance(value, np.ndarray):
         return json_safe(value.tolist())
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return json_safe(float(value))
     return value
 
 
@@ -134,7 +114,8 @@ def write_json(payload, path=None) -> str:
 def load_csv(path, label_column: str | int | None = None) -> LabeledDataset:
     """Load a numeric CSV with header; rows containing NaN are dropped.
 
-    label_column (by name or positional index) is parsed as integer labels;
+    label_column (by name or positional index) is parsed as integer labels,
+    each an integral number in the int64 range ("1e3" is 1000);
     all remaining columns are features. Raises ParseError with the offending
     row/column, EmptyDataset if nothing survives NaN filtering.
 
@@ -189,12 +170,12 @@ def load_csv(path, label_column: str | int | None = None) -> LabeledDataset:
                     label = float(record[label_idx].strip())
                 except ValueError:
                     label = math.nan
-                if not -_INT64_BOUND <= label < _INT64_BOUND:
-                    raise ParseError(
-                        f"{path}: label {record[label_idx]!r} is not a number in the int64 range",
-                        row=rownum,
-                        column=label_idx,
-                    )
+                problem = ("is not a number in the int64 range"
+                           if not -_INT64_BOUND <= label < _INT64_BOUND else
+                           None if label.is_integer() else "is not an integer")
+                if problem:
+                    raise ParseError(f"{path}: label {record[label_idx]!r} {problem}",
+                                     row=rownum, column=label_idx)
                 labels.append(int(label))
             rows.append(values)
 
@@ -206,7 +187,9 @@ def load_csv(path, label_column: str | int | None = None) -> LabeledDataset:
 
 
 def save_csv(path, data, names: list[str] | None = None) -> None:
-    """Write a numeric table with 17-significant-digit (round-trip exact) cells."""
+    """Write a numeric table with 17-significant-digit (round-trip exact) cells,
+    csv_cell's text of each float, through one %-template call per block of
+    _WRITE_ROWS rows, which bounds the text held at once."""
     a = as_matrix(data, "data")
     if names is None:
         names = [f"f{i}" for i in range(a.shape[1])]
@@ -216,7 +199,20 @@ def save_csv(path, data, names: list[str] | None = None) -> None:
     quoting = csv.QUOTE_ALL if any("\r" in str(name) for name in names) else csv.QUOTE_MINIMAL
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n", quoting=quoting).writerow(names)
-        write_rows(fh, ",".join(["%.17g"] * a.shape[1]) + "\n", a)
+        row_format = ",".join(["%.17g"] * a.shape[1]) + "\n"
+        for start in range(0, a.shape[0], _WRITE_ROWS):
+            block = a[start:start + _WRITE_ROWS]
+            fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def save_table(path, rows: list[dict]) -> None:
+    """Write dicts as CSV rows: a header of every key in first-seen order,
+    then each row's cells by csv_cell, empty where a row lacks the key."""
+    fields = list(dict.fromkeys(key for row in rows for key in row))
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(fields) + "\n")
+        for row in rows:
+            fh.write(",".join(csv_cell(row.get(key)) for key in fields) + "\n")
 
 
 # -- IDX ----------------------------------------------------------------------

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import geodesics
-from .datasets import json_safe, write_json, write_rows
+from .datasets import json_safe, save_csv
 from .errors import DisconnectedGraph, GraphTooFragmented, InputError, RankDeficientWarning
 from .graph import NeighborGraph, components
-from .linalg import (EigenResult, as_matrix, double_center_in_place, pairwise_sq_dists,
-                     symmetric_eig)
+from .linalg import (EigenResult, as_finite_matrix, as_matrix, double_center_in_place,
+                     pairwise_sq_dists, symmetric_eig)
 
 ERROR_POLICY = "error"
 LARGEST_COMPONENT_POLICY = "largest_component"
@@ -234,20 +234,16 @@ def embedding_descriptor(emb: Embedding, extra: dict | None = None) -> dict:
 
 
 def save_embedding_csv(emb: Embedding, path) -> None:
-    """One row per kept vertex: original index then the p coordinates."""
-    table = np.column_stack((emb.kept_indices, emb.coordinates))
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write("index," + ",".join(f"c{j}" for j in range(emb.p)) + "\n")
-        write_rows(fh, "%d" + ",%.17g" * emb.p + "\n", table)
-
-
-def save_embedding_json(emb: Embedding, path, extra: dict | None = None) -> None:
-    write_json(embedding_descriptor(emb, extra), path)
+    """One row per kept vertex: original index then the p coordinates. An
+    index below 2**53 is exact in float64, and its %.17g text is its %d text."""
+    save_csv(path, np.column_stack((emb.kept_indices, emb.coordinates)),
+             ["index"] + [f"c{j}" for j in range(emb.p)])
 
 
 def load_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read (kept_indices, coordinates) from a CSV written by save_embedding_csv:
-    an int64 index >= 0 then one float per header column after it on every row."""
+    an int64 index >= 0 then one finite float per header column after it on
+    every row; InputError names a coordinate that is not finite."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         text = fh.read()
@@ -264,4 +260,5 @@ def load_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: {exc}") from exc
     if table["index"].min() < 0:
         raise ValueError(f"{path}: negative index {table['index'].min()}")
-    return np.ascontiguousarray(table["index"]), np.ascontiguousarray(table["coords"])
+    return (np.ascontiguousarray(table["index"]),
+            as_finite_matrix(table["coords"], f"{path}: coordinates"))

@@ -10,11 +10,10 @@ comparisons can share folds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .datasets import csv_cell, json_safe, write_json
+from .datasets import json_safe, write_json
 from .errors import ClassTooSmall, NoFinitePairs, ZeroMeanDensity
 from .graph import DensityEstimate
 from .linalg import as_matrix, first_m, pairwise_dists
@@ -291,19 +290,16 @@ class EvalReport:
         "density_cv", "sentinel_excluded_pairs", "kept_fraction",
     )
 
+    def row(self) -> dict:
+        """The CSV_FIELDS by name: the cells of the eval and bench tables."""
+        return {name: getattr(self, name) for name in self.CSV_FIELDS}
+
     def to_dict(self) -> dict:
-        out = {"schema": EVAL_SCHEMA}
-        for name in self.CSV_FIELDS:
-            out[name] = getattr(self, name)
-        out["timings"] = self.timings
-        out["run"] = self.run
-        return json_safe(out)
+        return json_safe({"schema": EVAL_SCHEMA, **self.row(), "timings": self.timings,
+                          "run": self.run})
 
     def to_json(self, path=None) -> str:
         return write_json(self.to_dict(), path)
-
-    def to_csv_line(self) -> str:
-        return ",".join(csv_cell(getattr(self, name)) for name in self.CSV_FIELDS)
 
 
 def evaluate_embedding(
@@ -353,8 +349,3 @@ def evaluate_embedding(
         report.knn_accuracy_sd = cv.sd
         report.knn_folds = int(cv.fold_accuracies.size)
     return report
-
-
-def save_eval_csv(report: EvalReport, path) -> None:
-    Path(path).write_text(f"{','.join(report.CSV_FIELDS)}\n{report.to_csv_line()}\n",
-                          encoding="utf-8", newline="")

@@ -185,9 +185,6 @@ def components(graph: NeighborGraph) -> ComponentSummary:
 
     count, labels = connected_components(graph.adjacency, directed=False)
     labels = labels.astype(np.int64)
-    if count == 0:
-        return ComponentSummary(count=0, sizes=[], largest=np.array([], dtype=np.int64),
-                                labels=labels)
     sizes = np.bincount(labels, minlength=count)
     order = np.argsort(-sizes, kind="stable")
     return ComponentSummary(

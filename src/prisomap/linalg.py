@@ -10,6 +10,7 @@ returns plain float64 numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -25,7 +26,6 @@ _ITERATIVE_ROWS_PER_PAIR = 100
 _ARPACK_TOL = 1e-10
 
 _EIG_RESIDUAL_TOL = 1e-8
-_SYMMETRY_RTOL = 1e-9
 
 _TILE = 256  # rows per block, and side of the tiles where a matrix meets its transpose
 
@@ -38,35 +38,25 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def as_finite_matrix(data) -> np.ndarray:
+def as_finite_matrix(data, name: str = "data") -> np.ndarray:
     """as_matrix, with an InputError naming the first cell that is not finite."""
-    a = as_matrix(data, "data")
+    a = as_matrix(data, name)
     if not np.isfinite(a).all():
         row, col = np.argwhere(~np.isfinite(a))[0]
-        raise InputError(f"data row {row}, column {col} (from 0) is {a[row, col]}")
+        raise InputError(f"{name} row {row}, column {col} (from 0) is {a[row, col]}")
     return a
 
 
-def require_square_symmetric(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, bool]:
-    """Validate shape and symmetry (relative to the Frobenius norm).
-
-    Returns the float64 matrix and whether it is exactly symmetric; only
-    inexact input pays for the tolerance check's float64 temporaries.
-    """
+def require_square_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """The float64 matrix, which must be square and exactly symmetric: every
+    kernel the program builds is, so no tolerance is needed."""
     a = as_matrix(a, name)
-    n, m = a.shape
-    if n != m:
+    if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got {a.shape}")
-    if np.array_equal(a, a.T):
-        return a, True
-    scale = float(np.linalg.norm(a[np.isfinite(a)])) if a.size else 0.0
-    asym = float(np.max(np.abs(a - a.T))) if n else 0.0
-    if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
-        raise NonSymmetricInput(
-            f"{name} is not symmetric: max|A - A^T| = {asym:.3e} exceeds "
-            f"{_SYMMETRY_RTOL:.0e} * ||A||_F = {_SYMMETRY_RTOL * scale:.3e}"
-        )
-    return a, False
+    if not np.array_equal(a, a.T):
+        asym = float(np.max(np.abs(a - a.T)))
+        raise NonSymmetricInput(f"{name} is not symmetric: max|A - A^T| = {asym:.3e}")
+    return a
 
 
 def _mirrored_tiles(n: int):
@@ -155,7 +145,7 @@ def double_center_in_place(d_sq: np.ndarray) -> np.ndarray:
     d = as_matrix(d_sq, "d_sq")
     if not np.all(np.isfinite(d)):
         raise SentinelPresent("squared-distance matrix contains unreachable entries")
-    d, _ = require_square_symmetric(d, "d_sq")
+    d = require_square_symmetric(d, "d_sq")
     row_mean = d.mean(axis=1, keepdims=True)
     col_mean = d.mean(axis=0, keepdims=True)
     grand = float(d.mean())
@@ -195,15 +185,11 @@ def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
 def _stable_descending_order(eigenvalues: np.ndarray, vectors: np.ndarray) -> list[int]:
     """Indices sorting eigenvalues descending; exact ties ordered by the
     lexicographically smaller eigenvector."""
-    order = list(np.argsort(-eigenvalues, kind="stable"))
-    i = 0
-    while i < len(order):
-        j = i + 1
-        while j < len(order) and eigenvalues[order[j]] == eigenvalues[order[i]]:
-            j += 1
-        if j - i > 1:
-            order[i:j] = sorted(order[i:j], key=lambda c: tuple(vectors[:, c]))
-        i = j
+    order = []
+    for _, tied in groupby(np.argsort(-eigenvalues, kind="stable"), key=eigenvalues.__getitem__):
+        tied = list(tied)
+        # a key holds a whole column, so only a group of ties builds keys
+        order += sorted(tied, key=lambda c: tuple(vectors[:, c])) if len(tied) > 1 else tied
     return order
 
 
@@ -234,7 +220,7 @@ def _arpack_eig(a_sym: np.ndarray, top: int) -> tuple[np.ndarray | None, np.ndar
 
 
 def symmetric_eig(a, top: int) -> EigenResult:
-    """Top eigenpairs of a symmetric matrix, descending, deterministic.
+    """Top eigenpairs of an exactly symmetric matrix, descending, deterministic.
 
     ARPACK extracts the top pairs from a fixed start vector when top < n and
     either n > DENSE_EIG_LIMIT or top is at most n / _ITERATIVE_ROWS_PER_PAIR.
@@ -246,12 +232,10 @@ def symmetric_eig(a, top: int) -> EigenResult:
     repeated runs give identical bytes. Sign convention: the
     largest-magnitude entry of every eigenvector is positive.
     """
-    a, exact = require_square_symmetric(a, "a")
-    n = a.shape[0]
+    a_sym = require_square_symmetric(a, "a")
+    n = a_sym.shape[0]
     if not 1 <= top <= n:
         raise ValueError(f"top must be in [1, {n}], got {top}")
-    # every centered kernel is exactly symmetric and needs no copy
-    a_sym = a if exact else 0.5 * (a + a.T)
 
     w = None
     if top < n and (n > DENSE_EIG_LIMIT or _ITERATIVE_ROWS_PER_PAIR * top <= n):

@@ -543,6 +543,53 @@ class TestEval:
         assert 0 <= payload["trustworthiness"] <= 1
         assert (tmp_path / "r.csv").exists()
 
+    # the chart is unrolled by its t,u header alone: there is no kind to pick
+    def test_chart_kind_is_not_an_option(self, roll_dir, tmp_path, capsys):
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
+                       "--method", "pca", "--p", "2", "--out", str(emb)) == 0
+        assert run_cli("eval", "--emb", str(emb), "--ref", "chart",
+                       "--chart", str(roll_dir / "intrinsic.csv"), "--chart-kind", "auto",
+                       "--out", str(tmp_path / "r.json")) == 2
+        assert "--chart-kind" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    # eval would score against changed classes if a label were truncated
+    @pytest.mark.parametrize("label", ["1.5", "2.9", "-0.5"])
+    def test_non_integral_label_exits_2(self, roll_dir, tmp_path, capsys, label):
+        emb, labels = tmp_path / "emb.csv", tmp_path / "labels.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
+                       "--method", "pca", "--p", "2", "--out", str(emb)) == 0
+        labels.write_text("y\n" + "".join(f"{label if i == 4 else i % 3}\n" for i in range(300)))
+        assert run_cli("eval", "--emb", str(emb), "--ref", "chart",
+                       "--chart", str(roll_dir / "intrinsic.csv"), "--labels", str(labels),
+                       "--label-column", "y", "--out", str(tmp_path / "r.json")) == 2
+        assert f"label '{label}' is not an integer at row 6, column 0" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    # a coordinate that is not finite is named by its cell before any
+    # distance is taken, so no numpy warning reaches stderr
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_coordinate_exits_2(self, roll_dir, tmp_path, capsys, cell):
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
+                       "--method", "isomap", "--k", "8", "--p", "2", "--out", str(emb)) == 0
+        lines = emb.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + cell
+        emb.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for argv in (["eval", "--emb", str(emb), "--ref", "chart",
+                      "--chart", str(roll_dir / "intrinsic.csv")],
+                     ["plot", "--in", str(emb)]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+            assert not caught
+            err = capsys.readouterr().err
+            assert f"emb.csv: coordinates row 4, column 1 (from 0) is {cell}" in err
+            assert "Warning" not in err and not (tmp_path / "out").exists()
+
     def test_euclidean_reference(self, roll_dir, tmp_path):
         emb = tmp_path / "emb.csv"
         assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
@@ -580,7 +627,8 @@ class TestEval:
                                                            method, window):
         from prisomap.bench import MethodSpec, Neighbors, resolve_h
         from prisomap.embed import load_embedding_csv
-        from prisomap.evaluate import evaluate_embedding, save_eval_csv
+        from prisomap.datasets import save_table
+        from prisomap.evaluate import evaluate_embedding
         from prisomap.geodesics import all_pairs
 
         emb, data = tmp_path / "emb.csv", roll_dir / "ambient.csv"
@@ -595,7 +643,7 @@ class TestEval:
                           h_percentile=30.0 if window else None)
         geo = all_pairs(neighbors.graph(8, resolve_h(spec, neighbors)))
         want = evaluate_embedding(geo[np.ix_(indices, indices)], coords, m=5)
-        save_eval_csv(want, tmp_path / "want.csv")
+        save_table(tmp_path / "want.csv", [want.row()])
         assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert (want.sentinel_excluded_pairs > 0) == bool(window)
 
@@ -877,7 +925,6 @@ OPTIONS = {
         "--data": ("data", None, None, False, None, None),
         "--ref": ("reference", None, "euclidean", False, ["euclidean", "geodesic", "chart"], None),
         "--chart": ("chart", None, None, False, None, None),
-        "--chart-kind": ("chart_kind", None, "auto", False, ["auto", "swiss-roll", "euclidean"], None),
         "--k": ("k", int, None, False, None, None),
         "--h": ("h", float, None, False, None, None),
         "--h-pct": ("h_pct", float, None, False, None, None),
@@ -898,7 +945,6 @@ OPTIONS = {
         "--labels": ("labels", None, None, False, None, None),
         "--label-column": ("label_column", None, None, False, None, None),
         "--chart": ("chart", None, None, False, None, None),
-        "--chart-kind": ("chart_kind", None, "auto", False, ["auto", "swiss-roll", "euclidean"], None),
         "--k": ("k", int, None, False, None, None),
         "--h": ("h", float, None, False, None, None),
         "--h-pct": ("h_pct", float, None, False, None, None),

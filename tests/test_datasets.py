@@ -2,6 +2,7 @@ import csv
 import gzip
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -23,7 +24,8 @@ from prisomap.datasets import (
     swiss_roll_unrolled,
 )
 from prisomap.embed import Embedding, load_embedding_csv, save_embedding_csv
-from prisomap.errors import BadMagic, CountMismatch, EmptyDataset, ParseError, TruncatedFile
+from prisomap.errors import (BadMagic, CountMismatch, EmptyDataset, InputError, ParseError,
+                             TruncatedFile)
 
 
 class TestCsv:
@@ -109,9 +111,23 @@ class TestCsv:
             load_csv(f, label_column="label")
         assert (info.value.row, info.value.column) == (3, 1)
 
+    @pytest.mark.parametrize("label", ["1.5", "2.9", "-0.5", "1e-3"])
+    def test_non_integral_label_is_parse_error(self, tmp_path, label):
+        f = tmp_path / "t.csv"
+        f.write_text(f"a,label\n1,0\n2,{label}\n3,1\n")
+        with pytest.raises(ParseError, match=f"label '{label}' is not an integer") as info:
+            load_csv(f, label_column="label")
+        assert (info.value.row, info.value.column) == (3, 1)
+
+    def test_integral_label_text_is_accepted(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("a,label\n1,1e3\n2, -2.0 \n3,+7\n4,-0\n")
+        np.testing.assert_array_equal(load_csv(f, label_column="label").labels,
+                                      [1000, -2, 7, 0])
+
     def test_parses_a_plain_file(self, tmp_path):
         f = tmp_path / "t.csv"
-        f.write_text("a,y,b\n1,7,2\nnan,8,3\n-0,-9.5,inf\n")
+        f.write_text("a,y,b\n1,7,2\nnan,8,3\n-0,-9.0,inf\n")
         ds = load_csv(f, "y")
         want = np.array([[1.0, 2.0], [-0.0, math.inf]])
         assert ds.data.dtype == want.dtype and ds.data.tobytes() == want.tobytes()
@@ -193,9 +209,17 @@ class TestEmbeddingCsv:
         with pytest.raises(ValueError, match="e.csv"):
             load_embedding_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_coordinate_is_refused_by_its_cell(self, tmp_path, cell):
+        path = tmp_path / "e.csv"
+        path.write_text(f"index,c0,c1\n0,1.5,2\n3,2.5,1\n4,{cell},1\n", encoding="utf-8")
+        want = f"e.csv: coordinates row 2, column 0 (from 0) is {float(cell)}"
+        with pytest.raises(InputError, match=re.escape(want)):
+            load_embedding_csv(path)
+
     def test_round_trip(self, tmp_path):
         coords = np.random.default_rng(1).normal(size=(7, 3))
-        coords[2, 1] = np.nan
+        coords[2, 1] = -0.0
         emb = Embedding(coordinates=coords, eigenvalues=np.ones(3), clamped_count=0, method={},
                         kept_indices=np.array([0, 2, 3, 5, 8, 9, 11]),
                         component_policy_applied=True, n_input=12)
@@ -228,6 +252,31 @@ def _write_embedding(path):
                                  component_policy_applied=True, n_input=kept[-1] + 1), path)
     return "index,c0,c1,c2\n" + "".join(
         f"{i}," + ",".join(map(csv_cell, row)) + "\n" for i, row in zip(kept, _table().tolist()))
+
+
+def _template_embedding_csv(kept, coords) -> str:
+    """An embedding CSV through one "%d" + ",%.17g" * p row template, the
+    integer index's own field: the text save_embedding_csv must give."""
+    p = coords.shape[1]
+    row = "%d" + ",%.17g" * p + "\n"
+    return "index," + ",".join(f"c{j}" for j in range(p)) + "\n" + "".join(
+        row % (i, *cells) for i, cells in zip(kept.tolist(), coords.tolist()))
+
+
+# an index below 2**53 is exact in float64, and %.17g prints it as %d does,
+# over more rows than one formatting call takes
+@pytest.mark.parametrize("p", [1, 2, 10])
+def test_embedding_csv_equals_the_integer_template(tmp_path, p):
+    rng = np.random.default_rng(p)
+    n = 4500
+    kept = np.sort(np.concatenate([np.arange(4), rng.integers(4, 2**53 - 2, n - 6),
+                                   [2**53 - 2, 2**53 - 1]]))
+    wide = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-300, 300, (n, p))
+    coords = np.where(rng.random((n, p)) < 0.7, wide, rng.choice(_WRITTEN[:12], (n, p)))
+    emb = Embedding(coordinates=coords, eigenvalues=np.ones(p), clamped_count=0, method={},
+                    kept_indices=kept, component_policy_applied=True, n_input=2**53)
+    save_embedding_csv(emb, tmp_path / "e.csv")
+    assert (tmp_path / "e.csv").read_bytes() == _template_embedding_csv(kept, coords).encode()
 
 
 @pytest.mark.parametrize("write", [_write_save_csv, _write_embedding],

@@ -159,6 +159,13 @@ class TestPca:
         want = np.sort(np.linalg.eigvalsh(xc.T @ xc / 35))[::-1]
         np.testing.assert_allclose(pca(x, p=3).eigenvalues, want, atol=1e-10)
 
+    # symmetric_eig takes the covariance as it is: xc.T @ xc is a syrk
+    # product, exactly symmetric at the swiss roll's d = 3 and the paper's 431
+    @pytest.mark.parametrize("d", [3, 431])
+    def test_covariance_is_exactly_symmetric(self, d):
+        x = np.random.default_rng(d).normal(0, 1, (500, d))
+        assert pca(x, p=2).eigenvalues.size == 2
+
     def test_p_validation(self):
         x = np.zeros((5, 2))
         with pytest.raises(ValueError):

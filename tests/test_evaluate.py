@@ -578,5 +578,4 @@ class TestEvalReport:
         payload = json.loads(text)
         assert payload["schema"] == "evalreport/1"
         assert payload["run"]["method"] == "mds"
-        line = report.to_csv_line()
-        assert len(line.split(",")) == len(report.CSV_FIELDS)
+        assert list(report.row()) == list(report.CSV_FIELDS)

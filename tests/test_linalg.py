@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from prisomap.embed import scaled_embedding
 from prisomap.errors import NonSymmetricInput, RankDeficientWarning, SentinelPresent
 from prisomap.linalg import (
+    _stable_descending_order,
     double_center_in_place,
     pairwise_dists,
     pairwise_sq_dists,
@@ -85,11 +88,11 @@ class TestDoubleCenter:
         a = b + b.T
         tracemalloc.start()
         try:
-            _, exact = require_square_symmetric(a)
+            back = require_square_symmetric(a)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert exact
+        assert back is a
         assert peak < 4 * n * n  # half of one n x n float64 matrix
 
     def test_rejects_sentinel(self):
@@ -143,6 +146,64 @@ class TestInPlaceStages:
     def test_in_place_centering_reuses_the_buffer(self):
         d = pairwise_sq_dists(np.random.default_rng(9).normal(0, 1, (300, 3)))
         assert double_center_in_place(d) is d
+
+
+class TestExactSymmetry:
+    # one ulp off symmetric is asymmetric: no tolerance lets it through
+    @pytest.mark.parametrize("solve", [double_center_in_place,
+                                       lambda a: symmetric_eig(a, top=2)],
+                             ids=["double_center_in_place", "symmetric_eig"])
+    def test_one_ulp_from_symmetric_is_refused(self, solve):
+        d = pairwise_sq_dists(np.random.default_rng(5).normal(size=(40, 3)))
+        d[3, 17] = np.nextafter(d[3, 17], np.inf)
+        gap = d[3, 17] - d[17, 3]
+        with pytest.raises(NonSymmetricInput, match=re.escape(f"max|A - A^T| = {gap:.3e}")):
+            solve(d)
+
+
+def loop_descending_order(eigenvalues, vectors):
+    """The tie order as hand-written scans over the stable argsort, the
+    reference for the grouped form."""
+    order = list(np.argsort(-eigenvalues, kind="stable"))
+    i = 0
+    while i < len(order):
+        j = i + 1
+        while j < len(order) and eigenvalues[order[j]] == eigenvalues[order[i]]:
+            j += 1
+        if j - i > 1:
+            order[i:j] = sorted(order[i:j], key=lambda c: tuple(vectors[:, c]))
+        i = j
+    return order
+
+
+_TIE_VALUES = [0.0, -0.0, math.nan, 1.0, -1.0, 2.5, math.inf]
+
+
+class TestTieOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tie_order_equals_the_loop_order(self, data):
+        m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+        w = np.array(data.draw(st.lists(st.sampled_from(_TIE_VALUES), min_size=m, max_size=m)))
+        column = st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, math.nan]),
+                          min_size=n, max_size=n)
+        v = np.array(data.draw(st.lists(column, min_size=m, max_size=m))).T
+        assert [int(c) for c in _stable_descending_order(w, v)] == \
+            [int(c) for c in loop_descending_order(w, v)]
+
+    def test_tie_keys_only_for_groups_of_ties(self):
+        # a key holds a whole column: n^2 scalars if every column built one
+        class Columns:
+            def __init__(self, v):
+                self.v, self.read = v, []
+
+            def __getitem__(self, key):
+                self.read.append(int(key[1]))
+                return self.v[key]
+
+        columns = Columns(np.eye(7))
+        _stable_descending_order(np.array([3.0, 1.0, 3.0, 2.0, 0.0, -0.0, 5.0]), columns)
+        assert sorted(columns.read) == [0, 2, 4, 5]
 
 
 class TestSymmetricEig:
