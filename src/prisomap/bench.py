@@ -12,8 +12,8 @@ reference, never for the density. MethodSpec checks the window at creation.
 
 run_bench runs all requested methods on the same sample; metrics are computed
 on the intersection of the methods' kept vertices against one common
-reference distance matrix (ground-truth chart distances when available,
-ambient Euclidean otherwise), and classification reuses a single fold
+reference (ground-truth chart distances when available, ambient
+Euclidean otherwise), and classification reuses a single fold
 assignment. Paired deltas are reported against a named baseline method.
 """
 
@@ -32,7 +32,7 @@ from .errors import InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
 from .geodesics import SpectralEntry, cache_lookup, save_spectrum
 from .graph import NeighborGraph, cap_candidates, knn_candidates, percentile_h, pr_density
-from .linalg import as_finite_matrix, as_matrix, pairwise_dists
+from .linalg import as_finite_matrix, as_matrix
 
 METHODS = ("pr-isomap", "isomap", "mds", "pca")
 GRAPH_METHODS = ("pr-isomap", "isomap")
@@ -223,10 +223,9 @@ def run_bench(
     """Run every method on `data` and score them on a shared basis.
 
     The ground truth is the Euclidean distances of reference_points (n rows;
-    the data by default), built once the last method has run, so no n x n
-    reference lives through a method's run; only the block on the common
-    vertices is scored and kept. Metrics are computed on the intersection
-    of kept vertices so capped and uncapped methods see identical score pairs.
+    the data by default), taken in row blocks, so no n x n reference is
+    built. Metrics are computed on the intersection of kept vertices so
+    capped and uncapped methods see identical score pairs.
     Graph methods look their eigenpairs up in cache_dir. baseline,
     when given, must name one of the methods (InputError otherwise); when
     not, it is isomap if present, else the first method.
@@ -260,8 +259,6 @@ def run_bench(
     assignment = None
     if y is not None:
         assignment = make_stratified_folds(y[common], folds, seed)
-    # a slice of the full matrix, not pairwise_dists(points[common]), whose last bits may differ
-    ref_common = pairwise_dists(points)[np.ix_(common, common)]
 
     reports: dict[str, EvalReport] = {}
     for spec in specs:
@@ -273,8 +270,8 @@ def run_bench(
         if spec.method == "pr-isomap":
             run_info["h_resolved"] = emb.method["h"]
         report = evaluate_embedding(
-            ref_common,
             coords,
+            reference_points=points[common],
             m=m,
             labels=None if y is None else y[common],
             k_clf=k_clf,

@@ -33,7 +33,7 @@ from .embed import embedding_descriptor, load_embedding_csv, save_embedding_csv
 from .errors import GraphError, InputError, NumericError
 from .evaluate import evaluate_embedding
 from .geodesics import all_pairs
-from .linalg import as_finite_matrix, pairwise_dists
+from .linalg import as_finite_matrix
 from .plotting import scatter_svg
 
 ENV_PREFIX = "PRISOMAP_"
@@ -231,7 +231,7 @@ def cmd_eval(args) -> int:
     if reference_kind == "chart" or args.chart:
         if not args.chart:
             raise InputError("--ref chart requires --chart FILE")
-        ref = pairwise_dists(_chart_points(args.chart, indices))
+        reference = {"reference_points": _chart_points(args.chart, indices)}
         reference_kind = "chart"
     else:
         if args.data is None:
@@ -241,18 +241,19 @@ def cmd_eval(args) -> int:
         if indices.max() >= x.shape[0]:
             raise InputError("embedding indices exceed data row count")
         if reference_kind == "euclidean":
-            ref = pairwise_dists(x[indices])
+            reference = {"reference_points": x[indices]}
         else:  # geodesic: the graph isomap uses, or pr-isomap's when a window is given
             method = "isomap" if args.h is None and args.h_pct is None else "pr-isomap"
             # p is unused: only the geodesics are needed
             spec = MethodSpec(method=method, p=1, k=args.k, h=args.h, h_percentile=args.h_pct)
             neighbors = Neighbors(x)
-            ref = all_pairs(neighbors.graph(spec.k, resolve_h(spec, neighbors)), indices)
+            reference = {"reference_dists": all_pairs(
+                neighbors.graph(spec.k, resolve_h(spec, neighbors)), indices)}
 
     labels = _load_labels(args, indices)
     t0 = time.perf_counter()
     report = evaluate_embedding(
-        ref, coords, m=args.m, labels=labels, k_clf=args.k_clf, folds=args.folds,
+        coords, **reference, m=args.m, labels=labels, k_clf=args.k_clf, folds=args.folds,
         seed=args.seed,
         run=_run_config("eval", {
             "emb": str(args.emb), "reference": reference_kind, "m": args.m,

@@ -166,13 +166,14 @@ def load_csv(path, label_column: str | int | None = None) -> LabeledDataset:
                 dropped += 1
                 continue
             if label_idx is not None:
-                try:
-                    label = float(record[label_idx].strip())
+                cell = record[label_idx].strip()
+                try:  # an integral cell as an exact int, so labels above 2**53 stay apart
+                    label = int(cell) if cell.lstrip("+-").isdigit() else float(cell)
                 except ValueError:
                     label = math.nan
                 problem = ("is not a number in the int64 range"
                            if not -_INT64_BOUND <= label < _INT64_BOUND else
-                           None if label.is_integer() else "is not an integer")
+                           None if label == int(label) else "is not an integer")
                 if problem:
                     raise ParseError(f"{path}: label {record[label_idx]!r} {problem}",
                                      row=rownum, column=label_idx)

@@ -19,74 +19,114 @@ from .graph import DensityEstimate
 from .linalg import as_matrix, first_m, pairwise_dists
 
 EVAL_SCHEMA = "evalreport/1"
-_BLOCK_ROWS = 128  # rows per block in trustworthiness_continuity
+_BLOCK_ROWS = 128  # rows per block of the scoring kernel
+_NOT_FINITE = "trustworthiness/continuity require finite distances; resolve sentinels first"
 
 
-def _upper_rows(ref: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """The i<j entries of ref and of own, row-major, as the rows of one
-    C-contiguous (2, P) array written over own's buffer. own's rows move to
-    the second half first, last rows first, in blocks whose source and
-    destination do not meet (one row alone where they do): a row at a time
-    is about 15% slower at m = 1433, in per-row call overhead."""
-    n = own.shape[0]
-    half = n * (n - 1) // 2
-    flat = own.reshape(-1)
-    starts = np.cumsum(np.arange(n, 0, -1)) + (half - n)  # row i's place in flat
-    stop = n - 1  # rows from stop on are in place; the last has no entry
-    while stop > 0:
-        # the rows from first to stop go where no row before stop lies
-        first = min(int(np.searchsorted(starts, stop * n)), stop - 1)
-        dest = flat[starts[first]:starts[stop]]
-        if first == stop - 1:
-            dest[...] = own[first, first + 1:]  # they overlap: assignment copies safely
-        else:
-            np.concatenate([own[i, i + 1:] for i in range(first, stop)], out=dest)
-        stop = first
-    out = flat[:2 * half].reshape(2, half)
-    if n:  # n=0 has no slice to join
-        np.concatenate([ref[i, i + 1:] for i in range(n)], out=out[0])
-    return out
+def _distance_rows(points, dists, name: str):
+    """n and a function from a row slice to a fresh copy of those rows of
+    a distance matrix: pairwise_dists(points[rows], points) for points, a
+    copy of dists[rows] for a square matrix. Exactly one is given."""
+    if (points is None) == (dists is None):
+        raise ValueError(f"give exactly one of {name}_points and {name}_dists")
+    if points is not None:
+        x = as_matrix(points, f"{name}_points")
+        return x.shape[0], lambda rows: pairwise_dists(x[rows], x)
+    d = as_matrix(dists, f"{name}_dists")
+    if d.shape[0] != d.shape[1]:
+        raise ValueError(f"{name}_dists must be square, got shape {d.shape}")
+    return d.shape[0], lambda rows: d[rows].copy()
 
 
-def _finite_columns(pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    """The columns of pairs whose first entry is finite, in C order unlike
-    pairs[:, finite], and the count of the others; NoFinitePairs if none is."""
-    finite = np.isfinite(pairs[0])
-    sentinels = finite.size - int(np.count_nonzero(finite))
-    if sentinels == finite.size:
+def _add_pairs(sums: np.ndarray, count: int, mean: np.ndarray, co: np.ndarray,
+               a: np.ndarray, b: np.ndarray) -> tuple:
+    """Add the paired samples a and b, centered in place, to stress's sums
+    (a - b)^2 and a^2, and to residual variance's count, means and centered
+    second moments (aa, bb, ab) by Chan et al.'s parallel update, which
+    sums no raw moment."""
+    tmp = np.subtract(a, b)
+    sums += np.sum(np.square(tmp, out=tmp)), np.sum(np.square(a, out=tmp))
+    block_mean = np.array([a.mean(), b.mean()])
+    a -= block_mean[0]
+    b -= block_mean[1]
+    block_co = [np.sum(np.multiply(u, v, out=tmp)) for u, v in ((a, a), (b, b), (a, b))]
+    delta = block_mean - mean
+    share = a.size / (count + a.size)  # 1.0 for the first block: its moments as they are
+    co = co + block_co + delta[[0, 1, 0]] * delta[[0, 1, 1]] * (count * share)
+    return count + a.size, mean + delta * share, co
+
+
+def _tc_penalties(hd: np.ndarray, ld: np.ndarray, start: int, m: int) -> tuple[int, int]:
+    """T/C's integer penalties for one block of rows from row start on: it
+    sorts its rows of both matrices once, takes both first-m sets at the
+    m-th sorted values and ranks only the pairs in one set but not the
+    other in the sorted rows. The blocks' self entries become +inf."""
+    local = np.arange(hd.shape[0])
+    hd[local, local + start] = ld[local, local + start] = np.inf
+    sorted_hd = np.sort(hd, axis=1)
+    sorted_ld = np.sort(ld, axis=1)
+    near_hd = first_m(hd, m, sorted_hd[:, m - 1, None])
+    near_ld = first_m(ld, m, sorted_ld[:, m - 1, None])
+    return (int(np.sum(_ranks(hd, sorted_hd, near_ld & ~near_hd) - m)),
+            int(np.sum(_ranks(ld, sorted_ld, near_hd & ~near_ld) - m)))
+
+
+def _scores(ref_rows, emb_rows, n: int, m: int | None) -> dict:
+    """Every score in one pass over _BLOCK_ROWS-row blocks, each holding the
+    reference's and the embedding's distance rows of the same vertices, so
+    no n x n matrix is built.
+
+    Stress and residual variance read the pairs j > i whose reference is
+    finite; the others are counted as sentinels. Residual variance merges
+    the blocks' centered moments; a side whose pairs are all equal gives
+    0.0 if the other's are too, else 1.0. T/C (with m) is NaN once a
+    reference block is not finite; for a finite reference, m must satisfy
+    1 <= m < n/2 and the embedding's distances must be finite (ValueError
+    otherwise). Raises NoFinitePairs if no finite pair remains.
+    """
+    tc = m is not None  # T/C runs while every reference block is finite
+    valid_m = tc and 1 <= m < n / 2
+    sums, count, mean, co = np.zeros(2), 0, np.zeros(2), np.zeros(3)  # as _add_pairs takes them
+    low, high = np.full(2, np.inf), np.full(2, -np.inf)
+    penalties = [0, 0]
+    cols = np.arange(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, n))
+        hd, ld = ref_rows(rows), emb_rows(rows)
+        scored = np.isfinite(hd)
+        tc = tc and bool(scored.all())
+        scored &= cols > cols[rows, None]
+        a, b = hd[scored], ld[scored]
+        if a.size:
+            low = np.minimum(low, (a.min(), b.min()))
+            high = np.maximum(high, (a.max(), b.max()))
+            count, mean, co = _add_pairs(sums, count, mean, co, a, b)
+        del a, b, scored  # T/C's blocks come next
+        if tc and valid_m:
+            if not np.isfinite(ld).all():
+                raise ValueError(_NOT_FINITE)
+            penalties = [p + q for p, q in zip(penalties, _tc_penalties(hd, ld, start, m))]
+    if tc and not valid_m:
+        raise ValueError(f"neighborhood size must satisfy 1 <= m < n/2 = {n / 2}, got {m}")
+    if not count:
         raise NoFinitePairs("no finite high-dimensional pairs to score")
-    return (np.compress(finite, pairs, axis=1) if sentinels else pairs), sentinels
+    constant = low == high
+    rv = float(not constant.all()) if constant.any() else \
+        1.0 - float(np.clip(co[2] / np.sqrt(co[0]) / np.sqrt(co[1]), -1, 1)) ** 2
+    s = float(np.sqrt(sums[0] / sums[1])) if sums[1] else 0.0 if sums[0] == 0.0 else np.inf
+    scale = 2.0 / (n * m * (2.0 * n - 3.0 * m - 1.0)) if tc else float("nan")
+    t, c = (1.0 - scale * penalty for penalty in penalties)
+    return {"stress": s, "residual_variance": rv, "trustworthiness": t, "continuity": c,
+            "sentinel_excluded_pairs": n * (n - 1) // 2 - count}
 
 
-def _scored_pairs(d_hd, d_ld) -> np.ndarray:
-    """The (2, P) upper-triangle pairs of both matrices where d_hd is finite."""
-    a = as_matrix(d_hd, "d_hd")
-    b = as_matrix(d_ld, "d_ld")
-    if a.shape != b.shape:
+def _matrix_scores(d_hd, d_ld, m: int | None = None) -> dict:
+    """_scores of two distance matrices of matching shapes."""
+    n, ref_rows = _distance_rows(None, d_hd, "d_hd")
+    n_ld, emb_rows = _distance_rows(None, d_ld, "d_ld")
+    if n_ld != n:
         raise ValueError("distance matrices must have matching shapes")
-    return _finite_columns(_upper_rows(a, b.copy()))[0]
-
-
-def _stress(a: np.ndarray, b: np.ndarray) -> float:
-    squares = np.subtract(a, b)
-    num = float(np.sum(np.square(squares, out=squares)))
-    denom = float(np.sum(np.square(a, out=squares)))
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return float(np.sqrt(num / denom))
-
-
-def _residual_variance(pairs: np.ndarray) -> float:
-    """1 - r^2 between the rows of a C-contiguous (2, P) array, centered in
-    place: np.corrcoef's steps and bits without its stacked copy of the rows."""
-    sa, sb = float(np.std(pairs[0])), float(np.std(pairs[1]))
-    if sa == 0.0 or sb == 0.0:
-        return 0.0 if sa == sb else 1.0
-    pairs -= pairs.mean(axis=1)[:, None]
-    c = np.dot(pairs, pairs.T) * np.true_divide(1, pairs.shape[1] - 1)
-    stddev = np.sqrt(np.diag(c))
-    r = float(np.clip(c[0, 1] / stddev[0] / stddev[1], -1, 1))
-    return 1.0 - r * r
+    return _scores(ref_rows, emb_rows, n, m)
 
 
 def stress(d_hd, d_ld) -> float:
@@ -95,12 +135,12 @@ def stress(d_hd, d_ld) -> float:
     sqrt(sum((d_hd - d_ld)^2) / sum(d_hd^2)); unreachable pairs in d_hd are
     excluded. Raises NoFinitePairs if no finite pair remains.
     """
-    return _stress(*_scored_pairs(d_hd, d_ld))
+    return _matrix_scores(d_hd, d_ld)["stress"]
 
 
 def residual_variance(d_hd, d_ld) -> float:
     """1 - r^2 between high- and low-dimensional distances over finite pairs."""
-    return _residual_variance(_scored_pairs(d_hd, d_ld))
+    return _matrix_scores(d_hd, d_ld)["residual_variance"]
 
 
 def _ranks(rows: np.ndarray, ordered: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -137,39 +177,13 @@ def trustworthiness_continuity(d_hd, d_ld, m: int) -> tuple[float, float]:
     Trustworthiness penalizes embedded neighbors that are not true
     neighbors; continuity penalizes true neighbors lost by the embedding.
     Ranks order each row by (distance, index), self excluded, so ties break
-    by point index. The matrices are walked in blocks of rows: each block
-    sorts its rows of both matrices once, takes both first-m sets at the m-th
-    sorted values and ranks only the pairs in one set but not the other in
-    the sorted rows. Penalties are summed as integers; the scores are exact.
+    by point index. Penalties are summed as integers; the scores are exact.
     Requires 1 <= m < n/2 and finite distance matrices.
     """
-    a = as_matrix(d_hd, "d_hd")
-    b = as_matrix(d_ld, "d_ld")
-    n = a.shape[0]
-    if a.shape != b.shape:
-        raise ValueError("distance matrices must have matching shapes")
-    if not 1 <= m < n / 2:
-        raise ValueError(f"neighborhood size must satisfy 1 <= m < n/2 = {n / 2}, got {m}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("trustworthiness/continuity require finite distances; "
-                         "resolve sentinels first")
-
-    t_penalty = c_penalty = 0
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        local = np.arange(stop - start)
-        hd = a[start:stop].copy()
-        ld = b[start:stop].copy()
-        hd[local, local + start] = np.inf
-        ld[local, local + start] = np.inf
-        sorted_hd = np.sort(hd, axis=1)
-        sorted_ld = np.sort(ld, axis=1)
-        near_hd = first_m(hd, m, sorted_hd[:, m - 1, None])
-        near_ld = first_m(ld, m, sorted_ld[:, m - 1, None])
-        t_penalty += int(np.sum(_ranks(hd, sorted_hd, near_ld & ~near_hd) - m))
-        c_penalty += int(np.sum(_ranks(ld, sorted_ld, near_hd & ~near_ld) - m))
-    scale = 2.0 / (n * m * (2.0 * n - 3.0 * m - 1.0))
-    return 1.0 - scale * t_penalty, 1.0 - scale * c_penalty
+    scores = _matrix_scores(d_hd, d_ld, m)
+    if np.isnan(scores["trustworthiness"]):
+        raise ValueError(_NOT_FINITE)
+    return scores["trustworthiness"], scores["continuity"]
 
 
 # -- downstream classification ---------------------------------------------------
@@ -303,8 +317,10 @@ class EvalReport:
 
 
 def evaluate_embedding(
-    reference_dists,
     coordinates,
+    *,
+    reference_points=None,
+    reference_dists=None,
     m: int = 10,
     labels=None,
     k_clf: int = 5,
@@ -314,31 +330,20 @@ def evaluate_embedding(
     run: dict | None = None,
     timings: dict | None = None,
 ) -> EvalReport:
-    """Score an embedding against reference high-dimensional distances.
+    """Score an embedding against a reference given by keyword, either as
+    the points whose Euclidean distances it is or as a distance matrix.
 
-    reference_dists and coordinates must cover the same (kept) vertices in
-    the same order. Classification runs only when labels are given.
+    The reference and coordinates must cover the same (kept) vertices in
+    the same order. Every score comes from one pass over row blocks, so no
+    m x m matrix is built. Classification runs only when labels are given.
     """
-    ref = as_matrix(reference_dists, "reference_dists")
+    n, ref_rows = _distance_rows(reference_points, reference_dists, "reference")
     coords = as_matrix(coordinates, "coordinates")
-    if ref.shape[0] != coords.shape[0]:
+    if n != coords.shape[0]:
         raise ValueError("reference and embedding cover different vertex counts")
-    emb_d = pairwise_dists(coords)
-
-    if np.isfinite(ref).all():
-        t, c = trustworthiness_continuity(ref, emb_d, m)
-    else:
-        t, c = float("nan"), float("nan")
-
-    pairs, sentinels = _finite_columns(_upper_rows(ref, emb_d))
-    del emb_d
     report = EvalReport(
-        stress=_stress(*pairs),
-        residual_variance=_residual_variance(pairs),  # after stress: it centers pairs
-        trustworthiness=t,
-        continuity=c,
+        **_scores(ref_rows, lambda rows: pairwise_dists(coords[rows], coords), n, m),
         tc_neighborhood=m,
-        sentinel_excluded_pairs=sentinels,
         timings=dict(timings or {}),
         run=dict(run or {}),
     )

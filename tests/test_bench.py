@@ -10,7 +10,6 @@ from prisomap.bench import MethodSpec, Neighbors, resolve_h, run_bench
 from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
 from prisomap.errors import InputError
 from prisomap.evaluate import evaluate_embedding
-from prisomap.linalg import pairwise_dists
 
 from helpers import traced_peak
 
@@ -149,9 +148,8 @@ class TestRunBench:
         def bench():  # bench without --chart: the ambient distances are the reference
             return run_bench(sample.ambient, specs, labels=labels)
 
-        # run_bench builds the reference after the runs and frees it once it
-        # has sliced the common block, so the op peaks in the metric layer
-        # (2.37 n^2)
+        # scoring takes the reference in row blocks, so the op peaks in the
+        # pr-isomap run (1.41 n^2), not in the metric layer (0.79 n^2)
         assert traced_peak(bench) <= 3.2 * 8 * n * n
 
     def test_memory_peak_with_the_reference_built_after_the_runs(self, monkeypatch):
@@ -176,9 +174,8 @@ class TestRunBench:
             return run_bench(sample.ambient, specs, labels=labels, reference_points=chart)
 
         # no reference lives through a method's run (it held 1.0 n^2 there),
-        # so the op peaks in the metric layer: the common block plus a
-        # report's own 1.56 m^2, 2.37 n^2 here, where 0.96 n of the vertices
-        # are common (2.43 n^2 with the reference built before the runs)
+        # and scoring builds no n x n matrix, so the op peaks in the pr-isomap
+        # run: 1.41 n^2 here
         assert traced_peak(op) <= 2.5 * 8 * n * n
         assert len(live_at_run) == 3 and max(live_at_run) < 0.25 * 8 * n * n
 
@@ -190,13 +187,12 @@ class TestRunBench:
                         reference_points=chart)
         common = res.common_vertices
         for name, report in res.reports.items():
-            # a fresh common block for each method alone, against the one
-            # ref_common that the three reports were scored on in turn
+            # each method alone against the chart's common points, which
+            # the three reports were scored on in turn
             emb = res.embeddings[name]
             alone = evaluate_embedding(
-                pairwise_dists(chart)[np.ix_(common, common)],
                 emb.coordinates[np.searchsorted(emb.kept_indices, common)],
-                labels=labels[common], folds=4, seed=3)
+                reference_points=chart[common], labels=labels[common], folds=4, seed=3)
             for metric in ("stress", "residual_variance", "trustworthiness", "continuity",
                            "knn_accuracy_mean", "knn_accuracy_sd",
                            "sentinel_excluded_pairs"):

@@ -568,6 +568,24 @@ class TestEval:
             capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    # labels above 2**53 were parsed through float, so 2**53 + 1 became 2**53
+    # and the two classes merged into one, which k-NN refused
+    def test_labels_beyond_float_precision_stay_two_classes(self, roll_dir, tmp_path):
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
+                       "--method", "pca", "--p", "2", "--out", str(emb)) == 0
+        tables = []
+        for name, classes in (("small", (0, 1)), ("large", (2**53, 2**53 + 1))):
+            labels, table = tmp_path / f"{name}.csv", tmp_path / f"{name}-report.csv"
+            labels.write_text("y\n" + "".join(f"{classes[i % 2]}\n" for i in range(300)))
+            assert run_cli("eval", "--emb", str(emb), "--ref", "chart",
+                           "--chart", str(roll_dir / "intrinsic.csv"), "--labels", str(labels),
+                           "--label-column", "y", "--csv", str(table),
+                           "--out", str(tmp_path / f"{name}.json")) == 0
+            tables.append(table.read_bytes())
+        # an order-preserving relabelling: the same folds, votes and scores
+        assert tables[0] == tables[1]
+
     # a coordinate that is not finite is named by its cell before any
     # distance is taken, so no numpy warning reaches stderr
     @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -642,10 +660,45 @@ class TestEval:
         spec = MethodSpec(method="pr-isomap" if window else "isomap", p=1, k=8,
                           h_percentile=30.0 if window else None)
         geo = all_pairs(neighbors.graph(8, resolve_h(spec, neighbors)))
-        want = evaluate_embedding(geo[np.ix_(indices, indices)], coords, m=5)
+        want = evaluate_embedding(coords, reference_dists=geo[np.ix_(indices, indices)], m=5)
         save_table(tmp_path / "want.csv", [want.row()])
         assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert (want.sentinel_excluded_pairs > 0) == bool(window)
+
+
+class TestScoringBuildsNoSquareMatrix:
+    """Scoring takes its distances one row block at a time: a pairwise_dists
+    call with more rows than one block on its left builds an m x m matrix.
+    Only the k-NN vote's test folds may have more rows."""
+
+    def test_eval_and_bench_take_row_blocks(self, roll_dir, tmp_path, monkeypatch):
+        from prisomap import linalg
+        from prisomap.evaluate import _BLOCK_ROWS
+
+        calls = []
+        real = linalg.pairwise_dists
+
+        def recording(a, b=None):
+            calls.append((len(a), sys._getframe(1).f_code.co_name))
+            return real(a, b)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("prisomap") and getattr(module, "pairwise_dists", None) is real:
+                monkeypatch.setattr(module, "pairwise_dists", recording)
+        emb, labels = tmp_path / "emb.csv", tmp_path / "labels.csv"
+        labels.write_text("y\n" + "".join(f"{i % 3}\n" for i in range(300)))
+        data, chart = str(roll_dir / "ambient.csv"), str(roll_dir / "intrinsic.csv")
+        assert run_cli("embed", "--in", data, "--method", "pca", "--p", "2",
+                       "--out", str(emb)) == 0
+        for reference in (["--ref", "chart", "--chart", chart], ["--data", data]):
+            assert run_cli("eval", "--emb", str(emb), *reference, "--labels", str(labels),
+                           "--label-column", "y", "--out", str(tmp_path / "r.json")) == 0
+        assert run_cli("bench", "--in", data, "--methods", "isomap,pca", "--k", "8",
+                       "--p", "2", "--chart", chart, "--labels", str(labels),
+                       "--label-column", "y", "--out", str(tmp_path / "bench")) == 0
+        assert {caller for _, caller in calls} == {"<lambda>", "_knn_predict"}
+        assert [call for call in calls if call[0] > _BLOCK_ROWS and call[1] != "_knn_predict"] \
+            == []
 
 
 class TestBench:

@@ -125,6 +125,18 @@ class TestCsv:
         np.testing.assert_array_equal(load_csv(f, label_column="label").labels,
                                       [1000, -2, 7, 0])
 
+    def test_integer_labels_beyond_float_precision_stay_apart(self, tmp_path):
+        # one float holds 2**53 + 1 as 2**53, and 2**63 - 1 as 2**63
+        f = tmp_path / "t.csv"
+        f.write_text("a,label\n1,9007199254740993\n2,9007199254740992\n"
+                     "3,9223372036854775807\n4,-9223372036854775808\n5,+12\n")
+        labels = load_csv(f, label_column="label").labels
+        assert labels.tolist() == [2**53 + 1, 2**53, 2**63 - 1, -2**63, 12]
+        f.write_text("a,label\n1,0\n2,9223372036854775808\n")
+        with pytest.raises(ParseError, match="is not a number in the int64 range") as info:
+            load_csv(f, label_column="label")
+        assert (info.value.row, info.value.column) == (3, 1)
+
     def test_parses_a_plain_file(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a,y,b\n1,7,2\nnan,8,3\n-0,-9.0,inf\n")

@@ -9,10 +9,7 @@ from prisomap.datasets import gen_swiss_roll
 from prisomap.embed import classical_mds
 from prisomap.errors import ClassTooSmall, NoFinitePairs, ZeroMeanDensity
 from prisomap.evaluate import (
-    _finite_columns,
-    _residual_variance,
-    _stress,
-    _upper_rows,
+    _BLOCK_ROWS,
     evaluate_embedding,
     knn_classify_cv,
     make_stratified_folds,
@@ -134,7 +131,8 @@ class TestStress:
         d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 2.0], [np.inf, 2.0, 0.0]])
         ld = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 2.0], [9.0, 2.0, 0.0]])
         assert stress(d, ld) == 0.0
-        assert evaluate_embedding(d, [[0.0], [1.0], [3.0]]).sentinel_excluded_pairs == 1
+        report = evaluate_embedding([[0.0], [1.0], [3.0]], reference_dists=d)
+        assert report.sentinel_excluded_pairs == 1
 
     def test_no_finite_pairs(self):
         d = np.full((3, 3), np.inf)
@@ -156,27 +154,41 @@ class TestResidualVariance:
         assert residual_variance(a, b) > 0.5
 
 
-def corrcoef_rule(d_hd, d_ld):
-    """1 - r^2 by np.corrcoef over the finite upper-triangle pairs, with the
-    zero-variance branch: the rule before the correlation ran in place."""
-    upper = np.triu(np.ones(d_hd.shape, dtype=bool), k=1)
+def long_double_scores(d_hd, d_ld):
+    """(sentinels, stress, residual variance) over the pairs i<j whose d_hd is
+    finite, summed in np.longdouble; a side whose pairs are all equal gives
+    residual variance 0.0 if the other's are too, else 1.0."""
+    upper = np.triu_indices(d_hd.shape[0], 1)
     finite = np.isfinite(d_hd[upper])
-    a, b = d_hd[upper][finite], d_ld[upper][finite]
-    sa, sb = float(np.std(a)), float(np.std(b))
-    if sa == 0.0 or sb == 0.0:
-        return 0.0 if sa == sb else 1.0
-    r = float(np.corrcoef(a, b)[0, 1])
-    return 1.0 - r * r
+    a = d_hd[upper][finite].astype(np.longdouble)
+    b = d_ld[upper][finite].astype(np.longdouble)
+    num, denom = np.sum((a - b) ** 2), np.sum(a * a)
+    stress = np.sqrt(num / denom) if denom else 0.0 if num == 0 else np.inf
+    constant = [bool(np.all(a == a[0])), bool(np.all(b == b[0]))]
+    if any(constant):
+        rv = 0.0 if all(constant) else 1.0
+    else:
+        da, db = a - a.mean(), b - b.mean()
+        rv = 1 - np.sum(da * db) ** 2 / (np.sum(da * da) * np.sum(db * db))
+    return int(finite.size - np.count_nonzero(finite)), float(stress), float(rv)
 
 
-class TestResidualVarianceBits:
+def assert_near(got, want):
+    """Within 1e-13 relative of the oracle. 1 - r^2 cancels as r^2 nears 1,
+    where every float64 sum leaves an error of a few ulps of 1: hence the
+    1e-15 floor, which no score above 0.01 reaches."""
+    assert abs(got - want) <= 1e-13 * abs(want) + 1e-15, (got, want)
+
+
+class TestResidualVarianceOracle:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1),
            st.sampled_from(["varied", "constant d_hd", "constant d_ld", "both constant"]),
            st.sampled_from([0.0, 0.1, 0.6, 0.95]))
     @example(n=2, seed=0, shape="varied", sentinel_share=0.0)  # P = 1
     @example(n=3, seed=1, shape="varied", sentinel_share=0.6)
-    def test_equals_corrcoef_bit_for_bit(self, n, seed, shape, sentinel_share):
+    @example(n=3, seed=121, shape="varied", sentinel_share=0.0)  # 1 - r^2 is 8.9e-8
+    def test_equals_a_long_double_oracle(self, n, seed, shape, sentinel_share):
         rng = np.random.default_rng(seed)
         d_hd = rng.gamma(2.0, 1.5, (n, n))
         d_ld = 3.0 * d_hd + rng.normal(0, 1, (n, n))
@@ -189,8 +201,12 @@ class TestResidualVarianceBits:
             with pytest.raises(NoFinitePairs):
                 residual_variance(d_hd, d_ld)
             return
-        want = corrcoef_rule(d_hd, d_ld)
-        assert repr(residual_variance(d_hd, d_ld)) == repr(float(want))
+        _, want_stress, want_rv = long_double_scores(d_hd, d_ld)
+        got = residual_variance(d_hd, d_ld)
+        if shape != "varied":  # a constant side: the rule's value, exactly
+            assert got == want_rv
+        assert_near(got, want_rv)
+        assert_near(stress(d_hd, d_ld), want_stress)
 
     def test_pinned_scores_of_a_seeded_input(self):
         rng = np.random.default_rng(2024)
@@ -198,17 +214,21 @@ class TestResidualVarianceBits:
         ref = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
         coords = x[:, :2] + rng.normal(0, 0.3, (240, 2))
         labels = (x[:, 0] > 0).astype(np.int64) + 2 * (x[:, 1] > 0)
-        report = evaluate_embedding(ref, coords, m=10, labels=labels, folds=5, seed=7)
+        report = evaluate_embedding(coords, reference_dists=ref, m=10, labels=labels, folds=5,
+                                    seed=7)
         got = [repr(getattr(report, name)) for name in (
-            "stress", "residual_variance", "trustworthiness", "continuity",
-            "knn_accuracy_mean", "knn_accuracy_sd")]
-        assert got == ["0.4099425655704061", "0.6216273571969192", "0.7642279138827023",
-                       "0.8685040831477358", "0.7791415828125885", "0.024331903309173807"]
-        ref[ref > np.percentile(ref, 90)] = np.inf  # the sentinel-column path
-        report = evaluate_embedding(ref, coords, m=10)
-        assert [repr(report.stress), repr(report.residual_variance)] == [
-            "0.3992501173921089", "0.6549666180520275"]
-        assert report.sentinel_excluded_pairs == 2880
+            "trustworthiness", "continuity", "knn_accuracy_mean", "knn_accuracy_sd")]
+        assert got == ["0.7642279138827023", "0.8685040831477358", "0.7791415828125885",
+                       "0.024331903309173807"]
+        _, want_stress, want_rv = long_double_scores(ref, pairwise_dists(coords))
+        assert_near(report.stress, want_stress)
+        assert_near(report.residual_variance, want_rv)
+        ref[ref > np.percentile(ref, 90)] = np.inf  # the sentinel path
+        report = evaluate_embedding(coords, reference_dists=ref, m=10)
+        sentinels, want_stress, want_rv = long_double_scores(ref, pairwise_dists(coords))
+        assert_near(report.stress, want_stress)
+        assert_near(report.residual_variance, want_rv)
+        assert report.sentinel_excluded_pairs == sentinels == 2880
 
 
 class TestTrustworthinessContinuity:
@@ -340,84 +360,150 @@ class TestBlockedExactness:
         rng = np.random.default_rng(17)
         ref = pairwise_dists(rng.normal(0, 1, (m, 3)))
         coords = rng.normal(0, 1, (m, 2))
-        # the embedding distances and the (2, P) upper-triangle pairs gathered
-        # from both matrices; the correlation then runs in place on the pairs
-        assert traced_peak(evaluate_embedding, ref, coords) <= 2.1 * 8 * m * m
+        # row blocks of both sides: no m x m matrix beyond the reference given
+        assert traced_peak(lambda: evaluate_embedding(coords, reference_dists=ref)) \
+            <= 2.1 * 8 * m * m
 
     def test_report_matches_standalone_metrics(self):
         rng = np.random.default_rng(16)
         ref = pairwise_dists(rng.normal(0, 1, (30, 3)))
         ref[0, 5] = ref[5, 0] = ref[2, 9] = ref[9, 2] = np.inf
         coords = rng.normal(0, 1, (30, 2))
-        report = evaluate_embedding(ref, coords, m=4)
+        report = evaluate_embedding(coords, reference_dists=ref, m=4)
         emb_d = pairwise_dists(coords)
-        assert report.stress == stress(ref, emb_d)
-        assert report.residual_variance == residual_variance(ref, emb_d)
-        assert report.sentinel_excluded_pairs == 2
+        sentinels, want_stress, want_rv = long_double_scores(ref, emb_d)
+        for got in (report.stress, stress(ref, emb_d)):
+            assert_near(got, want_stress)
+        for got in (report.residual_variance, residual_variance(ref, emb_d)):
+            assert_near(got, want_rv)
+        assert report.sentinel_excluded_pairs == sentinels == 2
 
 
-def upper_rows_oracle(*matrices):
-    """The i<j entries of each matrix, row-major, as the rows of one new
-    array: the gather before it was written over the embedding's distances."""
-    n = matrices[0].shape[0]
-    out = np.empty((len(matrices), n * (n - 1) // 2))
-    for row, values in zip(out if n else (), matrices):
-        np.concatenate([values[i, i + 1:] for i in range(n)], out=row)
-    return out
+def block_edge_inputs(n):
+    """n points in 3-D, and 2-D coordinates that roughly follow them."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(0, 1, (n, 3))
+    return x, x[:, :2] + rng.normal(0, 0.3, (n, 2))
 
 
-def oracle_scores(ref, coords):
-    """(sentinels, stress, residual variance) from the oracle's gather."""
-    pairs, sentinels = _finite_columns(upper_rows_oracle(ref, pairwise_dists(coords)))
-    return sentinels, _stress(*pairs), _residual_variance(pairs)
+class TestScoringInRowBlocks:
+    # one pair; one row beyond a block's first; and one row below, at and
+    # above one and two blocks of _BLOCK_ROWS rows, and a bench op's size
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 257, 1433])
+    def test_block_edges_equal_the_oracles(self, n):
+        assert _BLOCK_ROWS == 128
+        x, coords = block_edge_inputs(n)
+        d_hd, d_ld = pairwise_dists(x), pairwise_dists(coords)
+        _, want_stress, want_rv = long_double_scores(d_hd, d_ld)
+        if n == 2:  # no T/C neighborhood fits
+            assert_near(stress(d_hd, d_ld), want_stress)
+            assert_near(residual_variance(d_hd, d_ld), want_rv)
+            return
+        m = min(5, (n - 1) // 2)
+        by_points = evaluate_embedding(coords, reference_points=x, m=m)
+        by_matrix = evaluate_embedding(coords, reference_dists=d_hd, m=m)
+        want_tc = reference_tc(d_hd, d_ld, m)
+        for report in (by_points, by_matrix):
+            assert (report.trustworthiness, report.continuity) == want_tc
+            assert report.sentinel_excluded_pairs == 0
+            assert_near(report.stress, want_stress)
+            assert_near(report.residual_variance, want_rv)
 
+    @pytest.mark.parametrize("m", [1, 10, 100])
+    def test_points_reference_and_its_matrix_give_equal_tc(self, m):
+        x, coords = block_edge_inputs(700)
+        by_points = evaluate_embedding(coords, reference_points=x, m=m)
+        by_matrix = evaluate_embedding(coords, reference_dists=pairwise_dists(x), m=m)
+        assert (by_points.trustworthiness, by_points.continuity) == \
+            (by_matrix.trustworthiness, by_matrix.continuity) == \
+            trustworthiness_continuity(pairwise_dists(x), pairwise_dists(coords), m)
 
-class TestPairsInTheEmbeddingBuffer:
-    # rows 1, 2 and 3 cover the one-row moves at the end; 257 and 1433 need
-    # several blocks, the last the size of a bench op's common block
-    @pytest.mark.parametrize("m", [1, 2, 3, 64, 257, 1433])
-    def test_equals_the_gather_into_a_new_array(self, m):
-        rng = np.random.default_rng(m)
-        # not symmetric, so a pair taken from the wrong triangle or row shows
-        ref, own = rng.random((m, m)), rng.random((m, m))
-        want = upper_rows_oracle(ref, own)
-        buffer = own.copy()
-        got = _upper_rows(ref, buffer)
-        assert got.flags.c_contiguous and got.shape == (2, m * (m - 1) // 2)
-        assert m == 1 or np.shares_memory(got, buffer)  # m=1 has no pair
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("m, share", [(40, 0.0), (40, 0.3), (257, 0.05), (600, 0.5)])
+    @pytest.mark.parametrize("m, share", [(40, 0.0), (40, 0.3), (257, 0.05), (300, 0.01),
+                                          (300, 0.2), (600, 0.5)])
     def test_scores_equal_the_oracle_with_sentinels(self, m, share):
         rng = np.random.default_rng(31 + m)
         ref = pairwise_dists(rng.normal(0, 1, (m, 3)))
         coords = rng.normal(0, 1, (m, 2))
         upper = np.triu(rng.random((m, m)) < share, k=1)
         ref[upper | upper.T] = np.inf
-        report = evaluate_embedding(ref, coords, m=5)
-        sentinels, want_stress, want_rv = oracle_scores(ref, coords)
+        report = evaluate_embedding(coords, reference_dists=ref, m=5)
+        sentinels, want_stress, want_rv = long_double_scores(ref, pairwise_dists(coords))
         assert report.sentinel_excluded_pairs == sentinels == int(upper.sum())
-        assert repr(report.stress) == repr(want_stress)
-        assert repr(report.residual_variance) == repr(want_rv)
+        assert_near(report.stress, want_stress)
+        assert_near(report.residual_variance, want_rv)
+        assert np.isnan(report.trustworthiness) == bool(share)
+
+    def test_constant_sides_over_several_blocks(self):
+        n = 300
+        rng = np.random.default_rng(41)
+        varied = pairwise_dists(rng.normal(0, 1, (n, 2)))
+        flat = np.full((n, n), 2.5)
+        # each block's pairs are equal, but the blocks' values differ
+        stepped = np.repeat(1.0 + np.arange(n) // _BLOCK_ROWS, n).reshape(n, n)
+        for d_hd, d_ld, want in ((flat, varied, 1.0), (varied, flat, 1.0), (flat, flat, 0.0),
+                                 (stepped, stepped, 0.0)):
+            assert residual_variance(d_hd, d_ld) == want
+        for d_hd, d_ld in ((stepped, varied), (varied, stepped)):
+            assert 0.0 < residual_variance(d_hd, d_ld) < 1.0
+            assert_near(residual_variance(d_hd, d_ld), long_double_scores(d_hd, d_ld)[2])
+        # the finite pairs left by the sentinels, row 0's, are all equal
+        with_sentinels = np.full((n, n), np.inf)
+        with_sentinels[0] = 2.5
+        assert residual_variance(with_sentinels, varied) == 1.0
+        assert residual_variance(with_sentinels, flat) == 0.0
 
     def test_inputs_are_left_unchanged(self):
         rng = np.random.default_rng(37)
-        ref = pairwise_dists(rng.normal(0, 1, (300, 3)))
+        x = rng.normal(0, 1, (300, 3))
+        ref = pairwise_dists(x)
         ref[3, 7] = ref[7, 3] = np.inf
         coords = rng.normal(0, 1, (300, 2))
-        for reference in (ref, np.where(np.isfinite(ref), ref, 1e3)):
-            before = reference.tobytes(), coords.tobytes()
-            evaluate_embedding(reference, coords, m=5, labels=np.arange(300) % 3, folds=3)
-            assert (reference.tobytes(), coords.tobytes()) == before
+        for reference in ({"reference_dists": ref},
+                          {"reference_dists": np.where(np.isfinite(ref), ref, 1e3)},
+                          {"reference_points": x}):
+            given = next(iter(reference.values()))
+            before = given.tobytes(), coords.tobytes()
+            evaluate_embedding(coords, **reference, m=5, labels=np.arange(300) % 3, folds=3)
+            assert (given.tobytes(), coords.tobytes()) == before
+
+    def test_reference_is_given_once_by_keyword(self):
+        x, coords = block_edge_inputs(20)
+        with pytest.raises(TypeError):  # a positional m x m array is no reference
+            evaluate_embedding(pairwise_dists(x), coords)
+        for reference in ({}, {"reference_points": x, "reference_dists": pairwise_dists(x)}):
+            with pytest.raises(ValueError, match="exactly one of reference_points"):
+                evaluate_embedding(coords, **reference, m=3)
+        with pytest.raises(ValueError, match="must be square"):
+            evaluate_embedding(coords, reference_dists=pairwise_dists(x)[:, :5], m=3)
 
     def test_report_memory_within_one_and_six_tenths_m_squared(self):
         m = 1200
         rng = np.random.default_rng(17)
         ref = pairwise_dists(rng.normal(0, 1, (m, 3)))
         coords = rng.normal(0, 1, (m, 2))
-        # the embedding's distances, then the pairs in their buffer and the
-        # P-long stress temporary; T/C's row blocks set the peak (1.56 m^2)
-        assert traced_peak(evaluate_embedding, ref, coords) <= 1.6 * 8 * m * m
+        assert traced_peak(lambda: evaluate_embedding(coords, reference_dists=ref)) \
+            <= 1.6 * 8 * m * m
+
+    # both sides' row blocks, T/C's sorted copies and the pairs of a block:
+    # about five blocks of 128 float64 rows are live at once
+    @pytest.mark.parametrize("m", [1200, 3000])
+    def test_points_reference_memory_in_row_blocks(self, m):
+        rng = np.random.default_rng(17)
+        points, coords = rng.normal(0, 1, (m, 3)), rng.normal(0, 1, (m, 2))
+        assert traced_peak(lambda: evaluate_embedding(coords, reference_points=points)) \
+            <= 12 * _BLOCK_ROWS * m * 8
+
+    def test_sentinel_matrix_memory_in_row_blocks(self):
+        # 1% unreachable pairs, as a windowed geodesic reference has; the
+        # (2, P) pairs and their compacted copy once peaked at 2.55 m^2 here
+        m = 1200
+        rng = np.random.default_rng(43)
+        ref = pairwise_dists(rng.normal(0, 1, (m, 3)))
+        upper = np.triu(rng.random((m, m)) < 0.01, k=1)
+        ref[upper | upper.T] = np.inf
+        coords = rng.normal(0, 1, (m, 2))
+        assert traced_peak(lambda: evaluate_embedding(coords, reference_dists=ref)) \
+            <= 12 * _BLOCK_ROWS * m * 8
 
 
 class TestKnnClassifyCv:
@@ -551,7 +637,7 @@ class TestEvalReport:
         coords = rng.normal(0, 1, (12, 2))
         ref = pairwise_dists(rng.normal(0, 1, (12, 3)))
         ref[0, 1] = ref[1, 0] = np.inf
-        report = evaluate_embedding(ref, coords, m=3)
+        report = evaluate_embedding(coords, reference_dists=ref, m=3)
         assert np.isnan(report.trustworthiness)
         assert report.sentinel_excluded_pairs == 1
         assert np.isfinite(report.stress)
@@ -565,7 +651,7 @@ class TestEvalReport:
         x = rng.normal(0, 1, (40, 4))
         emb = classical_mds(x, p=2)
         report = evaluate_embedding(
-            pairwise_dists(x), emb.coordinates, m=5,
+            emb.coordinates, reference_points=x, m=5,
             labels=np.array([0, 1] * 20), folds=4, seed=0,
             run={"method": "mds"},
         )
