@@ -266,9 +266,6 @@ def run_bench(
         run = runs[name]
         emb = run.embedding
         coords = _restrict_to(emb, common)
-        run_info = dict(emb.method)
-        if spec.method == "pr-isomap":
-            run_info["h_resolved"] = emb.method["h"]
         report = evaluate_embedding(
             coords,
             reference_points=points[common],
@@ -278,7 +275,7 @@ def run_bench(
             folds=folds,
             seed=seed,
             fold_assignment=assignment,
-            run=run_info,
+            run=emb.method,
             timings={"embed_seconds": run.seconds},
         )
         report.kept_fraction = emb.kept_indices.size / n

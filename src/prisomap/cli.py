@@ -1,8 +1,9 @@
 """Command-line pipeline: generate, embed, evaluate, benchmark, plot.
 
 Exit codes: 0 success, 2 usage/input problems, 3 graph-topology failures
-(component summary printed), 4 numeric failures. Every output file embeds or
-references the RunConfig that produced it; the top eigenpairs of each graph
+(component summary printed), 4 numeric failures. Every output file records
+the run_config that produced it, each parsed argument as given (_run_config),
+so replaying it gives the same bytes. The top eigenpairs of each graph
 method's geodesic kernel are cached so repeated sweeps skip the all-pairs
 stage and the eigensolve. Output files are byte-deterministic but for the
 eval and bench reports' timings.* and bench.csv's embed_seconds; every other
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .bench import GRAPH_METHODS, METHODS, MethodSpec, Neighbors, resolve_h, run_bench, run_method
+from .bench import METHODS, MethodSpec, Neighbors, resolve_h, run_bench, run_method
 from .datasets import (gen_swiss_roll, json_safe, load_csv, save_csv, save_table,
                        swiss_roll_unrolled, write_json)
 from .embed import embedding_descriptor, load_embedding_csv, save_embedding_csv
@@ -144,9 +145,18 @@ def _add_label_flags(sub) -> None:
     sub.add_argument("--label-column", default=None, help="column holding the labels")
 
 
-def _run_config(command: str, params: dict) -> dict:
+# Where an output is written, what the cache holds (warm = cold), the config
+# file (already read into the settings) and argparse's own fields: none of
+# them changes what an output holds.
+_UNRECORDED = ("out", "csv", "cache_dir", "config", "command", "func")
+
+
+def _run_config(args) -> dict:
+    """The run_config an output records: every argument as given, settings
+    resolved, but those in _UNRECORDED."""
+    params = {dest: value for dest, value in vars(args).items() if dest not in _UNRECORDED}
     return {
-        "command": command,
+        "command": args.command,
         "package": "prisomap",
         "version": __version__,
         "params": json_safe(params),
@@ -163,10 +173,7 @@ def cmd_gen(args) -> int:
                             seed=args.seed, short_circuit_pairs=args.short_circuit_pairs)
     save_csv(out / "ambient.csv", sample.ambient, names=["x", "y", "z"])
     save_csv(out / "intrinsic.csv", sample.intrinsic, names=["t", "u"])
-    params = {"generator": args.generator, "n": args.n, "noise_sd": args.noise_sd,
-              "exponent": args.exponent, "short_circuit_pairs": args.short_circuit_pairs,
-              "seed": args.seed, "out": str(out)}
-    write_json({"run_config": _run_config("gen", params),
+    write_json({"run_config": _run_config(args),
                 "density_profile": json_safe(sample.density_profile),
                 "files": ["ambient.csv", "intrinsic.csv"]}, out / "spec.json")
     return 0
@@ -181,17 +188,9 @@ def cmd_embed(args) -> int:
     ds = load_csv(args.input, label_column=args.label_column)
     neighbors = Neighbors(ds.data)
     run = run_method(spec, neighbors, spectrum=args.spectrum, cache_dir=args.cache_dir)
-
-    params = {"input": str(args.input), "method": spec.method, "p": args.p,
-              "out": str(args.out), "policy": args.policy, "label_column": args.label_column,
-              "spectrum": args.spectrum}
-    if spec.method in GRAPH_METHODS:
-        # the window as given, so params replay
-        h = run.embedding.method["h"] if args.h_pct is None else None
-        params.update({"k": args.k, "h": h, "h_pct": args.h_pct})
     out = Path(args.out)
     save_embedding_csv(run.embedding, out)
-    extra = {"run_config": _run_config("embed", params), "data_hash": neighbors.data_hash,
+    extra = {"run_config": _run_config(args), "data_hash": neighbors.data_hash,
              "dropped_rows": ds.dropped_rows}
     write_json(embedding_descriptor(run.embedding, extra), out.with_suffix(".json"))
     print(f"timing total_seconds={run.seconds:.3f} "
@@ -227,20 +226,18 @@ def _load_labels(args, indices):
 
 def cmd_eval(args) -> int:
     indices, coords = load_embedding_csv(args.emb)
-    reference_kind = args.reference
-    if reference_kind == "chart" or args.chart:
-        if not args.chart:
-            raise InputError("--ref chart requires --chart FILE")
+    if args.reference == "chart":
+        if not args.chart or args.data:
+            raise InputError("--ref chart takes --chart FILE and no --data")
         reference = {"reference_points": _chart_points(args.chart, indices)}
-        reference_kind = "chart"
     else:
-        if args.data is None:
-            raise InputError(f"--ref {reference_kind} requires --data FILE")
+        if args.chart or args.data is None:
+            raise InputError(f"--ref {args.reference} takes --data FILE and no --chart")
         label_column = args.label_column if args.labels is None else None
         x = as_finite_matrix(load_csv(args.data, label_column=label_column).data)
         if indices.max() >= x.shape[0]:
             raise InputError("embedding indices exceed data row count")
-        if reference_kind == "euclidean":
+        if args.reference == "euclidean":
             reference = {"reference_points": x[indices]}
         else:  # geodesic: the graph isomap uses, or pr-isomap's when a window is given
             method = "isomap" if args.h is None and args.h_pct is None else "pr-isomap"
@@ -254,11 +251,7 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     report = evaluate_embedding(
         coords, **reference, m=args.m, labels=labels, k_clf=args.k_clf, folds=args.folds,
-        seed=args.seed,
-        run=_run_config("eval", {
-            "emb": str(args.emb), "reference": reference_kind, "m": args.m,
-            "k_clf": args.k_clf, "folds": args.folds, "seed": args.seed,
-        }),
+        seed=args.seed, run=_run_config(args),
     )
     report.timings["metrics_seconds"] = round(time.perf_counter() - t0, 6)
     report.to_json(args.out)
@@ -290,13 +283,8 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_table(out / "bench.csv", result.table_rows())
-
-    params = {"input": str(args.input), "methods": methods, "baseline": result.baseline,
-              "k": args.k, "h": args.h, "h_pct": args.h_pct, "p": args.p, "m": args.m,
-              "k_clf": args.k_clf, "folds": args.folds, "seed": args.seed,
-              "policy": args.policy, "chart": str(args.chart) if args.chart else None}
     write_json({
-        "run_config": _run_config("bench", params),
+        "run_config": _run_config(args),
         "files": ["bench.csv"],
         "baseline": result.baseline,
         "common_vertex_count": int(result.common_vertices.size),
@@ -312,9 +300,7 @@ def cmd_bench(args) -> int:
 def cmd_plot(args) -> int:
     indices, coords = load_embedding_csv(args.input)
     axes = tuple(args.axes) if args.axes else (0, 1)
-    params = {"input": str(args.input), "axes": list(axes), "out": str(args.out),
-              "labels": str(args.labels) if args.labels else None}
-    comment = "runconfig " + json.dumps(_run_config("plot", params), sort_keys=True)
+    comment = "runconfig " + json.dumps(_run_config(args), sort_keys=True)
     svg = scatter_svg(coords, labels=_load_labels(args, indices), axes=axes, comment=comment)
     Path(args.out).write_text(svg, encoding="utf-8")
     return 0

@@ -265,12 +265,11 @@ def knn_classify_cv(coords, labels, k_clf: int = 5, folds: int = 10, seed: int =
 def uniformity_cv(density: DensityEstimate) -> float:
     """Coefficient of variation of the window density; lower = more uniform.
 
-    Computed from occupancy counts when available: the constant window
-    normalization cancels in sd/mean, and counts stay finite even when the
-    density values under- or overflow in high ambient dimension.
+    Computed from occupancy counts: the constant window normalization cancels
+    in sd/mean, and counts stay finite even when the density values under- or
+    overflow in high ambient dimension.
     """
-    source = density.counts if density.counts is not None else density.values
-    values = np.asarray(source, dtype=np.float64)
+    values = np.asarray(density.counts, dtype=np.float64)
     mean = float(np.mean(values))
     if mean == 0.0:
         raise ZeroMeanDensity("density is identically zero")

@@ -47,14 +47,13 @@ class DensityEstimate:
     counts holds the raw window occupancy (self included); values = counts /
     (k * h**d), which can under- or overflow float64 when d is a large
     ambient dimension. Statistics that are invariant to the constant
-    normalization (like the uniformity coefficient of variation) should use
-    counts.
+    normalization (like the uniformity coefficient of variation) use counts.
     """
 
     values: np.ndarray
     h: float
     k: int
-    counts: np.ndarray | None = None
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)

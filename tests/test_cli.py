@@ -42,9 +42,7 @@ class TestGen:
             assert run_cli("gen", "swiss-roll", "--n", "120", "--seed", "3",
                            "--out", str(out)) == 0
         for name in ("ambient.csv", "intrinsic.csv", "spec.json"):
-            got = (a / name).read_bytes()
-            want = (b / name).read_bytes()
-            assert got == want or name == "spec.json" and _normalized(got, a) == _normalized(want, b)
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_unknown_generator(self, tmp_path, capsys):
         assert run_cli("gen", "torus", "--out", str(tmp_path / "x")) == 2
@@ -502,9 +500,7 @@ class TestEmbed:
         again = tmp_path / "again.csv"
         assert run_cli("embed", "--in", params["input"], "--method", params["method"],
                        "--config", str(cfg), "--out", str(again)) == 0
-        replayed = json.loads(again.with_suffix(".json").read_text())
-        replayed["run_config"]["params"]["out"] = params["out"]
-        assert replayed == desc
+        assert json.loads(again.with_suffix(".json").read_text()) == desc
         assert again.read_bytes() == first.read_bytes()
 
         plain = tmp_path / "plain.csv"
@@ -512,7 +508,7 @@ class TestEmbed:
                        "--config", str(cfg), "--spectrum", "0", "--out", str(plain)) == 0
         plain_params = json.loads(plain.with_suffix(".json").read_text())["run_config"]["params"]
         assert plain_params["spectrum"] == 0
-        assert {key for key in params if params[key] != plain_params[key]} == {"out", "spectrum"}
+        assert {key for key in params if params[key] != plain_params[key]} == {"spectrum"}
 
     def test_numeric_errors_exit_4(self, monkeypatch, roll_dir, tmp_path):
         from prisomap import bench
@@ -552,6 +548,23 @@ class TestEval:
                        "--chart", str(roll_dir / "intrinsic.csv"), "--chart-kind", "auto",
                        "--out", str(tmp_path / "r.json")) == 2
         assert "--chart-kind" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    # a chart is the reference of --ref chart alone, and --ref chart reads no data
+    @pytest.mark.parametrize("reference", [["--ref", "geodesic", "--chart"],
+                                           ["--ref", "euclidean", "--chart"], ["--chart"],
+                                           ["--ref", "chart", "--data"]],
+                             ids=" ".join)
+    def test_chart_with_another_reference_exits_2(self, roll_dir, tmp_path, capsys, reference):
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
+                       "--method", "pca", "--p", "2", "--out", str(emb)) == 0
+        given = [str(roll_dir / "intrinsic.csv"), "--data", str(roll_dir / "ambient.csv")] \
+            if reference[-1] == "--chart" else [str(roll_dir / "ambient.csv"),
+                                               "--chart", str(roll_dir / "intrinsic.csv")]
+        assert run_cli("eval", "--emb", str(emb), *reference, *given,
+                       "--out", str(tmp_path / "r.json")) == 2
+        assert "and no --" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     # eval would score against changed classes if a label were truncated
@@ -715,6 +728,18 @@ class TestBench:
         payload = json.loads((out / "bench.json").read_text())
         assert set(payload["reports"]) == {"isomap", "pca"}
         assert "pca" in payload["paired_deltas"]
+
+    # a report's run is the method block, whose h is the resolved window
+    def test_report_run_holds_the_resolved_h_once(self, roll_dir, tmp_path):
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--in", str(roll_dir / "ambient.csv"), "--methods",
+                       "pr-isomap,isomap", "--k", "8", "--h-pct", "80", "--out", str(out)) == 0
+        reports = json.loads((out / "bench.json").read_text())["reports"]
+        for name, report in reports.items():
+            assert "h_resolved" not in report["run"]
+            assert report["run"]["method"] == name
+        assert isinstance(reports["pr-isomap"]["run"]["h"], float)
+        assert reports["isomap"]["run"]["h"] == "inf"
 
     def test_warm_cache_runs_no_all_pairs(self, roll_dir, tmp_path, monkeypatch):
         from prisomap import geodesics
@@ -1084,8 +1109,13 @@ class TestSettingsTable:
         assert run_cli(command, *REQUIRED[command], *option) == 2
         assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
+    # the run_config recorder reads every argument by design, so it is stubbed
     @pytest.mark.parametrize("command", sorted(OPTIONS))
-    def test_command_reads_every_setting_it_declares(self, roll_dir, tmp_path, command):
+    def test_command_reads_every_setting_it_declares(self, roll_dir, tmp_path, monkeypatch,
+                                                     command):
+        from prisomap import cli
+
+        monkeypatch.setattr(cli, "_run_config", lambda args: {})
         ambient = str(roll_dir / "ambient.csv")
         emb = tmp_path / "e.csv"
         assert run_cli("embed", "--in", ambient, "--method", "isomap", "--k", "8",
@@ -1346,9 +1376,87 @@ def untimed(path):
 
     if path.suffix == ".json":
         return strip(json.loads(path.read_text()))
+    if path.suffix != ".csv":
+        return path.read_bytes()
     rows = [line.split(",") for line in path.read_text().splitlines()]
     keep = [i for i, name in enumerate(rows[0]) if not name.endswith("_seconds")]
     return [[row[i] for i in keep] for row in rows]
+
+
+class TestReplay:
+    """Each output's run_config replays: its settings as a --config file and
+    its other arguments as flags give the same output, timings aside."""
+
+    @staticmethod
+    def outputs(out):
+        files = sorted(out.iterdir()) if out.is_dir() else sorted({out, out.with_suffix(".json")})
+        return [untimed(path) for path in files if path.exists()]
+
+    @staticmethod
+    def replay_argv(run_config, tmp_path):
+        """The argv of a recorded run_config, each flag's name read from the parser."""
+        command, params = run_config["command"], run_config["params"]
+        flags = {a.dest: a.option_strings for a in _subparsers()[command]._actions}
+        argv, config = [command], {}
+        for dest, value in params.items():
+            if dest in SETTINGS:
+                config[dest] = value
+            elif value is not None:
+                values = value if isinstance(value, list) else [value]
+                argv += [*flags[dest][:1], *map(str, values)]
+        cfg = tmp_path / "replay.json"
+        cfg.write_text(json.dumps(config))
+        return [*argv, "--config", str(cfg)]
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_recorded_run_config_replays(self, roll_dir, tmp_path, command):
+        from prisomap.cli import _UNRECORDED
+
+        ambient, chart = str(roll_dir / "ambient.csv"), str(roll_dir / "intrinsic.csv")
+        labels, emb = tmp_path / "labels.csv", tmp_path / "emb.csv"
+        labels.write_text("y\n" + "".join(f"{i % 3}\n" for i in range(300)))
+        assert run_cli("embed", "--in", ambient, "--method", "isomap", "--k", "8", "--p", "3",
+                       "--out", str(emb)) == 0
+        label_flags = ["--labels", str(labels), "--label-column", "y"]
+        scoring = ["--m", "7", "--k-clf", "3", "--folds", "4", "--seed", "5"]
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        argv = {
+            "gen": ["swiss-roll", "--n", "150", "--noise-sd", "0.1", "--exponent", "1",
+                    "--short-circuit-pairs", "0.02", "--seed", "3"],
+            "embed": ["--in", ambient, "--method", "pr-isomap", "--k", "9", "--h-pct", "85",
+                      "--p", "3", "--policy", "largest-component", "--spectrum", "5", *cache],
+            "eval": ["--emb", str(emb), "--data", ambient, "--ref", "geodesic", "--k", "12",
+                     "--h-pct", "60", *label_flags, *scoring, "--csv", str(tmp_path / "r.csv")],
+            "bench": ["--in", ambient, "--methods", "pr-isomap,isomap,pca", "--baseline", "pca",
+                      "--k", "9", "--h", "4.5", "--p", "3", "--chart", chart, *label_flags,
+                      *scoring, "--policy", "largest-component", *cache],
+            "plot": ["--in", str(emb), *label_flags, "--axes", "2", "0"],
+        }[command]
+        suffix = {"gen": "", "bench": "", "eval": ".json", "plot": ".svg", "embed": ".csv"}
+        first, again = tmp_path / f"first{suffix[command]}", tmp_path / f"again{suffix[command]}"
+        assert run_cli(command, *argv, "--out", str(first)) == 0
+        if command == "plot":
+            run_config = json.loads(first.read_text().split("runconfig ", 1)[1].split(" -->")[0])
+        elif command == "eval":
+            run_config = json.loads(first.read_text())["run"]
+        else:
+            description = {"gen": first / "spec.json", "bench": first / "bench.json"}.get(
+                command, first.with_suffix(".json"))
+            run_config = json.loads(description.read_text())["run_config"]
+        declared = {a.dest for a in _subparsers()[command]._actions} - {"help"}
+        assert set(run_config["params"]) == declared - set(_UNRECORDED)
+
+        assert run_cli(*self.replay_argv(run_config, tmp_path), "--out", str(again)) == 0
+        assert self.outputs(again) == self.outputs(first)
+
+    def test_output_path_is_not_recorded(self, roll_dir, tmp_path):
+        argv = ["embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pr-isomap",
+                "--k", "8", "--h-pct", "80", "--policy", "largest-component"]
+        a, b = tmp_path / "a.csv", tmp_path / "sub" / "b.csv"
+        b.parent.mkdir()
+        assert run_cli(*argv, "--out", str(a)) == 0
+        assert run_cli(*argv, "--out", str(b)) == 0
+        assert a.with_suffix(".json").read_bytes() == b.with_suffix(".json").read_bytes()
 
 
 class TestForkedDijkstra:

@@ -570,11 +570,11 @@ class TestKnnClassifyCv:
 
 class TestUniformityCv:
     def test_constant_density_zero_cv(self):
-        dens = DensityEstimate(values=np.full(10, 0.3), h=1.0, k=3)
+        dens = DensityEstimate(values=np.full(10, 0.3), h=1.0, k=3, counts=np.full(10, 3))
         assert uniformity_cv(dens) <= 1e-12
 
     def test_zero_mean_rejected(self):
-        dens = DensityEstimate(values=np.zeros(5), h=1.0, k=3)
+        dens = DensityEstimate(values=np.zeros(5), h=1.0, k=3, counts=np.zeros(5))
         with pytest.raises(ZeroMeanDensity):
             uniformity_cv(dens)
 
