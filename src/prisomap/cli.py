@@ -298,6 +298,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if args.label_column and not args.labels:
+        raise InputError("--label-column names a column of the --labels file; give --labels")
     indices, coords = load_embedding_csv(args.input)
     axes = tuple(args.axes) if args.axes else (0, 1)
     comment = "runconfig " + json.dumps(_run_config(args), sort_keys=True)

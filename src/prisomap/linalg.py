@@ -27,7 +27,7 @@ _ARPACK_TOL = 1e-10
 
 _EIG_RESIDUAL_TOL = 1e-8
 
-_TILE = 256  # rows per block, and side of the tiles where a matrix meets its transpose
+_TILE = 256  # rows per block, and side of a square tile
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -65,15 +65,6 @@ def _mirrored_tiles(n: int):
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
             yield slice(i, i + _TILE), slice(j, j + _TILE)
-
-
-def _average_with_transpose(a: np.ndarray) -> None:
-    """a = 0.5 * (a + a.T) in place, one pair of mirrored tiles at a time."""
-    for rows, cols in _mirrored_tiles(a.shape[0]):
-        mean = a[rows, cols] + a[cols, rows].T
-        mean *= 0.5
-        a[rows, cols] = mean
-        a[cols, rows] = mean.T
 
 
 def _distances(a, b, root: bool) -> np.ndarray:
@@ -137,24 +128,25 @@ def double_center_in_place(d_sq: np.ndarray) -> np.ndarray:
     H = I - (1/n) 11^T, overwriting d_sq if it is a C-contiguous float64
     array (else a converted copy); callers use the returned array.
 
-    The result is exactly symmetric with row and column sums that vanish up
-    to rounding. Raises NonSymmetricInput for asymmetric input and
-    SentinelPresent if any entry is non-finite (the unreachable sentinel
-    must be resolved by a component policy before centering).
+    With r the row means and g their mean, [i, j] becomes -0.5 * ((D[i, j] -
+    (r[i] + r[j])) + g), one _TILE-square tile at a time. D is exactly
+    symmetric, so r holds its column means too, and r[i] + r[j], one rounded
+    sum, is r[j] + r[i]: each entry rounds as its mirror does. Raises
+    NonSymmetricInput for asymmetric input and SentinelPresent if any entry
+    is non-finite (a component policy must resolve the unreachable sentinel).
     """
     d = as_matrix(d_sq, "d_sq")
     if not np.all(np.isfinite(d)):
         raise SentinelPresent("squared-distance matrix contains unreachable entries")
     d = require_square_symmetric(d, "d_sq")
-    row_mean = d.mean(axis=1, keepdims=True)
-    col_mean = d.mean(axis=0, keepdims=True)
-    grand = float(d.mean())
-    # the order of -0.5 * (d - row_mean - col_mean + grand), one pass each
-    d -= row_mean
-    d -= col_mean
-    d += grand
-    d *= -0.5
-    _average_with_transpose(d)
+    r = d.mean(axis=1)
+    g = float(r.mean())
+    for i in range(0, d.shape[0], _TILE):
+        for j in range(0, d.shape[0], _TILE):
+            tile = d[i:i + _TILE, j:j + _TILE]
+            tile -= r[i:i + _TILE, None] + r[j:j + _TILE]
+            tile += g
+            tile *= -0.5
     return d
 
 

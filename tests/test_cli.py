@@ -394,8 +394,9 @@ class TestEmbed:
         assert not [w for w in seen if issubclass(w.category, DegenerateDuplicatesWarning)]
         assert (tmp_path / "e.csv").read_bytes() == cold
 
-    # an entry of an older format version is noted and rewritten: an archive
-    # whose meta gives version 2, and a version 2 entry as that format wrote it
+    # an entry of an older format version is noted and rewritten: archives
+    # whose meta gives version 2 or 3 (3 held the eigenpairs of the
+    # transpose-averaged kernel), and a version 2 entry as that format wrote it
     # (magic, a little-endian header, the JSON block, then the arrays)
     def test_older_version_entry_is_recomputed(self, roll_dir, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -408,16 +409,20 @@ class TestEmbed:
         with np.load(entry) as archive:
             members = dict(archive)
         meta = json.loads(members["meta"].item())
-        with io.BytesIO() as fh:
-            np.savez(fh, **{**members, "meta": np.array(json.dumps({**meta, "version": 2}))})
-            archive_v2 = fh.getvalue()
+        archives = {}
+        for version in (2, 3):
+            with io.BytesIO() as fh:
+                np.savez(fh, **{**members,
+                                "meta": np.array(json.dumps({**meta, "version": version}))})
+                archives[version] = fh.getvalue()
         kept, vectors = members["kept"], members["eigenvectors"]
         block = json.dumps({"fingerprint": meta["fingerprint"], "h": meta["h"]}).encode()
         raw_v2 = b"".join([b"PRGS", struct.pack("<IIIII", 2, meta["n_input"], *vectors.shape,
                                                  len(block)), block, kept.astype("<i8").tobytes(),
                            members["eigenvalues"].astype("<f8").tobytes(),
                            np.ascontiguousarray(vectors, dtype="<f8").tobytes()])
-        for old, note in [(archive_v2, "unsupported version 2; recomputing"),
+        for old, note in [(archives[2], "unsupported version 2; recomputing"),
+                          (archives[3], "unsupported version 3; recomputing"),
                           (raw_v2, "unreadable spectral entry")]:
             entry.write_bytes(old)
             capsys.readouterr()
@@ -910,6 +915,13 @@ class TestPlot:
         assert rc == 0
         text = out.read_text()
         assert "#1f77b4" in text and "#ff7f0e" in text
+
+    def test_label_column_without_labels_exits_2(self, tmp_path):
+        emb = tmp_path / "emb.csv"
+        emb.write_text("index,c0,c1\n0,0,0\n1,1,1\n")
+        out = tmp_path / "plot.svg"
+        assert run_cli("plot", "--in", str(emb), "--label-column", "y", "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_one_dimensional_embedding_rejected(self, tmp_path):
         emb = tmp_path / "emb.csv"

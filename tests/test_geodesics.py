@@ -590,7 +590,8 @@ class TestSerialization:
     # missing or of another dtype or shape
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "entry.eig"
-        meta = np.array(json.dumps({"version": 3, "n_input": 3, "fingerprint": {}, "h": 1.0}))
+        meta = np.array(json.dumps({"version": geodesics._VERSION, "n_input": 3,
+                                    "fingerprint": {}, "h": 1.0}))
         members = {"kept": np.arange(3), "eigenvalues": np.ones(2),
                    "eigenvectors": np.ones((3, 2)), "meta": meta}
         bad = [{**members, "kept": np.arange(3.0)}, {**members, "eigenvalues": np.float64(1.0)},

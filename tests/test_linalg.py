@@ -30,11 +30,8 @@ def centering_oracle(d):
 
 def full_matrix_centering(d):
     """The centering as whole-matrix expressions: the bytes the tiled code must give."""
-    r = d.mean(axis=1, keepdims=True)
-    c = d.mean(axis=0, keepdims=True)
-    g = float(d.mean())
-    k = -0.5 * (d - r - c + g)
-    return 0.5 * (k + k.T)
+    r = d.mean(axis=1)
+    return -0.5 * ((d - (r[:, None] + r[None, :])) + float(r.mean()))
 
 
 def full_matrix_sq_dists(a, b=None):
@@ -95,6 +92,20 @@ class TestDoubleCenter:
         assert back is a
         assert peak < 4 * n * n  # half of one n x n float64 matrix
 
+    def test_centering_allocates_no_block_beyond_one_tile(self):
+        # the finiteness and symmetry checks each build one m x m bool mask
+        # (m^2 bytes); the centering itself holds one 256 x 256 tile of
+        # r_i + r_j at a time, so a row-block temporary would break the bound
+        m = 1500
+        d = pairwise_sq_dists(np.random.default_rng(4).normal(0, 1, (m, 3)))
+        tracemalloc.start()
+        try:
+            double_center_in_place(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * m * m
+
     def test_rejects_sentinel(self):
         with pytest.raises(SentinelPresent):
             double_center_in_place([[0.0, np.inf], [np.inf, 0.0]])
@@ -122,6 +133,7 @@ class TestInPlaceStages:
         got = double_center_in_place(d)
         assert got.tobytes() == want.tobytes()
         assert got is d
+        assert np.array_equal(got, got.T)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(TILE_EDGE_SIZES), st.sampled_from(TILE_EDGE_SIZES),
