@@ -34,7 +34,6 @@ from .geodesics import (
     all_pairs,
 )
 from .graph import (
-    DensityEstimate,
     NeighborGraph,
     components,
     knn_graph,
@@ -67,7 +66,6 @@ __all__ = [
     "uniformity_cv",
     "UNREACHABLE",
     "all_pairs",
-    "DensityEstimate",
     "NeighborGraph",
     "components",
     "knn_graph",

@@ -28,7 +28,7 @@ import numpy as np
 from .datasets import data_hash
 from .embed import (ERROR_POLICY, Embedding, _require_p, classical_mds, embed_geodesics,
                     pca, scaled_embedding)
-from .errors import InputError
+from .errors import GraphError, InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
 from .geodesics import SpectralEntry, cache_lookup, save_spectrum
 from .graph import NeighborGraph, cap_candidates, knn_candidates, percentile_h, pr_density
@@ -232,15 +232,15 @@ def run_bench(
     """
     neighbors = Neighbors(data)
     x = neighbors.data
-    n, d = x.shape
+    n = x.shape[0]
     points = x if reference_points is None else as_matrix(reference_points, "reference_points")
     if points.shape[0] != n:
         raise ValueError(f"reference_points must have {n} rows, got {points.shape[0]}")
     if not specs:
-        raise ValueError("need at least one method")
+        raise InputError("need at least one method")
     names = [s.method for s in specs]
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate method names in {names}")
+        raise InputError(f"duplicate method names in {names}")
     if baseline is not None and baseline not in names:
         raise InputError(f"baseline {baseline!r} is not one of the methods {names}")
     if baseline is None and len(specs) > 1:
@@ -254,7 +254,7 @@ def run_bench(
     for name in names[1:]:
         common = np.intersect1d(common, embeddings[name].kept_indices)
     if common.size < 3:
-        raise ValueError("methods share too few kept vertices to compare")
+        raise GraphError(f"methods share {common.size} kept vertices, too few to compare")
 
     assignment = None
     if y is not None:
@@ -281,7 +281,7 @@ def run_bench(
         report.kept_fraction = emb.kept_indices.size / n
         if spec.method == "pr-isomap" and math.isfinite(emb.method["h"]):
             cand_dist = neighbors.candidates(spec.k)[1]
-            report.density_cv = uniformity_cv(pr_density(cand_dist, emb.method["h"], d))
+            report.density_cv = uniformity_cv(pr_density(cand_dist, emb.method["h"]))
         reports[name] = report
 
     paired: dict[str, dict] = {}

@@ -1,7 +1,9 @@
 """Command-line pipeline: generate, embed, evaluate, benchmark, plot.
 
-Exit codes: 0 success, 2 usage/input problems, 3 graph-topology failures
-(component summary printed), 4 numeric failures. Every output file records
+Exit codes: 0 success, 2 usage/input problems (an InputError, or a file that
+cannot be read, or read as UTF-8), 3 graph-topology failures (component
+summary printed), 4 numeric failures; any other exception is a fault of the
+program, and shows its traceback. Every output file records
 the run_config that produced it, each parsed argument as given (_run_config),
 so replaying it gives the same bytes. The top eigenpairs of each graph
 method's geodesic kernel are cached so repeated sweeps skip the all-pairs
@@ -104,8 +106,9 @@ def _cast(dest: str, type_: Callable, value):
 
 
 def resolve_settings(args, config: dict) -> None:
-    """Fill each setting of args the flags left unset: flags > config >
-    environment > default, the value cast to the setting's type."""
+    """Fill each setting of args the flags left unset (flags > config > environment
+    > default), cast to the setting's type; args.flags names those flags gave."""
+    args.flags = {dest for dest in SETTINGS if getattr(args, dest, None) is not None}
     for dest, setting in SETTINGS.items():
         if dest not in vars(args):
             continue
@@ -146,9 +149,9 @@ def _add_label_flags(sub) -> None:
 
 
 # Where an output is written, what the cache holds (warm = cold), the config
-# file (already read into the settings) and argparse's own fields: none of
-# them changes what an output holds.
-_UNRECORDED = ("out", "csv", "cache_dir", "config", "command", "func")
+# file (already read into the settings), which settings came as flags and
+# argparse's own fields: none of them changes what an output holds.
+_UNRECORDED = ("out", "csv", "cache_dir", "config", "flags", "command", "func")
 
 
 def _run_config(args) -> dict:
@@ -209,23 +212,32 @@ def _chart_points(chart_path, indices):
     if indices.max() >= ds.n:
         raise InputError(f"{chart_path}: chart has {ds.n} rows, fewer than the "
                          f"{indices.max() + 1} the input needs")
-    return (swiss_roll_unrolled(ds.data) if ds.names == ["t", "u"] else ds.data)[indices]
+    chart = swiss_roll_unrolled(ds.data) if ds.names == ["t", "u"] else ds.data
+    return as_finite_matrix(chart, f"{chart_path}: chart")[indices]
 
 
-def _load_labels(args, indices):
-    """The labels of the rows in indices from the --labels file, None without one."""
-    if not args.labels:
+def _load_labels(args, indices, data=None):
+    """The labels of the rows in indices: --label-column of the --labels file
+    when one is given, else of data (the --in or --data table), else None."""
+    if args.labels:
+        data = load_csv(args.labels, label_column=args.label_column)
+        if data.labels is None:
+            raise InputError(f"{args.labels}: --label-column required to read labels")
+    elif args.label_column and data is None:
+        raise InputError("--label-column names a column of the --labels file; give --labels")
+    if data is None or data.labels is None:
         return None
-    ds = load_csv(args.labels, label_column=args.label_column)
-    if ds.labels is None:
-        raise InputError(f"{args.labels}: --label-column required to read labels")
-    if indices.max() >= ds.labels.size:
+    if indices.max() >= data.labels.size:
         raise InputError("embedding indices exceed label file length")
-    return ds.labels[indices]
+    return data.labels[indices]
 
 
 def cmd_eval(args) -> int:
+    unread = [f"--{dest.replace('_', '-')}" for dest in ("k", "h", "h_pct") if dest in args.flags]
+    if unread and args.reference != "geodesic":
+        raise InputError(f"--ref {args.reference} takes no {' or '.join(unread)}")
     indices, coords = load_embedding_csv(args.emb)
+    ds = None
     if args.reference == "chart":
         if not args.chart or args.data:
             raise InputError("--ref chart takes --chart FILE and no --data")
@@ -233,8 +245,8 @@ def cmd_eval(args) -> int:
     else:
         if args.chart or args.data is None:
             raise InputError(f"--ref {args.reference} takes --data FILE and no --chart")
-        label_column = args.label_column if args.labels is None else None
-        x = as_finite_matrix(load_csv(args.data, label_column=label_column).data)
+        ds = load_csv(args.data, label_column=None if args.labels else args.label_column)
+        x = as_finite_matrix(ds.data)
         if indices.max() >= x.shape[0]:
             raise InputError("embedding indices exceed data row count")
         if args.reference == "euclidean":
@@ -247,7 +259,7 @@ def cmd_eval(args) -> int:
             reference = {"reference_dists": all_pairs(
                 neighbors.graph(spec.k, resolve_h(spec, neighbors)), indices)}
 
-    labels = _load_labels(args, indices)
+    labels = _load_labels(args, indices, ds)
     t0 = time.perf_counter()
     report = evaluate_embedding(
         coords, **reference, m=args.m, labels=labels, k_clf=args.k_clf, folds=args.folds,
@@ -271,12 +283,11 @@ def cmd_bench(args) -> int:
         for name in methods
     ]
 
-    ds = load_csv(args.input, label_column=args.label_column if args.labels is None else None)
+    ds = load_csv(args.input, label_column=None if args.labels else args.label_column)
     rows = np.arange(ds.n, dtype=np.int64)
     result = run_bench(
         ds.data, specs, baseline=args.baseline, m=args.m, k_clf=args.k_clf, folds=args.folds,
-        seed=args.seed, cache_dir=args.cache_dir,
-        labels=_load_labels(args, rows) if args.labels else ds.labels,
+        seed=args.seed, cache_dir=args.cache_dir, labels=_load_labels(args, rows, ds),
         reference_points=_chart_points(args.chart, rows) if args.chart else None,
     )
 
@@ -298,8 +309,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if args.label_column and not args.labels:
-        raise InputError("--label-column names a column of the --labels file; give --labels")
     indices, coords = load_embedding_csv(args.input)
     axes = tuple(args.axes) if args.axes else (0, 1)
     comment = "runconfig " + json.dumps(_run_config(args), sort_keys=True)
@@ -379,8 +388,8 @@ def main(argv=None) -> int:
     try:
         resolve_settings(args, _load_config(args.config))
         return args.func(args)
-    except (InputError, FileExistsError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError, ValueError) as exc:
+    except (InputError, UnicodeError, FileExistsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GraphError as exc:

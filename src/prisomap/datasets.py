@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, CountMismatch, EmptyDataset, ParseError, TruncatedFile
-from .linalg import as_matrix
+from .errors import BadMagic, CountMismatch, EmptyDataset, InputError, ParseError, TruncatedFile
+from .linalg import as_finite_matrix, as_matrix
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -63,6 +63,13 @@ class ManifoldSample:
     ambient: np.ndarray
     intrinsic: np.ndarray
     density_profile: dict = field(default_factory=dict)
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator of a seed >= 0; InputError for a negative seed."""
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def data_hash(data: np.ndarray) -> str:
@@ -297,15 +304,15 @@ def gen_swiss_roll(
     that are short in ambient space but far apart on the manifold.
     """
     if n < 10:
-        raise ValueError(f"n must be >= 10, got {n}")
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
-    if density_exponent <= -1:
-        raise ValueError(f"density_exponent must be > -1, got {density_exponent}")
+        raise InputError(f"n must be >= 10, got {n}")
+    if not 0.0 <= noise_sd < math.inf:
+        raise InputError(f"noise_sd must be finite and >= 0, got {noise_sd}")
+    if not -1.0 < density_exponent <= 266.0:  # (4.5 pi) ** 268 overflows float64
+        raise InputError(f"density_exponent must be in (-1, 266], got {density_exponent}")
     if not 0.0 <= short_circuit_pairs < 0.5:
-        raise ValueError(f"short_circuit_pairs must be in [0, 0.5), got {short_circuit_pairs}")
+        raise InputError(f"short_circuit_pairs must be in [0, 0.5), got {short_circuit_pairs}")
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     a, b = SWISS_ROLL_T_RANGE
     e1 = density_exponent + 1.0
     u01 = rng.uniform(0.0, 1.0, n)
@@ -313,8 +320,9 @@ def gen_swiss_roll(
     height = rng.uniform(SWISS_ROLL_U_RANGE[0], SWISS_ROLL_U_RANGE[1], n)
 
     ambient = np.column_stack([t * np.cos(t), height, t * np.sin(t)])
-    if noise_sd > 0:
-        ambient = ambient + rng.normal(0.0, noise_sd, ambient.shape)
+    if noise_sd > 0:  # finite, and small enough for every later command
+        ambient = as_finite_matrix(ambient + rng.normal(0.0, noise_sd, ambient.shape),
+                                   f"ambient at noise_sd {noise_sd}")
     intrinsic = np.column_stack([t, height])
 
     n_pairs = int(round(short_circuit_pairs * n))

@@ -60,9 +60,12 @@ class Embedding:
         return self.coordinates.shape[1]
 
 
-def _require_p(p: int, n: int, spectrum: int = 0) -> None:
+def _require_p(p: int, n: int, spectrum: int = 0, d: int | None = None) -> None:
+    """InputError unless 1 <= p < n, p <= d (pca's feature count) and spectrum >= 0."""
     if not 1 <= p < n:
-        raise ValueError(f"p must satisfy 1 <= p < n={n}, got {p}")
+        raise InputError(f"p must satisfy 1 <= p < n={n}, got {p}")
+    if d is not None and p > d:
+        raise InputError(f"p must satisfy p <= d={d}, got {p}")
     if spectrum < 0:
         raise InputError(f"spectrum must be >= 0, got {spectrum}")
 
@@ -78,9 +81,8 @@ def scaled_embedding(eig: EigenResult, p: int, method: dict, kept: np.ndarray, n
     distance matrix is indefinite) are clamped to zero and counted. If fewer
     than p eigenvalues exceed 1e-12 * l_1 the remaining columns are zero and
     a RankDeficientWarning is issued. The spectrum, when asked for, holds
-    every eigenvalue of eig.
+    every eigenvalue of eig. Its callers check p and spectrum first.
     """
-    _require_p(p, n, spectrum)
     lam = eig.eigenvalues[:p]
     clamped = np.maximum(lam, 0.0)
     coords = np.zeros((eig.eigenvectors.shape[0], p), dtype=np.float64)
@@ -133,10 +135,9 @@ def embed_geodesics(
     it is squared and centered in place, and symmetric_eig solves its top
     min(m, max(p, spectrum)) pairs. The Embedding goes out with its
     kept_indices and eigenpairs, from which scaled_embedding rebuilds it at
-    any p whose max(p, spectrum) is the same.
+    any p whose max(p, spectrum) is the same; run_method checks p first.
     """
     n = graph.n
-    _require_p(p, n, spectrum)
     if component_policy not in (ERROR_POLICY, LARGEST_COMPONENT_POLICY):
         raise ValueError(f"unknown component policy {component_policy!r}")
     kept = np.arange(n, dtype=np.int64)
@@ -175,10 +176,7 @@ def pca(data, p: int, spectrum: int = 0) -> Embedding:
     """Projection onto the top-p covariance eigenvectors (population 1/n)."""
     x = as_matrix(data, "data")
     n, d = x.shape
-    limit = min(n - 1, d)
-    if not 1 <= p <= limit:
-        raise ValueError(f"p must satisfy 1 <= p <= min(n-1, d) = {limit}, got {p}")
-    _require_p(p, n, spectrum)
+    _require_p(p, n, spectrum, d)
     xc = x - x.mean(axis=0, keepdims=True)
     cov = (xc.T @ xc) / n
     top = min(d, max(p, spectrum)) if spectrum else p
@@ -250,15 +248,15 @@ def load_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:
     head, _, body = text.partition("\n")
     header = head.strip().split(",")
     if header[0] != "index" or len(header) < 2:
-        raise ValueError(f"{path}: not an embedding CSV (header {header})")
+        raise InputError(f"{path}: not an embedding CSV (header {header})")
     if not body.strip():
-        raise ValueError(f"{path}: embedding CSV holds no rows")
+        raise InputError(f"{path}: embedding CSV holds no rows")
     try:
         table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
                            dtype=[("index", "<i8"), ("coords", "<f8", (len(header) - 1,))])
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
     if table["index"].min() < 0:
-        raise ValueError(f"{path}: negative index {table['index'].min()}")
+        raise InputError(f"{path}: negative index {table['index'].min()}")
     return (np.ascontiguousarray(table["index"]),
             as_finite_matrix(table["coords"], f"{path}: coordinates"))

@@ -14,8 +14,8 @@ class PrisomapError(Exception):
 
 # -- input / format errors (CLI exit code 2) --------------------------------
 
-class InputError(PrisomapError):
-    """Bad user input: malformed files, invalid parameters."""
+class InputError(PrisomapError, ValueError):
+    """Bad user input, malformed files or invalid parameters: the one exception meaning it."""
 
 
 class ParseError(InputError):

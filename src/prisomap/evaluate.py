@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import json_safe, write_json
-from .errors import ClassTooSmall, NoFinitePairs, ZeroMeanDensity
-from .graph import DensityEstimate
+from .datasets import json_safe, seeded_rng, write_json
+from .errors import ClassTooSmall, InputError, NoFinitePairs, ZeroMeanDensity
 from .linalg import as_matrix, first_m, pairwise_dists
 
 EVAL_SCHEMA = "evalreport/1"
@@ -107,7 +106,7 @@ def _scores(ref_rows, emb_rows, n: int, m: int | None) -> dict:
                 raise ValueError(_NOT_FINITE)
             penalties = [p + q for p, q in zip(penalties, _tc_penalties(hd, ld, start, m))]
     if tc and not valid_m:
-        raise ValueError(f"neighborhood size must satisfy 1 <= m < n/2 = {n / 2}, got {m}")
+        raise InputError(f"neighborhood size must satisfy 1 <= m < n/2 = {n / 2}, got {m}")
     if not count:
         raise NoFinitePairs("no finite high-dimensional pairs to score")
     constant = low == high
@@ -193,15 +192,15 @@ def make_stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     """Deterministic stratified fold assignment (round-robin within class)."""
     y = np.asarray(labels, dtype=np.int64)
     if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+        raise InputError(f"folds must be >= 2, got {folds}")
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
-        raise ValueError("need at least 2 classes")
+        raise InputError("need at least 2 classes")
     small = counts < folds
     if small.any():
         bad = {int(c): int(k) for c, k in zip(classes[small], counts[small])}
         raise ClassTooSmall(f"classes with fewer members than folds={folds}: {bad}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     assignment = np.empty(y.size, dtype=np.int64)
     for c in classes:
         members = np.where(y == c)[0]
@@ -241,7 +240,7 @@ def knn_classify_cv(coords, labels, k_clf: int = 5, folds: int = 10, seed: int =
     if y.size != x.shape[0]:
         raise ValueError(f"{y.size} labels for {x.shape[0]} observations")
     if k_clf < 1:
-        raise ValueError(f"k_clf must be >= 1, got {k_clf}")
+        raise InputError(f"k_clf must be >= 1, got {k_clf}")
     if assignment is None:
         assignment = make_stratified_folds(y, folds, seed)
     else:
@@ -262,14 +261,11 @@ def knn_classify_cv(coords, labels, k_clf: int = 5, folds: int = 10, seed: int =
     )
 
 
-def uniformity_cv(density: DensityEstimate) -> float:
-    """Coefficient of variation of the window density; lower = more uniform.
-
-    Computed from occupancy counts: the constant window normalization cancels
-    in sd/mean, and counts stay finite even when the density values under- or
-    overflow in high ambient dimension.
-    """
-    values = np.asarray(density.counts, dtype=np.float64)
+def uniformity_cv(counts) -> float:
+    """Coefficient of variation of the window density, from pr_density's
+    occupancy counts (the density's normalization cancels); lower = more
+    uniform."""
+    values = np.asarray(counts, dtype=np.float64)
     mean = float(np.mean(values))
     if mean == 0.0:
         raise ZeroMeanDensity("density is identically zero")

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateDuplicatesWarning, InfiniteWindow
+from .errors import DegenerateDuplicatesWarning, InfiniteWindow, InputError
 from .linalg import as_finite_matrix, first_m, pairwise_sq_dists
 
 if TYPE_CHECKING:
@@ -41,22 +41,6 @@ class NeighborGraph:
 
 
 @dataclass(frozen=True)
-class DensityEstimate:
-    """Per-vertex rectangular-window density p_h(x) with the h that produced it.
-
-    counts holds the raw window occupancy (self included); values = counts /
-    (k * h**d), which can under- or overflow float64 when d is a large
-    ambient dimension. Statistics that are invariant to the constant
-    normalization (like the uniformity coefficient of variation) use counts.
-    """
-
-    values: np.ndarray
-    h: float
-    k: int
-    counts: np.ndarray
-
-
-@dataclass(frozen=True)
 class ComponentSummary:
     count: int
     sizes: list[int]
@@ -71,7 +55,7 @@ def _knn_candidates(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     n = data.shape[0]
     if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n={n}, got {k}")
+        raise InputError(f"k must satisfy 1 <= k < n={n}, got {k}")
     idx = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
     for start in range(0, n, _BLOCK_ROWS):
@@ -95,7 +79,7 @@ def cap_candidates(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float) -> Nei
     row blocks can differ in the last bit, and this order fixes the bytes.
     """
     if not (h > 0):
-        raise ValueError(f"h must be positive (or +inf), got {h}")
+        raise InputError(f"h must be positive (or +inf), got {h}")
     from scipy.sparse import coo_matrix
 
     n, k = cand_idx.shape
@@ -149,29 +133,16 @@ def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
     return cap_candidates(*knn_candidates(data, k), h)
 
 
-def pr_density(cand_dist: np.ndarray, h: float, d: int) -> DensityEstimate:
-    """Rectangular-window density over each point's k nearest neighbors.
-
-    cand_dist holds the (n, k) candidate distances of a knn_candidates pass,
-    nearest first. The candidate set is the k nearest dataset points counting
-    the point itself (always its own nearest neighbor), so
-    p(x) = (1/k) * sum(1/h**d * [||x_i - x|| <= h/2]).
-
-    d is the window normalization exponent: the ambient dimension, or 2 for
-    the fixed-power variant regardless of dimension.
-    """
+def pr_density(cand_dist: np.ndarray, h: float) -> np.ndarray:
+    """Rectangular-window occupancy of each point, as float64: of its k nearest
+    points, itself included, how many lie within h/2 of it. cand_dist holds
+    the (n, k) candidate distances of a knn_candidates pass, nearest first.
+    The density count / (k * h**d) differs by a constant that the uniformity
+    CV cancels, and that under- or overflows float64 at a large ambient d."""
     if not math.isfinite(h):
         raise InfiniteWindow("density requires a finite window diameter h")
-    k = cand_dist.shape[1]
-    half = h / 2.0
-    log_norm = -(d * math.log(h) + math.log(k))
-    try:
-        norm = math.exp(log_norm)
-    except OverflowError:
-        norm = math.inf
-    others = cand_dist[:, : k - 1]
-    counts = 1.0 + np.count_nonzero(others <= half, axis=1)
-    return DensityEstimate(values=counts * norm, h=float(h), k=k, counts=counts)
+    others = cand_dist[:, : cand_dist.shape[1] - 1]
+    return 1.0 + np.count_nonzero(others <= h / 2.0, axis=1)
 
 
 def components(graph: NeighborGraph) -> ComponentSummary:
@@ -197,5 +168,5 @@ def components(graph: NeighborGraph) -> ComponentSummary:
 def percentile_h(lengths, percentile: float) -> float:
     """Window diameter at the given percentile of candidate edge lengths."""
     if not 0 < percentile <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+        raise InputError(f"percentile must be in (0, 100], got {percentile}")
     return float(np.percentile(lengths, percentile))

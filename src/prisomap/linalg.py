@@ -39,11 +39,17 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 def as_finite_matrix(data, name: str = "data") -> np.ndarray:
-    """as_matrix, with an InputError naming the first cell that is not finite."""
+    """as_matrix, with an InputError naming the first cell that is not finite, or
+    the largest magnitude when a squared distance between rows or a covariance
+    sum, at most 4 * max(n, d) times its square, could overflow float64."""
     a = as_matrix(data, name)
     if not np.isfinite(a).all():
         row, col = np.argwhere(~np.isfinite(a))[0]
         raise InputError(f"{name} row {row}, column {col} (from 0) is {a[row, col]}")
+    peak = max(float(np.max(a, initial=0.0)), -float(np.min(a, initial=0.0)))
+    if not np.isfinite(4.0 * max(a.shape) * peak * peak):
+        raise InputError(f"{name} holds a magnitude of {peak:g}, too large for its "
+                         "squared distances in float64")
     return a
 
 

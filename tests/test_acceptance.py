@@ -266,8 +266,8 @@ def test_criterion_8_metric_invariances():
     data = rng.normal(0, 1, (80, 3))
     h = percentile_h(knn_candidates(data, 5)[1], 60)
     c = 7.3
-    cv_a = uniformity_cv(pr_density(knn_candidates(data, 5)[1], h, data.shape[1]))
-    cv_b = uniformity_cv(pr_density(knn_candidates(c * data, 5)[1], c * h, data.shape[1]))
+    cv_a = uniformity_cv(pr_density(knn_candidates(data, 5)[1], h))
+    cv_b = uniformity_cv(pr_density(knn_candidates(c * data, 5)[1], c * h))
 
     ok = (s_delta <= 1e-9 and tc_a == tc_b
           and np.abs(acc_a - acc_b).max() <= 1e-12

@@ -51,6 +51,17 @@ class TestGen:
     def test_n_below_minimum(self, tmp_path):
         assert run_cli("gen", "swiss-roll", "--n", "5", "--out", str(tmp_path / "x")) == 2
 
+    # nan passes a bare "< 0" or "<= -1" check, and inf made nan or +-inf
+    # coordinates, or put every point at t = 1
+    @pytest.mark.parametrize("option", ["--exponent=nan", "--exponent=inf", "--exponent=-inf",
+                                        "--noise-sd=nan", "--noise-sd=inf"])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, option):
+        out = tmp_path / "x"
+        assert run_cli("gen", "swiss-roll", "--n", "20", option, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "ambient.csv").exists()
+
 
 def _normalized(raw, base):
     return raw.replace(str(base).encode(), b"OUT")
@@ -625,6 +636,71 @@ class TestEval:
             err = capsys.readouterr().err
             assert f"emb.csv: coordinates row 4, column 1 (from 0) is {cell}" in err
             assert "Warning" not in err and not (tmp_path / "out").exists()
+
+    # eval reads --k, --h and --h-pct for --ref geodesic alone; the same
+    # settings from a config file or the environment may serve other
+    # commands, so they are recorded as given
+    @pytest.mark.parametrize("reference", ["chart", "euclidean"])
+    @pytest.mark.parametrize("flag", [["--k", "8"], ["--h", "1.5"], ["--h-pct", "60"]],
+                             ids=" ".join)
+    def test_graph_flag_with_another_reference_exits_2(self, roll_dir, tmp_path, capsys,
+                                                       monkeypatch, reference, flag):
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
+                       "--method", "pca", "--out", str(emb)) == 0
+        given = ["--chart", str(roll_dir / "intrinsic.csv")] if reference == "chart" \
+            else ["--data", str(roll_dir / "ambient.csv")]
+        argv = ["eval", "--emb", str(emb), "--ref", reference, *given,
+                "--out", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        assert run_cli(*argv, *flag) == 2
+        assert capsys.readouterr().err == f"error: --ref {reference} takes no {flag[0]}\n"
+        assert not (tmp_path / "r.json").exists()
+
+        dest = flag[0][2:].replace("-", "_")
+        config = tmp_path / "cfg.json"
+        value = SETTINGS[dest].type(flag[1])
+        config.write_text(json.dumps({dest: value}), encoding="utf-8")
+        monkeypatch.setenv("PRISOMAP_K", "7")
+        assert run_cli(*argv, "--config", str(config)) == 0
+        params = json.loads((tmp_path / "r.json").read_text())["run"]["params"]
+        assert params[dest] == value and params["k"] == (8 if dest == "k" else 7)
+
+    # --label-column names a column of --labels when one is given, else of
+    # --data, whose labels then feed the k-NN cross-validation as bench's do
+    def test_label_column_of_the_data_feeds_the_classifier(self, roll_dir, tmp_path):
+        t = load_csv(roll_dir / "intrinsic.csv").data[:, 0]
+        ambient = load_csv(roll_dir / "ambient.csv").data
+        data = tmp_path / "labelled.csv"
+        data.write_text("x,y,z,label\n" + "".join(
+            f"{x!r},{y!r},{z!r},{int(ti > np.median(t))}\n"
+            for (x, y, z), ti in zip(ambient.tolist(), t)), encoding="utf-8")
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(data), "--label-column", "label",
+                       "--method", "pca", "--out", str(emb)) == 0
+        assert run_cli("eval", "--emb", str(emb), "--data", str(data),
+                       "--label-column", "label", "--out", str(tmp_path / "r.json")) == 0
+        assert run_cli("bench", "--in", str(data), "--methods", "pca",
+                       "--label-column", "label", "--out", str(tmp_path / "b")) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        bench = json.loads((tmp_path / "b" / "bench.json").read_text())["reports"]["pca"]
+        assert report["knn_accuracy_mean"] > 0.9
+        for name in ("knn_accuracy_mean", "knn_accuracy_sd", "knn_folds", "stress"):
+            assert report[name] == bench[name]
+
+    # --ref chart reads no data, so a label column needs a --labels file, as
+    # for plot
+    def test_label_column_without_labels_or_data_exits_2(self, roll_dir, tmp_path, capsys):
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
+                       "--method", "pca", "--out", str(emb)) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--emb", str(emb), "--ref", "chart",
+                       "--chart", str(roll_dir / "intrinsic.csv"), "--label-column", "t",
+                       "--out", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err == ("error: --label-column names a column of the "
+                                           "--labels file; give --labels\n")
+        assert not (tmp_path / "r.json").exists()
 
     def test_euclidean_reference(self, roll_dir, tmp_path):
         emb = tmp_path / "emb.csv"

@@ -18,7 +18,7 @@ from prisomap.evaluate import (
     trustworthiness_continuity,
     uniformity_cv,
 )
-from prisomap.graph import DensityEstimate, knn_candidates, pr_density
+from prisomap.graph import knn_candidates, pr_density
 from prisomap.linalg import pairwise_dists
 
 from helpers import traced_peak
@@ -570,13 +570,11 @@ class TestKnnClassifyCv:
 
 class TestUniformityCv:
     def test_constant_density_zero_cv(self):
-        dens = DensityEstimate(values=np.full(10, 0.3), h=1.0, k=3, counts=np.full(10, 3))
-        assert uniformity_cv(dens) <= 1e-12
+        assert uniformity_cv(np.full(10, 3.0)) <= 1e-12
 
     def test_zero_mean_rejected(self):
-        dens = DensityEstimate(values=np.zeros(5), h=1.0, k=3, counts=np.zeros(5))
         with pytest.raises(ZeroMeanDensity):
-            uniformity_cv(dens)
+            uniformity_cv(np.zeros(5))
 
     def test_grid_more_uniform_than_skewed_roll(self):
         side = 20
@@ -584,8 +582,8 @@ class TestUniformityCv:
         grid = np.column_stack([gx.ravel(), gy.ravel()])
         roll = gen_swiss_roll(side * side, density_exponent=3.0, seed=0)
         h = 2.5
-        cv_grid = uniformity_cv(pr_density(knn_candidates(grid, 6)[1], h, 2))
-        cv_roll = uniformity_cv(pr_density(knn_candidates(roll.ambient, 6)[1], h, 3))
+        cv_grid = uniformity_cv(pr_density(knn_candidates(grid, 6)[1], h))
+        cv_roll = uniformity_cv(pr_density(knn_candidates(roll.ambient, 6)[1], h))
         assert cv_grid < cv_roll
 
     def test_scale_equivariance(self):
@@ -593,8 +591,8 @@ class TestUniformityCv:
         x = rng.normal(0, 1, (60, 3))
         h = 1.7
         c = 3.9
-        cv1 = uniformity_cv(pr_density(knn_candidates(x, 5)[1], h, 3))
-        cv2 = uniformity_cv(pr_density(knn_candidates(c * x, 5)[1], c * h, 3))
+        cv1 = uniformity_cv(pr_density(knn_candidates(x, 5)[1], h))
+        cv2 = uniformity_cv(pr_density(knn_candidates(c * x, 5)[1], c * h))
         assert abs(cv1 - cv2) <= 1e-9
 
     def test_high_dimensional_cv_finite(self):
@@ -605,7 +603,7 @@ class TestUniformityCv:
 
         _, cand_dist = knn_candidates(x, 5)
         h = percentile_h(cand_dist, 60)
-        cv = uniformity_cv(pr_density(cand_dist, h, x.shape[1]))
+        cv = uniformity_cv(pr_density(cand_dist, h))
         assert np.isfinite(cv) and cv >= 0.0
 
 

@@ -238,64 +238,32 @@ class TestPrDensity:
         # h/2. At k=3 the set counts the point and its first k-1 candidates,
         # so the k-th column (LINE3 has no third neighbor) is never read.
         cand_dist = np.array([[1.0, 3.0, np.inf], [1.0, 2.0, np.inf], [2.0, 3.0, np.inf]])
-        dens = pr_density(cand_dist, 1.5, LINE3.shape[1])
-        assert dens.values[0] == pytest.approx(1.0 / (3 * 1.5), abs=1e-12)
+        counts = pr_density(cand_dist, 1.5)
+        assert counts.dtype == np.float64 and counts.tolist() == [1.0, 1.0, 1.0]
+        # at h = 2.2 the first candidates of x=0 and x=1 (1 apart) fall inside
+        assert pr_density(cand_dist, 2.2).tolist() == [2.0, 2.0, 1.0]
 
     def test_identical_points(self):
         x = np.zeros((6, 2))
         with pytest.warns(DegenerateDuplicatesWarning):
             _, cand_dist = knn_candidates(x, 3)
-        dens = pr_density(cand_dist, 2.0, x.shape[1])
-        np.testing.assert_allclose(dens.values, 1.0 / 2.0**2)
-
-    def test_self_floor(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(0, 1, (30, 2))
-        k = 4
-        _, cand_dist = knn_candidates(x, k)
-        h = percentile_h(cand_dist, 50)
-        dens = pr_density(cand_dist, h, x.shape[1])
-        assert np.all(dens.values >= 1.0 / (k * h**2) - 1e-15)
-
-    def test_window_growth_bounds(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(0, 1, (40, 3))
-        k = 5
-        _, cand_dist = knn_candidates(x, k)
-        h = percentile_h(cand_dist, 60)
-        d = x.shape[1]
-        p1 = pr_density(cand_dist, h, d).values
-        p2 = pr_density(cand_dist, 2 * h, d).values
-        counts1 = p1 * (k * h**d)
-        counts2 = p2 * (k * (2 * h) ** d)
-        ratio = p2 / p1
-        assert np.all(ratio >= 2.0**-d - 1e-12)
-        assert np.all(ratio <= (counts2 / counts1) * 2.0**-d + 1e-12)
-
-    def test_literal_h2_variant(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(0, 1, (25, 4))
-        _, cand_dist = knn_candidates(x, 3)
-        h = percentile_h(cand_dist, 70)
-        dd = pr_density(cand_dist, h, 4)
-        d2 = pr_density(cand_dist, h, 2)
-        np.testing.assert_allclose(d2.values, dd.values * h**(4 - 2))
+        np.testing.assert_array_equal(pr_density(cand_dist, 2.0), 3.0)
 
     def test_high_dimensional_normalization_overflow(self):
-        # 1/h^d is unrepresentable at d=784 and h~700; counts must still
-        # carry the occupancy structure
+        # 1/h^d is unrepresentable at d=784 and h~700; the counts, which
+        # carry the occupancy structure, need no normalization
         rng = np.random.default_rng(10)
         x = rng.uniform(0, 255, (40, 784))
         _, cand_dist = knn_candidates(x, 5)
         h = percentile_h(cand_dist, 60)
-        dens = pr_density(cand_dist, h, x.shape[1])
-        assert np.all(dens.counts >= 1)
-        assert np.all(np.isfinite(dens.counts))
+        counts = pr_density(cand_dist, h)
+        assert np.all(counts >= 1)
+        assert np.all(np.isfinite(counts))
 
     def test_infinite_window_rejected(self):
         _, cand_dist = knn_candidates(LINE3, 1)
         with pytest.raises(InfiniteWindow):
-            pr_density(cand_dist, math.inf, LINE3.shape[1])
+            pr_density(cand_dist, math.inf)
 
 
 class TestComponents:
