@@ -166,7 +166,13 @@ def components(graph: NeighborGraph) -> ComponentSummary:
 
 
 def percentile_h(lengths, percentile: float) -> float:
-    """Window diameter at the given percentile of candidate edge lengths."""
+    """Window diameter at the given percentile of candidate edge lengths;
+    InputError where that is 0, at candidates that join repeated points."""
     if not 0 < percentile <= 100:
         raise InputError(f"percentile must be in (0, 100], got {percentile}")
-    return float(np.percentile(lengths, percentile))
+    h = float(np.percentile(lengths, percentile))
+    if h == 0:
+        raise InputError(f"percentile {percentile} of the candidate edge lengths is 0: "
+                         f"{np.count_nonzero(lengths == 0)} of {np.size(lengths)} candidates "
+                         f"join repeated points; give a higher percentile or an absolute h")
+    return h

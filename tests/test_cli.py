@@ -5,13 +5,15 @@ import os
 import struct
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prisomap import isomap
+import prisomap
+from prisomap import cli, isomap
 from prisomap.cli import SETTINGS, build_parser, main, resolve_settings
 from prisomap.datasets import json_safe, load_csv, save_csv
 
@@ -965,6 +967,22 @@ class TestBench:
                      "--out", str(tmp_path / "b"))
         assert rc == 2
 
+    # rows that survive a NaN drop keep their own labels when they come
+    # from the data itself, so only a separate row-indexed file is refused
+    def test_dropped_rows_with_labels_of_the_data_run(self, roll_dir, tmp_path):
+        lines = (roll_dir / "ambient.csv").read_text().splitlines()
+        t = np.loadtxt(roll_dir / "intrinsic.csv", delimiter=",", skiprows=1)[:, 0]
+        rows = [f"{row},{int(ti > np.median(t))}" for row, ti in zip(lines[1:], t)]
+        rows[4] = "nan,nan,nan,1"
+        data = tmp_path / "labelled.csv"
+        data.write_text("\n".join([lines[0] + ",label", *rows]) + "\n")
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--in", str(data), "--methods", "pca", "--label-column", "label",
+                       "--folds", "5", "--out", str(out)) == 0
+        payload = json.loads((out / "bench.json").read_text())
+        assert payload["common_vertex_count"] == 299
+        assert payload["reports"]["pca"]["knn_folds"] == 5
+
 
 class TestPlot:
     def test_golden_determinism(self, roll_dir, tmp_path):
@@ -1606,6 +1624,62 @@ class TestForkedDijkstra:
         assert "a Dijkstra worker failed (exit status 1)" in capsys.readouterr().err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+# Two warm evals of a labelled n = 1,400 roll in a fresh interpreter; prints
+# the minor page faults of the second one.
+SECOND_EVAL_FAULTS = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from prisomap.cli import main
+    out = sys.argv[1]
+    assert main(["gen", "swiss-roll", "--n", "1400", "--out", f"{out}/roll"]) == 0
+    assert main(["embed", "--in", f"{out}/roll/ambient.csv", "--method", "pca",
+                 "--out", f"{out}/e.csv"]) == 0
+    t = np.loadtxt(f"{out}/roll/intrinsic.csv", delimiter=",", skiprows=1)[:, 0]
+    quartile = np.searchsorted(np.percentile(t, [25, 50, 75]), t)
+    with open(f"{out}/labels.csv", "w") as fh:
+        fh.write("label\\n" + "".join(f"{q}\\n" for q in quartile))
+    argv = ["eval", "--emb", f"{out}/e.csv", "--ref", "chart", "--chart",
+            f"{out}/roll/intrinsic.csv", "--labels", f"{out}/labels.csv",
+            "--label-column", "label", "--out", f"{out}/r.json"]
+    assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+class TestAllocatorPolicy:
+    """main keeps freed row blocks in glibc's heap, and is the same program
+    where it cannot."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or cli._mallopt() is None,
+                        reason="glibc's mallopt is not in this process")
+    def test_a_warm_eval_faults_in_no_row_blocks(self, tmp_path):
+        # about 17,000 faults without the policy, about 10 with it
+        env = {**os.environ, "PYTHONPATH": str(Path(prisomap.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", SECOND_EVAL_FAULTS, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2000
+
+    def test_without_mallopt_main_writes_the_same_bytes(self, roll_dir, tmp_path, monkeypatch):
+        import ctypes
+
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pca",
+                       "--out", str(emb)) == 0
+        argv = ["eval", "--emb", str(emb), "--data", str(roll_dir / "ambient.csv"), "--m", "8"]
+        assert run_cli(*argv, "--out", str(tmp_path / "a.json")) == 0
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        cli._keep_freed_blocks.cache_clear()
+        try:
+            assert cli._mallopt() is None
+            assert run_cli(*argv, "--out", str(tmp_path / "b.json")) == 0
+        finally:
+            cli._keep_freed_blocks.cache_clear()
+        assert untimed(tmp_path / "b.json") == untimed(tmp_path / "a.json")
 
 
 class TestLibraryDescriptor:

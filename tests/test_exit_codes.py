@@ -279,6 +279,8 @@ def roll(tmp_path_factory):
     (path / "one-class.csv").write_text("label\n" + "0\n" * t.size)
     (path / "labelled.csv").write_text("\n".join(
         [ambient[0] + ",label"] + [f"{row},{y}" for row, y in zip(ambient[1:], labels)]) + "\n")
+    (path / "nan.csv").write_text("\n".join([*ambient[:5], "nan,nan,nan", *ambient[6:]]) + "\n")
+    (path / "repeated.csv").write_text("\n".join([ambient[0], *ambient[1:11] * 4]) + "\n")
     for name, text in {"header.csv": "idx,c0,c1\n0,1,2\n", "empty.csv": "index,c0,c1\n",
                        "cell.csv": "index,c0,c1\n0,x,2\n", "negative.csv": "index,c0,c1\n-1,1,2\n",
                        "huge.csv": "f0,f1\n" + "1e200,1\n" * 30}.items():
@@ -322,6 +324,15 @@ INPUT_CHECKS = {
                    "label", "--folds", "5", "--seed=-1"], "seed must be >= 0, got -1"),
     "bench seed": (["bench", "--in", "{roll}/ambient.csv", "--methods", "pca", *LABELLED,
                     "--folds", "5", "--seed=-1"], "seed must be >= 0, got -1"),
+    "eval classifier without labels": (
+        ["eval", *ROLL_EMB, "--ref", "chart", "--chart", "{roll}/intrinsic.csv", "--folds", "5",
+         "--k-clf", "3"], "eval without labels takes no --folds or --k-clf"),
+    "bench dropped rows": (["bench", "--in", "{roll}/nan.csv", "--methods", "pca", "--chart",
+                            "{roll}/intrinsic.csv"], "nan.csv: 1 row(s) holding NaN were dropped"),
+    "eval dropped rows": (["eval", *ROLL_EMB, "--data", "{roll}/nan.csv", *LABELLED],
+                          "nan.csv: 1 row(s) holding NaN were dropped"),
+    "zero h_pct": (["embed", "--in", "{roll}/repeated.csv", "--method", "pr-isomap", "--k", "3",
+                    "--h-pct", "50"], "percentile 50.0 of the candidate edge lengths is 0"),
     "no method": (["bench", "--in", "{roll}/ambient.csv", "--methods", ","],
                   "need at least one method"),
     "duplicate method": (["bench", "--in", "{roll}/ambient.csv", "--methods", "pca,pca"],

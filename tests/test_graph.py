@@ -299,3 +299,10 @@ class TestSerialization:
             percentile_h(knn_candidates(LINE3, 1)[1], 0)
         with pytest.raises(ValueError):
             percentile_h(knn_candidates(LINE3, 1)[1], 101)
+
+    def test_zero_percentile_length_names_the_repeated_points(self):
+        lengths = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(InputError, match=r"percentile 50 of the candidate edge lengths is "
+                                             r"0: 4 of 6 candidates join repeated points"):
+            percentile_h(lengths, 50)
+        assert percentile_h(lengths, 70) == 0.5
