@@ -213,6 +213,7 @@ def _chart_points(chart_path, indices):
     """The chart coordinates of the rows in indices, unrolled for a swiss
     roll's (t, u) chart."""
     ds = load_csv(chart_path)
+    _refuse_dropped_rows(ds, chart_path, "the data")
     if indices.max() >= ds.n:
         raise InputError(f"{chart_path}: chart has {ds.n} rows, fewer than the "
                          f"{indices.max() + 1} the input needs")
@@ -227,6 +228,7 @@ def _load_labels(args, indices, data=None):
         data = load_csv(args.labels, label_column=args.label_column)
         if data.labels is None:
             raise InputError(f"{args.labels}: --label-column required to read labels")
+        _refuse_dropped_rows(data, args.labels, "the data")
     elif args.label_column and data is None:
         raise InputError("--label-column names a column of the --labels file; give --labels")
     if data is None or data.labels is None:
@@ -241,14 +243,14 @@ def _flags_given(args, *dests: str) -> str:
     return " or ".join(f"--{dest.replace('_', '-')}" for dest in dests if dest in args.flags)
 
 
-def _refuse_dropped_rows(ds, path, *row_files) -> None:
-    """InputError when rows of the table at path were dropped and a file
-    indexed by its rows is given: that file's rows would be read against
-    the next surviving rows' points."""
-    given = [str(f) for f in row_files if f]
+def _refuse_dropped_rows(ds, path, *matched) -> None:
+    """InputError when rows of the table at path were dropped while its rows
+    are matched by number to those of matched, file names or "the data" (None
+    for a file not given): every row after a dropped one would meet the next one's."""
+    given = [str(f) for f in matched if f]
     if ds.dropped_rows and given:
         raise InputError(f"{path}: {ds.dropped_rows} row(s) holding NaN were dropped, which "
-                         f"would shift the rows of {' and '.join(given)} against it")
+                         f"would shift its rows against those of {' and '.join(given)}")
 
 
 def cmd_eval(args) -> int:

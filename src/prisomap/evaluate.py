@@ -78,13 +78,14 @@ def _scores(ref_rows, emb_rows, n: int, m: int | None) -> dict:
     Stress and residual variance read the pairs j > i whose reference is
     finite; the others are counted as sentinels. Residual variance merges
     the blocks' centered moments; a side whose pairs are all equal gives
-    0.0 if the other's are too, else 1.0. T/C (with m) is NaN once a
-    reference block is not finite; for a finite reference, m must satisfy
-    1 <= m < n/2 and the embedding's distances must be finite (ValueError
-    otherwise). Raises NoFinitePairs if no finite pair remains.
+    0.0 if the other's are too, else 1.0. T/C (with m, which must satisfy
+    1 <= m < n/2: InputError otherwise) is NaN once a reference block is not
+    finite; for a finite reference the embedding's distances must be finite
+    (ValueError otherwise). Raises NoFinitePairs if no finite pair remains.
     """
     tc = m is not None  # T/C runs while every reference block is finite
-    valid_m = tc and 1 <= m < n / 2
+    if tc and not 1 <= m < n / 2:
+        raise InputError(f"neighborhood size must satisfy 1 <= m < n/2 = {n / 2}, got {m}")
     sums, count, mean, co = np.zeros(2), 0, np.zeros(2), np.zeros(3)  # as _add_pairs takes them
     low, high = np.full(2, np.inf), np.full(2, -np.inf)
     penalties = [0, 0]
@@ -101,12 +102,10 @@ def _scores(ref_rows, emb_rows, n: int, m: int | None) -> dict:
             high = np.maximum(high, (a.max(), b.max()))
             count, mean, co = _add_pairs(sums, count, mean, co, a, b)
         del a, b, scored  # T/C's blocks come next
-        if tc and valid_m:
+        if tc:
             if not np.isfinite(ld).all():
                 raise ValueError(_NOT_FINITE)
             penalties = [p + q for p, q in zip(penalties, _tc_penalties(hd, ld, start, m))]
-    if tc and not valid_m:
-        raise InputError(f"neighborhood size must satisfy 1 <= m < n/2 = {n / 2}, got {m}")
     if not count:
         raise NoFinitePairs("no finite high-dimensional pairs to score")
     constant = low == high

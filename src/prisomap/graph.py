@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 _BLOCK_ROWS = 512
+_LENGTH_CELLS = 2**15  # per candidate-length step: rows x d in 256 KiB, which stays in cache
 
 
 @dataclass
@@ -51,7 +52,9 @@ class ComponentSummary:
 def _knn_candidates(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k nearest neighbors per row (self excluded), ties by lower index.
 
-    Returns (n, k) candidate indices and their distances, nearest first.
+    Returns (n, k) candidate indices and their distances, nearest first: each
+    block's Gram expansion chooses and orders them, and each length is then
+    measured from the coordinates, so both ends of a pair get the same bits.
     """
     n = data.shape[0]
     if not 1 <= k < n:
@@ -64,40 +67,33 @@ def _knn_candidates(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         local = np.arange(stop - start)
         d2[local, local + start] = np.inf
         sel = np.flatnonzero(first_m(d2, k)).reshape(-1, k) % n
-        sel_d2 = np.take_along_axis(d2, sel, axis=1)
-        order = np.lexsort((sel, sel_d2), axis=-1)
+        order = np.lexsort((sel, np.take_along_axis(d2, sel, axis=1)), axis=-1)
         idx[start:stop] = np.take_along_axis(sel, order, axis=1)
-        dist[start:stop] = np.sqrt(np.take_along_axis(sel_d2, order, axis=1))
-    return idx, dist
+    step = max(1, _LENGTH_CELLS // max(data.shape[1], 1))
+    diff = np.empty((min(step, n), data.shape[1]))
+    for start in range(0, n, step):
+        rows, part = slice(start, start + step), diff[:min(step, n - start)]
+        for col in range(k):
+            # clip: every index is valid, and take then writes out unbuffered
+            np.take(data, idx[rows, col], axis=0, out=part, mode="clip")
+            np.subtract(part, data[rows], out=part)
+            np.add.reduce(np.square(part, out=part), axis=1, out=dist[rows, col])
+    return idx, np.sqrt(dist, out=dist)
 
 
 def cap_candidates(cand_idx: np.ndarray, cand_dist: np.ndarray, h: float) -> NeighborGraph:
-    """The graph of a candidate set: edges of length in (0, h], union-symmetrized.
-
-    An edge {i, j} with i < j takes row i's distance when row i proposes j
-    within the cap, and row j's otherwise: distances computed in different
-    row blocks can differ in the last bit, and this order fixes the bytes.
-    """
+    """The graph of a candidate set: edges of length in (0, h], symmetrized by
+    union. Both ends of a pair measure the same length, so the union is the
+    elementwise maximum of the proposals and their transpose."""
     if not (h > 0):
         raise InputError(f"h must be positive (or +inf), got {h}")
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
 
-    n, k = cand_idx.shape
-    rows = np.repeat(np.arange(n, dtype=np.int64), k)
-    cols = cand_idx.ravel()
-    w = cand_dist.ravel()
-    keep = (w > 0.0) & (w <= h)
-    rows, cols, w = rows[keep], cols[keep], w[keep]
-    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    # sort by pair, the lower row's proposal first, and keep each pair's first
-    order = np.argsort((lo * n + hi) * 2 + (rows != lo))
-    first = order[np.unique((lo * n + hi)[order], return_index=True)[1]]
-    lo, hi, w = lo[first], hi[first], w[first]
-
-    adjacency = coo_matrix((np.tile(w, 2), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-                           shape=(n, n)).tocsr()
-    adjacency.sort_indices()
-    return NeighborGraph(h=float(h), adjacency=adjacency)
+    n = cand_idx.shape[0]
+    keep = (cand_dist > 0.0) & (cand_dist <= h)
+    # built in canonical form, so the maximum's indices come out sorted in each row
+    proposed = csr_matrix((cand_dist[keep], (np.nonzero(keep)[0], cand_idx[keep])), shape=(n, n))
+    return NeighborGraph(h=float(h), adjacency=proposed.maximum(proposed.T))
 
 
 def knn_candidates(data, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,12 +120,7 @@ def knn_candidates(data, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def knn_graph(data, k: int, h: float = math.inf) -> NeighborGraph:
-    """Build the symmetrized k-NN graph with candidate edges capped at length h.
-
-    Each vertex proposes its k nearest neighbors (knn_candidates); candidates
-    longer than h are discarded and the survivors are symmetrized by union.
-    Zero-distance edges are dropped.
-    """
+    """The k-NN graph capped at h: cap_candidates of one knn_candidates pass."""
     return cap_candidates(*knn_candidates(data, k), h)
 
 

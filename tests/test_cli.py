@@ -30,6 +30,24 @@ def roll_dir(tmp_path):
     return out
 
 
+def _labels_file(roll_dir, path):
+    """A t,label file labelling each roll point by the median of its t."""
+    t = np.loadtxt(roll_dir / "intrinsic.csv", delimiter=",", skiprows=1)[:, 0]
+    median = np.median(t)
+    path.write_text("t,label\n" + "".join(f"{ti!r},{int(ti > median)}\n" for ti in t.tolist()))
+    return path
+
+
+def _nan_in_row_5(source, path, extra_row=False):
+    """source written to path with data row 5's first cell nan, and with
+    extra_row its last row repeated: one row more than the data, so the file
+    covers every data row after NaN filtering drops one."""
+    lines = source.read_text().splitlines()
+    lines[6] = ",".join(["nan", *lines[6].split(",")[1:]])
+    path.write_text("\n".join(lines + lines[-1:] * extra_row) + "\n")
+    return path
+
+
 class TestGen:
     def test_writes_three_files(self, roll_dir):
         names = sorted(p.name for p in roll_dir.iterdir())
@@ -408,9 +426,10 @@ class TestEmbed:
         assert (tmp_path / "e.csv").read_bytes() == cold
 
     # an entry of an older format version is noted and rewritten: archives
-    # whose meta gives version 2 or 3 (3 held the eigenpairs of the
-    # transpose-averaged kernel), and a version 2 entry as that format wrote it
-    # (magic, a little-endian header, the JSON block, then the arrays)
+    # whose meta gives version 2, 3 or 4 (3 held the eigenpairs of the
+    # transpose-averaged kernel, 4 those of graphs weighted by Gram-expansion
+    # lengths), and a version 2 entry as that format wrote it (magic, a
+    # little-endian header, the JSON block, then the arrays)
     def test_older_version_entry_is_recomputed(self, roll_dir, tmp_path, capsys):
         cache = tmp_path / "cache"
         embed = ["embed", "--in", str(roll_dir / "ambient.csv"), "--k", "10", "--p", "2",
@@ -423,7 +442,7 @@ class TestEmbed:
             members = dict(archive)
         meta = json.loads(members["meta"].item())
         archives = {}
-        for version in (2, 3):
+        for version in (2, 3, 4):
             with io.BytesIO() as fh:
                 np.savez(fh, **{**members,
                                 "meta": np.array(json.dumps({**meta, "version": version}))})
@@ -436,6 +455,7 @@ class TestEmbed:
                            np.ascontiguousarray(vectors, dtype="<f8").tobytes()])
         for old, note in [(archives[2], "unsupported version 2; recomputing"),
                           (archives[3], "unsupported version 3; recomputing"),
+                          (archives[4], "unsupported version 4; recomputing"),
                           (raw_v2, "unreadable spectral entry")]:
             entry.write_bytes(old)
             capsys.readouterr()
@@ -596,6 +616,28 @@ class TestEval:
                        "--chart", str(roll_dir / "intrinsic.csv"), "--labels", str(labels),
                        "--label-column", "y", "--out", str(tmp_path / "r.json")) == 2
         assert f"label '{label}' is not an integer at row 6, column 0" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    # a chart or label file that drops a row of its own would pair each later
+    # row with the next vertex: here the embedding holds rows 0-298, a set a
+    # component policy can leave, so the shortened file still covers it
+    @pytest.mark.parametrize("faulty", ["chart", "labels"])
+    def test_chart_or_labels_dropping_a_row_exit_2(self, roll_dir, tmp_path, capsys, faulty):
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
+                       "--method", "pca", "--p", "2", "--out", str(emb)) == 0
+        emb.write_text("".join(emb.read_text().splitlines(keepends=True)[:-1]))
+        chart = roll_dir / "intrinsic.csv"
+        labels = _labels_file(roll_dir, tmp_path / "labels.csv")
+        if faulty == "chart":
+            chart = _nan_in_row_5(chart, tmp_path / "chart.csv")
+        else:
+            labels = _nan_in_row_5(labels, labels)
+        assert run_cli("eval", "--emb", str(emb), "--ref", "chart", "--chart", str(chart),
+                       "--labels", str(labels), "--label-column", "label",
+                       "--out", str(tmp_path / "r.json")) == 2
+        assert f"{tmp_path / f'{faulty}.csv'}: 1 row(s) holding NaN were dropped" in \
             capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
@@ -984,7 +1026,36 @@ class TestBench:
         assert payload["reports"]["pca"]["knn_folds"] == 5
 
 
+    # a chart or label file one row longer than the data, which drops a row
+    # of its own, still covers every data row, but shifted by one
+    @pytest.mark.parametrize("faulty", ["chart", "labels"])
+    def test_chart_or_labels_dropping_a_row_exit_2(self, roll_dir, tmp_path, capsys, faulty):
+        chart = roll_dir / "intrinsic.csv"
+        labels = _labels_file(roll_dir, tmp_path / "labels.csv")
+        if faulty == "chart":
+            chart = _nan_in_row_5(chart, tmp_path / "chart.csv", extra_row=True)
+        else:
+            labels = _nan_in_row_5(labels, labels, extra_row=True)
+        assert run_cli("bench", "--in", str(roll_dir / "ambient.csv"), "--methods", "pca",
+                       "--chart", str(chart), "--labels", str(labels), "--label-column",
+                       "label", "--out", str(tmp_path / "bench")) == 2
+        assert f"{tmp_path / f'{faulty}.csv'}: 1 row(s) holding NaN were dropped" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
+
 class TestPlot:
+    def test_labels_dropping_a_row_exit_2(self, roll_dir, tmp_path, capsys):
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
+                       "--method", "pca", "--p", "2", "--out", str(emb)) == 0
+        labels = _nan_in_row_5(_labels_file(roll_dir, tmp_path / "labels.csv"),
+                               tmp_path / "labels.csv", extra_row=True)
+        assert run_cli("plot", "--in", str(emb), "--labels", str(labels), "--label-column",
+                       "label", "--out", str(tmp_path / "p.svg")) == 2
+        assert f"{labels}: 1 row(s) holding NaN were dropped" in capsys.readouterr().err
+        assert not (tmp_path / "p.svg").exists()
+
     def test_golden_determinism(self, roll_dir, tmp_path):
         emb = tmp_path / "emb.csv"
         assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"),

@@ -131,7 +131,8 @@ class TestStress:
         d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 2.0], [np.inf, 2.0, 0.0]])
         ld = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 2.0], [9.0, 2.0, 0.0]])
         assert stress(d, ld) == 0.0
-        report = evaluate_embedding([[0.0], [1.0], [3.0]], reference_dists=d)
+        # m is checked against n = 3 before any block, sentinels or not
+        report = evaluate_embedding([[0.0], [1.0], [3.0]], reference_dists=d, m=1)
         assert report.sentinel_excluded_pairs == 1
 
     def test_no_finite_pairs(self):

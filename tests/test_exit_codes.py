@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from prisomap import bench
 from prisomap.bench import METHODS
 from prisomap.cli import SETTINGS, main
+from prisomap.errors import DegenerateDuplicatesWarning
 
 N_MAX = 50
 ERROR_LINE = re.compile(r"^(?:prisomap(?: \w+)?: )?(graph |numeric )?error: ")
@@ -314,6 +315,12 @@ INPUT_CHECKS = {
               "p must satisfy p <= d=3, got 4"),
     "m": (["eval", *ROLL_EMB, "--data", "{roll}/ambient.csv", "--m", "20"],
           "neighborhood size must satisfy 1 <= m < n/2 = 20.0, got 20"),
+    "geodesic m 0": (["eval", *ROLL_EMB, "--data", "{roll}/ambient.csv", "--ref", "geodesic",
+                      "--k", "8", "--h-pct", "40", "--m", "0"],
+                     "neighborhood size must satisfy 1 <= m < n/2 = 20.0, got 0"),
+    "geodesic m 200": (["eval", *ROLL_EMB, "--data", "{roll}/ambient.csv", "--ref", "geodesic",
+                        "--k", "8", "--h-pct", "40", "--m", "200"],
+                       "neighborhood size must satisfy 1 <= m < n/2 = 20.0, got 200"),
     "folds": (["eval", *ROLL_EMB, "--data", "{roll}/ambient.csv", *LABELLED, "--folds", "1"],
               "folds must be >= 2, got 1"),
     "classes": (["eval", *ROLL_EMB, "--data", "{roll}/ambient.csv", "--labels",
@@ -332,7 +339,8 @@ INPUT_CHECKS = {
     "eval dropped rows": (["eval", *ROLL_EMB, "--data", "{roll}/nan.csv", *LABELLED],
                           "nan.csv: 1 row(s) holding NaN were dropped"),
     "zero h_pct": (["embed", "--in", "{roll}/repeated.csv", "--method", "pr-isomap", "--k", "3",
-                    "--h-pct", "50"], "percentile 50.0 of the candidate edge lengths is 0"),
+                    "--h-pct", "50"], "percentile 50.0 of the candidate edge lengths is 0: "
+                   "120 of 120 candidates join repeated points"),
     "no method": (["bench", "--in", "{roll}/ambient.csv", "--methods", ","],
                   "need at least one method"),
     "duplicate method": (["bench", "--in", "{roll}/ambient.csv", "--methods", "pca,pca"],
@@ -349,13 +357,17 @@ INPUT_CHECKS = {
     "non-UTF-8 config": (["plot", "--in", "{roll}/emb.csv", "--config", "{roll}/latin1.json"],
                          "'utf-8' codec can't decode byte 0xf6"),
 }
+# the checks that come after a warning: 60 pairs of repeated points
+WARNINGS = {"zero h_pct": (DegenerateDuplicatesWarning, "^60 zero-distance pairs")}
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
 def test_each_input_check_exits_2_with_one_line(roll, tmp_path, capsys, case):
     argv, message = INPUT_CHECKS[case]
     argv = [arg.replace("{roll}", str(roll)) for arg in argv]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    category, match = WARNINGS.get(case, (None, None))
+    with pytest.warns(category, match=match) if category else contextlib.nullcontext():
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 

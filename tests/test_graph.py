@@ -48,10 +48,10 @@ def brute_force_edges(data, k, h):
 
 def knn_candidates_oracle(data, k, block_rows):
     """The per-row (distance, index) lexsort selection, over the same row
-    blocks as the production pass so the distances agree bit for bit."""
+    blocks as the production pass so the selections agree; each chosen
+    length is then measured by direct differences."""
     n = data.shape[0]
     idx = np.empty((n, k), dtype=np.int64)
-    dist = np.empty((n, k))
     for start in range(0, n, block_rows):
         stop = min(start + block_rows, n)
         d2 = pairwise_sq_dists(data[start:stop], data)
@@ -61,7 +61,7 @@ def knn_candidates_oracle(data, k, block_rows):
         for row, bound in zip(local, kth):
             pool = np.flatnonzero(d2[row] <= bound)
             idx[start + row] = pool[np.lexsort((pool, d2[row, pool]))][:k]
-        dist[start:stop] = np.sqrt(np.take_along_axis(d2, idx[start:stop], axis=1))
+    dist = np.sqrt(((data[idx] - data[:, None, :]) ** 2).sum(axis=2))
     return idx, dist
 
 
@@ -81,11 +81,8 @@ def midgap_h(data, k, pct):
     return 0.5 * (lengths[pos] + lengths[pos + 1])
 
 
-def assert_same_edges(graph, oracle, atol=1e-9):
-    got = {(i, j): w for i, j, w in upper_edges(graph)}
-    assert set(got) == set(oracle)
-    for key, w in got.items():
-        assert w == pytest.approx(oracle[key], abs=atol)
+def assert_same_edges(graph, oracle):
+    assert {(i, j): w for i, j, w in upper_edges(graph)} == oracle
 
 
 class TestKnnGraph:
@@ -199,10 +196,10 @@ class TestKnnGraph:
                 assert np.array_equal(getattr(got, field), getattr(want, field))
 
     @pytest.mark.parametrize("lower_passes", [True, False])
-    def test_capped_first_seen_weight(self, lower_passes):
+    def test_capped_union_is_the_maximum(self, lower_passes):
         # rows 0 and 1 propose each other with lengths one ulp apart around
-        # h: the edge takes the lower row's length when that row is within
-        # the cap, and the upper row's otherwise
+        # h, which a candidate pass never gives: the edge takes the length
+        # within the cap, and with both within it the larger, in either row
         h = 1.0
         inside, outside = h, np.nextafter(h, np.inf)
         w01, w10 = (inside, outside) if lower_passes else (outside, inside)
@@ -210,10 +207,26 @@ class TestKnnGraph:
         g = cap_candidates(cand, dists, h)
         assert upper_edges(g) == [(0, 1, inside)]
         assert g.adjacency[1, 0] == inside
-        # both within the cap: the lower row's length, whichever is smaller
         g = cap_candidates(cand, dists, math.inf)
-        assert upper_edges(g) == [(0, 1, w01)]
-        assert g.adjacency[1, 0] == w01
+        assert upper_edges(g) == [(0, 1, outside)]
+        assert g.adjacency[1, 0] == outside
+
+    # 10 points 4 times over: each point's 3 candidates are its copies, at
+    # exactly 0 (which the Gram expansion does not always give), 60 pairs
+    def test_repeated_points_are_exactly_zero_apart(self):
+        x = np.tile(gen_swiss_roll(40, seed=3).ambient[:10], (4, 1))
+        with pytest.warns(DegenerateDuplicatesWarning, match="^60 zero-distance pairs"):
+            _, dists = knn_candidates(x, 3)
+        assert dists.shape == (40, 3) and not dists.any()
+
+    @pytest.mark.parametrize("seed", [0, 1234])
+    def test_both_ends_of_a_pair_measure_the_same_length(self, seed):
+        x = gen_swiss_roll(1500, density_exponent=3.0, seed=seed, short_circuit_pairs=0.01).ambient
+        idx, dists = knn_candidates(x, 12)
+        length = {(i, int(j)): w for i, row in enumerate(idx) for j, w in zip(row, dists[i])}
+        mutual = [(i, j) for i, j in length if i < j and (j, i) in length]
+        assert len(mutual) > 7000
+        assert all(length[i, j] == length[j, i] for i, j in mutual)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_data_is_input_error(self, bad):
