@@ -11,7 +11,8 @@ stage and the eigensolve. Output files are byte-deterministic but for the
 eval and bench reports' timings.* and bench.csv's embed_seconds; every other
 timing, and the cache entry that served an embed, goes to stderr only.
 
-main sets glibc's allocator policy once per process (_keep_freed_blocks).
+main sets glibc's allocator policy (_keep_freed_blocks) and builds its parser
+once per process.
 
 Configuration precedence: command-line flags > JSON config file (--config) >
 PRISOMAP_* environment variables > built-in defaults.
@@ -209,33 +210,40 @@ def cmd_embed(args) -> int:
 # -- eval -------------------------------------------------------------------------
 
 
-def _chart_points(chart_path, indices):
+def _chart_points(chart_path, indices, n=None):
     """The chart coordinates of the rows in indices, unrolled for a swiss
-    roll's (t, u) chart."""
+    roll's (t, u) chart, which must hold the n rows of the data when n is
+    given."""
     ds = load_csv(chart_path)
     _refuse_dropped_rows(ds, chart_path, "the data")
     if indices.max() >= ds.n:
         raise InputError(f"{chart_path}: chart has {ds.n} rows, fewer than the "
                          f"{indices.max() + 1} the input needs")
+    if n is not None and ds.n != n:
+        raise InputError(f"{chart_path}: chart has {ds.n} rows, but the data has {n}")
     chart = swiss_roll_unrolled(ds.data) if ds.names == ["t", "u"] else ds.data
     return as_finite_matrix(chart, f"{chart_path}: chart")[indices]
 
 
 def _load_labels(args, indices, data=None):
     """The labels of the rows in indices: --label-column of the --labels file
-    when one is given, else of data (the --in or --data table), else None."""
+    when one is given, else of data (the --in or --data table), else None. A
+    --labels file must hold as many rows as data, when data is given."""
+    table = data
     if args.labels:
-        data = load_csv(args.labels, label_column=args.label_column)
-        if data.labels is None:
+        table = load_csv(args.labels, label_column=args.label_column)
+        if table.labels is None:
             raise InputError(f"{args.labels}: --label-column required to read labels")
-        _refuse_dropped_rows(data, args.labels, "the data")
+        _refuse_dropped_rows(table, args.labels, "the data")
     elif args.label_column and data is None:
         raise InputError("--label-column names a column of the --labels file; give --labels")
-    if data is None or data.labels is None:
+    if table is None or table.labels is None:
         return None
-    if indices.max() >= data.labels.size:
+    if indices.max() >= table.labels.size:
         raise InputError("embedding indices exceed label file length")
-    return data.labels[indices]
+    if data is not None and table.n != data.n:
+        raise InputError(f"{args.labels}: label file has {table.n} rows, but the data has {data.n}")
+    return table.labels[indices]
 
 
 def _flags_given(args, *dests: str) -> str:
@@ -315,7 +323,7 @@ def cmd_bench(args) -> int:
     result = run_bench(
         ds.data, specs, baseline=args.baseline, m=args.m, k_clf=args.k_clf, folds=args.folds,
         seed=args.seed, cache_dir=args.cache_dir, labels=_load_labels(args, rows, ds),
-        reference_points=_chart_points(args.chart, rows) if args.chart else None,
+        reference_points=_chart_points(args.chart, rows, ds.n) if args.chart else None,
     )
 
     out = Path(args.out)
@@ -347,6 +355,7 @@ def cmd_plot(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prisomap",

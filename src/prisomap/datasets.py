@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, CountMismatch, EmptyDataset, InputError, ParseError, TruncatedFile
+from .errors import InputError, ParseError
 from .linalg import as_finite_matrix, as_matrix
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -124,7 +124,7 @@ def load_csv(path, label_column: str | int | None = None) -> LabeledDataset:
     label_column (by name or positional index) is parsed as integer labels,
     each an integral number in the int64 range ("1e3" is 1000);
     all remaining columns are features. Raises ParseError with the offending
-    row/column, EmptyDataset if nothing survives NaN filtering.
+    row/column, InputError if nothing survives NaN filtering.
 
     The csv module reads the file (RFC-4180) as it streams, cell by cell.
     """
@@ -137,7 +137,7 @@ def load_csv(path, label_column: str | int | None = None) -> LabeledDataset:
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyDataset(f"{path}: no header row") from None
+            raise InputError(f"{path}: no header row") from None
         label_idx = None
         if isinstance(label_column, int):
             if not 0 <= label_column < len(header):
@@ -188,7 +188,7 @@ def load_csv(path, label_column: str | int | None = None) -> LabeledDataset:
             rows.append(values)
 
     if not rows:
-        raise EmptyDataset(f"{path}: no rows left after NaN filtering (dropped {dropped})")
+        raise InputError(f"{path}: no rows left after NaN filtering (dropped {dropped})")
     return LabeledDataset(np.array(rows, dtype=np.float64),
                           np.array(labels, dtype=np.int64) if label_idx is not None else None,
                           [header[i] for i in feature_idx], dropped)
@@ -235,21 +235,21 @@ def _open_maybe_gzip(path: Path):
 def _read_exact(fh, count: int, path: Path) -> bytes:
     buf = fh.read(count)
     if len(buf) != count:
-        raise TruncatedFile(f"{path}: expected {count} bytes, got {len(buf)}")
+        raise InputError(f"{path}: expected {count} bytes, got {len(buf)}")
     return buf
 
 
 def load_idx(images_path, labels_path=None) -> LabeledDataset:
     """Load big-endian IDX image data, flattening each image row-major.
 
-    Pixel values stay in 0-255 as float64 features. Raises BadMagic,
-    TruncatedFile, or CountMismatch per the format contract.
+    Pixel values stay in 0-255 as float64 features. Raises InputError for a
+    wrong magic number, a cut file or a label count other than the image count.
     """
     images_path = Path(images_path)
     with _open_maybe_gzip(images_path) as fh:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path))
         if magic != IDX_IMAGE_MAGIC:
-            raise BadMagic(f"{images_path}: magic 0x{magic:08x} != 0x{IDX_IMAGE_MAGIC:08x}")
+            raise InputError(f"{images_path}: magic 0x{magic:08x} != 0x{IDX_IMAGE_MAGIC:08x}")
         raw = _read_exact(fh, count * rows * cols, images_path)
     data = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
 
@@ -259,10 +259,10 @@ def load_idx(images_path, labels_path=None) -> LabeledDataset:
         with _open_maybe_gzip(labels_path) as fh:
             magic, lcount = struct.unpack(">II", _read_exact(fh, 8, labels_path))
             if magic != IDX_LABEL_MAGIC:
-                raise BadMagic(f"{labels_path}: magic 0x{magic:08x} != 0x{IDX_LABEL_MAGIC:08x}")
+                raise InputError(f"{labels_path}: magic 0x{magic:08x} != 0x{IDX_LABEL_MAGIC:08x}")
             lraw = _read_exact(fh, lcount, labels_path)
         if lcount != count:
-            raise CountMismatch(f"{lcount} labels for {count} images")
+            raise InputError(f"{lcount} labels for {count} images")
         labels = np.frombuffer(lraw, dtype=np.uint8).astype(np.int64)
 
     return LabeledDataset(data=data, labels=labels, names=None)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geodesics
 from .datasets import json_safe, save_csv
-from .errors import DisconnectedGraph, GraphTooFragmented, InputError, RankDeficientWarning
+from .errors import GraphError, InputError, RankDeficientWarning
 from .graph import NeighborGraph, components
 from .linalg import (EigenResult, as_finite_matrix, as_matrix, double_center_in_place,
                      pairwise_sq_dists, symmetric_eig)
@@ -126,10 +126,10 @@ def embed_geodesics(
     """Classical scaling of a graph's geodesics after resolving disconnection.
 
     The policy runs on the graph's components before any geodesic exists:
-    ERROR_POLICY refuses any disconnection with DisconnectedGraph;
+    ERROR_POLICY refuses any disconnection with a GraphError;
     LARGEST_COMPONENT_POLICY embeds only the largest component, the one
-    holding the lowest vertex among equal largest ones. Raises
-    GraphTooFragmented when the largest component holds less than
+    holding the lowest vertex among equal largest ones. Raises a
+    GraphError when the largest component holds less than
     FRAGMENT_THRESHOLD of the points. All-pairs then runs over the kept
     vertices' submatrix; nothing else holds the m x m matrix it returns, so
     it is squared and centered in place, and symmetric_eig solves its top
@@ -145,13 +145,13 @@ def embed_geodesics(
     if summary.count > 1:
         sizes = summary.sizes
         if sizes[0] < FRAGMENT_THRESHOLD * n:
-            raise GraphTooFragmented(
+            raise GraphError(
                 f"largest component holds {sizes[0]}/{n} points "
                 f"(< {FRAGMENT_THRESHOLD:.0%}); lower k/h expectations explicitly",
                 summary=sizes,
             )
         if component_policy == ERROR_POLICY:
-            raise DisconnectedGraph(
+            raise GraphError(
                 f"graph has {len(sizes)} components (sizes {sizes[:8]}); "
                 "use the largest_component policy or loosen k/h",
                 summary=sizes,

@@ -1,8 +1,9 @@
 """Exception and warning taxonomy shared across the package.
 
-Exceptions carry enough structure for the CLI to map them onto exit codes:
-usage/input problems, graph-topology problems, and numeric failures are
-distinct families.
+One exception family per CLI exit code: InputError (2) for usage and input
+problems, GraphError (3) for graph topology, NumericError (4) for numeric
+failures. Each raise site tells its case apart by its message; ParseError
+alone adds fields, the row and column of a bad cell.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ class PrisomapError(Exception):
     """Base class for all package errors."""
 
 
-# -- input / format errors (CLI exit code 2) --------------------------------
-
 class InputError(PrisomapError, ValueError):
-    """Bad user input, malformed files or invalid parameters: the one exception meaning it."""
+    """Bad user input, malformed files or invalid parameters (exit code 2)."""
 
 
 class ParseError(InputError):
@@ -30,81 +29,17 @@ class ParseError(InputError):
         self.column = column
 
 
-class EmptyDataset(InputError):
-    pass
-
-
-class BadMagic(InputError):
-    pass
-
-
-class TruncatedFile(InputError):
-    pass
-
-
-class CountMismatch(InputError):
-    pass
-
-
-class ClassTooSmall(InputError):
-    pass
-
-
-class BadDimension(InputError):
-    pass
-
-
-class InfiniteWindow(InputError):
-    pass
-
-
-# -- graph topology errors (CLI exit code 3) --------------------------------
-
 class GraphError(PrisomapError):
-    """Neighbor-graph topology prevents the requested operation; summary holds
-    the component sizes, largest first, when they are known."""
+    """Neighbor-graph topology prevents the requested operation (exit code 3);
+    summary holds the component sizes, largest first, when they are known."""
 
     def __init__(self, message: str, summary=None):
         super().__init__(message)
         self.summary = summary
 
 
-class DisconnectedGraph(GraphError):
-    pass
-
-
-class GraphTooFragmented(GraphError):
-    pass
-
-
-# -- numeric errors (CLI exit code 4) ----------------------------------------
-
 class NumericError(PrisomapError):
-    """Numerical contract violation."""
-
-
-class NonSymmetricInput(NumericError):
-    pass
-
-
-class SentinelPresent(NumericError):
-    pass
-
-
-class ConvergenceFailure(NumericError):
-    pass
-
-
-class TooLarge(NumericError):
-    pass
-
-
-class NoFinitePairs(NumericError):
-    pass
-
-
-class ZeroMeanDensity(NumericError):
-    pass
+    """Numerical contract violation (exit code 4)."""
 
 
 # -- warning-grade conditions -------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import json_safe, seeded_rng, write_json
-from .errors import ClassTooSmall, InputError, NoFinitePairs, ZeroMeanDensity
+from .errors import InputError, NumericError
 from .linalg import as_matrix, first_m, pairwise_dists
 
 EVAL_SCHEMA = "evalreport/1"
@@ -81,7 +81,7 @@ def _scores(ref_rows, emb_rows, n: int, m: int | None) -> dict:
     0.0 if the other's are too, else 1.0. T/C (with m, which must satisfy
     1 <= m < n/2: InputError otherwise) is NaN once a reference block is not
     finite; for a finite reference the embedding's distances must be finite
-    (ValueError otherwise). Raises NoFinitePairs if no finite pair remains.
+    (ValueError otherwise). Raises NumericError if no finite pair remains.
     """
     tc = m is not None  # T/C runs while every reference block is finite
     if tc and not 1 <= m < n / 2:
@@ -107,7 +107,7 @@ def _scores(ref_rows, emb_rows, n: int, m: int | None) -> dict:
                 raise ValueError(_NOT_FINITE)
             penalties = [p + q for p, q in zip(penalties, _tc_penalties(hd, ld, start, m))]
     if not count:
-        raise NoFinitePairs("no finite high-dimensional pairs to score")
+        raise NumericError("no finite high-dimensional pairs to score")
     constant = low == high
     rv = float(not constant.all()) if constant.any() else \
         1.0 - float(np.clip(co[2] / np.sqrt(co[0]) / np.sqrt(co[1]), -1, 1)) ** 2
@@ -131,7 +131,7 @@ def stress(d_hd, d_ld) -> float:
     """Normalized Kruskal stress-1 over finite pairs i<j.
 
     sqrt(sum((d_hd - d_ld)^2) / sum(d_hd^2)); unreachable pairs in d_hd are
-    excluded. Raises NoFinitePairs if no finite pair remains.
+    excluded. Raises NumericError if no finite pair remains.
     """
     return _matrix_scores(d_hd, d_ld)["stress"]
 
@@ -198,7 +198,7 @@ def make_stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     small = counts < folds
     if small.any():
         bad = {int(c): int(k) for c, k in zip(classes[small], counts[small])}
-        raise ClassTooSmall(f"classes with fewer members than folds={folds}: {bad}")
+        raise InputError(f"classes with fewer members than folds={folds}: {bad}")
     rng = seeded_rng(seed)
     assignment = np.empty(y.size, dtype=np.int64)
     for c in classes:
@@ -267,7 +267,7 @@ def uniformity_cv(counts) -> float:
     values = np.asarray(counts, dtype=np.float64)
     mean = float(np.mean(values))
     if mean == 0.0:
-        raise ZeroMeanDensity("density is identically zero")
+        raise NumericError("density is identically zero")
     return float(np.std(values) / mean)
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, NumericError
+from .errors import InputError, NumericError
 from .graph import NeighborGraph
 from .linalg import EigenResult, _mirrored_tiles
 
@@ -208,7 +208,7 @@ def save_spectrum(entry: SpectralEntry, path) -> None:
 
 
 def load_spectrum(path) -> SpectralEntry:
-    """Read an entry written by save_spectrum; raise BadMagic for anything else:
+    """Read an entry written by save_spectrum; raise InputError for anything else:
     no .npz archive, a member missing, cut short or failing its CRC-32, another
     format version, a non-numeric h, or a member of another dtype or shape."""
     path = Path(path)
@@ -224,16 +224,16 @@ def load_spectrum(path) -> SpectralEntry:
     # RuntimeError or OSError for other bad fields; TypeError for a bare .npy
     except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TypeError,
             ValueError, zipfile.BadZipFile) as exc:
-        raise BadMagic(f"{path}: unreadable spectral entry ({exc})") from exc
+        raise InputError(f"{path}: unreadable spectral entry ({exc})") from exc
     if version != _VERSION:
-        raise BadMagic(f"{path}: unsupported version {version}")
+        raise InputError(f"{path}: unsupported version {version}")
     if isinstance(h, bool) or not isinstance(h, (int, float)):
-        raise BadMagic(f"{path}: window h {h!r} is not a number")
+        raise InputError(f"{path}: window h {h!r} is not a number")
     if (type(n_input) is not int or kept.dtype != np.int64 or kept.ndim != 1
             or eigenvalues.dtype != np.float64 or eigenvalues.ndim != 1
             or eigenvectors.dtype != np.float64
             or eigenvectors.shape != (kept.size, eigenvalues.size)):
-        raise BadMagic(f"{path}: n_input or a member of another type or shape")
+        raise InputError(f"{path}: n_input or a member of another type or shape")
     return SpectralEntry(kept, n_input, EigenResult(eigenvalues, eigenvectors), fingerprint, h)
 
 
@@ -255,7 +255,7 @@ def cache_lookup(cache_dir, fingerprint: dict) -> tuple[Path | None, SpectralEnt
     if path.exists():
         try:
             entry = load_spectrum(path)
-        except BadMagic as exc:
+        except InputError as exc:
             print(f"cache: {exc}; recomputing", file=sys.stderr)
         else:
             if entry.fingerprint == fingerprint:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateDuplicatesWarning, InfiniteWindow, InputError
+from .errors import DegenerateDuplicatesWarning, InputError
 from .linalg import as_finite_matrix, first_m, pairwise_sq_dists
 
 if TYPE_CHECKING:
@@ -131,7 +131,7 @@ def pr_density(cand_dist: np.ndarray, h: float) -> np.ndarray:
     The density count / (k * h**d) differs by a constant that the uniformity
     CV cancels, and that under- or overflows float64 at a large ambient d."""
     if not math.isfinite(h):
-        raise InfiniteWindow("density requires a finite window diameter h")
+        raise InputError("density requires a finite window diameter h")
     others = cand_dist[:, : cand_dist.shape[1] - 1]
     return 1.0 + np.count_nonzero(others <= h / 2.0, axis=1)
 

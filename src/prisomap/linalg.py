@@ -14,10 +14,10 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InputError, NonSymmetricInput, SentinelPresent
+from .errors import InputError, NumericError
 
 # Above this order the top eigenpairs always come from ARPACK, and a failure
-# to converge is a ConvergenceFailure. Up to it ARPACK runs only when top is
+# to converge is a NumericError. Up to it ARPACK runs only when top is
 # at most n / _ITERATIVE_ROWS_PER_PAIR (where it beats the LAPACK subset
 # solve, which tridiagonalizes the whole matrix), with the dense path as its
 # fallback.
@@ -61,7 +61,7 @@ def require_square_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got {a.shape}")
     if not np.array_equal(a, a.T):
         asym = float(np.max(np.abs(a - a.T)))
-        raise NonSymmetricInput(f"{name} is not symmetric: max|A - A^T| = {asym:.3e}")
+        raise NumericError(f"{name} is not symmetric: max|A - A^T| = {asym:.3e}")
     return a
 
 
@@ -138,12 +138,12 @@ def double_center_in_place(d_sq: np.ndarray) -> np.ndarray:
     (r[i] + r[j])) + g), one _TILE-square tile at a time. D is exactly
     symmetric, so r holds its column means too, and r[i] + r[j], one rounded
     sum, is r[j] + r[i]: each entry rounds as its mirror does. Raises
-    NonSymmetricInput for asymmetric input and SentinelPresent if any entry
-    is non-finite (a component policy must resolve the unreachable sentinel).
+    NumericError for asymmetric input, or for any non-finite entry (a
+    component policy must resolve the unreachable sentinel).
     """
     d = as_matrix(d_sq, "d_sq")
     if not np.all(np.isfinite(d)):
-        raise SentinelPresent("squared-distance matrix contains unreachable entries")
+        raise NumericError("squared-distance matrix contains unreachable entries")
     d = require_square_symmetric(d, "d_sq")
     r = d.mean(axis=1)
     g = float(r.mean())
@@ -211,7 +211,7 @@ def _arpack_eig(a_sym: np.ndarray, top: int) -> tuple[np.ndarray | None, np.ndar
     except ArpackNoConvergence as exc:
         if dense_fallback:
             return None, None
-        raise ConvergenceFailure(f"iterative eigensolver exhausted {10 * n} iterations") from exc
+        raise NumericError(f"iterative eigensolver exhausted {10 * n} iterations") from exc
     if dense_fallback and w[1] - w[0] <= _ARPACK_TOL * max(1.0, abs(float(w[-1]))):
         return None, None
     return w, v
@@ -250,7 +250,7 @@ def symmetric_eig(a, top: int) -> EigenResult:
             if top == n or w[0] == w[1]:
                 w, v = np.linalg.eigh(a_sym)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"dense symmetric eigensolver failed: {exc}") from exc
+            raise NumericError(f"dense symmetric eigensolver failed: {exc}") from exc
 
     v = _normalize_signs(v)
     order = _stable_descending_order(w, v)[:top]
@@ -260,7 +260,7 @@ def symmetric_eig(a, top: int) -> EigenResult:
     scale = max(1.0, float(np.linalg.norm(a_sym)))
     residual = float(np.max(np.linalg.norm(a_sym @ v - v * w[None, :], axis=0)))
     if residual > _EIG_RESIDUAL_TOL * scale:
-        raise ConvergenceFailure(
+        raise NumericError(
             f"eigenpair residual {residual:.3e} exceeds tolerance {_EIG_RESIDUAL_TOL * scale:.3e}"
         )
     return EigenResult(eigenvalues=w, eigenvectors=v)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadDimension
+from .errors import InputError
 from .linalg import as_matrix
 
 CANVAS = 800
@@ -40,14 +40,14 @@ def scatter_svg(coords, labels=None, axes: tuple[int, int] = (0, 1),
     """Render a 2-D scatter of the selected coordinate pair as SVG text.
 
     Higher-dimensional input is projected by orthographic drop of the unused
-    axes. Raises BadDimension for fewer than 2 coordinate columns.
+    axes. Raises InputError for fewer than 2 coordinate columns.
     """
     x = as_matrix(coords, "coords")
     if x.shape[1] < 2:
-        raise BadDimension(f"plotting needs >= 2 coordinate columns, got {x.shape[1]}")
+        raise InputError(f"plotting needs >= 2 coordinate columns, got {x.shape[1]}")
     i, j = axes
     if not (0 <= i < x.shape[1] and 0 <= j < x.shape[1]) or i == j:
-        raise BadDimension(f"axes {axes} invalid for {x.shape[1]} coordinate columns")
+        raise InputError(f"axes {axes} invalid for {x.shape[1]} coordinate columns")
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.size != x.shape[0]:

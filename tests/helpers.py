@@ -23,7 +23,6 @@ from scipy.sparse import csr_matrix, triu
 
 from prisomap import geodesics
 from prisomap.datasets import gen_swiss_roll
-from prisomap.errors import TooLarge
 from prisomap.graph import NeighborGraph, knn_candidates, knn_graph, percentile_h
 
 _FW_LIMIT = 500
@@ -99,7 +98,7 @@ def floyd_warshall_oracle(graph: NeighborGraph) -> np.ndarray:
     """
     n = graph.n
     if n > _FW_LIMIT:
-        raise TooLarge(f"Floyd-Warshall oracle limited to n <= {_FW_LIMIT}, got {n}")
+        raise ValueError(f"Floyd-Warshall oracle limited to n <= {_FW_LIMIT}, got {n}")
     d = np.full((n, n), math.inf, dtype=np.float64)
     np.fill_diagonal(d, 0.0)
     for i in range(n):

@@ -550,10 +550,10 @@ class TestEmbed:
 
     def test_numeric_errors_exit_4(self, monkeypatch, roll_dir, tmp_path):
         from prisomap import bench
-        from prisomap.errors import ConvergenceFailure
+        from prisomap.errors import NumericError
 
         def boom(*args, **kwargs):
-            raise ConvergenceFailure("forced")
+            raise NumericError("forced")
 
         monkeypatch.setattr(bench, "pca", boom)
         rc = run_cli("embed", "--in", str(roll_dir / "ambient.csv"),
@@ -1146,6 +1146,27 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 2
 
+    # build_parser is cached: every main call parses with one parser, and a
+    # refused parse leaves it as it was
+    def test_main_calls_share_one_parser(self, roll_dir, tmp_path, monkeypatch):
+        parses = []
+        parse = argparse.ArgumentParser.parse_args
+
+        def recorded(parser, *args, **kwargs):
+            parses.append((parser, parse(parser, *args, **kwargs)))
+            return parses[-1][1]
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+        emb = tmp_path / "e.csv"
+        argv = ["embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pca"]
+        assert run_cli(*argv, "--out", str(emb)) == 0
+        first = emb.read_bytes()
+        assert run_cli(*argv, "--k", "x", "--out", str(emb)) == 2
+        assert run_cli(*argv, "--out", str(emb)) == 0
+        assert emb.read_bytes() == first
+        assert len(parses) == 2 and parses[0][0] is parses[1][0] is build_parser()
+        assert vars(parses[0][1]) == vars(parses[1][1])
+
 
 # Every option of each subcommand as (dest, type, default, required, choices,
 # nargs): the command-line surface the settings table must keep. Settings
@@ -1534,6 +1555,33 @@ class TestInputErrors:
             argv = ["bench", "--in", ambient, "--methods", "pca"]
         assert run_cli(*argv, "--chart", str(chart), "--out", str(tmp_path / "r")) == 2
         assert "chart has 50 rows, fewer than the 300 the input needs" in capsys.readouterr().err
+
+    # chart and label rows are matched to the data's by number, so wherever
+    # the data is read a file of another row count is refused
+    @pytest.mark.parametrize("command, faulty, extra", [
+        ("bench", "chart", 1), ("bench", "labels", 1), ("eval", "labels", 1),
+        ("eval", "labels", -1)])
+    def test_file_of_another_row_count_than_the_data_exits_2(self, roll_dir, tmp_path, capsys,
+                                                             command, faulty, extra):
+        path = tmp_path / f"{faulty}.csv"
+        lines = (roll_dir / "intrinsic.csv" if faulty == "chart" else
+                 _labels_file(roll_dir, path)).read_text().splitlines()
+        path.write_text("\n".join(lines[:extra] if extra < 0 else lines + lines[-1:]) + "\n")
+        ambient = str(roll_dir / "ambient.csv")
+        argv = [f"--{faulty}", str(path), *(["--label-column", "label"] * (faulty == "labels"))]
+        if command == "eval":
+            emb = tmp_path / "e.csv"
+            assert run_cli("embed", "--in", ambient, "--method", "pca", "--out", str(emb)) == 0
+            # the embedding's rows stay within a file one row short
+            emb.write_text("".join(emb.read_text().splitlines(keepends=True)[:-1]))
+            argv = ["eval", "--emb", str(emb), "--data", ambient, *argv]
+        else:
+            argv = ["bench", "--in", ambient, "--methods", "pca", *argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "r")) == 2
+        what = "chart" if faulty == "chart" else "label file"
+        assert f"{path}: {what} has {300 + extra} rows, but the data has 300" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_cache_dir_naming_a_file_exits_2(self, roll_dir, tmp_path, capsys):
         (tmp_path / "cache").write_text("", encoding="utf-8")

@@ -24,8 +24,7 @@ from prisomap.datasets import (
     swiss_roll_unrolled,
 )
 from prisomap.embed import Embedding, load_embedding_csv, save_embedding_csv
-from prisomap.errors import (BadMagic, CountMismatch, EmptyDataset, InputError, ParseError,
-                             TruncatedFile)
+from prisomap.errors import InputError, ParseError
 
 
 class TestCsv:
@@ -66,7 +65,7 @@ class TestCsv:
     def test_all_nan_is_empty(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a\nnan\nnan\n")
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(InputError, match="no rows left after NaN filtering"):
             load_csv(f)
 
     def test_label_by_index(self, tmp_path):
@@ -171,8 +170,8 @@ def _dataset_outcome(parse):
         ds = parse()
     except ParseError as exc:
         return "ParseError", exc.row, exc.column
-    except EmptyDataset:
-        return ("EmptyDataset",)
+    except InputError as exc:
+        return "InputError", str(exc)
     labels = None if ds.labels is None else (ds.labels.dtype.str, ds.labels.tobytes())
     return (ds.data.dtype.str, ds.data.shape, ds.data.tobytes(), labels, ds.names,
             ds.dropped_rows)
@@ -344,20 +343,20 @@ class TestIdx:
     def test_bad_magic(self, tmp_path):
         f = tmp_path / "img.idx"
         f.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 1, 1) + b"\x00")
-        with pytest.raises(BadMagic):
+        with pytest.raises(InputError, match="magic 0xdeadbeef != 0x00000803"):
             load_idx(f)
 
     def test_truncated(self, tmp_path):
         f = tmp_path / "img.idx"
         f.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 2, 2, 2) + b"\x00" * 3)
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(InputError, match="expected 8 bytes, got 3"):
             load_idx(f)
 
     def test_count_mismatch(self, tmp_path):
         img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
         self.write_images(img, [[[1]], [[2]]])
         self.write_labels(lab, [3, 9, 4])
-        with pytest.raises(CountMismatch):
+        with pytest.raises(InputError, match="3 labels for 2 images"):
             load_idx(img, lab)
 
 

@@ -15,7 +15,7 @@ from prisomap.embed import (
     pca,
     save_embedding_csv,
 )
-from prisomap.errors import DisconnectedGraph, GraphTooFragmented
+from prisomap.errors import GraphError
 from prisomap.evaluate import residual_variance
 from prisomap.geodesics import all_pairs
 from prisomap.graph import components, knn_graph
@@ -52,7 +52,7 @@ class TestPrIsomap:
     def test_disconnected_error_policy(self):
         x = np.vstack([np.zeros((5, 2)) + np.arange(5)[:, None] * 0.1,
                        np.ones((5, 2)) * 100 + np.arange(5)[:, None] * 0.1])
-        with pytest.raises(DisconnectedGraph):
+        with pytest.raises(GraphError, match="graph has 2 components"):
             pr_isomap(x, k=2, h=1.0, p=1)
 
     def test_largest_component_policy(self):
@@ -65,7 +65,7 @@ class TestPrIsomap:
 
     def test_too_fragmented(self):
         x = np.arange(12)[:, None] * 10.0  # every point isolated under h=1
-        with pytest.raises(GraphTooFragmented):
+        with pytest.raises(GraphError, match="largest component holds"):
             pr_isomap(x, k=2, h=1.0, p=1, component_policy="largest_component")
 
     def test_column_means_zero_and_eigenvalue_order(self):
@@ -227,7 +227,7 @@ class TestComponentPolicy:
 
     def test_error_policy_raises(self):
         g = self.two_block_graph((8, 2))
-        with pytest.raises(DisconnectedGraph) as err:
+        with pytest.raises(GraphError, match="graph has 2 components") as err:
             embed_geodesics(g, 1, {}, "error")
         assert err.value.summary == [8, 2]
 
@@ -252,7 +252,7 @@ class TestComponentPolicy:
         monkeypatch.setattr(geodesics, "all_pairs", lambda g: sizes.append(g.n) or paths(g))
         g = self.two_block_graph((8, 3))
         if policy == "error":
-            with pytest.raises(DisconnectedGraph) as err:
+            with pytest.raises(GraphError, match="graph has 2 components") as err:
                 embed_mod.embed_geodesics(g, 1, {}, policy)
             assert err.value.summary == [8, 3]
             assert sizes == []

@@ -3,7 +3,7 @@
 Hypothesis drives cli.main in-process on gen, embed, eval, bench and plot
 with malformed inputs at n <= 50: CSV cells, headers and row lengths,
 non-UTF-8 bytes, config JSON of every type, flag values, truncated or
-flipped .eig entries, and short charts and label files. Each input is sound
+flipped .eig entries, and short or long charts and label files. Each input is sound
 but for a fault drawn now and then, so that most invocations get past the
 first check. Whatever the input, main returns 0, 2 (input), 3 (graph
 topology) or 4 (numeric); a nonzero exit prints exactly one `error:`,
@@ -278,6 +278,9 @@ def roll(tmp_path_factory):
     labels = (t > np.median(t)).astype(int)
     (path / "labels.csv").write_text("label\n" + "".join(f"{y}\n" for y in labels))
     (path / "one-class.csv").write_text("label\n" + "0\n" * t.size)
+    (path / "long-labels.csv").write_text("label\n" + "".join(f"{y}\n" for y in labels) + "1\n")
+    chart = (path / "intrinsic.csv").read_text().splitlines()
+    (path / "long-chart.csv").write_text("\n".join(chart + chart[-1:]) + "\n")
     (path / "labelled.csv").write_text("\n".join(
         [ambient[0] + ",label"] + [f"{row},{y}" for row, y in zip(ambient[1:], labels)]) + "\n")
     (path / "nan.csv").write_text("\n".join([*ambient[:5], "nan,nan,nan", *ambient[6:]]) + "\n")
@@ -341,6 +344,15 @@ INPUT_CHECKS = {
     "zero h_pct": (["embed", "--in", "{roll}/repeated.csv", "--method", "pr-isomap", "--k", "3",
                     "--h-pct", "50"], "percentile 50.0 of the candidate edge lengths is 0: "
                    "120 of 120 candidates join repeated points"),
+    "bench long chart": (["bench", "--in", "{roll}/ambient.csv", "--methods", "pca", "--chart",
+                          "{roll}/long-chart.csv"],
+                         "long-chart.csv: chart has 41 rows, but the data has 40"),
+    "bench long labels": (["bench", "--in", "{roll}/ambient.csv", "--methods", "pca", "--labels",
+                           "{roll}/long-labels.csv", "--label-column", "label"],
+                          "long-labels.csv: label file has 41 rows, but the data has 40"),
+    "eval long labels": (["eval", *ROLL_EMB, "--data", "{roll}/ambient.csv", "--labels",
+                          "{roll}/long-labels.csv", "--label-column", "label"],
+                         "long-labels.csv: label file has 41 rows, but the data has 40"),
     "no method": (["bench", "--in", "{roll}/ambient.csv", "--methods", ","],
                   "need at least one method"),
     "duplicate method": (["bench", "--in", "{roll}/ambient.csv", "--methods", "pca,pca"],

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import prisomap
 from prisomap import geodesics
 from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
-from prisomap.errors import BadMagic, NumericError, TooLarge
+from prisomap.errors import InputError, NumericError
 from prisomap.geodesics import UNREACHABLE, SpectralEntry, all_pairs, load_spectrum, save_spectrum
 from prisomap.graph import NeighborGraph, components, knn_candidates, knn_graph, percentile_h
 from prisomap.linalg import EigenResult, pairwise_dists
@@ -393,7 +393,7 @@ class TestAllPairs:
 
     def test_fw_guard(self):
         g = graph_from_rows([np.array([], dtype=np.int64)] * 501, [np.array([])] * 501)
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match="oracle limited to n <= 500, got 501"):
             floyd_warshall_oracle(g)
 
     def test_fw_no_edges(self):
@@ -604,11 +604,12 @@ class TestSerialization:
                     fh.write(contents)
                 else:
                     np.savez(fh, **contents)
-            with pytest.raises(BadMagic):
+            with pytest.raises(InputError, match="unreadable spectral entry|"
+                                                 "a member of another type or shape"):
                 load_spectrum(path)
         # a bare .npy array, and the valid archive itself
         np.save(path.with_suffix(".npy"), np.ones(3))
-        with pytest.raises(BadMagic):
+        with pytest.raises(InputError, match="unreadable spectral entry"):
             load_spectrum(path.with_suffix(".npy"))
         with path.open("wb") as fh:
             np.savez(fh, **members)
@@ -622,7 +623,7 @@ class TestSerialization:
         raw = path.read_bytes()
         for cut in (raw[:10], raw[:-8], raw[:len(raw) // 2]):
             path.write_bytes(cut)
-            with pytest.raises(BadMagic):
+            with pytest.raises(InputError, match="unreadable spectral entry"):
                 load_spectrum(path)
 
     # the zip directory, the member headers and the bodies alike: each byte,
@@ -636,7 +637,7 @@ class TestSerialization:
             path.write_bytes(raw[:at] + bytes([raw[at] ^ bit]) + raw[at + 1:])
             try:
                 back = load_spectrum(path)
-            except BadMagic:
+            except InputError:
                 continue
             assert (back.kept_indices.tobytes(), back.n_input, back.fingerprint, back.h) == \
                 (entry.kept_indices.tobytes(), 3, {"top": 2}, 2.5)
@@ -665,12 +666,12 @@ class TestSerialization:
         save_spectrum(back, path)
         assert path.read_bytes() == raw and os.listdir(tmp_path) == ["entry.eig"]
         path.write_bytes(raw[:-8])
-        with pytest.raises(BadMagic):
+        with pytest.raises(InputError, match="unreadable spectral entry"):
             load_spectrum(path)
 
     @pytest.mark.parametrize("h", [None, "1.5", True, [1.0]])
     def test_window_that_is_not_a_number_is_bad_magic(self, tmp_path, h):
         path = tmp_path / "entry.eig"
         save_spectrum(_small_entry(h), path)
-        with pytest.raises(BadMagic, match="window h"):
+        with pytest.raises(InputError, match="window h"):
             load_spectrum(path)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from prisomap import graph as graph_mod
 from prisomap.datasets import gen_swiss_roll
-from prisomap.errors import DegenerateDuplicatesWarning, InfiniteWindow, InputError
+from prisomap.errors import DegenerateDuplicatesWarning, InputError
 from prisomap.graph import (
     _knn_candidates,
     cap_candidates,
@@ -275,7 +275,7 @@ class TestPrDensity:
 
     def test_infinite_window_rejected(self):
         _, cand_dist = knn_candidates(LINE3, 1)
-        with pytest.raises(InfiniteWindow):
+        with pytest.raises(InputError, match="requires a finite window diameter h"):
             pr_density(cand_dist, math.inf)
 
 
