@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,13 +188,12 @@ class BenchResult:
     paired_deltas: dict[str, dict]
     baseline: str
     common_vertices: np.ndarray
-    embeddings: dict[str, Embedding] = field(default_factory=dict)
+    runs: dict[str, MethodRun]
 
     def table_rows(self) -> list[dict]:
         rows = []
         for name, report in self.reports.items():
-            row = {"method": name, **report.row(),
-                   "embed_seconds": report.timings.get("embed_seconds")}
+            row = {"method": name, **report.row()}
             if name in self.paired_deltas:
                 for metric, delta in self.paired_deltas[name].items():
                     row[f"delta_{metric}"] = delta
@@ -228,7 +227,8 @@ def run_bench(
     capped and uncapped methods see identical score pairs.
     Graph methods look their eigenpairs up in cache_dir. baseline,
     when given, must name one of the methods (InputError otherwise); when
-    not, it is isomap if present, else the first method.
+    not, it is isomap if present, else the first method. The reports hold
+    no wall clock: each method's time and cache entry are in result.runs.
     """
     neighbors = Neighbors(data)
     x = neighbors.data
@@ -248,11 +248,10 @@ def run_bench(
     y = None if labels is None else np.asarray(labels, dtype=np.int64)
 
     runs = {spec.method: run_method(spec, neighbors, cache_dir=cache_dir) for spec in specs}
-    embeddings = {name: run.embedding for name, run in runs.items()}
 
-    common = embeddings[names[0]].kept_indices
+    common = runs[names[0]].embedding.kept_indices
     for name in names[1:]:
-        common = np.intersect1d(common, embeddings[name].kept_indices)
+        common = np.intersect1d(common, runs[name].embedding.kept_indices)
     if common.size < 3:
         raise GraphError(f"methods share {common.size} kept vertices, too few to compare")
 
@@ -263,8 +262,7 @@ def run_bench(
     reports: dict[str, EvalReport] = {}
     for spec in specs:
         name = spec.method
-        run = runs[name]
-        emb = run.embedding
+        emb = runs[name].embedding
         coords = _restrict_to(emb, common)
         report = evaluate_embedding(
             coords,
@@ -276,7 +274,6 @@ def run_bench(
             seed=seed,
             fold_assignment=assignment,
             run=emb.method,
-            timings={"embed_seconds": run.seconds},
         )
         report.kept_fraction = emb.kept_indices.size / n
         if spec.method == "pr-isomap" and math.isfinite(emb.method["h"]):
@@ -301,5 +298,5 @@ def run_bench(
         paired_deltas=paired,
         baseline=baseline or "",
         common_vertices=common,
-        embeddings=embeddings,
+        runs=runs,
     )

@@ -7,9 +7,8 @@ program, and shows its traceback. Every output file records
 the run_config that produced it, each parsed argument as given (_run_config),
 so replaying it gives the same bytes. The top eigenpairs of each graph
 method's geodesic kernel are cached so repeated sweeps skip the all-pairs
-stage and the eigensolve. Output files are byte-deterministic but for the
-eval and bench reports' timings.* and bench.csv's embed_seconds; every other
-timing, and the cache entry that served an embed, goes to stderr only.
+stage and the eigensolve. Output files are byte-deterministic: every timing,
+and the cache entry that served a run, goes to stderr only.
 
 main sets glibc's allocator policy (_keep_freed_blocks) and builds its parser
 once per process.
@@ -239,10 +238,11 @@ def _load_labels(args, indices, data=None):
         raise InputError("--label-column names a column of the --labels file; give --labels")
     if table is None or table.labels is None:
         return None
-    if indices.max() >= table.labels.size:
-        raise InputError("embedding indices exceed label file length")
     if data is not None and table.n != data.n:
         raise InputError(f"{args.labels}: label file has {table.n} rows, but the data has {data.n}")
+    if indices.max() >= table.n:
+        raise InputError(f"{args.labels}: label file has {table.n} rows, fewer than the "
+                         f"{indices.max() + 1} the input needs")
     return table.labels[indices]
 
 
@@ -281,8 +281,9 @@ def cmd_eval(args) -> int:
         ds = load_csv(args.data, label_column=None if args.labels else args.label_column)
         _refuse_dropped_rows(ds, args.data, args.labels)
         x = as_finite_matrix(ds.data)
-        if indices.max() >= x.shape[0]:
-            raise InputError("embedding indices exceed data row count")
+        if indices.max() >= ds.n:
+            raise InputError(f"{args.data}: data has {ds.n} rows, fewer than the "
+                             f"{indices.max() + 1} the input needs")
         if args.reference == "euclidean":
             reference = {"reference_points": x[indices]}
         else:  # geodesic: the graph isomap uses, or pr-isomap's when a window is given
@@ -299,10 +300,11 @@ def cmd_eval(args) -> int:
         coords, **reference, m=args.m, labels=labels, k_clf=args.k_clf, folds=args.folds,
         seed=args.seed, run=_run_config(args),
     )
-    report.timings["metrics_seconds"] = round(time.perf_counter() - t0, 6)
+    seconds = time.perf_counter() - t0
     report.to_json(args.out)
     if args.csv:
         save_table(args.csv, [report.row()])
+    print(f"timing metrics_seconds={seconds:.3f}", file=sys.stderr)
     return 0
 
 
@@ -337,6 +339,9 @@ def cmd_bench(args) -> int:
         "reports": {name: rep.to_dict() for name, rep in result.reports.items()},
         "paired_deltas": json_safe(result.paired_deltas),
     }, out / "bench.json")
+    for name, run in result.runs.items():
+        print(f"timing method={name} total_seconds={run.seconds:.3f} "
+              f"cache_entry={run.cache_entry}", file=sys.stderr)
     return 0
 
 

@@ -17,7 +17,7 @@ from .datasets import json_safe, seeded_rng, write_json
 from .errors import InputError, NumericError
 from .linalg import as_matrix, first_m, pairwise_dists
 
-EVAL_SCHEMA = "evalreport/1"
+EVAL_SCHEMA = "evalreport/2"
 _BLOCK_ROWS = 128  # rows per block of the scoring kernel
 _NOT_FINITE = "trustworthiness/continuity require finite distances; resolve sentinels first"
 
@@ -276,7 +276,8 @@ def uniformity_cv(counts) -> float:
 
 @dataclass
 class EvalReport:
-    """Scores for one embedding run, JSON/CSV serializable with provenance."""
+    """Scores for one embedding run, JSON/CSV serializable with provenance and
+    no wall-clock field; kept_fraction is known to run_bench alone (else None)."""
 
     stress: float
     residual_variance: float
@@ -288,8 +289,7 @@ class EvalReport:
     knn_folds: int | None = None
     density_cv: float | None = None
     sentinel_excluded_pairs: int = 0
-    kept_fraction: float = 1.0
-    timings: dict = field(default_factory=dict)
+    kept_fraction: float | None = None
     run: dict = field(default_factory=dict)
 
     CSV_FIELDS = (
@@ -303,8 +303,7 @@ class EvalReport:
         return {name: getattr(self, name) for name in self.CSV_FIELDS}
 
     def to_dict(self) -> dict:
-        return json_safe({"schema": EVAL_SCHEMA, **self.row(), "timings": self.timings,
-                          "run": self.run})
+        return json_safe({"schema": EVAL_SCHEMA, **self.row(), "run": self.run})
 
     def to_json(self, path=None) -> str:
         return write_json(self.to_dict(), path)
@@ -322,7 +321,6 @@ def evaluate_embedding(
     seed: int = 0,
     fold_assignment: np.ndarray | None = None,
     run: dict | None = None,
-    timings: dict | None = None,
 ) -> EvalReport:
     """Score an embedding against a reference given by keyword, either as
     the points whose Euclidean distances it is or as a distance matrix.
@@ -338,7 +336,6 @@ def evaluate_embedding(
     report = EvalReport(
         **_scores(ref_rows, lambda rows: pairwise_dists(coords[rows], coords), n, m),
         tc_neighborhood=m,
-        timings=dict(timings or {}),
         run=dict(run or {}),
     )
     if labels is not None:

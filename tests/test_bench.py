@@ -22,12 +22,6 @@ def labeled_roll(n=300, seed=0, **kwargs):
     return sample, labels, chart
 
 
-def table_without_timing(result):
-    """bench.csv's rows but for the wall clock, each value as its repr."""
-    return [{key: repr(value) for key, value in row.items() if key != "embed_seconds"}
-            for row in result.table_rows()]
-
-
 class TestMethodSpec:
     # the window is checked when the spec is made, before any method runs
     def test_pr_isomap_requires_one_h_form(self):
@@ -120,7 +114,7 @@ class TestRunBench:
         ]
         res = run_bench(sample.ambient, specs, reference_points=chart, labels=labels,
                         baseline="isomap", folds=4)
-        pr_kept = res.embeddings["pr-isomap"].kept_indices
+        pr_kept = res.runs["pr-isomap"].embedding.kept_indices
         np.testing.assert_array_equal(res.common_vertices, pr_kept)
         assert res.reports["pr-isomap"].kept_fraction <= 1.0
         assert res.reports["pr-isomap"].density_cv is not None
@@ -191,7 +185,7 @@ class TestRunBench:
         for name, report in res.reports.items():
             # each method alone against the chart's common points, which
             # the three reports were scored on in turn
-            emb = res.embeddings[name]
+            emb = res.runs[name].embedding
             alone = evaluate_embedding(
                 emb.coordinates[np.searchsorted(emb.kept_indices, common)],
                 reference_points=chart[common], labels=labels[common], folds=4, seed=3)

@@ -2,6 +2,8 @@ import argparse
 import io
 import json
 import os
+import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -573,9 +575,28 @@ class TestEval:
                      "--m", "8", "--out", str(report), "--csv", str(tmp_path / "r.csv"))
         assert rc == 0
         payload = json.loads(report.read_text())
-        assert payload["schema"] == "evalreport/1"
+        assert payload["schema"] == "evalreport/2"
         assert 0 <= payload["trustworthiness"] <= 1
         assert (tmp_path / "r.csv").exists()
+
+    # eval scores an embedding apart from the run that made it, so it
+    # reports no kept share; bench, which ran the method, does (299 of 300)
+    def test_kept_fraction_is_null_in_eval_and_measured_in_bench(self, roll_dir, tmp_path):
+        ambient, chart = str(roll_dir / "ambient.csv"), str(roll_dir / "intrinsic.csv")
+        graph = ["--k", "8", "--h-pct", "90", "--policy", "largest-component"]
+        emb = tmp_path / "emb.csv"
+        assert run_cli("embed", "--in", ambient, "--method", "pr-isomap", *graph,
+                       "--out", str(emb)) == 0
+        assert json.loads(emb.with_suffix(".json").read_text())["n_kept"] == 299
+        assert run_cli("eval", "--emb", str(emb), "--ref", "chart", "--chart", chart,
+                       "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["kept_fraction"] is None
+        header, row = (line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines())
+        assert dict(zip(header, row))["kept_fraction"] == ""
+        assert run_cli("bench", "--in", ambient, "--methods", "pr-isomap", *graph,
+                       "--chart", chart, "--out", str(tmp_path / "b")) == 0
+        report = json.loads((tmp_path / "b" / "bench.json").read_text())["reports"]["pr-isomap"]
+        assert report["kept_fraction"] == 299 / 300
 
     # the chart is unrolled by its t,u header alone: there is no kind to pick
     def test_chart_kind_is_not_an_option(self, roll_dir, tmp_path, capsys):
@@ -876,11 +897,9 @@ class TestBench:
         assert len(list((tmp_path / "cache").glob("*.eig"))) == 2
         monkeypatch.setattr(geodesics, "all_pairs", None)  # a miss would fail
         assert run_cli(*args, "--out", str(tmp_path / "warm")) == 0
-        cold, warm = (json.loads((tmp_path / d / "bench.json").read_text())["reports"]
-                      for d in ("cold", "warm"))
-        for report in (*cold.values(), *warm.values()):
-            del report["timings"]
-        assert cold == warm
+        for name in ("bench.json", "bench.csv"):
+            assert (tmp_path / "warm" / name).read_bytes() == \
+                (tmp_path / "cold" / name).read_bytes()
 
     def test_warm_cache_runs_no_graph_eigensolve(self, roll_dir, tmp_path, monkeypatch):
         from prisomap import embed, geodesics
@@ -902,13 +921,8 @@ class TestBench:
                            "--methods", "pr-isomap,isomap,pca", "--k", "10", "--h-pct", "70",
                            "--p", "2", "--chart", str(roll_dir / "intrinsic.csv"),
                            "--cache-dir", str(tmp_path / "cache"), "--out", str(out)) == 0
-            payload = json.loads((out / "bench.json").read_text())
-            for report in payload["reports"].values():
-                del report["timings"]
-            rows = [line.split(",") for line in (out / "bench.csv").read_text().splitlines()]
-            timed = rows[0].index("embed_seconds")
-            table = [row[:timed] + row[timed + 1:] for row in rows]
-            return payload, table, dict(solves)
+            return (out / "bench.json").read_bytes(), (out / "bench.csv").read_bytes(), \
+                dict(solves)
 
         cold = bench("cold")
         assert cold[2] == {"graph": 2, "pca": 1}
@@ -1556,11 +1570,36 @@ class TestInputErrors:
         assert run_cli(*argv, "--chart", str(chart), "--out", str(tmp_path / "r")) == 2
         assert "chart has 50 rows, fewer than the 300 the input needs" in capsys.readouterr().err
 
+    # a file too short for the embedding's rows names itself, its row count
+    # and the count the embedding needs
+    @pytest.mark.parametrize("command, faulty", [
+        ("eval-euclidean", "data"), ("eval-chart", "labels"), ("plot", "labels")])
+    def test_file_shorter_than_the_embedding_exits_2(self, roll_dir, tmp_path, capsys,
+                                                     command, faulty):
+        ambient, chart = str(roll_dir / "ambient.csv"), str(roll_dir / "intrinsic.csv")
+        path = tmp_path / f"{faulty}.csv"
+        source = roll_dir / "ambient.csv" if faulty == "data" else _labels_file(roll_dir, path)
+        path.write_text("".join(source.read_text().splitlines(keepends=True)[:-1]))
+        emb = tmp_path / "e.csv"
+        assert run_cli("embed", "--in", ambient, "--method", "pca", "--out", str(emb)) == 0
+        labels = ["--labels", str(path), "--label-column", "label"]
+        argv = {
+            "eval-euclidean": ["eval", "--emb", str(emb), "--data", str(path)],
+            "eval-chart": ["eval", "--emb", str(emb), "--ref", "chart", "--chart", chart,
+                           *labels],
+            "plot": ["plot", "--in", str(emb), *labels],
+        }[command]
+        assert run_cli(*argv, "--out", str(tmp_path / "r")) == 2
+        what = "data" if faulty == "data" else "label file"
+        assert f"error: {path}: {what} has 299 rows, fewer than the 300 the input needs\n" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     # chart and label rows are matched to the data's by number, so wherever
     # the data is read a file of another row count is refused
     @pytest.mark.parametrize("command, faulty, extra", [
-        ("bench", "chart", 1), ("bench", "labels", 1), ("eval", "labels", 1),
-        ("eval", "labels", -1)])
+        ("bench", "chart", 1), ("bench", "labels", 1), ("bench", "labels", -1),
+        ("eval", "labels", 1), ("eval", "labels", -1)])
     def test_file_of_another_row_count_than_the_data_exits_2(self, roll_dir, tmp_path, capsys,
                                                              command, faulty, extra):
         path = tmp_path / f"{faulty}.csv"
@@ -1572,8 +1611,6 @@ class TestInputErrors:
         if command == "eval":
             emb = tmp_path / "e.csv"
             assert run_cli("embed", "--in", ambient, "--method", "pca", "--out", str(emb)) == 0
-            # the embedding's rows stay within a file one row short
-            emb.write_text("".join(emb.read_text().splitlines(keepends=True)[:-1]))
             argv = ["eval", "--emb", str(emb), "--data", ambient, *argv]
         else:
             argv = ["bench", "--in", ambient, "--methods", "pca", *argv]
@@ -1591,31 +1628,14 @@ class TestInputErrors:
         assert "File exists" in capsys.readouterr().err
 
 
-def untimed(path):
-    """An output file without its wall-clock fields: JSON `timings` objects
-    and CSV columns named `*_seconds`."""
-    def strip(obj):
-        if isinstance(obj, dict):
-            return {key: strip(v) for key, v in obj.items() if key != "timings"}
-        return [strip(v) for v in obj] if isinstance(obj, list) else obj
-
-    if path.suffix == ".json":
-        return strip(json.loads(path.read_text()))
-    if path.suffix != ".csv":
-        return path.read_bytes()
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    keep = [i for i, name in enumerate(rows[0]) if not name.endswith("_seconds")]
-    return [[row[i] for i in keep] for row in rows]
-
-
 class TestReplay:
     """Each output's run_config replays: its settings as a --config file and
-    its other arguments as flags give the same output, timings aside."""
+    its other arguments as flags give the same output bytes."""
 
     @staticmethod
     def outputs(out):
         files = sorted(out.iterdir()) if out.is_dir() else sorted({out, out.with_suffix(".json")})
-        return [untimed(path) for path in files if path.exists()]
+        return [path.read_bytes() for path in files if path.exists()]
 
     @staticmethod
     def replay_argv(run_config, tmp_path):
@@ -1684,6 +1704,68 @@ class TestReplay:
         assert a.with_suffix(".json").read_bytes() == b.with_suffix(".json").read_bytes()
 
 
+class TestByteDeterminism:
+    """Every output file, cache entries included, is a pure function of the
+    command and its inputs; the wall clock goes to stderr alone."""
+
+    def run_all(self, work, capsys) -> tuple[dict[str, bytes], list[str]]:
+        """Each command run once into work: every file it holds, by relative
+        path, and each command's stderr."""
+        roll, cache = work / "roll", ["--cache-dir", str(work / "cache")]
+        labels = ["--labels", str(work / "labels.csv"), "--label-column", "label"]
+        embed = ["embed", "--in", str(roll / "ambient.csv"), "--method", "pr-isomap",
+                 "--k", "8", "--h-pct", "90", "--policy", "largest-component",
+                 "--spectrum", "5", *cache]
+        commands = [
+            ["gen", "swiss-roll", "--n", "300", "--seed", "7", "--out", str(roll)],
+            [*embed, "--out", str(work / "cold.csv")],
+            [*embed, "--out", str(work / "warm.csv")],
+            ["eval", "--emb", str(work / "warm.csv"), "--ref", "chart",
+             "--chart", str(roll / "intrinsic.csv"), *labels, "--folds", "4",
+             "--out", str(work / "r.json"), "--csv", str(work / "r.csv")],
+            ["bench", "--in", str(roll / "ambient.csv"), "--methods", "pr-isomap,isomap,pca",
+             "--k", "8", "--h-pct", "90", "--chart", str(roll / "intrinsic.csv"), *labels,
+             "--folds", "4", "--out", str(work / "bench")],
+            ["plot", "--in", str(work / "warm.csv"), *labels, "--out", str(work / "p.svg")],
+        ]
+        errs = []
+        for argv in commands:
+            assert run_cli(*argv) == 0
+            errs.append(capsys.readouterr().err)
+            if argv[0] == "gen":
+                _labels_file(roll, work / "labels.csv")
+        files = {str(path.relative_to(work)): path.read_bytes()
+                 for path in sorted(work.rglob("*")) if path.is_file()}
+        return files, errs
+
+    def test_two_runs_write_the_same_bytes(self, tmp_path, capsys):
+        work = tmp_path / "work"
+        first, errs = self.run_all(work, capsys)
+        shutil.rmtree(work)
+        again, _ = self.run_all(work, capsys)
+        assert sorted(first) == sorted(again)
+        for name in first:
+            assert first[name] == again[name], name
+        assert len([name for name in first if name.endswith(".eig")]) == 1
+        # a warm embed writes a cold one's bytes
+        assert first["warm.csv"] == first["cold.csv"]
+        assert first["warm.json"] == first["cold.json"]
+        for text in (first["r.json"], first["bench/bench.json"]):
+            assert b"timings" not in text and b"_seconds" not in text
+        for text in (first["r.csv"], first["bench/bench.csv"]):
+            assert b"_seconds" not in text.splitlines()[0]
+
+        s = r"\d+\.\d{3}"  # seconds
+        assert errs[0] == errs[5] == ""
+        assert re.fullmatch(f"timing total_seconds={s} cache_hit=false cache_entry=none\n",
+                            errs[1])
+        assert re.fullmatch(f"timing total_seconds={s} cache_hit=true cache_entry=spectrum\n",
+                            errs[2])
+        assert re.fullmatch(f"timing metrics_seconds={s}\n", errs[3])
+        assert re.fullmatch("".join(f"timing method={name} total_seconds={s} cache_entry=none\n"
+                                    for name in ("pr-isomap", "isomap", "pca")), errs[4])
+
+
 class TestForkedDijkstra:
     """Dijkstra split over this process and a forked worker writes the files
     one process writes."""
@@ -1701,7 +1783,7 @@ class TestForkedDijkstra:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         files = sorted(out.iterdir()) if out.is_dir() else [out, out.with_suffix(".json")]
-        return {path.name: untimed(path) for path in files}
+        return {path.name: path.read_bytes() for path in files}
 
     @pytest.mark.parametrize("command", [
         ["embed", "--method", "isomap"],
@@ -1798,7 +1880,7 @@ class TestAllocatorPolicy:
             assert run_cli(*argv, "--out", str(tmp_path / "b.json")) == 0
         finally:
             cli._keep_freed_blocks.cache_clear()
-        assert untimed(tmp_path / "b.json") == untimed(tmp_path / "a.json")
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
 
 class TestLibraryDescriptor:

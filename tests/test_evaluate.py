@@ -661,6 +661,6 @@ class TestEvalReport:
         import json
 
         payload = json.loads(text)
-        assert payload["schema"] == "evalreport/1"
+        assert payload["schema"] == "evalreport/2"
         assert payload["run"]["method"] == "mds"
         assert list(report.row()) == list(report.CSV_FIELDS)
