@@ -32,7 +32,7 @@ from .errors import GraphError, InputError
 from .evaluate import EvalReport, evaluate_embedding, make_stratified_folds, uniformity_cv
 from .geodesics import SpectralEntry, cache_lookup, save_spectrum
 from .graph import NeighborGraph, cap_candidates, knn_candidates, percentile_h, pr_density
-from .linalg import as_finite_matrix, as_matrix
+from .linalg import as_finite_matrix, as_matrix, load_solvers
 
 METHODS = ("pr-isomap", "isomap", "mds", "pca")
 GRAPH_METHODS = ("pr-isomap", "isomap")
@@ -247,6 +247,7 @@ def run_bench(
         baseline = "isomap" if "isomap" in names else names[0]
     y = None if labels is None else np.asarray(labels, dtype=np.int64)
 
+    load_solvers()  # so that no method's seconds hold their import
     runs = {spec.method: run_method(spec, neighbors, cache_dir=cache_dir) for spec in specs}
 
     common = runs[names[0]].embedding.kept_indices

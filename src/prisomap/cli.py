@@ -10,8 +10,11 @@ method's geodesic kernel are cached so repeated sweeps skip the all-pairs
 stage and the eigensolve. Output files are byte-deterministic: every timing,
 and the cache entry that served a run, goes to stderr only.
 
-main sets glibc's allocator policy (_keep_freed_blocks) and builds its parser
-once per process.
+main sets the process policy once per process: BLAS held to one thread
+(linalg.one_blas_thread), so that output bytes do not depend on
+OPENBLAS_NUM_THREADS and the scoring threads (two, at most) have the CPUs to
+themselves, and glibc's allocator policy (_keep_freed_blocks). It builds its
+parser once per process too.
 
 Configuration precedence: command-line flags > JSON config file (--config) >
 PRISOMAP_* environment variables > built-in defaults.
@@ -40,7 +43,7 @@ from .embed import embedding_descriptor, load_embedding_csv, save_embedding_csv
 from .errors import GraphError, InputError, NumericError
 from .evaluate import evaluate_embedding
 from .geodesics import all_pairs
-from .linalg import as_finite_matrix
+from .linalg import as_finite_matrix, one_blas_thread
 from .plotting import scatter_svg
 
 ENV_PREFIX = "PRISOMAP_"
@@ -423,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _mallopt():
@@ -451,16 +455,20 @@ def _keep_freed_blocks() -> None:
     The trim threshold keeps freed blocks in the heap: 16 MiB is the least
     that does so at m = 2,048 (8 MiB left about 2,500 faults per eval op
     there, 16 and 32 MiB none), and every MiB above it is idle memory a
-    process holds on to. Neither value changes a result; without glibc
-    this does nothing.
+    process holds on to. One arena makes the scoring threads allocate
+    under the main arena's thresholds too: in arenas of their own, a warm
+    sweep held 3.5 MiB more. No value changes a result; without glibc this
+    does nothing.
     """
     mallopt = _mallopt()
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, 4 << 20)
         mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+        mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:
+    one_blas_thread()
     _keep_freed_blocks()
     parser = build_parser()
     try:

@@ -9,16 +9,21 @@ comparisons can share folds.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datasets import json_safe, seeded_rng, write_json
 from .errors import InputError, NumericError
-from .linalg import as_matrix, first_m, pairwise_dists
+from .linalg import as_matrix, first_m, one_blas_thread, pairwise_dists
 
 EVAL_SCHEMA = "evalreport/2"
-_BLOCK_ROWS = 128  # rows per block of the scoring kernel
+_BLOCK_ROWS = 128  # rows per block of the scoring kernel, and per task
+_MAX_WORKERS = 2  # scoring threads: a third would take T/C over its memory bound
 _NOT_FINITE = "trustworthiness/continuity require finite distances; resolve sentinels first"
 
 
@@ -37,22 +42,30 @@ def _distance_rows(points, dists, name: str):
     return d.shape[0], lambda rows: d[rows].copy()
 
 
-def _add_pairs(sums: np.ndarray, count: int, mean: np.ndarray, co: np.ndarray,
-               a: np.ndarray, b: np.ndarray) -> tuple:
-    """Add the paired samples a and b, centered in place, to stress's sums
-    (a - b)^2 and a^2, and to residual variance's count, means and centered
-    second moments (aa, bb, ab) by Chan et al.'s parallel update, which
-    sums no raw moment."""
+def _pair_moments(a: np.ndarray, b: np.ndarray) -> tuple:
+    """One block's partials of the paired samples a and b, centered in place:
+    each side's (min, max), stress's sums (a - b)^2 and a^2, and residual
+    variance's count, means and centered second moments (aa, bb, ab)."""
+    low, high = np.array([a.min(), b.min()]), np.array([a.max(), b.max()])
     tmp = np.subtract(a, b)
-    sums += np.sum(np.square(tmp, out=tmp)), np.sum(np.square(a, out=tmp))
-    block_mean = np.array([a.mean(), b.mean()])
-    a -= block_mean[0]
-    b -= block_mean[1]
-    block_co = [np.sum(np.multiply(u, v, out=tmp)) for u, v in ((a, a), (b, b), (a, b))]
-    delta = block_mean - mean
-    share = a.size / (count + a.size)  # 1.0 for the first block: its moments as they are
-    co = co + block_co + delta[[0, 1, 0]] * delta[[0, 1, 1]] * (count * share)
-    return count + a.size, mean + delta * share, co
+    sums = np.array([np.sum(np.square(tmp, out=tmp)), np.sum(np.square(a, out=tmp))])
+    mean = np.array([a.mean(), b.mean()])
+    a -= mean[0]
+    b -= mean[1]
+    co = [np.sum(np.multiply(u, v, out=tmp)) for u, v in ((a, a), (b, b), (a, b))]
+    return low, high, sums, a.size, mean, co
+
+
+def _merge_moments(total: tuple, part: tuple) -> tuple:
+    """total's and one more block's _pair_moments merged; the centered moments
+    by Chan et al.'s parallel update, which sums no raw moment."""
+    low, high, sums, count, mean, co = total
+    part_low, part_high, part_sums, size, part_mean, part_co = part
+    delta = part_mean - mean
+    share = size / (count + size)  # 1.0 for the first block: its moments as they are
+    return (np.minimum(low, part_low), np.maximum(high, part_high), sums + part_sums,
+            count + size, mean + delta * share,
+            co + part_co + delta[[0, 1, 0]] * delta[[0, 1, 1]] * (count * share))
 
 
 def _tc_penalties(hd: np.ndarray, ld: np.ndarray, start: int, m: int) -> tuple[int, int]:
@@ -70,10 +83,48 @@ def _tc_penalties(hd: np.ndarray, ld: np.ndarray, start: int, m: int) -> tuple[i
             int(np.sum(_ranks(ld, sorted_ld, near_hd & ~near_ld) - m)))
 
 
+def _pool(tasks: int) -> ThreadPoolExecutor:
+    """Threads for tasks, one per CPU of the affinity mask (1 without one), at
+    most _MAX_WORKERS and one per task; BLAS runs on one thread, so they do
+    not oversubscribe it. The tasks spend their time in numpy's sorts,
+    partitions, ufunc loops and BLAS calls, which release the GIL, under the
+    caller's np.errstate. Each caller closes the pool before it returns: no
+    thread outlives a call."""
+    one_blas_thread()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return ThreadPoolExecutor(max(1, min(_MAX_WORKERS, cpus, tasks)),
+                              initializer=functools.partial(np.seterr, **np.geterr()))
+
+
+def _block_scores(ref_rows, emb_rows, n: int, m: int | None, tc: threading.Event,
+                  start: int) -> tuple:
+    """One task of _scores, the block from row start on: whether its reference
+    rows are finite; while tc is set and they are, T/C's penalties (None for
+    a non-finite embedding); the _pair_moments of its pairs (None for none).
+    T/C's halves go first, and each side's rows go once its pairs are out:
+    two tasks at once then stay within T/C's memory bound."""
+    rows = slice(start, min(start + _BLOCK_ROWS, n))
+    hd, ld = ref_rows(rows), emb_rows(rows)
+    scored = np.isfinite(hd)
+    finite = bool(scored.all())
+    penalties, half = None, _BLOCK_ROWS // 2
+    if finite and tc.is_set() and np.isfinite(ld).all():
+        halves = [_tc_penalties(hd[h:h + half], ld[h:h + half], start + h, m)
+                  for h in range(0, hd.shape[0], half)]
+        penalties = [sum(p) for p in zip(*halves)]
+    scored &= np.arange(n) > np.arange(rows.start, rows.stop)[:, None]
+    a = hd[scored]
+    del hd
+    b = ld[scored]
+    del ld, scored
+    return finite, penalties, _pair_moments(a, b) if a.size else None
+
+
 def _scores(ref_rows, emb_rows, n: int, m: int | None) -> dict:
     """Every score in one pass over _BLOCK_ROWS-row blocks, each holding the
     reference's and the embedding's distance rows of the same vertices, so
-    no n x n matrix is built.
+    no n x n matrix is built. The blocks are tasks of a _pool, merged in
+    block order: the scores do not depend on the number of threads.
 
     Stress and residual variance read the pairs j > i whose reference is
     finite; the others are counted as sentinels. Residual variance merges
@@ -83,36 +134,33 @@ def _scores(ref_rows, emb_rows, n: int, m: int | None) -> dict:
     finite; for a finite reference the embedding's distances must be finite
     (ValueError otherwise). Raises NumericError if no finite pair remains.
     """
-    tc = m is not None  # T/C runs while every reference block is finite
-    if tc and not 1 <= m < n / 2:
-        raise InputError(f"neighborhood size must satisfy 1 <= m < n/2 = {n / 2}, got {m}")
-    sums, count, mean, co = np.zeros(2), 0, np.zeros(2), np.zeros(3)  # as _add_pairs takes them
-    low, high = np.full(2, np.inf), np.full(2, -np.inf)
+    tc = threading.Event()  # set while every reference block so far is finite
+    if m is not None:
+        if not 1 <= m < n / 2:
+            raise InputError(f"neighborhood size must satisfy 1 <= m < n/2 = {n / 2}, got {m}")
+        tc.set()
+    total = (np.full(2, np.inf), np.full(2, -np.inf), np.zeros(2), 0, np.zeros(2), np.zeros(3))
     penalties = [0, 0]
-    cols = np.arange(n)
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, n))
-        hd, ld = ref_rows(rows), emb_rows(rows)
-        scored = np.isfinite(hd)
-        tc = tc and bool(scored.all())
-        scored &= cols > cols[rows, None]
-        a, b = hd[scored], ld[scored]
-        if a.size:
-            low = np.minimum(low, (a.min(), b.min()))
-            high = np.maximum(high, (a.max(), b.max()))
-            count, mean, co = _add_pairs(sums, count, mean, co, a, b)
-        del a, b, scored  # T/C's blocks come next
-        if tc:
-            if not np.isfinite(ld).all():
-                raise ValueError(_NOT_FINITE)
-            penalties = [p + q for p, q in zip(penalties, _tc_penalties(hd, ld, start, m))]
+    starts = range(0, n, _BLOCK_ROWS)
+    with _pool(len(starts)) as pool:
+        task = functools.partial(_block_scores, ref_rows, emb_rows, n, m, tc)
+        for finite, block_penalties, part in pool.map(task, starts):
+            if not finite:
+                tc.clear()
+            if tc.is_set():
+                if block_penalties is None:
+                    raise ValueError(_NOT_FINITE)
+                penalties = [p + q for p, q in zip(penalties, block_penalties)]
+            if part is not None:
+                total = _merge_moments(total, part)
+    low, high, sums, count, mean, co = total
     if not count:
         raise NumericError("no finite high-dimensional pairs to score")
     constant = low == high
     rv = float(not constant.all()) if constant.any() else \
         1.0 - float(np.clip(co[2] / np.sqrt(co[0]) / np.sqrt(co[1]), -1, 1)) ** 2
     s = float(np.sqrt(sums[0] / sums[1])) if sums[1] else 0.0 if sums[0] == 0.0 else np.inf
-    scale = 2.0 / (n * m * (2.0 * n - 3.0 * m - 1.0)) if tc else float("nan")
+    scale = 2.0 / (n * m * (2.0 * n - 3.0 * m - 1.0)) if tc.is_set() else float("nan")
     t, c = (1.0 - scale * penalty for penalty in penalties)
     return {"stress": s, "residual_variance": rv, "trustworthiness": t, "continuity": c,
             "sentinel_excluded_pairs": n * (n - 1) // 2 - count}
@@ -246,12 +294,15 @@ def knn_classify_cv(coords, labels, k_clf: int = 5, folds: int = 10, seed: int =
         assignment = np.asarray(assignment, dtype=np.int64)
         folds = int(assignment.max()) + 1
     classes, codes = np.unique(y, return_inverse=True)
-    accs = np.empty(folds, dtype=np.float64)
-    for f in range(folds):
-        test = assignment == f
+
+    def accuracy(fold: int) -> float:
+        test = assignment == fold
         train = ~test
         preds = _knn_predict(x[train], codes[train], x[test], k_clf, classes.size)
-        accs[f] = float(np.mean(preds == codes[test]))
+        return float(np.mean(preds == codes[test]))
+
+    with _pool(folds) as pool:  # the folds are its tasks
+        accs = np.array(list(pool.map(accuracy, range(folds))), dtype=np.float64)
     return CvResult(
         mean=float(np.mean(accs)),
         sd=float(np.std(accs)),

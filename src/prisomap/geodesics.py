@@ -30,7 +30,7 @@ from .linalg import EigenResult, _mirrored_tiles
 
 UNREACHABLE = math.inf
 
-_VERSION = 5  # of the spectral entry format
+_VERSION = 6  # of the spectral entry format
 
 _CHUNK = 128  # source rows per Dijkstra call when the rows are split
 # source rows x vertices below which forking costs more than it saves: on

@@ -3,14 +3,19 @@
 Pairwise distances; double centering, which turns a squared-distance
 matrix into an inner-product kernel in place; and a deterministic symmetric
 eigensolver for its top pairs. embed.scaled_embedding turns those pairs into
-coordinates, the last step of classical scaling. Every function takes and
-returns plain float64 numpy arrays.
+coordinates, the last step of classical scaling. Every kernel takes and
+returns plain float64 numpy arrays, and runs BLAS on one thread once
+one_blas_thread is called.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib.util
 from dataclasses import dataclass
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +33,33 @@ _ARPACK_TOL = 1e-10
 _EIG_RESIDUAL_TOL = 1e-8
 
 _TILE = 256  # rows per block, and side of a square tile
+
+
+@functools.cache
+def one_blas_thread() -> None:
+    """Hold numpy's and scipy's bundled OpenBLAS to one thread, once per
+    process, over OPENBLAS_NUM_THREADS: at two, the Gram matrix, a kernel
+    matvec, ARPACK and the LAPACK subset solve each give other bits. They
+    are found in <package>.libs without importing scipy, whose modules then
+    load the library pinned here; numpy's is the 64-bit integer build.
+    Where none is found, none is pinned."""
+    for package in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(package)
+        if spec is None or not spec.origin:
+            continue
+        for path in Path(spec.origin).parents[1].glob(f"{package}.libs/libscipy_openblas*"):
+            lib = ctypes.CDLL(str(path))
+            for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+                set_threads = getattr(lib, name, None)
+                if set_threads is not None:
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    set_threads(1)
+
+
+def load_solvers() -> None:
+    """Import the scipy modules symmetric_eig imports on first use."""
+    for module in ("scipy.linalg", "scipy.sparse.linalg"):
+        importlib.import_module(module)
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:

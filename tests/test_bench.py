@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prisomap
 from prisomap import bench
 from prisomap.bench import MethodSpec, Neighbors, resolve_h, run_bench
 from prisomap.datasets import gen_swiss_roll, swiss_roll_unrolled
@@ -245,3 +251,30 @@ class TestRunBench:
         assert res.reports["isomap"].knn_accuracy_mean > 0.5
         assert set(res.paired_deltas) == {"pr-isomap", "pca"}
         assert res.paired_deltas["pca"]["knn_accuracy_mean"] is not None
+
+
+# prints, for each run_method call of a pca-first bench in a fresh process,
+# whether the eigensolvers' scipy modules were loaded when it started
+FIRST_METHOD_SEES_SOLVERS = textwrap.dedent("""
+    import sys
+    from prisomap import bench
+    from prisomap.datasets import gen_swiss_roll
+    solvers = ("scipy.linalg", "scipy.sparse.linalg")
+    assert not any(name in sys.modules for name in solvers)
+    seen, run_method = [], bench.run_method
+    def recording(*args, **kwargs):
+        seen.append(all(name in sys.modules for name in solvers))
+        return run_method(*args, **kwargs)
+    bench.run_method = recording
+    specs = [bench.MethodSpec(method=name, p=2, k=8) for name in ("pca", "isomap")]
+    bench.run_bench(gen_swiss_roll(200, seed=0).ambient, specs)
+    print(seen)
+""")
+
+
+def test_no_method_is_charged_the_solvers_import():
+    env = {**os.environ, "PYTHONPATH": str(Path(prisomap.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", FIRST_METHOD_SEES_SOLVERS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True]"

@@ -428,9 +428,10 @@ class TestEmbed:
         assert (tmp_path / "e.csv").read_bytes() == cold
 
     # an entry of an older format version is noted and rewritten: archives
-    # whose meta gives version 2, 3 or 4 (3 held the eigenpairs of the
+    # whose meta gives version 2, 3, 4 or 5 (3 held the eigenpairs of the
     # transpose-averaged kernel, 4 those of graphs weighted by Gram-expansion
-    # lengths), and a version 2 entry as that format wrote it (magic, a
+    # lengths, 5 those solved at any BLAS thread count), and a version 2
+    # entry as that format wrote it (magic, a
     # little-endian header, the JSON block, then the arrays)
     def test_older_version_entry_is_recomputed(self, roll_dir, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -444,7 +445,7 @@ class TestEmbed:
             members = dict(archive)
         meta = json.loads(members["meta"].item())
         archives = {}
-        for version in (2, 3, 4):
+        for version in (2, 3, 4, 5):
             with io.BytesIO() as fh:
                 np.savez(fh, **{**members,
                                 "meta": np.array(json.dumps({**meta, "version": version}))})
@@ -458,6 +459,7 @@ class TestEmbed:
         for old, note in [(archives[2], "unsupported version 2; recomputing"),
                           (archives[3], "unsupported version 3; recomputing"),
                           (archives[4], "unsupported version 4; recomputing"),
+                          (archives[5], "unsupported version 5; recomputing"),
                           (raw_v2, "unreadable spectral entry")]:
             entry.write_bytes(old)
             capsys.readouterr()
@@ -1892,3 +1894,47 @@ class TestLibraryDescriptor:
         emb = isomap(load_csv(roll_dir / "ambient.csv").data, 8, 2)
         assert json_safe(emb.method) == desc["method"]
         assert desc["method"]["h"] == "inf"
+
+
+# the pipeline of ROADMAP item 3 in one process, every output under argv[1]
+BLAS_THREAD_RUN = textwrap.dedent("""
+    import sys
+    from prisomap.cli import main
+    out = sys.argv[1]
+    roll = f"{out}/roll"
+    graph = ["--k", "12", "--h-pct", "80"]
+    for argv in (
+            ["gen", "swiss-roll", "--n", "1500", "--seed", "0", "--out", roll],
+            ["embed", "--in", f"{roll}/ambient.csv", "--method", "mds", "--spectrum", "20",
+             "--out", f"{out}/mds.csv"],
+            ["embed", "--in", f"{roll}/ambient.csv", "--method", "pr-isomap", *graph,
+             "--policy", "largest-component", "--spectrum", "20", "--out", f"{out}/pr.csv"],
+            ["eval", "--emb", f"{out}/pr.csv", "--ref", "chart", "--chart",
+             f"{roll}/intrinsic.csv", "--out", f"{out}/eval.json"],
+            ["bench", "--in", f"{roll}/ambient.csv", "--methods", "pr-isomap,isomap,mds,pca",
+             *graph, "--chart", f"{roll}/intrinsic.csv", "--out", f"{out}/bench"]):
+        assert main(argv) == 0, argv
+""")
+
+
+class TestBlasThreads:
+    """BLAS runs on one thread, whatever OPENBLAS_NUM_THREADS says, so no
+    output byte depends on it; at two threads, without the pin, the
+    embeddings, the eval report and the bench files all differed."""
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        work = tmp_path / "work"  # one path for both runs: the files record it
+        files = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(prisomap.__file__).resolve().parents[1])}
+            proc = subprocess.run([sys.executable, "-c", BLAS_THREAD_RUN, str(work)], env=env,
+                                  capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            files[threads] = {str(p.relative_to(work)): p.read_bytes()
+                              for p in work.rglob("*") if p.is_file()}
+            shutil.rmtree(work)
+        # gen's 3 files, 2 embeddings with their descriptors, the report, bench's 2
+        assert len(files["1"]) == 10
+        assert sorted(name for name, data in files["1"].items()
+                      if files["2"].get(name) != data) == []

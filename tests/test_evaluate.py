@@ -1,15 +1,22 @@
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prisomap import evaluate
 from prisomap.datasets import gen_swiss_roll
 from prisomap.embed import classical_mds
 from prisomap.errors import InputError, NumericError
 from prisomap.evaluate import (
     _BLOCK_ROWS,
+    _NOT_FINITE,
+    _matrix_scores,
     evaluate_embedding,
     knn_classify_cv,
     make_stratified_folds,
@@ -486,7 +493,7 @@ class TestScoringInRowBlocks:
             <= 1.6 * 8 * m * m
 
     # both sides' row blocks, T/C's sorted copies and the pairs of a block:
-    # about five blocks of 128 float64 rows are live at once
+    # about five blocks of 128 float64 rows per task, seven with two tasks
     @pytest.mark.parametrize("m", [1200, 3000])
     def test_points_reference_memory_in_row_blocks(self, m):
         rng = np.random.default_rng(17)
@@ -505,6 +512,106 @@ class TestScoringInRowBlocks:
         coords = rng.normal(0, 1, (m, 2))
         assert traced_peak(lambda: evaluate_embedding(coords, reference_dists=ref)) \
             <= 12 * _BLOCK_ROWS * m * 8
+
+
+def by_worker_count(monkeypatch, func):
+    """func's outcome, its result or its exception's type and message, with
+    one scoring thread and then with two; the affinity mask holds 64 CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    outcomes = []
+    for workers in (1, 2):
+        monkeypatch.setattr(evaluate, "_MAX_WORKERS", workers)
+        try:
+            outcomes.append(repr(func()))
+        except (ValueError, NumericError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+class TestScoringThreads:
+    """The blocks and folds run on up to two threads, and no output depends
+    on how many: repr shows every float's bits, NaN included."""
+
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 257, 1433])
+    def test_one_and_two_threads_give_equal_scores(self, monkeypatch, n):
+        x, coords = block_edge_inputs(n)
+        d_hd, d_ld = pairwise_dists(x), pairwise_dists(coords)
+        for m in (None, min(5, (n - 1) // 2) or None):
+            one, two = by_worker_count(monkeypatch, lambda: _matrix_scores(d_hd, d_ld, m))
+            assert one == two
+        one, two = by_worker_count(
+            monkeypatch, lambda: evaluate_embedding(coords, reference_points=x, m=1))
+        assert one == two
+
+    def test_sentinel_and_non_finite_blocks_in_the_middle(self, monkeypatch):
+        n = 400  # blocks from rows 0, 128, 256 and 384
+        x, coords = block_edge_inputs(n)
+        d_hd, d_ld = pairwise_dists(x), pairwise_dists(coords)
+        sentinel = d_hd.copy()
+        sentinel[200, 300] = sentinel[300, 200] = np.inf
+        not_finite = d_ld.copy()
+        not_finite[300, 350] = not_finite[350, 300] = np.nan  # both in the third block
+        # T/C ends at the sentinel's block, so the later NaN raises nothing
+        for ref, emb in ((sentinel, d_ld), (sentinel, not_finite)):
+            one, two = by_worker_count(monkeypatch, lambda: _matrix_scores(ref, emb, 5))
+            assert one == two and "'trustworthiness': nan" in one
+        one, two = by_worker_count(monkeypatch, lambda: _matrix_scores(d_hd, not_finite, 5))
+        assert one == two == (ValueError, _NOT_FINITE)
+        one, two = by_worker_count(
+            monkeypatch, lambda: _matrix_scores(np.full((n, n), np.inf), d_ld, None))
+        assert one == two == (NumericError, "no finite high-dimensional pairs to score")
+
+    def test_one_and_two_threads_give_equal_fold_accuracies(self, monkeypatch):
+        x, coords = block_edge_inputs(700)
+        labels = (x[:, 0] > 0).astype(int) + 2 * (x[:, 1] > 0)
+        one, two = by_worker_count(
+            monkeypatch, lambda: knn_classify_cv(coords, labels, k_clf=7).fold_accuracies)
+        assert one == two
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        x, coords = block_edge_inputs(300)
+        labels = np.arange(300) % 3
+        before = threading.active_count()
+        evaluate_embedding(coords, reference_points=x, m=5, labels=labels)
+        assert threading.active_count() == before
+        coords[250] = np.inf
+        # the threads score under the caller's errstate: no warning becomes an error
+        with pytest.raises(ValueError, match="require finite distances"), \
+                warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            evaluate_embedding(coords, reference_points=x, m=5)
+        assert threading.active_count() == before
+
+    # more threads than CPUs, switching as often as the interpreter can
+    def test_eight_threads_switching_often_give_one_thread_scores(self, monkeypatch):
+        x, coords = block_edge_inputs(1433)
+        labels = (x[:, 0] > 0).astype(int) + 2 * (x[:, 1] > 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        scored = {}
+        interval = sys.getswitchinterval()
+        for workers in (1, 8):
+            monkeypatch.setattr(evaluate, "_MAX_WORKERS", workers)
+            sys.setswitchinterval(1e-6)
+            try:
+                scored[workers] = repr(evaluate_embedding(coords, reference_points=x, m=5,
+                                                          labels=labels, folds=12))
+            finally:
+                sys.setswitchinterval(interval)
+        assert scored[8] == scored[1]
+
+    # the count as arithmetic: no thread starts before a task is submitted
+    def test_worker_count_is_capped_at_two(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        for tasks, want in ((100, 2), (2, 2), (1, 1), (0, 1)):
+            with evaluate._pool(tasks) as pool:
+                assert pool._max_workers == want
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with evaluate._pool(100) as pool:
+            assert pool._max_workers == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        with evaluate._pool(100) as pool:
+            assert pool._max_workers == 1
 
 
 class TestKnnClassifyCv:

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import re
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from prisomap.embed import scaled_embedding
 from prisomap.errors import NumericError, RankDeficientWarning
+from prisomap import linalg
 from prisomap.linalg import (
     _stable_descending_order,
     double_center_in_place,
@@ -482,3 +484,16 @@ class TestScaledEmbedding:
         got = pairwise_dists(res.coordinates)
         want = np.sqrt(d_sq)
         assert np.abs(got - want).max() <= 1e-8 * max(1.0, want.max())
+
+
+class TestOneBlasThread:
+    # the pinned bytes are checked end to end in test_cli.py's TestBlasThreads
+    def test_without_the_packages_nothing_is_pinned(self, monkeypatch):
+        looked_up = []
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: looked_up.append(name))
+        linalg.one_blas_thread.cache_clear()
+        try:
+            linalg.one_blas_thread()
+        finally:
+            linalg.one_blas_thread.cache_clear()
+        assert looked_up == ["numpy", "scipy"]
