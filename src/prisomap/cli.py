@@ -10,11 +10,10 @@ method's geodesic kernel are cached so repeated sweeps skip the all-pairs
 stage and the eigensolve. Output files are byte-deterministic: every timing,
 and the cache entry that served a run, goes to stderr only.
 
-main sets the process policy once per process: BLAS held to one thread
-(linalg.one_blas_thread), so that output bytes do not depend on
-OPENBLAS_NUM_THREADS and the scoring threads (two, at most) have the CPUs to
-themselves, and glibc's allocator policy (_keep_freed_blocks). It builds its
-parser once per process too.
+The process policy (BLAS on one thread, so that output bytes do not depend
+on OPENBLAS_NUM_THREADS, and glibc's allocator thresholds) is set when
+prisomap is imported (linalg), for library callers too. main builds its
+parser once per process.
 
 Configuration precedence: command-line flags > JSON config file (--config) >
 PRISOMAP_* environment variables > built-in defaults.
@@ -23,7 +22,6 @@ PRISOMAP_* environment variables > built-in defaults.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import json
 import os
@@ -43,7 +41,7 @@ from .embed import embedding_descriptor, load_embedding_csv, save_embedding_csv
 from .errors import GraphError, InputError, NumericError
 from .evaluate import evaluate_embedding
 from .geodesics import all_pairs
-from .linalg import as_finite_matrix, one_blas_thread
+from .linalg import as_finite_matrix
 from .plotting import scatter_svg
 
 ENV_PREFIX = "PRISOMAP_"
@@ -423,53 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameter numbers (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
-
-
-def _mallopt():
-    """glibc's mallopt in the running process, or None where it has none.
-
-    CDLL(None) searches the symbols already loaded, so no library is looked
-    up on disk (ctypes.util.find_library would start a subprocess)."""
-    try:
-        return ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return None
-
-
-@functools.cache
-def _keep_freed_blocks() -> None:
-    """Set glibc's allocator policy, once per process.
-
-    The scoring and k-NN-vote loops allocate 128-row float64 temporaries of
-    128 * m * 8 bytes: 1.5 MiB at m = 1,433, 2 MiB at the dense limit of
-    2,048. Under glibc's default, dynamic thresholds each freed block is
-    unmapped or trimmed off the heap, and the next block faults its pages
-    in anew: about 21,000 minor faults per warm eval op at m = 1,433.
-    Setting either threshold turns the dynamic ones off. A 4 MiB mmap
-    threshold takes those blocks from the heap, while the n x n buffers
-    (13-18 MiB at n = 1,500) stay mapped and go back to the OS when freed.
-    The trim threshold keeps freed blocks in the heap: 16 MiB is the least
-    that does so at m = 2,048 (8 MiB left about 2,500 faults per eval op
-    there, 16 and 32 MiB none), and every MiB above it is idle memory a
-    process holds on to. One arena makes the scoring threads allocate
-    under the main arena's thresholds too: in arenas of their own, a warm
-    sweep held 3.5 MiB more. No value changes a result; without glibc this
-    does nothing.
-    """
-    mallopt = _mallopt()
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, 4 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 16 << 20)
-        mallopt(_M_ARENA_MAX, 1)
-
-
 def main(argv=None) -> int:
-    one_blas_thread()
-    _keep_freed_blocks()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,7 +10,6 @@ comparisons can share folds.
 from __future__ import annotations
 
 import functools
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ import numpy as np
 
 from .datasets import json_safe, seeded_rng, write_json
 from .errors import InputError, NumericError
-from .linalg import as_matrix, first_m, one_blas_thread, pairwise_dists
+from .linalg import _cpus, as_matrix, first_m, pairwise_dists
 
 EVAL_SCHEMA = "evalreport/2"
 _BLOCK_ROWS = 128  # rows per block of the scoring kernel, and per task
@@ -85,14 +84,12 @@ def _tc_penalties(hd: np.ndarray, ld: np.ndarray, start: int, m: int) -> tuple[i
 
 def _pool(tasks: int) -> ThreadPoolExecutor:
     """Threads for tasks, one per CPU of the affinity mask (1 without one), at
-    most _MAX_WORKERS and one per task; BLAS runs on one thread, so they do
-    not oversubscribe it. The tasks spend their time in numpy's sorts,
-    partitions, ufunc loops and BLAS calls, which release the GIL, under the
-    caller's np.errstate. Each caller closes the pool before it returns: no
-    thread outlives a call."""
-    one_blas_thread()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return ThreadPoolExecutor(max(1, min(_MAX_WORKERS, cpus, tasks)),
+    most _MAX_WORKERS and one per task; importing prisomap held BLAS to one
+    thread, so they do not oversubscribe it. The tasks spend their time in
+    numpy's sorts, partitions, ufunc loops and BLAS calls, which release the
+    GIL, under the caller's np.errstate. Each caller closes the pool before
+    it returns: no thread outlives a call."""
+    return ThreadPoolExecutor(max(1, min(_MAX_WORKERS, _cpus(), tasks)),
                               initializer=functools.partial(np.seterr, **np.geterr()))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .graph import NeighborGraph
-from .linalg import EigenResult, _mirrored_tiles
+from .linalg import EigenResult, _cpus, _mirrored_tiles
 
 UNREACHABLE = math.inf
 
@@ -52,10 +52,9 @@ def _worker_count(rows: int, n: int) -> int:
     """Processes that run Dijkstra from rows sources over n vertices: one
     per CPU this process may use (its affinity mask), at most one per chunk
     of rows, and 1 below the crossover or where fork or the mask is missing."""
-    if (rows * n < _PARALLEL_WORK or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")):
+    if rows * n < _PARALLEL_WORK or not hasattr(os, "fork"):
         return 1
-    return min(len(os.sched_getaffinity(0)), -(-rows // _CHUNK))
+    return min(_cpus(), -(-rows // _CHUNK))
 
 
 def _shared_buffer(rows: int, n: int) -> np.ndarray:

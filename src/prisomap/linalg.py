@@ -4,15 +4,17 @@ Pairwise distances; double centering, which turns a squared-distance
 matrix into an inner-product kernel in place; and a deterministic symmetric
 eigensolver for its top pairs. embed.scaled_embedding turns those pairs into
 coordinates, the last step of classical scaling. Every kernel takes and
-returns plain float64 numpy arrays, and runs BLAS on one thread once
-one_blas_thread is called.
+returns plain float64 numpy arrays. Importing this module, as every import
+of prisomap does, sets the process policy once, for the CLI and library
+callers alike: BLAS on one thread (_pin_blas) and glibc's allocator
+thresholds (_tune_malloc).
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import importlib.util
+import os
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
@@ -35,14 +37,13 @@ _EIG_RESIDUAL_TOL = 1e-8
 _TILE = 256  # rows per block, and side of a square tile
 
 
-@functools.cache
-def one_blas_thread() -> None:
-    """Hold numpy's and scipy's bundled OpenBLAS to one thread, once per
-    process, over OPENBLAS_NUM_THREADS: at two, the Gram matrix, a kernel
-    matvec, ARPACK and the LAPACK subset solve each give other bits. They
-    are found in <package>.libs without importing scipy, whose modules then
-    load the library pinned here; numpy's is the 64-bit integer build.
-    Where none is found, none is pinned."""
+def _pin_blas() -> None:
+    """Hold numpy's and scipy's bundled OpenBLAS to one thread over
+    OPENBLAS_NUM_THREADS: at two, the Gram matrix, a kernel matvec, ARPACK
+    and the LAPACK subset solve each give other bits. They are found in
+    <package>.libs without importing scipy, whose modules then load the
+    library pinned here; numpy's is the 64-bit integer build. Where none is
+    found, none is pinned."""
     for package in ("numpy", "scipy"):
         spec = importlib.util.find_spec(package)
         if spec is None or not spec.origin:
@@ -54,6 +55,54 @@ def one_blas_thread() -> None:
                 if set_threads is not None:
                     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
                     set_threads(1)
+
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+
+
+def _mallopt():
+    """glibc's mallopt in the running process, or None where it has none.
+
+    CDLL(None) searches the symbols already loaded, so no library is looked
+    up on disk (ctypes.util.find_library would start a subprocess)."""
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+def _tune_malloc() -> None:
+    """Set glibc's allocator thresholds; without glibc this does nothing.
+
+    The scoring and k-NN-vote loops allocate 128-row float64 temporaries of
+    128 * m * 8 bytes (2 MiB at the dense limit, m = 2,048). Under glibc's
+    dynamic thresholds each freed block is unmapped or trimmed off the heap,
+    and the next one faults its pages in anew: about 21,000 minor faults per
+    warm eval at m = 1,433. Setting either threshold turns the dynamic ones
+    off. Below the 4 MiB mmap threshold those blocks come from the heap,
+    while the n x n buffers stay mapped and go back to the OS when freed.
+    16 MiB is the least trim threshold that keeps freed blocks in the heap
+    at m = 2,048; more would hold idle memory. One arena makes the scoring
+    threads allocate under the main arena's thresholds too (a warm sweep
+    held 3.5 MiB more in arenas of their own). No value changes a result.
+    """
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+        mallopt(_M_ARENA_MAX, 1)
+
+
+def _cpus() -> int:
+    """The CPUs of this process's affinity mask, 1 where there is none."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_pin_blas()
+_tune_malloc()
 
 
 def load_solvers() -> None:

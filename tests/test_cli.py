@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import prisomap
-from prisomap import cli, isomap
+from prisomap import isomap, linalg
 from prisomap.cli import SETTINGS, build_parser, main, resolve_settings
 from prisomap.datasets import json_safe, load_csv, save_csv
 
@@ -1853,11 +1853,24 @@ SECOND_EVAL_FAULTS = textwrap.dedent("""
 """)
 
 
-class TestAllocatorPolicy:
-    """main keeps freed row blocks in glibc's heap, and is the same program
-    where it cannot."""
+# main in a fresh interpreter where glibc's mallopt cannot be found, so the
+# allocator thresholds are never set; argv[1:] is main's argv
+MAIN_WITHOUT_MALLOPT = textwrap.dedent("""
+    import ctypes, sys
+    load = ctypes.CDLL
+    ctypes.CDLL = lambda name, *args: object() if name is None else load(name, *args)
+    from prisomap import linalg
+    from prisomap.cli import main
+    assert linalg._mallopt() is None
+    sys.exit(main(sys.argv[1:]))
+""")
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux") or cli._mallopt() is None,
+
+class TestAllocatorPolicy:
+    """Importing prisomap keeps freed row blocks in glibc's heap, and main is
+    the same program where it cannot."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or linalg._mallopt() is None,
                         reason="glibc's mallopt is not in this process")
     def test_a_warm_eval_faults_in_no_row_blocks(self, tmp_path):
         # about 17,000 faults without the policy, about 10 with it
@@ -1867,21 +1880,17 @@ class TestAllocatorPolicy:
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 2000
 
-    def test_without_mallopt_main_writes_the_same_bytes(self, roll_dir, tmp_path, monkeypatch):
-        import ctypes
-
+    def test_without_mallopt_main_writes_the_same_bytes(self, roll_dir, tmp_path):
         emb = tmp_path / "emb.csv"
         assert run_cli("embed", "--in", str(roll_dir / "ambient.csv"), "--method", "pca",
                        "--out", str(emb)) == 0
         argv = ["eval", "--emb", str(emb), "--data", str(roll_dir / "ambient.csv"), "--m", "8"]
         assert run_cli(*argv, "--out", str(tmp_path / "a.json")) == 0
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-        cli._keep_freed_blocks.cache_clear()
-        try:
-            assert cli._mallopt() is None
-            assert run_cli(*argv, "--out", str(tmp_path / "b.json")) == 0
-        finally:
-            cli._keep_freed_blocks.cache_clear()
+        env = {**os.environ, "PYTHONPATH": str(Path(prisomap.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", MAIN_WITHOUT_MALLOPT, *argv,
+                               "--out", str(tmp_path / "b.json")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
 
@@ -1896,11 +1905,42 @@ class TestLibraryDescriptor:
         assert desc["method"]["h"] == "inf"
 
 
-# the pipeline of ROADMAP item 3 in one process, every output under argv[1]
+# In one process, every output under argv[1]: the bundled OpenBLAS
+# libraries' thread counts read back once prisomap is imported, the library
+# calls, then the pipeline of ROADMAP item 3 through main
 BLAS_THREAD_RUN = textwrap.dedent("""
-    import sys
+    import ctypes, importlib.util, sys
+    from pathlib import Path
+    import numpy as np
+    import prisomap
+    from prisomap.bench import MethodSpec, Neighbors, resolve_h, run_bench
     from prisomap.cli import main
+
+    read = 0
+    for package in ("numpy", "scipy"):
+        libs = Path(importlib.util.find_spec(package).origin).parents[1] / f"{package}.libs"
+        for path in libs.glob("libscipy_openblas*"):
+            lib = ctypes.CDLL(str(path))
+            get = (getattr(lib, "scipy_openblas_get_num_threads64_", None)
+                   or getattr(lib, "scipy_openblas_get_num_threads"))
+            get.restype = ctypes.c_int
+            assert get() == 1, (path, get())
+            read += 1
+    assert read, "no bundled OpenBLAS found"
+
     out = sys.argv[1]
+    Path(out).mkdir()
+    sample = prisomap.gen_swiss_roll(1500, seed=0)
+    x, chart = sample.ambient, prisomap.swiss_roll_unrolled(sample.intrinsic)
+    specs = [MethodSpec("pr-isomap", 2, 12, h_percentile=80), MethodSpec("isomap", 2, 12),
+             MethodSpec("mds", 2)]
+    h = resolve_h(specs[0], Neighbors(x))
+    np.save(f"{out}/lib_mds.npy", prisomap.classical_mds(x, 2, spectrum=20).coordinates)
+    np.save(f"{out}/lib_pr.npy", prisomap.pr_isomap(
+        x, 12, h, 2, component_policy="largest_component", spectrum=20).coordinates)
+    for name, run in run_bench(x, specs, reference_points=chart).runs.items():
+        np.save(f"{out}/lib_bench_{name}.npy", run.embedding.coordinates)
+
     roll = f"{out}/roll"
     graph = ["--k", "12", "--h-pct", "80"]
     for argv in (
@@ -1918,9 +1958,11 @@ BLAS_THREAD_RUN = textwrap.dedent("""
 
 
 class TestBlasThreads:
-    """BLAS runs on one thread, whatever OPENBLAS_NUM_THREADS says, so no
-    output byte depends on it; at two threads, without the pin, the
-    embeddings, the eval report and the bench files all differed."""
+    """Importing prisomap holds BLAS to one thread, whatever
+    OPENBLAS_NUM_THREADS says, so neither an output byte nor a library
+    result depends on it; at two threads, without the pin, the embeddings,
+    the eval report and the bench files all differed, and so did the
+    library's coordinates while only main set the pin."""
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         work = tmp_path / "work"  # one path for both runs: the files record it
@@ -1934,7 +1976,8 @@ class TestBlasThreads:
             files[threads] = {str(p.relative_to(work)): p.read_bytes()
                               for p in work.rglob("*") if p.is_file()}
             shutil.rmtree(work)
-        # gen's 3 files, 2 embeddings with their descriptors, the report, bench's 2
-        assert len(files["1"]) == 10
+        # gen's 3 files, 2 embeddings with their descriptors, the report, bench's 2;
+        # the library's mds and pr-isomap coordinates, and its bench's 3
+        assert len(files["1"]) == 15
         assert sorted(name for name, data in files["1"].items()
                       if files["2"].get(name) != data) == []

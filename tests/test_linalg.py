@@ -1,7 +1,9 @@
+import ast
 import importlib.util
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,13 +489,39 @@ class TestScaledEmbedding:
 
 
 class TestOneBlasThread:
-    # the pinned bytes are checked end to end in test_cli.py's TestBlasThreads
+    # the pin is read back, and the pinned bytes checked end to end, in
+    # test_cli.py's TestBlasThreads
     def test_without_the_packages_nothing_is_pinned(self, monkeypatch):
         looked_up = []
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: looked_up.append(name))
-        linalg.one_blas_thread.cache_clear()
-        try:
-            linalg.one_blas_thread()
-        finally:
-            linalg.one_blas_thread.cache_clear()
+        monkeypatch.setattr(linalg.ctypes, "CDLL", lambda name: pytest.fail(f"loaded {name}"))
+        linalg._pin_blas()
         assert looked_up == ["numpy", "scipy"]
+
+
+POLICY_NAMES = {"ctypes", "sched_getaffinity", "mallopt"}
+
+
+def referenced(path) -> set[str]:
+    """Every name, attribute and imported module name the file at path holds."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= set(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names |= set(node.module.split("."))
+    return names
+
+
+def test_only_linalg_holds_the_process_policy():
+    """The BLAS pin, the allocator thresholds and the affinity-mask read are
+    set or made in linalg alone, once, when prisomap is imported."""
+    package = Path(linalg.__file__).parent
+    assert POLICY_NAMES <= referenced(package / "linalg.py")
+    holders = {path.name: sorted(referenced(path) & POLICY_NAMES)
+               for path in package.glob("*.py") if path.name != "linalg.py"}
+    assert {name: held for name, held in holders.items() if held} == {}
