@@ -23,13 +23,15 @@ import numpy as np
 
 from .errors import InputError, NumericError
 
-# Above this order the top eigenpairs always come from ARPACK, and a failure
-# to converge is a NumericError. Up to it ARPACK runs only when top is
-# at most n / _ITERATIVE_ROWS_PER_PAIR (where it beats the LAPACK subset
-# solve, which tridiagonalizes the whole matrix), with the dense path as its
-# fallback.
+# Above this order the top eigenpairs always come from ARPACK, and its
+# failure is a NumericError. Up to it ARPACK runs only when top is at most
+# n / _ITERATIVE_ROWS_PER_PAIR, with the dense path as its fallback. The
+# LAPACK subset solve tridiagonalizes and copies the whole matrix; on one
+# BLAS thread, on geodesic kernels of n = 924 to 2,000, ARPACK is faster
+# above n / top = 31, the two times overlap down to about 28, and ARPACK
+# loses from about 27 down.
 DENSE_EIG_LIMIT = 2048
-_ITERATIVE_ROWS_PER_PAIR = 100
+_ITERATIVE_ROWS_PER_PAIR = 30
 _ARPACK_TOL = 1e-10
 
 _EIG_RESIDUAL_TOL = 1e-8
@@ -140,7 +142,9 @@ def require_square_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got {a.shape}")
-    if not np.array_equal(a, a.T):
+    # tile by tile, as a.T walks the whole matrix column-wise
+    if not all(np.array_equal(a[rows, cols], a[cols, rows].T)
+               for rows, cols in _mirrored_tiles(a.shape[0])):
         asym = float(np.max(np.abs(a - a.T)))
         raise NumericError(f"{name} is not symmetric: max|A - A^T| = {asym:.3e}")
     return a
@@ -276,11 +280,13 @@ def _arpack_eig(a_sym: np.ndarray, top: int) -> tuple[np.ndarray | None, np.ndar
     """ARPACK's top pairs from a fixed start vector, ascending.
 
     Up to DENSE_EIG_LIMIT one extra pair is requested, and (None, None) is
-    returned when ARPACK does not converge or that pair lies within the
-    solver tolerance of the top-th: the caller then solves densely, where
-    the tie rule sees every tied vector.
+    returned when ARPACK fails (it does not converge, or, on an all-zero
+    matrix, finds its start vector in the null space) or that pair lies
+    within the solver tolerance of the top-th: the caller then solves
+    densely, where the tie rule sees every tied vector. Above the limit a
+    failure is a NumericError.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
     n = a_sym.shape[0]
     dense_fallback = n <= DENSE_EIG_LIMIT
@@ -289,10 +295,12 @@ def _arpack_eig(a_sym: np.ndarray, top: int) -> tuple[np.ndarray | None, np.ndar
     k = top + 1 if dense_fallback else top
     try:
         w, v = eigsh(a_sym, k=k, which="LA", tol=_ARPACK_TOL, maxiter=10 * n, v0=v0)
-    except ArpackNoConvergence as exc:
+    except ArpackError as exc:
         if dense_fallback:
             return None, None
-        raise NumericError(f"iterative eigensolver exhausted {10 * n} iterations") from exc
+        if isinstance(exc, ArpackNoConvergence):
+            raise NumericError(f"iterative eigensolver exhausted {10 * n} iterations") from exc
+        raise NumericError(f"iterative eigensolver failed: {exc}") from exc
     if dense_fallback and w[1] - w[0] <= _ARPACK_TOL * max(1.0, abs(float(w[-1]))):
         return None, None
     return w, v
@@ -304,8 +312,8 @@ def symmetric_eig(a, top: int) -> EigenResult:
     ARPACK extracts the top pairs from a fixed start vector when top < n and
     either n > DENSE_EIG_LIMIT or top is at most n / _ITERATIVE_ROWS_PER_PAIR.
     Below the limit it asks for one pair more, and the dense path takes over
-    if ARPACK does not converge or that pair is within the solver tolerance
-    of the top-th (a tie across the cut, or a rank-deficient request). The
+    if ARPACK fails or that pair is within the solver tolerance of the
+    top-th (a tie across the cut, or a rank-deficient request). The
     dense path is a LAPACK subset solve, or the full decomposition when
     top == n or a tie straddles the cut. Each path is deterministic, so
     repeated runs give identical bytes. Sign convention: the

@@ -328,6 +328,19 @@ class TestEmbed:
                 assert run_cli(*args) == 0
             assert f"cache_entry={entry}" in capsys.readouterr().err
 
+    def test_identical_rows_embed_at_zero(self, tmp_path):
+        # their kernel is all zero, on which ARPACK fails; the dense path
+        # takes over
+        from prisomap.errors import RankDeficientWarning
+
+        src = tmp_path / "same.csv"
+        save_csv(src, np.ones((200, 2)))
+        with pytest.warns(RankDeficientWarning):
+            assert run_cli("embed", "--in", str(src), "--method", "mds", "--p", "2",
+                           "--out", str(tmp_path / "e.csv")) == 0
+        assert (tmp_path / "e.csv").read_text() == "index,c0,c1\n" + "".join(
+            f"{i},0,0\n" for i in range(200))
+
     def test_one_candidate_pass_per_command(self, roll_dir, tmp_path, monkeypatch, capsys):
         from prisomap import graph
 
@@ -445,7 +458,7 @@ class TestEmbed:
             members = dict(archive)
         meta = json.loads(members["meta"].item())
         archives = {}
-        for version in (2, 3, 4, 5):
+        for version in (2, 3, 4, 5, 6):
             with io.BytesIO() as fh:
                 np.savez(fh, **{**members,
                                 "meta": np.array(json.dumps({**meta, "version": version}))})
@@ -460,6 +473,7 @@ class TestEmbed:
                           (archives[3], "unsupported version 3; recomputing"),
                           (archives[4], "unsupported version 4; recomputing"),
                           (archives[5], "unsupported version 5; recomputing"),
+                          (archives[6], "unsupported version 6; recomputing"),
                           (raw_v2, "unreadable spectral entry")]:
             entry.write_bytes(old)
             capsys.readouterr()

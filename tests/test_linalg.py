@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prisomap import geodesics, linalg
+from prisomap.datasets import gen_swiss_roll
 from prisomap.embed import scaled_embedding
 from prisomap.errors import NumericError, RankDeficientWarning
-from prisomap import linalg
+from prisomap.graph import knn_graph
 from prisomap.linalg import (
     _stable_descending_order,
     double_center_in_place,
@@ -22,7 +24,7 @@ from prisomap.linalg import (
     symmetric_eig,
 )
 
-from helpers import TILE_EDGE_SIZES, tile_edge_points
+from helpers import TILE_EDGE_SIZES, tile_edge_points, traced_peak
 
 
 def centering_oracle(d):
@@ -175,6 +177,21 @@ class TestExactSymmetry:
         gap = d[3, 17] - d[17, 3]
         with pytest.raises(NumericError, match=re.escape(f"max|A - A^T| = {gap:.3e}")):
             solve(d)
+
+    @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
+    def test_tiled_check_refuses_what_the_whole_matrix_comparison_refuses(self, n):
+        # the entries lie in diagonal, upper and lower tiles at the tile edges;
+        # np.array_equal(a, a.T) is the reference
+        a = pairwise_sq_dists(tile_edge_points(n, seed=n, ties=False))
+        assert require_square_symmetric(a) is a
+        for i, j in {(0, n - 1), (n - 1, 0), (n // 2, (n - 1) // 3), (n - 1, n - 1)}:
+            b = a.copy()
+            b[i, j] = np.nan if i == j else np.nextafter(b[i, j], np.inf)
+            assert not np.array_equal(b, b.T)
+            asym = float(np.max(np.abs(b - b.T)))
+            with pytest.raises(NumericError, match=re.escape(
+                    f"matrix is not symmetric: max|A - A^T| = {asym:.3e}")):
+                require_square_symmetric(b)
 
 
 def loop_descending_order(eigenvalues, vectors):
@@ -344,7 +361,9 @@ class TestSymmetricEig:
 
     @pytest.mark.parametrize("n, top, iterative", [
         (1500, 2, True),
-        (1272, 20, False),
+        (1272, 20, True),
+        (1272, 1272 // linalg._ITERATIVE_ROWS_PER_PAIR, True),
+        (1272, 1272 // linalg._ITERATIVE_ROWS_PER_PAIR + 1, False),
         (1272, 1271, False),
     ])
     def test_path_choice_below_dense_limit(self, monkeypatch, n, top, iterative):
@@ -389,6 +408,28 @@ class TestSymmetricEig:
         monkeypatch.setattr(linalg, "DENSE_EIG_LIMIT", 299)
         with pytest.raises(NumericError, match="iterative eigensolver exhausted 3000 iterations"):
             symmetric_eig(a, top=2)
+
+    def test_arpack_error_falls_back_to_dense_below_limit_only(self, monkeypatch):
+        # on an all-zero matrix ARPACK finds its start vector in the null
+        # space and raises ArpackError -9, not ArpackNoConvergence
+        a = np.zeros((200, 200))
+        monkeypatch.setattr(linalg, "_ITERATIVE_ROWS_PER_PAIR", 10**9)
+        dense = symmetric_eig(a, top=2)
+        monkeypatch.undo()
+        res = symmetric_eig(a, top=2)
+        assert res.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+        assert res.eigenvectors.tobytes() == dense.eigenvectors.tobytes()
+        monkeypatch.setattr(linalg, "DENSE_EIG_LIMIT", 199)
+        with pytest.raises(NumericError, match="iterative eigensolver failed: ARPACK error -9"):
+            symmetric_eig(a, top=2)
+
+    def test_top_twenty_solve_copies_no_kernel(self):
+        # the LAPACK subset solve copies the kernel and peaks at about
+        # 1.04 m^2 float64 beyond it; ARPACK holds its Krylov basis
+        d_sq = geodesics.all_pairs(knn_graph(gen_swiss_roll(1000, seed=0).ambient, 10))
+        k = double_center_in_place(np.square(d_sq, out=d_sq))
+        m = k.shape[0]
+        assert traced_peak(symmetric_eig, k, 20) < 0.25 * m * m * 8
 
     def test_iterative_path_below_limit_repeats_bit_for_bit(self, monkeypatch):
         import scipy.linalg
