@@ -110,9 +110,11 @@ def scaled_embedding(eig: EigenResult, p: int, method: dict, kept: np.ndarray, n
 
 
 def _scaled(d_sq: np.ndarray, p: int, method: dict, kept: np.ndarray, n: int,
-            spectrum: int) -> Embedding:
-    """Classical scaling of squared distances, which are centered in place."""
-    eig = symmetric_eig(double_center_in_place(d_sq), top=min(kept.size, max(p, spectrum)))
+            spectrum: int, rank: int | None = None) -> Embedding:
+    """Classical scaling of squared distances, which are centered in place;
+    rank bounds the kernel's rank where the caller knows it."""
+    eig = symmetric_eig(double_center_in_place(d_sq), top=min(kept.size, max(p, spectrum)),
+                        _rank=rank)
     return scaled_embedding(eig, p, method, kept, n, spectrum)
 
 
@@ -164,12 +166,14 @@ def embed_geodesics(
 
 
 def classical_mds(data, p: int, spectrum: int = 0) -> Embedding:
-    """Classical scaling of exact pairwise Euclidean distances."""
+    """Classical scaling of exact pairwise Euclidean distances. The kernel of
+    d-column data has rank at most d, so a request for more pairs goes
+    straight to the dense eigensolver (see symmetric_eig)."""
     x = as_matrix(data, "data")
-    n = x.shape[0]
+    n, d = x.shape
     _require_p(p, n, spectrum)
     return _scaled(pairwise_sq_dists(x), p, {"method": "mds", "p": int(p)},
-                   np.arange(n, dtype=np.int64), n, spectrum)
+                   np.arange(n, dtype=np.int64), n, spectrum, rank=d)
 
 
 def pca(data, p: int, spectrum: int = 0) -> Embedding:

@@ -85,10 +85,11 @@ def _tc_penalties(hd: np.ndarray, ld: np.ndarray, start: int, m: int) -> tuple[i
 def _pool(tasks: int) -> ThreadPoolExecutor:
     """Threads for tasks, one per CPU of the affinity mask (1 without one), at
     most _MAX_WORKERS and one per task; importing prisomap held BLAS to one
-    thread, so they do not oversubscribe it. The tasks spend their time in
-    numpy's sorts, partitions, ufunc loops and BLAS calls, which release the
-    GIL, under the caller's np.errstate. Each caller closes the pool before
-    it returns: no thread outlives a call."""
+    thread, so they do not oversubscribe it. The tasks spend most of their
+    time in numpy's sorts, ufunc loops and BLAS calls, which release the
+    GIL, under the caller's np.errstate; np.partition, in the k-NN vote,
+    holds it (numpy 2.4). Each caller closes the pool before it returns: no
+    thread outlives a call."""
     return ThreadPoolExecutor(max(1, min(_MAX_WORKERS, _cpus(), tasks)),
                               initializer=functools.partial(np.seterr, **np.geterr()))
 

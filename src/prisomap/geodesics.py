@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import mmap
 import os
 import signal
 import sys
@@ -26,13 +25,17 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .graph import NeighborGraph
-from .linalg import EigenResult, _cpus, _mirrored_tiles
+from .linalg import EigenResult, _cpus, _mirrored_tiles, _n2_buffer
 
 UNREACHABLE = math.inf
 
 _VERSION = 7  # of the spectral entry format
 
-_CHUNK = 128  # source rows per Dijkstra call when the rows are split
+_CHUNK = 128  # at most one Dijkstra worker per this many source rows
+# source rows per Dijkstra call, and per step of the in-place gather: csgraph's
+# own result for them is the one temporary beside the buffer (32-row calls
+# took as long as 128-row calls at n = 1,500)
+_CALL_ROWS = 32
 # source rows x vertices below which forking costs more than it saves: on
 # 2 CPUs, in a 130 MiB process, two workers broke even between 160,000 and
 # 250,000 and were 1.05-1.43x faster at 250,000
@@ -57,37 +60,32 @@ def _worker_count(rows: int, n: int) -> int:
     return min(_cpus(), -(-rows // _CHUNK))
 
 
-def _shared_buffer(rows: int, n: int) -> np.ndarray:
-    """A rows x n float64 array in an anonymous MAP_SHARED mapping, which
-    forked workers write and the parent reads."""
-    return np.frombuffer(mmap.mmap(-1, rows * n * 8), np.float64).reshape(rows, n)
-
-
 def _dijkstra(adjacency, sources: np.ndarray | None) -> np.ndarray:
-    """csgraph Dijkstra's rows from sources (every vertex for None).
+    """csgraph Dijkstra's rows from sources (every vertex for None), in an
+    _n2_buffer.
 
-    Past the crossover the rows are split into _worker_count contiguous
-    blocks, run _CHUNK rows per call: the parent runs the first block and
-    one forked worker each of the others, all writing one shared buffer.
-    Every row is computed alone, so the bytes do not depend on the worker
-    count. Each worker exits without returning here; the parent reaps it,
-    or kills and reaps it when the call stops early, so none outlives the
-    call. Raises NumericError when a worker fails.
+    The rows are split into _worker_count contiguous blocks, run _CALL_ROWS
+    rows per call: the parent runs the first block and one forked worker
+    each of the others, all writing one shared buffer; one block needs no
+    worker and no shared mapping. Every row is computed alone, so the bytes
+    do not depend on the worker count. Each worker exits without returning
+    here; the parent reaps it, or kills and reaps it when the call stops
+    early, so none outlives the call. Raises NumericError when a worker
+    fails, or when the buffer does not fit in the memory available.
     """
     from scipy.sparse.csgraph import dijkstra
 
     n = adjacency.shape[0]
-    rows = n if sources is None else sources.size
-    workers = _worker_count(rows, n)
-    if workers == 1:
-        return dijkstra(adjacency, directed=True, indices=sources)
     sources = np.arange(n) if sources is None else sources
-    out = _shared_buffer(rows, n)
+    rows = sources.size
+    workers = _worker_count(rows, n)
+    out = _n2_buffer("all-pairs geodesics", rows, n, extra=8 * _CALL_ROWS * n,
+                     shared=workers > 1)
 
     def run(block):
         lo, hi = rows * block // workers, rows * (block + 1) // workers
-        for start in range(lo, hi, _CHUNK):
-            chunk = slice(start, min(start + _CHUNK, hi))
+        for start in range(lo, hi, _CALL_ROWS):
+            chunk = slice(start, min(start + _CALL_ROWS, hi))
             out[chunk] = dijkstra(adjacency, directed=True, indices=sources[chunk])
 
     pids = []
@@ -116,6 +114,21 @@ def _dijkstra(adjacency, sources: np.ndarray | None) -> np.ndarray:
     return out
 
 
+def _gather_columns(out: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """out[:, indices] of an m x n out, m = indices.size, written over out's
+    own buffer _CALL_ROWS rows at a time when m <= n: the block's row i ends
+    at or before the start of out's row i + 1, so no row is overwritten
+    before it is read. Repeated indices can make m exceed n; the block is
+    then a copy."""
+    m = indices.size
+    if m > out.shape[1]:
+        return out[:, indices]
+    block = out.reshape(-1)[:m * m].reshape(m, m)
+    for start in range(0, m, _CALL_ROWS):
+        block[start:start + _CALL_ROWS] = out[start:start + _CALL_ROWS, indices]
+    return block
+
+
 def all_pairs(graph: NeighborGraph, indices: np.ndarray | None = None) -> np.ndarray:
     """All-pairs shortest paths, a float64 matrix with the UNREACHABLE
     sentinel: scipy csgraph Dijkstra over the CSR adjacency.
@@ -126,15 +139,17 @@ def all_pairs(graph: NeighborGraph, indices: np.ndarray | None = None) -> np.nda
     source rows x vertices on, Dijkstra runs in as many processes as the
     affinity mask has CPUs, the parent and forked workers, that write one
     shared buffer (see _dijkstra); the bytes are those of one process, and
-    no worker outlives the call. Dijkstra's result is the only n x n
-    buffer: the checks and the symmetric minimum run on it in place, one
-    pair of mirrored tiles at a time. With indices, Dijkstra runs from those
-    m vertices alone, and the checks and the minimum run on the m x m block
-    among them, which is the result.
+    no worker outlives the call. Dijkstra's result, an _n2_buffer, is the
+    only n x n buffer: the checks and the symmetric minimum run on it in
+    place, one pair of mirrored tiles at a time. With indices, Dijkstra runs
+    from those m vertices alone, the m x m block among them is gathered in
+    place over its m x n rows, and the checks and the minimum run on that
+    block, which is the result.
 
     Raises NumericError if the adjacency is not exactly symmetric (pattern
-    and weights), if an edge exceeds the cap h, if a Dijkstra worker fails,
-    if reachability is asymmetric, or if forward and reverse path lengths
+    and weights), if an edge exceeds the cap h, if Dijkstra's buffer does
+    not fit in the memory available, if a Dijkstra worker fails, if
+    reachability is asymmetric, or if forward and reverse path lengths
     differ by more than 1e-12 of the distance scale; the returned matrix is
     exactly symmetric.
     """
@@ -146,7 +161,7 @@ def all_pairs(graph: NeighborGraph, indices: np.ndarray | None = None) -> np.nda
         raise NumericError(f"edge weight {longest} exceeds cap h={graph.h}")
     out = _dijkstra(adjacency, indices)
     if indices is not None:
-        out = out[:, indices]
+        out = _gather_columns(out, indices)
 
     scale = asym = 0.0
     for rows, cols in _mirrored_tiles(out.shape[0]):
@@ -156,9 +171,11 @@ def all_pairs(graph: NeighborGraph, indices: np.ndarray | None = None) -> np.nda
             raise NumericError("reachability must be symmetric")
         scale = max(scale, float(np.max(block, where=finite, initial=0.0)),
                     float(np.max(mirror, where=finite, initial=0.0)))
+        del finite  # one tile temporary at a time: the difference, then the minimum's
         with np.errstate(invalid="ignore"):
-            diff = block - mirror
-        asym = max(asym, float(np.max(np.abs(diff, out=diff), where=finite, initial=0.0)))
+            diff = block - mirror  # NaN where both are unreachable, which fmax skips
+        asym = max(asym, float(np.fmax.reduce(np.abs(diff, out=diff), axis=None, initial=0.0)))
+        del diff
         np.minimum(block, mirror, out=block)
         mirror[...] = block
     # forward/reverse path sums differ only by summation order, so any

@@ -7,13 +7,15 @@ coordinates, the last step of classical scaling. Every kernel takes and
 returns plain float64 numpy arrays. Importing this module, as every import
 of prisomap does, sets the process policy once, for the CLI and library
 callers alike: BLAS on one thread (_pin_blas) and glibc's allocator
-thresholds (_tune_malloc).
+thresholds (_tune_malloc). Every n x n float64 buffer comes from _n2_buffer,
+which refuses one that the memory available cannot hold.
 """
 
 from __future__ import annotations
 
 import ctypes
 import importlib.util
+import mmap
 import os
 from dataclasses import dataclass
 from itertools import groupby
@@ -37,6 +39,7 @@ _ARPACK_TOL = 1e-10
 _EIG_RESIDUAL_TOL = 1e-8
 
 _TILE = 256  # rows per block, and side of a square tile
+_CENTER_ROWS = 16  # rows per centering step: its r_i + r_j temporary is 16 x n floats
 
 
 def _pin_blas() -> None:
@@ -65,14 +68,15 @@ _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 
 
-def _mallopt():
-    """glibc's mallopt in the running process, or None where it has none.
+def _glibc(name: str):
+    """glibc's function of that name in the running process, or None where
+    it has none.
 
     CDLL(None) searches the symbols already loaded, so no library is looked
     up on disk (ctypes.util.find_library would start a subprocess)."""
     try:
-        return ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
+        return getattr(ctypes.CDLL(None), name, None)
+    except (OSError, TypeError):
         return None
 
 
@@ -91,11 +95,122 @@ def _tune_malloc() -> None:
     threads allocate under the main arena's thresholds too (a warm sweep
     held 3.5 MiB more in arenas of their own). No value changes a result.
     """
-    mallopt = _mallopt()
+    mallopt = _glibc("mallopt")
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, 4 << 20)
         mallopt(_M_TRIM_THRESHOLD, 16 << 20)
         mallopt(_M_ARENA_MAX, 1)
+
+
+_MALLOC_TRIM = _glibc("malloc_trim")
+
+
+def _read_number(path: Path) -> int | None:
+    """The integer a one-value kernel file holds; None for a file that is
+    missing or unreadable, or holds cgroup v2's "max" (no limit)."""
+    try:
+        return int(path.read_text().strip())
+    except (OSError, ValueError):
+        return None
+
+
+def _memory_stat(path: Path) -> dict[str, int]:
+    """The counters of a cgroup's memory.stat by name; empty for a file
+    that is missing or unreadable."""
+    try:
+        lines = path.read_text().splitlines()
+    except OSError:
+        return {}
+    stat = {}
+    for line in lines:
+        name, _, value = line.partition(" ")
+        if value.strip().isdigit():
+            stat[name] = int(value)
+    return stat
+
+
+def _available_memory(proc: Path = Path("/proc"),
+                      cgroups: Path = Path("/sys/fs/cgroup")) -> int | None:
+    """Bytes this process may still take, read-only: MemAvailable from
+    meminfo, lowered at every level of its memory cgroup that sets a limit
+    to that limit minus the level's working set. The levels run from the
+    directory that /proc/self/cgroup names (or the hierarchy's root where
+    that directory is not mounted) up to the root, so a limit set on a
+    parent counts. A level's limit is v2's memory.max or v1's
+    memory.limit_in_bytes, on v1 lowered to memory.stat's
+    hierarchical_memory_limit, which also covers parents above the mount.
+    Its working set is its usage (v2 memory.current, v1
+    memory.usage_in_bytes) less the inactive file pages that the kernel
+    reclaims before it refuses memory (memory.stat's inactive_file, v1
+    total_inactive_file), as docker and the kubelet count it: a process
+    that has read and written files has usage near its limit but can still
+    allocate. v1's no-limit value, 9223372036854771712, lowers nothing.
+    None when neither source can be read."""
+    found = []
+    try:
+        for line in (proc / "meminfo").read_text().splitlines():
+            if line.startswith("MemAvailable:"):
+                found.append(int(line.split()[1]) * 1024)
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        memberships = (proc / "self" / "cgroup").read_text().splitlines()
+    except OSError:
+        memberships = []
+    for line in memberships:
+        _, controllers, path = line.split(":", 2)
+        if controllers == "":
+            root, v1 = cgroups, False
+            files = ("memory.max", "memory.current", "inactive_file")
+        elif "memory" in controllers.split(","):
+            root, v1 = cgroups / "memory", True
+            files = ("memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file")
+        else:
+            continue
+        level = root / path.lstrip("/")
+        if not level.is_dir():
+            level = root
+        while True:
+            stat = _memory_stat(level / "memory.stat")
+            limit, usage = (_read_number(level / name) for name in files[:2])
+            above = stat.get("hierarchical_memory_limit") if v1 else None
+            if above is not None:
+                limit = above if limit is None else min(limit, above)
+            if limit is not None and usage is not None:
+                found.append(max(0, limit - max(0, usage - stat.get(files[2], 0))))
+            if level == root:
+                break
+            level = level.parent
+    return min(found) if found else None
+
+
+def _require_memory(stage: str, estimate: int) -> None:
+    """NumericError naming the stage, its estimated bytes and the memory
+    available, unless the estimate fits (or nothing can be read)."""
+    available = _available_memory()
+    if available is not None and estimate > available:
+        raise NumericError(f"{stage} needs an estimated {estimate / 2**20:.1f} MiB, "
+                           f"but {available / 2**20:.1f} MiB of memory is available")
+
+
+def _n2_buffer(stage: str, rows: int, cols: int, extra: int = 0,
+               shared: bool = False) -> np.ndarray:
+    """An uninitialized rows x cols float64 buffer for an n x n stage: the
+    one place such a buffer comes from. The stage's estimate, the buffer
+    plus its extra bytes of temporaries, must fit in _available_memory
+    (NumericError otherwise, before anything is allocated). glibc's
+    malloc_trim(0) then hands the heap's free pages back, so the new
+    mapping does not sit on top of blocks the trim threshold keeps
+    resident. shared gives an anonymous MAP_SHARED mapping, which forked
+    workers write and the parent reads; otherwise np.empty, which
+    tracemalloc sees."""
+    nbytes = 8 * rows * cols
+    _require_memory(stage, nbytes + extra)
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(ctypes.c_size_t(0))
+    if shared:
+        return np.frombuffer(mmap.mmap(-1, nbytes), np.float64).reshape(rows, cols)
+    return np.empty((rows, cols))
 
 
 def _cpus() -> int:
@@ -163,13 +278,20 @@ def _distances(a, b, root: bool) -> np.ndarray:
     full-size buffer, turns each _TILE-row block in cache into aa + bb - 2 *
     gram, clamped at 0, with a zero self-mode diagonal and, with root, its
     square root. Self mode needs no symmetric average: numpy forms a @ a.T
-    by syrk and mirrors its triangle, so every entry is exactly symmetric."""
+    by syrk and mirrors its triangle, so every entry is exactly symmetric.
+    The self-mode Gram matrix, the whole n x n, is written into an
+    _n2_buffer."""
     a = as_matrix(a, "a")
     self_mode = b is None
     b = a if self_mode else as_matrix(b, "b")
     aa = np.einsum("ij,ij->i", a, a)
     bb = aa if self_mode else np.einsum("ij,ij->i", b, b)
-    d = a @ b.T
+    if self_mode:
+        n = a.shape[0]
+        d = np.matmul(a, a.T, out=_n2_buffer("pairwise distances", n, n,
+                                             extra=8 * min(_TILE, n) * n))
+    else:
+        d = a @ b.T
     sums = np.empty((min(_TILE, d.shape[0]), d.shape[1]))
     for start in range(0, d.shape[0], _TILE):
         block = d[start:start + _TILE]
@@ -220,24 +342,24 @@ def double_center_in_place(d_sq: np.ndarray) -> np.ndarray:
     array (else a converted copy); callers use the returned array.
 
     With r the row means and g their mean, [i, j] becomes -0.5 * ((D[i, j] -
-    (r[i] + r[j])) + g), one _TILE-square tile at a time. D is exactly
+    (r[i] + r[j])) + g), _CENTER_ROWS rows at a time. D is exactly
     symmetric, so r holds its column means too, and r[i] + r[j], one rounded
     sum, is r[j] + r[i]: each entry rounds as its mirror does. Raises
     NumericError for asymmetric input, or for any non-finite entry (a
-    component policy must resolve the unreachable sentinel).
+    component policy must resolve the unreachable sentinel), checked one
+    _TILE-row slab at a time.
     """
     d = as_matrix(d_sq, "d_sq")
-    if not np.all(np.isfinite(d)):
+    if not all(np.isfinite(d[i:i + _TILE]).all() for i in range(0, d.shape[0], _TILE)):
         raise NumericError("squared-distance matrix contains unreachable entries")
     d = require_square_symmetric(d, "d_sq")
     r = d.mean(axis=1)
     g = float(r.mean())
-    for i in range(0, d.shape[0], _TILE):
-        for j in range(0, d.shape[0], _TILE):
-            tile = d[i:i + _TILE, j:j + _TILE]
-            tile -= r[i:i + _TILE, None] + r[j:j + _TILE]
-            tile += g
-            tile *= -0.5
+    for i in range(0, d.shape[0], _CENTER_ROWS):
+        rows = d[i:i + _CENTER_ROWS]
+        rows -= r[i:i + _CENTER_ROWS, None] + r
+        rows += g
+        rows *= -0.5
     return d
 
 
@@ -306,17 +428,21 @@ def _arpack_eig(a_sym: np.ndarray, top: int) -> tuple[np.ndarray | None, np.ndar
     return w, v
 
 
-def symmetric_eig(a, top: int) -> EigenResult:
+def symmetric_eig(a, top: int, _rank: int | None = None) -> EigenResult:
     """Top eigenpairs of an exactly symmetric matrix, descending, deterministic.
 
     ARPACK extracts the top pairs from a fixed start vector when top < n and
     either n > DENSE_EIG_LIMIT or top is at most n / _ITERATIVE_ROWS_PER_PAIR.
     Below the limit it asks for one pair more, and the dense path takes over
     if ARPACK fails or that pair is within the solver tolerance of the
-    top-th (a tie across the cut, or a rank-deficient request). The
-    dense path is a LAPACK subset solve, or the full decomposition when
-    top == n or a tie straddles the cut. Each path is deterministic, so
-    repeated runs give identical bytes. Sign convention: the
+    top-th (a tie across the cut, or a rank-deficient request). _rank, which
+    only classical_mds passes, bounds the matrix's rank: below the limit a
+    top above it goes to the dense path without asking ARPACK, whose extra
+    pair would tie at zero. The dense path is a LAPACK subset solve, or the
+    full decomposition when top == n or a tie straddles the cut; its
+    estimate, a copy of the matrix and top + 1 vectors, must fit in the
+    memory available (NumericError otherwise). Each path is deterministic,
+    so repeated runs give identical bytes. Sign convention: the
     largest-magnitude entry of every eigenvector is positive.
     """
     a_sym = require_square_symmetric(a, "a")
@@ -325,9 +451,11 @@ def symmetric_eig(a, top: int) -> EigenResult:
         raise ValueError(f"top must be in [1, {n}], got {top}")
 
     w = None
-    if top < n and (n > DENSE_EIG_LIMIT or _ITERATIVE_ROWS_PER_PAIR * top <= n):
+    if top < n and (n > DENSE_EIG_LIMIT or (_ITERATIVE_ROWS_PER_PAIR * top <= n
+                                            and (_rank is None or top <= _rank))):
         w, v = _arpack_eig(a_sym, top)
     if w is None:
+        _require_memory("dense eigensolve", 8 * n * (n + top + 1))
         try:
             if top < n:
                 import scipy.linalg

@@ -109,18 +109,20 @@ def floyd_warshall_oracle(graph: NeighborGraph) -> np.ndarray:
     return d
 
 
-# tracemalloc sees no mmap, so traced_peak registers each shared Dijkstra
+# tracemalloc sees no mmap, so traced_peak registers each shared n x n
 # buffer with it as an allocation of this domain for as long as it lives
 _SHARED_DOMAIN = 0x6D6D6170
 _track = ctypes.pythonapi.PyTraceMalloc_Track
 _track.argtypes = (ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)
 _untrack = ctypes.pythonapi.PyTraceMalloc_Untrack
 _untrack.argtypes = (ctypes.c_uint, ctypes.c_size_t)
-_shared_buffer = geodesics._shared_buffer
+_n2_buffer = geodesics._n2_buffer
 
 
-def _traced_shared_buffer(rows: int, n: int) -> np.ndarray:
-    out = _shared_buffer(rows, n)
+def _traced_n2_buffer(*args, **kwargs) -> np.ndarray:
+    out = _n2_buffer(*args, **kwargs)
+    if not kwargs.get("shared"):
+        return out  # np.empty, which tracemalloc sees
     address = out.ctypes.data
     _track(_SHARED_DOMAIN, address, out.nbytes)
     owner = out
@@ -139,13 +141,13 @@ def traced_peak(fn, *args) -> int:
     """
     fn(*args)
     tracemalloc.start()
-    geodesics._shared_buffer = _traced_shared_buffer
+    geodesics._n2_buffer = _traced_n2_buffer
     try:
         base = tracemalloc.get_traced_memory()[0]
         fn(*args)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
-        geodesics._shared_buffer = _shared_buffer
+        geodesics._n2_buffer = _n2_buffer
         tracemalloc.stop()
 
 

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1875,7 +1876,7 @@ MAIN_WITHOUT_MALLOPT = textwrap.dedent("""
     ctypes.CDLL = lambda name, *args: object() if name is None else load(name, *args)
     from prisomap import linalg
     from prisomap.cli import main
-    assert linalg._mallopt() is None
+    assert linalg._glibc("mallopt") is None
     sys.exit(main(sys.argv[1:]))
 """)
 
@@ -1884,7 +1885,7 @@ class TestAllocatorPolicy:
     """Importing prisomap keeps freed row blocks in glibc's heap, and main is
     the same program where it cannot."""
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux") or linalg._mallopt() is None,
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or linalg._glibc("mallopt") is None,
                         reason="glibc's mallopt is not in this process")
     def test_a_warm_eval_faults_in_no_row_blocks(self, tmp_path):
         # about 17,000 faults without the policy, about 10 with it
@@ -1906,6 +1907,51 @@ class TestAllocatorPolicy:
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+
+class TestMemoryBudget:
+    """With less memory available than a stage's n x n buffer needs, the
+    command exits 4 on one line naming the stage, its estimate and the
+    memory available, before that buffer exists: the peak is the k-NN
+    pass's 512-row blocks."""
+
+    N = 2000
+
+    @pytest.fixture(scope="class")
+    def roll(self, tmp_path_factory):
+        roll = tmp_path_factory.mktemp("budget")
+        assert run_cli("gen", "swiss-roll", "--n", str(self.N), "--seed", "7",
+                       "--out", str(roll)) == 0
+        assert run_cli("embed", "--in", str(roll / "ambient.csv"), "--method", "pca",
+                       "--out", str(roll / "pca.csv")) == 0
+        return roll
+
+    @pytest.mark.parametrize("command, stage, columns", [
+        (["embed", "--method", "isomap", "--k", "10", "--in", "{roll}/ambient.csv",
+          "--out", "{out}/emb.csv"], "all-pairs geodesics", 32),
+        (["embed", "--method", "mds", "--in", "{roll}/ambient.csv", "--out", "{out}/emb.csv"],
+         "pairwise distances", 256),
+        (["eval", "--ref", "geodesic", "--k", "10", "--data", "{roll}/ambient.csv",
+          "--emb", "{roll}/pca.csv", "--out", "{out}/eval.json"], "all-pairs geodesics", 32),
+        (["bench", "--methods", "isomap,pca", "--k", "10", "--in", "{roll}/ambient.csv",
+          "--out", "{out}"], "all-pairs geodesics", 32),
+    ])
+    def test_exits_4_on_one_line_and_allocates_nothing_large(self, roll, tmp_path, monkeypatch,
+                                                             capsys, command, stage, columns):
+        argv = [arg.format(roll=roll, out=tmp_path) for arg in command]
+        monkeypatch.setattr(linalg, "_available_memory", lambda: 2**20)
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = self.N
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"numeric error: {stage} needs an estimated {8 * n * (n + columns) / 2**20:.1f} "
+            "MiB, but 1.0 MiB of memory is available"]
+        assert peak < 0.75 * 8 * n * n
 
 
 class TestLibraryDescriptor:

@@ -14,12 +14,14 @@ from prisomap.embed import (
     load_embedding_csv,
     pca,
     save_embedding_csv,
+    scaled_embedding,
 )
 from prisomap.errors import GraphError
 from prisomap.evaluate import residual_variance
 from prisomap.geodesics import all_pairs
 from prisomap.graph import components, knn_graph
-from prisomap.linalg import pairwise_dists
+from prisomap.linalg import (double_center_in_place, pairwise_dists, pairwise_sq_dists,
+                             symmetric_eig)
 
 from helpers import graph_from_rows, traced_peak, welded_roll_graph
 
@@ -129,6 +131,28 @@ class TestClassicalMds:
             same = np.abs(a[:, j] - b[:, j]).max()
             flipped = np.abs(a[:, j] + b[:, j]).max()
             assert min(same, flipped) <= 1e-8
+
+    def test_more_pairs_than_the_data_has_columns_skip_arpack(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        # n = 700 puts top 20 on ARPACK; 3-D data has rank 3, so its extra
+        # pair ties at zero and the dense path would solve it anyway
+        x = gen_swiss_roll(700, seed=0).ambient
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda *args, **kwargs: calls.append(1) or eigsh(*args, **kwargs))
+        emb = classical_mds(x, 2, spectrum=20)
+        assert calls == []
+        today = symmetric_eig(double_center_in_place(pairwise_sq_dists(x)), 20)
+        assert calls == [1]
+        assert emb.eigenpairs.eigenvalues.tobytes() == today.eigenvalues.tobytes()
+        assert emb.eigenpairs.eigenvectors.tobytes() == today.eigenvectors.tobytes()
+        assert emb.spectrum.tobytes() == today.eigenvalues.tobytes()
+        want = scaled_embedding(today, 2, emb.method, emb.kept_indices, 700, 20)
+        assert emb.coordinates.tobytes() == want.coordinates.tobytes()
+        classical_mds(x, 2, spectrum=3)  # top = d: ARPACK, as before
+        assert calls == [1, 1]
 
 
 class TestPca:

@@ -268,9 +268,17 @@ class TestAllPairs:
     def test_block_needs_no_n_by_n_buffer(self):
         g = welded_roll_graph(1500, 60.0)
         m = 1200
-        # Dijkstra's m x n rows and the m x m block; all-pairs and a slice of
-        # it took n^2 + m^2
-        assert traced_peak(all_pairs, g, np.arange(m)) <= 1.05 * 8 * (m * g.n + m * m)
+        # Dijkstra's m x n rows hold the m x m block in their first m^2
+        # floats; beside them only one call's rows or one tile's
+        # temporaries. All-pairs and a slice of it took n^2 + m^2, and a
+        # copy of the block mn + m^2
+        assert traced_peak(all_pairs, g, np.arange(m)) <= 1.05 * 8 * m * g.n
+
+    def test_repeated_indices_give_their_rows_and_columns(self):
+        g = welded_roll_graph(60, 30.0)
+        full = all_pairs(g)
+        for indices in (np.repeat(np.arange(40), 2), np.array([5, 5, 3])):
+            assert all_pairs(g, indices).tobytes() == full[np.ix_(indices, indices)].tobytes()
 
     @pytest.mark.parametrize("h_pct", [60.0, math.inf])
     def test_result_is_the_only_dense_buffer(self, h_pct):

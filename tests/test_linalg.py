@@ -99,9 +99,8 @@ class TestDoubleCenter:
         assert peak < 4 * n * n  # half of one n x n float64 matrix
 
     def test_centering_allocates_no_block_beyond_one_tile(self):
-        # the finiteness and symmetry checks each build one m x m bool mask
-        # (m^2 bytes); the centering itself holds one 256 x 256 tile of
-        # r_i + r_j at a time, so a row-block temporary would break the bound
+        # an m x m bool mask (m^2 bytes) would fit; a float64 row block
+        # of 256 x m would not
         m = 1500
         d = pairwise_sq_dists(np.random.default_rng(4).normal(0, 1, (m, 3)))
         tracemalloc.start()
@@ -112,9 +111,29 @@ class TestDoubleCenter:
             tracemalloc.stop()
         assert peak < 1.1 * m * m
 
+    def test_centering_holds_under_a_twentieth_of_its_input(self):
+        # the finiteness check holds one 256-row bool slab at a time, the
+        # centering one 16-row block of r_i + r_j; an m x m bool mask alone
+        # is 0.125 of the input
+        m = 1000
+        d = pairwise_sq_dists(np.random.default_rng(4).normal(0, 1, (m, 3)))
+        tracemalloc.start()
+        try:
+            double_center_in_place(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 8 * m * m
+
     def test_rejects_sentinel(self):
         with pytest.raises(NumericError, match="contains unreachable entries"):
             double_center_in_place([[0.0, np.inf], [np.inf, 0.0]])
+
+    def test_rejects_a_sentinel_in_the_last_slab(self):
+        d = pairwise_sq_dists(np.random.default_rng(5).normal(0, 1, (600, 2)))
+        d[599, 3] = d[3, 599] = np.inf
+        with pytest.raises(NumericError, match="contains unreachable entries"):
+            double_center_in_place(d)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.integers(3, 12), st.integers(1, 4))
@@ -540,17 +559,155 @@ class TestOneBlasThread:
         assert looked_up == ["numpy", "scipy"]
 
 
-POLICY_NAMES = {"ctypes", "sched_getaffinity", "mallopt"}
+def fake_system(root: Path, meminfo: str | None, cgroup: str | None,
+                files: dict[str, str]) -> tuple[Path, Path]:
+    """(proc, cgroups) directories under root holding the given meminfo and
+    /proc/self/cgroup text (None: no such file) and cgroup files by path."""
+    proc, cgroups = root / "proc", root / "cgroups"
+    (proc / "self").mkdir(parents=True)
+    cgroups.mkdir()
+    if meminfo is not None:
+        (proc / "meminfo").write_text(meminfo)
+    if cgroup is not None:
+        (proc / "self" / "cgroup").write_text(cgroup)
+    for name, text in files.items():
+        (cgroups / name).parent.mkdir(parents=True, exist_ok=True)
+        (cgroups / name).write_text(text)
+    return proc, cgroups
 
 
-def referenced(path) -> set[str]:
-    """Every name, attribute and imported module name the file at path holds."""
+MEMINFO = "MemTotal:        8220248 kB\nMemFree:  100 kB\nMemAvailable:    7643768 kB\n"
+AVAILABLE = 7643768 * 1024
+V1_NO_LIMIT = "9223372036854771712\n"
+
+
+class TestMemoryBudget:
+    """The memory reader reads /proc and the cgroup files read-only; each n x
+    n buffer and the dense eigensolve are refused before they allocate."""
+
+    @pytest.mark.parametrize("meminfo, cgroup, files, want", [
+        # cgroup v2 without a limit, and with one of 1 GiB of which 100 MiB are used
+        (MEMINFO, "0::/job\n", {"job/memory.max": "max\n", "job/memory.current": "5\n"},
+         AVAILABLE),
+        (MEMINFO, "0::/job\n", {"job/memory.max": f"{2**30}\n",
+                                 "job/memory.current": f"{100 * 2**20}\n"}, 924 * 2**20),
+        # v1's no-limit value, in the process's own directory
+        (MEMINFO, "4:memory:/api/abc\n3:cpuset:/jobs\n",
+         {"memory/api/abc/memory.limit_in_bytes": V1_NO_LIMIT,
+          "memory/api/abc/memory.usage_in_bytes": "306929664\n"}, AVAILABLE),
+        # v1 with a limit, the process's directory not mounted: the hierarchy's root
+        (MEMINFO, "4:memory:/elsewhere\n",
+         {"memory/memory.limit_in_bytes": f"{2**30}\n",
+          "memory/memory.usage_in_bytes": f"{2**29}\n"}, 2**29),
+        # a usage above the limit leaves nothing
+        (MEMINFO, "0::/\n", {"memory.max": "100\n", "memory.current": "200\n"}, 0),
+        # missing files: the limit without its usage, no cgroup file, no meminfo
+        (MEMINFO, "0::/\n", {"memory.max": f"{2**30}\n"}, AVAILABLE),
+        (MEMINFO, None, {}, AVAILABLE),
+        (None, "0::/\n", {"memory.max": f"{2**30}\n", "memory.current": "0\n"}, 2**30),
+        (None, None, {}, None),
+        ("MemTotal: 1 kB\n", "", {}, None),
+        # usage 1 MiB under the limit, 600 MiB of it inactive file pages
+        (MEMINFO, "0::/job\n", {"job/memory.max": f"{2**30}\n",
+                                 "job/memory.current": f"{2**30 - 2**20}\n",
+                                 "job/memory.stat": f"active_file 7\n"
+                                                    f"inactive_file {600 * 2**20}\n"},
+         601 * 2**20),
+        (MEMINFO, "4:memory:/api/abc\n",
+         {"memory/api/abc/memory.limit_in_bytes": f"{2**30}\n",
+          "memory/api/abc/memory.usage_in_bytes": f"{2**30 - 2**20}\n",
+          "memory/api/abc/memory.stat": f"inactive_file 3\n"
+                                        f"total_inactive_file {600 * 2**20}\n"}, 601 * 2**20),
+        # the limit on the parent: 1 GiB, 900 MiB of it used by the child and its siblings
+        (MEMINFO, "0::/job/task\n", {"job/memory.max": f"{2**30}\n",
+                                      "job/memory.current": f"{900 * 2**20}\n",
+                                      "job/task/memory.max": "max\n",
+                                      "job/task/memory.current": f"{100 * 2**20}\n"},
+         124 * 2**20),
+        (MEMINFO, "4:memory:/api/abc\n",
+         {"memory/api/memory.limit_in_bytes": f"{2**30}\n",
+          "memory/api/memory.usage_in_bytes": f"{2**29}\n",
+          "memory/api/abc/memory.limit_in_bytes": V1_NO_LIMIT,
+          "memory/api/abc/memory.usage_in_bytes": f"{2**28}\n"}, 2**29),
+        # v1: a parent above the mount, seen only as hierarchical_memory_limit
+        (MEMINFO, "4:memory:/elsewhere\n",
+         {"memory/memory.limit_in_bytes": V1_NO_LIMIT,
+          "memory/memory.usage_in_bytes": f"{2**28}\n",
+          "memory/memory.stat": f"hierarchical_memory_limit {2**30}\n"}, 3 * 2**28),
+    ], ids=["v2-max", "v2-limit", "v1-no-limit", "v1-root", "v2-over", "v2-no-usage",
+            "no-cgroup", "no-meminfo", "nothing", "no-memavailable", "v2-cache",
+            "v1-cache", "v2-parent", "v1-parent", "v1-hierarchical"])
+    def test_reader(self, tmp_path, meminfo, cgroup, files, want):
+        assert linalg._available_memory(*fake_system(tmp_path, meminfo, cgroup, files)) == want
+
+    def test_a_cgroup_full_of_file_cache_still_gets_its_buffer(self, tmp_path, monkeypatch):
+        # usage 1 MiB under the limit, but 600 MiB of it is reclaimable cache
+        system = fake_system(tmp_path, MEMINFO, "0::/\n", {
+            "memory.max": f"{2**30}\n", "memory.current": f"{2**30 - 2**20}\n",
+            "memory.stat": f"inactive_file {600 * 2**20}\n"})
+        read = linalg._available_memory
+        monkeypatch.setattr(linalg, "_available_memory", lambda: read(*system))
+        assert linalg._n2_buffer("some stage", 1024, 1024).shape == (1024, 1024)
+
+    def test_reader_on_this_system(self):
+        available = linalg._available_memory()
+        if Path("/proc/meminfo").exists():
+            assert 0 < available
+        else:
+            assert available is None or available >= 0
+
+    def test_a_buffer_that_does_not_fit_is_refused_before_it_is_made(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_available_memory", lambda: 3 * 2**20)
+        monkeypatch.setattr(linalg, "_MALLOC_TRIM", lambda pad: pytest.fail("trimmed"))
+        with pytest.raises(NumericError, match=r"^some stage needs an estimated 5\.0 MiB, "
+                                               r"but 3\.0 MiB of memory is available$"):
+            linalg._n2_buffer("some stage", 512, 1024, extra=2**20)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_a_buffer_that_fits_follows_a_heap_trim(self, monkeypatch, shared):
+        trims = []
+        monkeypatch.setattr(linalg, "_available_memory", lambda: 5 * 2**20)
+        monkeypatch.setattr(linalg, "_MALLOC_TRIM", lambda pad: trims.append(pad.value))
+        buf = linalg._n2_buffer("some stage", 512, 1024, extra=2**20, shared=shared)
+        assert buf.shape == (512, 1024) and buf.dtype == np.float64
+        assert buf.flags.c_contiguous and buf.flags.writeable
+        assert trims == [0]
+        assert (buf.base is not None) == shared  # np.frombuffer over the mapping
+
+    def test_an_unreadable_budget_refuses_nothing(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_available_memory", lambda: None)
+        assert linalg._n2_buffer("some stage", 4, 4).shape == (4, 4)
+
+    def test_mds_distances_and_the_dense_solve_are_budgeted(self, monkeypatch):
+        x = np.random.default_rng(3).normal(0, 1, (300, 3))
+        k = double_center_in_place(pairwise_sq_dists(x))
+        monkeypatch.setattr(linalg, "_available_memory", lambda: 2**19)
+        with pytest.raises(NumericError, match=r"^pairwise distances needs an estimated "
+                                               r"1\.3 MiB, but 0\.5 MiB"):
+            pairwise_sq_dists(x)
+        assert pairwise_sq_dists(x[:5], x).shape == (5, 300)  # a row block is no n x n
+        with pytest.raises(NumericError, match=r"^dense eigensolve needs an estimated "
+                                               r"0\.7 MiB, but 0\.5 MiB"):
+            symmetric_eig(k, top=2 * 300 // linalg._ITERATIVE_ROWS_PER_PAIR)
+        assert symmetric_eig(k, top=2).eigenvalues.size == 2  # ARPACK copies no matrix
+
+
+# mmap, malloc_trim and mallopt too: an n x n buffer made anywhere but in
+# linalg._n2_buffer would bypass the memory budget
+POLICY_NAMES = {"ctypes", "sched_getaffinity", "mallopt", "malloc_trim", "mmap"}
+
+
+def referenced(source: str) -> set[str]:
+    """Every name, attribute, imported module name and string constant that
+    source holds (a symbol can be looked up by its name as a string)."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
         elif isinstance(node, ast.alias):
             names |= set(node.name.split("."))
         elif isinstance(node, ast.ImportFrom) and node.module:
@@ -560,9 +717,17 @@ def referenced(path) -> set[str]:
 
 def test_only_linalg_holds_the_process_policy():
     """The BLAS pin, the allocator thresholds and the affinity-mask read are
-    set or made in linalg alone, once, when prisomap is imported."""
+    set or made in linalg alone, once, when prisomap is imported; the
+    mappings and heap trims of the n x n buffers happen there alone too."""
     package = Path(linalg.__file__).parent
-    assert POLICY_NAMES <= referenced(package / "linalg.py")
-    holders = {path.name: sorted(referenced(path) & POLICY_NAMES)
+    assert POLICY_NAMES <= referenced((package / "linalg.py").read_text(encoding="utf-8"))
+    holders = {path.name: sorted(referenced(path.read_text(encoding="utf-8")) & POLICY_NAMES)
                for path in package.glob("*.py") if path.name != "linalg.py"}
     assert {name: held for name, held in holders.items() if held} == {}
+
+
+def test_the_policy_scan_sees_each_way_to_reach_the_allocator():
+    source = ("import mmap as m\nfrom ctypes import CDLL\nbuf = m.mmap(-1, 8)\n"
+              "trim = getattr(CDLL(None), 'malloc_trim')\nCDLL(None).mallopt(-1, 0)\n")
+    assert referenced(source) & POLICY_NAMES == {"ctypes", "mmap", "malloc_trim", "mallopt"}
+    assert referenced("import numpy as np\nbuf = np.empty((4, 4))\n") & POLICY_NAMES == set()
